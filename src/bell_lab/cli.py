@@ -83,7 +83,7 @@ def _load(path: str) -> tuple[TheoryModel, bytes]:
             raw = fh.read()
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-    model = parse_theory(raw.decode("utf-8"), source=path)
+    model = parse_theory(raw, source=path)
     return model, raw
 
 

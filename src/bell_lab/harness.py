@@ -14,16 +14,21 @@ Conventions, stated once and printed in reports:
 
 Membership in the local polytope is decided by exact rational feasibility
 over the enumerated deterministic strategies: floats are converted to
-Fractions exactly, and a phase-1 simplex with Bland's rule either returns
-convex weights (inside) or a separating affine functional read off the
-simplex multipliers (outside).  For two-setting scenarios an outside
-verdict is first matched against the eight CHSH sign variants so the
-certificate is recognizable.
+Fractions exactly and scaled by one common denominator to integers, and a
+phase-1 simplex with Bland's rule over an integer-preserving
+(Edmonds-Bareiss) tableau either returns convex weights (inside) or a
+separating affine functional read off the simplex multipliers (outside).
+Both kinds of certificate are checked exactly before they are returned:
+the weights must rebuild every cell, the functional must bound every
+deterministic strategy.  For two-setting scenarios an outside verdict is
+first matched against the eight CHSH sign variants so the certificate is
+recognizable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,11 +132,6 @@ def enumerate_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
                 )
             )
     return out
-
-
-def strategy_cell_prob(strategy: DeterministicStrategy, a_id: str, b_id: str, outcome_a: int, outcome_b: int) -> Fraction:
-    hit = strategy.outcome_a(a_id) == outcome_a and strategy.outcome_b(b_id) == outcome_b
-    return Fraction(1) if hit else Fraction(0)
 
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> BehaviorTable:
@@ -385,66 +385,82 @@ def _exact(p: Prob) -> Fraction:
 
 
 def _phase1_simplex(
-    columns: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[bool, list[Fraction]]:
-    """Exact feasibility of {Vw = rhs, w >= 0} with rhs >= 0.
+    columns: list[list[int]], rhs: list[int]
+) -> tuple[list[int], list[int] | None, int]:
+    """Exact feasibility of {Vw = rhs, w >= 0} for integer V and rhs >= 0.
 
-    Returns (True, w) on feasibility or (False, y) with a Farkas vector:
-    y . column_j <= 0 for every j but y . rhs > 0.  Bland's rule keeps the
-    pivoting finite despite the degeneracy of redundant probability rows.
+    Integer-preserving (Edmonds-Bareiss) pivoting: the tableau holds
+    integers whose true values are entry / det, det being the last pivot
+    (1 at the start).  A pivot on p = T[r][s] keeps row r and maps every
+    other entry x to (x*p - T[i][s]*T[r][j]) // det, a division that is
+    always exact because each entry is a minor of the starting matrix.
+    det stays positive, so signs read the same and ratios compare by
+    cross-multiplying: Bland's rule walks the pivot path of the rational
+    tableau and keeps it finite despite the degeneracy of redundant
+    probability rows.
+
+    Returns (w, y, det).  w / det is the final basic solution on the
+    structural columns.  y is None when the system is feasible (w / det
+    then solves it); otherwise y / det is a Farkas vector:
+    y . column_j <= 0 for every j but y . rhs > 0.
     """
     m, n = len(rhs), len(columns)
-    width = n + m + 1
     tableau = []
     for i in range(m):
-        row = [columns[j][i] for j in range(n)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        row = [col[i] for col in columns]
+        row += [1 if k == i else 0 for k in range(m)]
         row.append(rhs[i])
         tableau.append(row)
     basis = [n + i for i in range(m)]
-    # reduced costs for phase-1 objective (cost 1 on artificials), priced out
-    obj = [Fraction(0)] * width
-    for j in range(width):
-        col_sum = sum(tableau[i][j] for i in range(m))
-        cost = Fraction(1) if n <= j < n + m else Fraction(0)
-        obj[j] = cost - col_sum
-    obj[-1] = -sum(rhs)
+    # reduced costs for phase-1 objective (cost 1 on artificials), priced
+    # out; the row pivots like the others, so it shares their divisor
+    obj = [-sum(col) for col in columns] + [0] * m + [-sum(rhs)]
+    det = 1
 
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
-        leave, best_ratio = None, None
+        leave = None
         for i in range(m):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    leave, best_ratio = i, ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio_i < ratio_leave, both coefficients positive
+                here = tableau[i][-1] * tableau[leave][enter]
+                best = tableau[leave][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise BellLabError("phase-1 objective unbounded; this cannot happen")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
+        prow = tableau[leave]
+        pivot = prow[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                factor = tableau[i][enter]
-                tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            factor = obj[enter]
-            obj = [x - factor * y for x, y in zip(obj, tableau[leave])]
+            if i != leave:
+                tableau[i] = _eliminate(tableau[i], prow, enter, pivot, det)
+        obj = _eliminate(obj, prow, enter, pivot, det)
+        det = pivot
         basis[leave] = enter
 
-    infeasibility = -obj[-1]
-    if infeasibility == 0:
-        w = [Fraction(0)] * n
-        for i, var in enumerate(basis):
-            if var < n:
-                w[var] = tableau[i][-1]
-        return True, w
-    y = [Fraction(1) - obj[n + i] for i in range(m)]
-    return False, y
+    w = [0] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            w[var] = tableau[i][-1]
+    if obj[-1] == 0:
+        return w, None, det
+    return w, [det - obj[n + i] for i in range(m)], det
+
+
+def _eliminate(row: list[int], prow: list[int], enter: int, pivot: int, det: int) -> list[int]:
+    """One non-pivot row after an integer-preserving pivot."""
+    factor = row[enter]
+    if factor == 0:
+        if pivot == det:
+            return row
+        return [x * pivot // det for x in row]
+    return [(x * pivot - factor * y) // det for x, y in zip(row, prow)]
 
 
 def _chsh_facet_certificate(
@@ -488,8 +504,10 @@ def local_polytope_membership(
     """Decide membership in the convex hull of deterministic strategies.
 
     All arithmetic is exact: decimal behaviors are converted digit-for-bit
-    to Fractions first, and the phase-1 infeasibility (the `residual`) is
-    compared against the tolerance (0 for exact tables, else 1e-9).
+    to Fractions, scaled by one common denominator to integers, and the
+    phase-1 infeasibility (the `residual`) is compared against the
+    tolerance (0 for exact tables, else 1e-9).  Both kinds of certificate
+    are checked on those integers before they are returned.
     """
     scenario = scenario if scenario is not None else table.scenario
     t = _table_tol(table, tol)
@@ -502,31 +520,41 @@ def local_polytope_membership(
     ]
     columns = []
     for strat in strategies:
-        col = [strategy_cell_prob(strat, a, b, A, B) for (a, b, A, B) in row_keys]
-        col.append(Fraction(1))
+        am, bm = strat.alice_map, strat.bob_map
+        col = [int(am[a] == A and bm[b] == B) for (a, b, A, B) in row_keys]
+        col.append(1)
         columns.append(col)
-    rhs = [_exact(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys]
-    rhs.append(Fraction(1))
+    probs = [_exact(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys]
+    probs.append(Fraction(1))
+    scale = math.lcm(*(p.denominator for p in probs))
+    rhs = [p.numerator * (scale // p.denominator) for p in probs]
 
-    feasible, vec = _phase1_simplex(columns, rhs)
-    if feasible:
-        by_index = {j: w for j, w in enumerate(vec) if w != 0}
-        for i in range(len(rhs)):
-            recon = sum(w * columns[j][i] for j, w in by_index.items())
-            if recon != rhs[i]:
-                raise BellLabError("inside certificate failed verification; simplex bug")
-        weights = {strategies[j]: w for j, w in by_index.items()}
+    # true weights are w / (det * scale), true multipliers y / det
+    w, y, det = _phase1_simplex(columns, rhs)
+    denom = det * scale
+    # phase-1 optimum: the artificial mass left in the basis, which doubles
+    # as an infeasibility residual when y is a Farkas certificate
+    residual_num = 0 if y is None else sum(y_i * r for y_i, r in zip(y, rhs))
+    residual = Fraction(residual_num, denom)
+    if y is None or residual <= t:
+        # the basic solution misses each row by that row's artificial,
+        # so by at most the residual (exactly nothing when feasible)
+        support = {j: w_j for j, w_j in enumerate(w) if w_j != 0}
+        misses = (
+            abs(sum(w_j * columns[j][i] for j, w_j in support.items()) - r * det)
+            for i, r in enumerate(rhs)
+        )
+        if min(support.values(), default=0) < 0 or max(misses) > residual_num:
+            raise BellLabError("inside certificate failed verification; simplex bug")
+        weights = {strategies[j]: Fraction(w_j, denom) for j, w_j in support.items()}
         return MembershipCertificate(
-            inside=True, weights=weights, functional=None, residual=Fraction(0), tolerance=t
+            inside=True, weights=weights, functional=None, residual=residual, tolerance=t
         )
 
-    # phase-1 optimum > 0: the minimized artificial mass doubles as an
-    # infeasibility residual, and the multipliers y are a Farkas certificate
-    residual = sum(y_i * r for y_i, r in zip(vec, rhs))
-    if residual <= t:
-        return MembershipCertificate(
-            inside=True, weights=None, functional=None, residual=residual, tolerance=t
-        )
+    # y . rhs > t holds here; y must also be <= 0 at every vertex
+    vertex_values = [sum(y_i for y_i, c in zip(y, col) if c) for col in columns]
+    if max(vertex_values) > 0:
+        raise BellLabError("outside certificate failed verification; simplex bug")
 
     facet = _chsh_facet_certificate(table, scenario, t)
     if facet is not None:
@@ -536,17 +564,12 @@ def local_polytope_membership(
 
     # fold the normalization-row multiplier into the bound so the reported
     # functional reads off cell probabilities only
-    y_const = vec[-1]
-    vertex_values = [sum(y_i * c for y_i, c in zip(vec, col)) for col in columns]
-    bound = max(vertex_values) - y_const
-    value = residual - y_const
-    coeffs = {key: vec[i] for i, key in enumerate(row_keys) if vec[i] != 0}
     functional = SeparatingFunctional(
         kind="affine",
         description="affine separating functional from phase-1 simplex multipliers",
-        coefficients=coeffs,
-        bound=bound,
-        value=value,
+        coefficients={key: Fraction(y[i], det) for i, key in enumerate(row_keys) if y[i] != 0},
+        bound=Fraction(max(vertex_values) - y[-1], det),
+        value=residual - Fraction(y[-1], det),
     )
     return MembershipCertificate(
         inside=False, weights=None, functional=functional, residual=residual, tolerance=t

@@ -15,9 +15,11 @@ Layout::
     }
 
 Weights and probabilities accept numbers or "p/q" strings; ints and "p/q"
-parse as exact rationals, other numbers as decimals.  Unknown keys are
-rejected so typos fail loudly instead of being silently ignored.  Parse
-errors carry line/column; schema errors carry the offending path.
+parse as exact rationals, other numbers as decimals.  Unknown and duplicate
+keys are rejected so typos fail loudly instead of being silently ignored.
+Parse errors carry line/column; schema errors carry the offending path.
+Every input that is not a spec (bytes that are not UTF-8, nesting too deep
+for the parser) raises SpecFormatError.
 """
 
 from __future__ import annotations
@@ -94,18 +96,38 @@ def _parse_prob(value: Any, path: str) -> Fraction | float:
         raise SpecFormatError(str(exc)) from exc
 
 
-def parse_theory(text: str, source: str = "<string>") -> TheoryModel:
-    """Parse theory-spec JSON text into a TheoryModel.
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """JSON object hook: a repeated key is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def parse_theory(text: str | bytes, source: str = "<string>") -> TheoryModel:
+    """Parse theory-spec JSON (text, or UTF-8 bytes) into a TheoryModel.
 
     Only the shape is enforced here; numeric invariants (normalization,
     ranges, completeness of the kernel) are the job of validate_theory.
     """
     try:
-        raw = json.loads(text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(
             f"{source}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{source}: not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise SpecFormatError(f"{source}: JSON nested too deeply to parse") from None
+    except ValueError as exc:
+        raise SpecFormatError(f"{source}: {exc}") from exc
 
     top = _as_dict(raw, "$")
     _require_keys(top, {"name", "scenario", "ensemble", "kernel"}, {"name", "scenario", "ensemble", "kernel"}, "$")
@@ -159,10 +181,10 @@ def parse_theory(text: str, source: str = "<string>") -> TheoryModel:
 def load_theory(path: str | Path) -> TheoryModel:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        raw = p.read_bytes()
     except OSError as exc:
         raise SpecFormatError(f"cannot read {p}: {exc}") from exc
-    return parse_theory(text, source=str(p))
+    return parse_theory(raw, source=str(p))
 
 
 def theory_to_dict(model: TheoryModel) -> dict[str, Any]:

@@ -224,3 +224,26 @@ def arbitrary_models(draw) -> TheoryModel:
         ensemble=HiddenStateEnsemble(entries=entries),
         kernel=ResponseKernel(cells),
     )
+
+
+@st.composite
+def zero_one_systems(draw, max_rows: int = 9, max_cols: int = 16):
+    """(columns, rhs): a 0/1 matrix by columns and a nonnegative rational
+    right-hand side, with zero entries and duplicated rows.  Half the draws
+    put rhs in the cone of the columns, so both verdicts are common; sizes
+    lean large, where pivots other than 1 (and so real divisions) occur."""
+    n = draw(st.one_of(st.integers(1, max_cols), st.integers(max_cols // 2, max_cols)))
+    base = draw(st.one_of(st.integers(1, max_rows), st.integers(max_rows // 2, max_rows)))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=base, max_size=base))
+    rows = [[mask >> j & 1 for j in range(n)] for mask in masks]
+    rationals = st.one_of(st.just(Fraction(0)), st.fractions(0, 3, max_denominator=12))
+    if draw(st.booleans()):
+        w = draw(st.lists(rationals, min_size=n, max_size=n))
+        rhs = [sum((wj for wj, v in zip(w, row) if v), Fraction(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(rationals, min_size=base, max_size=base))
+    for i in draw(st.lists(st.integers(0, base - 1), max_size=max_rows - base)):
+        rows.append(rows[i])
+        rhs.append(rhs[i] if draw(st.booleans()) else draw(rationals))
+    columns = [[row[j] for row in rows] for j in range(n)]
+    return columns, rhs

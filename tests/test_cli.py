@@ -56,6 +56,33 @@ class TestValidate:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_utf8_spec_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9", "scenario": {}}\n')
+        code, _, err = run_cli(capsys, "report", str(path))
+        assert code == 2
+        assert "not UTF-8" in err
+
+    def test_deeply_nested_spec_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 100_000)
+        code, _, err = run_cli(capsys, "report", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
+
+    def test_duplicate_key_exits_two_and_names_it(self, capsys, fixtures_dir, tmp_path):
+        text = (fixtures_dir / "two_state.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        first = doc["ensemble"][0]["id"]
+        # an empty kernel block ahead of the real one used to win silently
+        dup = text.replace('"kernel": {', f'"kernel": {{\n    "{first}": {{}},', 1)
+        assert dup != text
+        path = tmp_path / "duplicate.json"
+        path.write_text(dup, encoding="utf-8")
+        code, _, err = run_cli(capsys, "report", str(path))
+        assert code == 2
+        assert f"duplicate key {first!r}" in err
+
 
 class TestChecks:
     def test_locality_flags_singlet(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ local bounds, and exact local-polytope membership."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import genmodels
+from bell_lab import harness
 from bell_lab.harness import (
     AntiCorrelationPreconditionError,
     CHSH_CONVENTION,
@@ -28,7 +30,8 @@ from bell_lab.harness import (
 )
 from bell_lab.model import BellLabError, Scenario, Setting, behavior
 from bell_lab.singlet import make_planar_singlet
-from bell_lab.specio import load_theory
+from bell_lab.specio import load_theory, parse_theory
+from reference_simplex import _phase1_simplex as reference_phase1
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -250,6 +253,99 @@ class TestMembership:
         assert cert.inside
         assert all(w >= 0 for w in cert.weights.values())
         assert sum(cert.weights.values()) == 1
+
+    def test_near_feasible_decimal_mixture_is_inside_with_weights(self):
+        # weights 0.1..0.4 are not dyadic: exact phase 1 ends 11/2^55 short
+        spec = {
+            "name": "decimal local mixture",
+            "scenario": {"alice_settings": [{"id": "a1"}, {"id": "a2"}],
+                         "bob_settings": [{"id": "b1"}, {"id": "b2"}]},
+            "ensemble": [{"id": f"d{k}", "weight": k / 10} for k in range(1, 5)],
+            "kernel": {},
+        }
+        signs = {"d1": ((1, 1), (1, -1)), "d2": ((1, -1), (-1, -1)),
+                 "d3": ((-1, 1), (1, 1)), "d4": ((-1, -1), (-1, 1))}
+        for sid, (sa, sb) in signs.items():
+            spec["kernel"][sid] = {
+                f"a{i + 1}|b{j + 1}": {
+                    key: int((sa[i], sb[j]) == ab)
+                    for key, ab in zip(("++", "+-", "-+", "--"), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+                }
+                for i in range(2) for j in range(2)
+            }
+        model = parse_theory(json.dumps(spec))
+        table = behavior(model)
+        cert = local_polytope_membership(table)
+        assert cert.inside
+        assert cert.residual == Fraction(11, 2**55)
+        assert_weights_reproduce(cert, table, model.scenario)
+
+    def test_equal_axes_singlet_is_inside_with_weights(self, singlet_equal_axes):
+        table = behavior(singlet_equal_axes)
+        cert = local_polytope_membership(table)
+        assert cert.inside
+        assert 0 < cert.residual <= cert.tolerance
+        assert_weights_reproduce(cert, table, singlet_equal_axes.scenario)
+
+    def test_corrupted_outside_certificate_is_refused(self, singlet_three_axes, monkeypatch):
+        solve = harness._phase1_simplex
+
+        def lift_first_row(columns, rhs):
+            w, y, det = solve(columns, rhs)
+            # every vertex using row 0 now scores above zero; y . rhs only grows
+            return w, [y[0] + det + sum(abs(v) for v in y)] + y[1:], det
+
+        monkeypatch.setattr(harness, "_phase1_simplex", lift_first_row)
+        with pytest.raises(BellLabError, match="outside certificate failed verification"):
+            local_polytope_membership(behavior(singlet_three_axes))
+
+    def test_corrupted_inside_certificate_is_refused(self, fixtures_dir, monkeypatch):
+        solve = harness._phase1_simplex
+
+        def shift_a_weight(columns, rhs):
+            w, y, det = solve(columns, rhs)
+            j = next(j for j, w_j in enumerate(w) if w_j)
+            return w[:j] + [w[j] + 1] + w[j + 1:], y, det
+
+        monkeypatch.setattr(harness, "_phase1_simplex", shift_a_weight)
+        table = behavior(load_theory(fixtures_dir / "eight_pattern.json"))
+        with pytest.raises(BellLabError, match="inside certificate failed verification"):
+            local_polytope_membership(table)
+
+
+def assert_weights_reproduce(cert, table, scenario):
+    """Nonnegative weights that sum to 1 and rebuild every cell within tolerance."""
+    t = cert.tolerance
+    assert cert.weights and all(w >= 0 for w in cert.weights.values())
+    assert abs(sum(cert.weights.values()) - 1) <= t
+    for a_id, b_id in scenario.pairs():
+        for A, B in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            recon = sum(
+                w for s, w in cert.weights.items()
+                if s.outcome_a(a_id) == A and s.outcome_b(b_id) == B
+            )
+            assert abs(recon - Fraction(table.cell(a_id, b_id).prob(A, B))) <= t
+
+
+class TestPhase1Simplex:
+    """The integer tableau against the Fraction tableau it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(genmodels.zero_one_systems())
+    def test_same_verdict_and_vector_as_the_fraction_tableau(self, system):
+        columns, rhs = system
+        scale = math.lcm(*(r.denominator for r in rhs))
+        w, y, det = harness._phase1_simplex(columns, [int(r * scale) for r in rhs])
+        feasible, vec = reference_phase1(
+            [[Fraction(v) for v in col] for col in columns], rhs
+        )
+        assert det > 0
+        assert (y is None) == feasible
+        if feasible:
+            assert [Fraction(x, det * scale) for x in w] == vec
+        else:
+            assert [Fraction(x, det) for x in y] == vec
+        assert all(x >= 0 for x in w)
 
 
 class TestCorrelators:

@@ -106,6 +106,15 @@ class TestParse:
         with pytest.raises(SpecFormatError, match=r"\$: expected an object"):
             parse_theory("[1, 2]")
 
+    def test_utf8_bytes_parse_like_text(self):
+        text = json.dumps(minimal_doc())
+        assert parse_theory(text.encode("utf-8")) == parse_theory(text)
+
+    def test_duplicate_key_in_a_cell_is_rejected(self):
+        text = json.dumps(minimal_doc()).replace('"++": 0', '"++": 0, "++": 1')
+        with pytest.raises(SpecFormatError, match=r"duplicate key '\+\+'"):
+            parse_theory(text, source="dup.json")
+
 
 class TestRoundTrip:
     def test_exact_model_survives_dump_and_load(self, tmp_path):
