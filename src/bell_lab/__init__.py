@@ -66,6 +66,7 @@ from .montecarlo import (
     TrialRecord,
     UniformSettingPolicy,
     run_experiment,
+    simulate,
     summarize,
     write_records_csv,
 )
@@ -86,5 +87,5 @@ __all__ = [
     "MembershipCertificate", "bell1964", "chsh", "correlator",
     "enumerate_strategies", "local_polytope_membership", "max_local_chsh",
     "ExperimentStats", "FixedSequencePolicy", "TrialRecord", "UniformSettingPolicy",
-    "run_experiment", "summarize", "write_records_csv",
+    "run_experiment", "simulate", "summarize", "write_records_csv",
 ]

@@ -40,13 +40,7 @@ from .harness import (
 )
 from .instructions import classify_states, derive_instruction_sets, DerivationFailure
 from .model import BellLabError, TheoryModel, behavior, format_probability, validate_theory
-from .montecarlo import (
-    FixedSequencePolicy,
-    UniformSettingPolicy,
-    run_experiment,
-    summarize,
-    write_records_csv,
-)
+from .montecarlo import FixedSequencePolicy, UniformSettingPolicy, simulate
 from .singlet import make_planar_singlet
 from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 
@@ -360,11 +354,11 @@ def _parse_policy(model: TheoryModel, text: str):
 def cmd_simulate(args) -> int:
     model, _ = _load(args.spec)
     policy = _parse_policy(model, args.policy)
-    records = run_experiment(model, args.trials, args.seed, policy=policy)
     roles = _parse_roles(args.chsh_roles) if args.chsh_roles else None
-    stats = summarize(records, model.scenario, chsh_roles=roles, seed=args.seed)
-    if args.out:
-        write_records_csv(records, args.out, reveal_hidden=args.reveal_lambda)
+    stats = simulate(
+        model, args.trials, args.seed, policy=policy, chsh_roles=roles,
+        csv_path=args.out or None, reveal_hidden=args.reveal_lambda,
+    )
     if args.fmt == "json":
         emit_json(stats.to_dict())
     else:
@@ -468,9 +462,7 @@ def run_pipeline(spec_path: str, args) -> RunReport:
     sections["bell_tests"] = bell
 
     if args.simulate_trials > 0:
-        records = run_experiment(model, args.simulate_trials, args.seed)
-        stats = summarize(records, model.scenario, seed=args.seed)
-        sections["simulation"] = stats.to_dict()
+        sections["simulation"] = simulate(model, args.simulate_trials, args.seed).to_dict()
     else:
         sections["simulation"] = {"skipped": "not requested (--simulate-trials)"}
     return RunReport(__version__, spec_path, digest, model.name, sections)

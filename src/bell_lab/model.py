@@ -279,7 +279,7 @@ def resolve_tolerance(model_or_exact: TheoryModel | bool, tol: float | None) -> 
 
 def _check_unit(direction: tuple[float, float, float], where: str, out: list[Violation]) -> None:
     norm = math.sqrt(sum(c * c for c in direction))
-    if abs(norm - 1.0) > _UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
         out.append(Violation(where, f"direction must be a unit vector, norm is {norm!r}"))
 
 
@@ -287,7 +287,10 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     """Check every structural invariant; an empty list means the model is valid.
 
     Exact quantities are held to exact equalities; decimal ones to `tol`
-    (default 1e-9).  Every violation is reported, not just the first.
+    (default 1e-9).  NaN and infinite numbers, and setting ids containing
+    '|' (the separator of kernel keys), are violations too, so a model
+    built through the library is held to what the spec parser accepts.
+    Every violation is reported, not just the first.
     """
     out: list[Violation] = []
     t = resolve_tolerance(model, tol)
@@ -303,6 +306,10 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
             if s.id in seen:
                 out.append(Violation(f"scenario.{side}_settings[{s.id}]", "duplicate setting id"))
             seen.add(s.id)
+            if "|" in s.id:
+                # kernel keys and simulation counts join setting ids with '|'
+                out.append(Violation(f"scenario.{side}_settings[{s.id}]",
+                                     "setting id must not contain '|'"))
             if s.direction is not None:
                 _check_unit(s.direction, f"scenario.{side}_settings[{s.id}].direction", out)
 
@@ -314,7 +321,11 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
         if e.state_id in seen_states:
             out.append(Violation(f"ensemble[{e.state_id}]", "duplicate hidden-state id"))
         seen_states.add(e.state_id)
-        if e.weight <= 0:
+        if not isinstance(e.weight, Fraction) and not math.isfinite(e.weight):
+            out.append(
+                Violation(f"ensemble[{e.state_id}].weight", f"weight must be finite, got {e.weight!r}")
+            )
+        elif e.weight <= 0:
             out.append(
                 Violation(f"ensemble[{e.state_id}].weight", f"weight must be > 0, got {e.weight}")
             )
@@ -349,6 +360,8 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
             if isinstance(p, Fraction):
                 if p < 0 or p > 1:
                     out.append(Violation(f"{loc}.{label}", f"probability out of [0,1]: {p}"))
+            elif not math.isfinite(p):
+                out.append(Violation(f"{loc}.{label}", f"probability must be finite, got {p!r}"))
             elif p < -t or p > 1 + t:
                 out.append(Violation(f"{loc}.{label}", f"probability out of [0,1]: {p!r}"))
         total = dist.total()

@@ -2,9 +2,11 @@
 
 Every random draw is a pure function of (seed, trial, slot): the stream is
 the SplitMix64 sequence evaluated at position trial*4 + slot, so trial i
-can be generated without generating trials 0..i-1.  That makes runs
-bit-reproducible, order-independent, and safe to chunk across threads; the
-thread count (BELL_LAB_THREADS, 0 = auto) can never change the records.
+can be generated without generating trials 0..i-1.  The engine evaluates
+the stream in numpy uint64 over fixed-size chunks of trials; a run's
+records depend only on (seed, trial, slot), never on the chunking, and
+`simulate` keeps one chunk alive at a time, so its memory is flat in the
+trial count.
 
 Slots: 0 = hidden state, 1 = Alice setting, 2 = Bob setting, 3 = outcome
 pair.  Fixed-sequence setting policies leave slots 1 and 2 unused but
@@ -16,12 +18,16 @@ the statistics and out of CSV exports unless explicitly revealed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
 import math
-import os
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .model import (
     BellLabError,
@@ -33,17 +39,20 @@ from .model import (
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+
+#: Trials generated per numpy chunk: bounds a run's memory, never its records.
+_CHUNK = 1 << 16
 
 DRAWS_PER_TRIAL = 4
 SLOT_STATE, SLOT_ALICE, SLOT_BOB, SLOT_OUTCOME = range(DRAWS_PER_TRIAL)
 
-THREADS_ENV_VAR = "BELL_LAB_THREADS"
-
 
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer: a bijective avalanche on 64-bit words."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MUL1 & _MASK64
+    z = (z ^ (z >> 27)) * _MUL2 & _MASK64
     return z ^ (z >> 31)
 
 
@@ -57,6 +66,23 @@ def trial_uniform(seed: int, trial: int, slot: int) -> float:
     if not 0 <= slot < DRAWS_PER_TRIAL:
         raise ValueError(f"slot must be in [0, {DRAWS_PER_TRIAL}), got {slot}")
     return stream_uniform(seed, trial * DRAWS_PER_TRIAL + slot)
+
+
+def _stream_words(seed: int, positions: np.ndarray) -> np.ndarray:
+    """The SplitMix64 words at uint64 `positions`, before `stream_uniform`
+    scales them.  Every operand is np.uint64: under NumPy 1.x a uint64
+    scalar meeting a Python int promotes to float64."""
+    u64 = np.uint64
+    with np.errstate(over="ignore"):
+        z = u64(seed & _MASK64) + (positions + u64(1)) * u64(_GAMMA)
+        z = (z ^ (z >> u64(30))) * u64(_MUL1)
+        z = (z ^ (z >> u64(27))) * u64(_MUL2)
+        return z ^ (z >> u64(31))
+
+
+def _stream_uniforms(seed: int, positions: np.ndarray) -> np.ndarray:
+    """`stream_uniform` at every position, bit for bit."""
+    return _stream_words(seed, positions).astype(np.float64) / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -88,23 +114,6 @@ class TrialRecord:
     outcome_b: int
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread count from the argument, else the environment, else 1; 0 = auto."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise BellLabError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if threads < 0:
-        raise BellLabError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
 def _cumulative(values: list[float]) -> list[float]:
     total = 0.0
     out = []
@@ -114,45 +123,64 @@ def _cumulative(values: list[float]) -> list[float]:
     return out
 
 
-def _pick(cum: list[float], u: float) -> int:
-    idx = bisect_right(cum, u)
-    return min(idx, len(cum) - 1)
-
-
 class _Sampler:
-    """Precomputed cumulative tables for one model; drives the trial loop."""
+    """One model's cumulative tables as arrays; generates trials in chunks."""
 
-    def __init__(self, model: TheoryModel, policy: SettingPolicy):
-        self.scenario = model.scenario
+    def __init__(self, model: TheoryModel, trials: int, policy: SettingPolicy | None):
+        if trials <= 0:
+            raise BellLabError(f"trial count must be positive, got {trials}")
+        require_valid(model)
+        self.trials = trials
+        self.scenario = scen = model.scenario
         self.state_ids = model.ensemble.state_ids()
-        self.state_cum = _cumulative([float(e.weight) for e in model.ensemble.entries])
-        self.alice_ids = model.scenario.alice_ids()
-        self.bob_ids = model.scenario.bob_ids()
-        self.outcome_cum = {
-            key: _cumulative([float(p) for p in dist.values()])
-            for key, dist in model.kernel.cells.items()
-        }
-        self.policy = policy
+        self.alice_ids = scen.alice_ids()
+        self.bob_ids = scen.bob_ids()
+        self.state_cum = np.array(_cumulative([float(e.weight) for e in model.ensemble.entries]))
+        # outcome_cum[state, a, b] is the cumulative table of one kernel cell
+        self.outcome_cum = np.array([
+            [
+                [_cumulative([float(p) for p in model.kernel.cell(s, a, b).values()])
+                 for b in self.bob_ids]
+                for a in self.alice_ids
+            ]
+            for s in self.state_ids
+        ])
+        self.sequence = None
         if isinstance(policy, FixedSequencePolicy):
             for a_id, b_id in policy.pairs:
-                model.scenario.alice_setting(a_id)
-                model.scenario.bob_setting(b_id)
+                scen.alice_setting(a_id)
+                scen.bob_setting(b_id)
+            self.sequence = (
+                np.array([self.alice_ids.index(a) for a, _ in policy.pairs]),
+                np.array([self.bob_ids.index(b) for _, b in policy.pairs]),
+            )
 
-    def trial(self, seed: int, index: int) -> TrialRecord:
-        state = self.state_ids[_pick(self.state_cum, trial_uniform(seed, index, SLOT_STATE))]
-        if isinstance(self.policy, FixedSequencePolicy):
-            a_id, b_id = self.policy.pairs[index % len(self.policy.pairs)]
+    def chunks(self, seed: int) -> Iterator[tuple]:
+        """Per chunk of at most `_CHUNK` trials: the first trial, then the
+        state, Alice setting, Bob setting and joint outcome index arrays."""
+        for start in range(0, self.trials, _CHUNK):
+            yield (start, *self._chunk(seed, start, min(start + _CHUNK, self.trials)))
+
+    def _chunk(self, seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        t = np.arange(start, stop, dtype=np.uint64)
+        base = t * np.uint64(DRAWS_PER_TRIAL)
+
+        def draw(slot: int) -> np.ndarray:
+            return _stream_uniforms(seed, base + np.uint64(slot))
+
+        # each pick is bisect_right on a cumulative table, clamped to the
+        # last index (a draw of 1.0, or a table summing to less than 1)
+        state = np.searchsorted(self.state_cum, draw(SLOT_STATE), side="right")
+        state = np.minimum(state, len(self.state_ids) - 1)
+        if self.sequence is None:
+            n_a, n_b = len(self.alice_ids), len(self.bob_ids)
+            a = np.minimum((draw(SLOT_ALICE) * n_a).astype(np.int64), n_a - 1)
+            b = np.minimum((draw(SLOT_BOB) * n_b).astype(np.int64), n_b - 1)
         else:
-            ua = trial_uniform(seed, index, SLOT_ALICE)
-            ub = trial_uniform(seed, index, SLOT_BOB)
-            a_id = self.alice_ids[min(int(ua * len(self.alice_ids)), len(self.alice_ids) - 1)]
-            b_id = self.bob_ids[min(int(ub * len(self.bob_ids)), len(self.bob_ids) - 1)]
-        cum = self.outcome_cum[(state, a_id, b_id)]
-        outcome_a, outcome_b = JOINT_OUTCOMES[_pick(cum, trial_uniform(seed, index, SLOT_OUTCOME))]
-        return TrialRecord(
-            trial=index, state_id=state, a_id=a_id, b_id=b_id,
-            outcome_a=outcome_a, outcome_b=outcome_b,
-        )
+            k = (t % np.uint64(len(self.sequence[0]))).astype(np.intp)
+            a, b = self.sequence[0][k], self.sequence[1][k]
+        joint = (self.outcome_cum[state, a, b] <= draw(SLOT_OUTCOME)[:, None]).sum(axis=1)
+        return state, a, b, np.minimum(joint, len(JOINT_OUTCOMES) - 1)
 
 
 def run_experiment(
@@ -160,28 +188,21 @@ def run_experiment(
     trials: int,
     seed: int,
     policy: SettingPolicy | None = None,
-    threads: int | None = None,
 ) -> list[TrialRecord]:
     """Simulate `trials` EPRB rounds; bit-identical for identical inputs.
 
-    The thread count only chunks the work; records are always returned in
-    trial order with the exact same content.
+    Builds one record per trial, for library callers that want them;
+    `simulate` gives the summary and the CSV without keeping records.
     """
-    if trials <= 0:
-        raise BellLabError(f"trial count must be positive, got {trials}")
-    require_valid(model)
-    seed = seed & _MASK64
-    sampler = _Sampler(model, policy if policy is not None else UniformSettingPolicy())
-    n_threads = resolve_threads(threads)
-    if n_threads <= 1 or trials < 2 * n_threads:
-        return [sampler.trial(seed, i) for i in range(trials)]
-    chunk = -(-trials // n_threads)
-    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        chunks = list(
-            pool.map(lambda r: [sampler.trial(seed, i) for i in range(r[0], r[1])], ranges)
+    sampler = _Sampler(model, trials, policy)
+    states, alice, bob = sampler.state_ids, sampler.alice_ids, sampler.bob_ids
+    return [
+        TrialRecord(t, states[s], alice[a], bob[b], *JOINT_OUTCOMES[j])
+        for start, state, a_idx, b_idx, joint in sampler.chunks(seed)
+        for t, s, a, b, j in zip(
+            itertools.count(start), state.tolist(), a_idx.tolist(), b_idx.tolist(), joint.tolist()
         )
-    return [rec for part in chunks for rec in part]
+    ]
 
 
 @dataclass(frozen=True)
@@ -260,12 +281,21 @@ def summarize(
     """
     if not records:
         raise BellLabError("cannot summarize an empty record list")
-    counts: dict[tuple[str, str, int, int], int] = {}
+    counts = Counter((rec.a_id, rec.b_id, rec.outcome_a, rec.outcome_b) for rec in records)
+    return _summarize_counts(dict(counts), len(records), scenario, chsh_roles, seed)
+
+
+def _summarize_counts(
+    counts: dict[tuple[str, str, int, int], int],
+    trials: int,
+    scenario: Scenario,
+    chsh_roles: tuple[str, str, str, str] | None,
+    seed: int | None,
+) -> ExperimentStats:
+    """The statistics of `summarize`, from counts keyed (a, b, A, B)."""
     pair_counts: dict[tuple[str, str], int] = {}
-    for rec in records:
-        key = (rec.a_id, rec.b_id, rec.outcome_a, rec.outcome_b)
-        counts[key] = counts.get(key, 0) + 1
-        pair_counts[(rec.a_id, rec.b_id)] = pair_counts.get((rec.a_id, rec.b_id), 0) + 1
+    for (a, b, _, _), n in counts.items():
+        pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
 
     correlators: dict[tuple[str, str], Estimate] = {}
     for pair in scenario.pairs():
@@ -336,7 +366,7 @@ def summarize(
                         )
 
     return ExperimentStats(
-        trials=len(records),
+        trials=trials,
         seed=seed,
         counts=counts,
         pair_counts=pair_counts,
@@ -361,3 +391,45 @@ def write_records_csv(records: list[TrialRecord], path, reveal_hidden: bool = Fa
             if reveal_hidden:
                 row.append(rec.state_id)
             writer.writerow(row)
+
+
+def _csv_cells(*values: object) -> str:
+    """`values` as csv.writer quotes them within a row, each after a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", *values))
+    return buf.getvalue()[: -len("\r\n")]
+
+
+def simulate(
+    model: TheoryModel,
+    trials: int,
+    seed: int,
+    policy: SettingPolicy | None = None,
+    chsh_roles: tuple[str, str, str, str] | None = None,
+    csv_path=None,
+    reveal_hidden: bool = False,
+) -> ExperimentStats:
+    """Simulate `trials` EPRB rounds and summarise them without records.
+
+    The statistics equal `summarize(run_experiment(...))`, and the CSV
+    written to `csv_path` equals `write_records_csv(run_experiment(...))`
+    byte for byte, but only one chunk of trials is alive at a time.
+    """
+    sampler = _Sampler(model, trials, policy)
+    keys = [(a, b, *ab) for a in sampler.alice_ids for b in sampler.bob_ids for ab in JOINT_OUTCOMES]
+    tails = np.array([_csv_cells(*key) for key in keys], dtype=object)
+    lambdas = np.array([_csv_cells(s) + "\r\n" for s in sampler.state_ids], dtype=object)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    with (open(csv_path, "w", newline="", encoding="utf-8") if csv_path is not None
+          else contextlib.nullcontext()) as sink:
+        if sink is not None:
+            sink.write("trial,a,b,A,B,lambda\r\n" if reveal_hidden else "trial,a,b,A,B\r\n")
+        for start, state, a, b, joint in sampler.chunks(seed):
+            code = (a * len(sampler.bob_ids) + b) * len(JOINT_OUTCOMES) + joint
+            counts += np.bincount(code, minlength=len(keys))
+            if sink is not None:
+                ends = lambdas[state].tolist() if reveal_hidden else itertools.repeat("\r\n")
+                trial_ids = map(str, range(start, start + len(code)))
+                sink.write("".join(map("".join, zip(trial_ids, tails[code].tolist(), ends))))
+    observed = {key: n for key, n in zip(keys, counts.tolist()) if n}
+    return _summarize_counts(observed, trials, sampler.scenario, chsh_roles, seed)

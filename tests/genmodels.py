@@ -247,3 +247,38 @@ def zero_one_systems(draw, max_rows: int = 9, max_cols: int = 16):
         rhs.append(rhs[i] if draw(st.booleans()) else draw(rationals))
     columns = [[row[j] for row in rows] for j in range(n)]
     return columns, rhs
+
+
+@st.composite
+def decimal_models(draw) -> TheoryModel:
+    """Valid models with float weights and cells (sums off 1 by rounding)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_arbitrary_model(
+        rng, draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    )
+
+
+#: Short ids that may repeat, be empty, or hold '|', ',', quotes and newlines.
+_ID_TEXT = st.text(st.sampled_from('ab1|,"\n é'), max_size=3)
+
+
+@st.composite
+def relabelled_models(draw) -> TheoryModel:
+    """An exact or decimal model under drawn setting and hidden-state ids."""
+    model = draw(st.one_of(arbitrary_models(), decimal_models()))
+    alice = {s.id: draw(_ID_TEXT) for s in model.scenario.alice_settings}
+    bob = {s.id: draw(_ID_TEXT) for s in model.scenario.bob_settings}
+    states = {e.state_id: draw(_ID_TEXT) for e in model.ensemble.entries}
+    return TheoryModel(
+        name=draw(st.text(max_size=5)),
+        scenario=Scenario(
+            alice_settings=tuple(Setting(id=alice[s.id]) for s in model.scenario.alice_settings),
+            bob_settings=tuple(Setting(id=bob[s.id]) for s in model.scenario.bob_settings),
+        ),
+        ensemble=HiddenStateEnsemble(
+            entries=tuple(EnsembleEntry(states[e.state_id], e.weight) for e in model.ensemble.entries)
+        ),
+        kernel=ResponseKernel(
+            {(states[s], alice[a], bob[b]): dist for (s, a, b), dist in model.kernel.cells.items()}
+        ),
+    )

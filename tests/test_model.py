@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bell_lab.model import (
@@ -30,6 +31,7 @@ from bell_lab.model import (
     validate_theory,
 )
 
+import genmodels
 from genmodels import random_anticorr_mixture, random_product_model
 
 
@@ -181,6 +183,42 @@ class TestValidation:
         )
         found = validate_theory(tiny_model(scenario=scen))
         assert any("unit vector" in v.message for v in found)
+
+    def test_pipe_in_setting_id_flagged(self):
+        scen = Scenario(alice_settings=(Setting(id="a|x"),), bob_settings=(Setting(id="b1"),))
+        kernel = ResponseKernel({("s1", "a|x", "b1"): OutcomeDistribution.point(+1, -1)})
+        found = validate_theory(tiny_model(scenario=scen, kernel=kernel))
+        assert [v.location for v in found] == ["scenario.alice_settings[a|x]"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.one_of(genmodels.arbitrary_models(), genmodels.decimal_models()),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        data=st.data(),
+    )
+    def test_non_finite_values_always_reported(self, model, bad, data):
+        target = data.draw(st.sampled_from(["weight", "cell", "direction"]))
+        if target == "weight":
+            i = data.draw(st.integers(0, len(model.ensemble.entries) - 1))
+            entries = list(model.ensemble.entries)
+            entries[i] = EnsembleEntry(entries[i].state_id, bad)
+            model = replace(model, ensemble=HiddenStateEnsemble(tuple(entries)))
+            where = f"ensemble[{entries[i].state_id}].weight"
+        elif target == "cell":
+            key = data.draw(st.sampled_from(sorted(model.kernel.cells)))
+            label = data.draw(st.sampled_from(["++", "+-", "-+", "--"]))
+            cells = dict(model.kernel.cells)
+            cells[key] = OutcomeDistribution.from_mapping({**cells[key].as_dict(), label: bad})
+            model = replace(model, kernel=ResponseKernel(cells))
+            where = f"kernel[{key[0]},{key[1]},{key[2]}].{label}"
+        else:
+            first, *rest = model.scenario.alice_settings
+            scen = Scenario((Setting(first.id, (0.0, bad, 1.0)), *rest), model.scenario.bob_settings)
+            model = replace(model, scenario=scen)
+            where = f"scenario.alice_settings[{first.id}].direction"
+        assert where in [v.location for v in validate_theory(model)]
+        with pytest.raises(InvalidModelError):
+            require_valid(model)
 
     def test_require_valid_raises_with_report(self):
         model = tiny_model(

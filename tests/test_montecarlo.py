@@ -8,27 +8,35 @@ sigma windows so they stay deterministic.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import genmodels
+from bell_lab import montecarlo
 from bell_lab.model import BellLabError, behavior
 from bell_lab.montecarlo import (
     DRAWS_PER_TRIAL,
     FixedSequencePolicy,
     SLOT_OUTCOME,
     SLOT_STATE,
-    THREADS_ENV_VAR,
     UniformSettingPolicy,
-    resolve_threads,
     run_experiment,
+    simulate,
     stream_uniform,
     summarize,
     trial_uniform,
     write_records_csv,
 )
-from bell_lab.specio import load_theory
+from bell_lab.specio import load_theory, parse_theory
+from reference_sampler import reference_run
 
 
 class TestStream:
@@ -69,29 +77,6 @@ class TestRunExperiment:
         assert run_experiment(singlet_chsh, 200, seed=1) != run_experiment(
             singlet_chsh, 200, seed=2
         )
-
-    def test_thread_count_never_changes_records(self, singlet_chsh):
-        base = run_experiment(singlet_chsh, 1000, seed=9, threads=1)
-        for threads in (2, 3, 8):
-            assert run_experiment(singlet_chsh, 1000, seed=9, threads=threads) == base
-
-    def test_env_var_controls_threads(self, singlet_chsh, monkeypatch):
-        base = run_experiment(singlet_chsh, 400, seed=9, threads=1)
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert run_experiment(singlet_chsh, 400, seed=9) == base
-        monkeypatch.setenv(THREADS_ENV_VAR, "banana")
-        with pytest.raises(BellLabError):
-            run_experiment(singlet_chsh, 400, seed=9)
-
-    def test_resolve_threads_rules(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert resolve_threads(None) == 1
-        assert resolve_threads(3) == 3
-        assert resolve_threads(0) >= 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        assert resolve_threads(None) == 2
-        with pytest.raises(BellLabError):
-            resolve_threads(-1)
 
     def test_trial_indices_are_in_order(self, singlet_chsh):
         records = run_experiment(singlet_chsh, 50, seed=3)
@@ -265,3 +250,174 @@ class TestPhysicsOfTheRun:
         for rec in records:
             dist = model.kernel.cell(rec.state_id, rec.a_id, rec.b_id)
             assert dist.prob(rec.outcome_a, rec.outcome_b) == 1
+
+
+# ---------------------------------------------------------------------------
+# the vectorised engine against the scalar definitions
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_for_word(word: int, position: int) -> int:
+    """The seed whose SplitMix64 word at `position` is `word` (the
+    finalizer is a bijection, so it inverts step by step)."""
+    z = _unxorshift(word, 31)
+    z = z * pow(_MUL2, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 27)
+    z = z * pow(_MUL1, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 30)
+    return (z - (position + 1) * _GAMMA) & _MASK64
+
+
+@st.composite
+def halfway_words(draw) -> int:
+    """Words exactly halfway between two float64 neighbours, where the
+    uint64 -> float64 conversion must round half to even."""
+    bits = draw(st.integers(55, 64))
+    spacing = 1 << (bits - 53)
+    return (1 << (bits - 1)) + draw(st.integers(0, 2**52 - 1)) * spacing + spacing // 2
+
+
+#: 64-bit words, weighted towards those at and above 2^63 and those whose
+#: conversion to float64 rounds, up to 1.0 at the top.
+WORDS = st.one_of(
+    st.integers(0, _MASK64),
+    st.integers(2**63, _MASK64),
+    st.integers(_MASK64 - 2**12, _MASK64),
+    st.integers(0, 2**12),
+    halfway_words(),
+)
+
+
+class TestVectorisedStream:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, _MASK64), st.integers(2**63, _MASK64)),
+        positions=st.lists(st.integers(0, 2**62), min_size=1, max_size=8),
+    )
+    def test_equals_scalar_stream(self, seed, positions):
+        words = montecarlo._stream_words(seed, np.array(positions, dtype=np.uint64))
+        assert words.dtype == np.uint64
+        u = montecarlo._stream_uniforms(seed, np.array(positions, dtype=np.uint64))
+        assert u.tolist() == [stream_uniform(seed, p) for p in positions]
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=WORDS, position=st.integers(0, 2**62))
+    def test_every_word_converts_like_the_scalar_stream(self, word, position):
+        seed = seed_for_word(word, position)
+        words = montecarlo._stream_words(seed, np.array([position], dtype=np.uint64))
+        assert words.dtype == np.uint64
+        assert int(words[0]) == word
+        u = montecarlo._stream_uniforms(seed, np.array([position], dtype=np.uint64))
+        assert u.tolist() == [stream_uniform(seed, position)]
+        assert 0.0 <= u[0] <= 1.0
+
+    def test_top_words_round_to_one(self):
+        seed = seed_for_word(_MASK64, 5)
+        assert stream_uniform(seed, 5) == 1.0
+        assert montecarlo._stream_uniforms(seed, np.array([5], dtype=np.uint64))[0] == 1.0
+
+
+@st.composite
+def simulation_inputs(draw):
+    """(model, trials, seed, policy); about a third of the seeds force one
+    draw of the run to an extreme word, so the clamps are reached."""
+    model = draw(st.one_of(genmodels.arbitrary_models(), genmodels.decimal_models()))
+    trials = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        pairs = st.tuples(st.sampled_from(model.scenario.alice_ids()),
+                          st.sampled_from(model.scenario.bob_ids()))
+        policy = FixedSequencePolicy(pairs=tuple(draw(st.lists(pairs, min_size=1, max_size=5))))
+    else:
+        policy = UniformSettingPolicy()
+    if draw(st.integers(0, 2)) == 0:
+        position = draw(st.integers(0, trials - 1)) * DRAWS_PER_TRIAL + draw(st.integers(0, 3))
+        seed = seed_for_word(draw(WORDS), position)
+    else:
+        seed = draw(st.one_of(st.integers(0, _MASK64), st.integers(2**63, _MASK64)))
+    return model, trials, seed, policy
+
+
+def _run_outputs(model, trials, seed, policy, reveal):
+    """Records, streamed statistics and streamed CSV bytes of one run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        stats = simulate(model, trials, seed, policy=policy, csv_path=path, reveal_hidden=reveal)
+        return run_experiment(model, trials, seed, policy=policy), stats, path.read_bytes()
+
+
+def _edge_model():
+    """Exact 3x2 model whose cumulative tables hold dyadic values (so a
+    draw can equal one exactly) and end in zero-probability outcomes."""
+    half = {"++": "1/2", "+-": "1/2", "-+": 0, "--": 0}
+    quarter = {"++": 0, "+-": "1/4", "-+": "1/4", "--": "1/2"}
+    pairs = [f"{a}|{b}" for a in ("a1", "a2", "a3") for b in ("b1", "b2")]
+    return parse_theory(json.dumps({
+        "name": "edge draws",
+        "scenario": {"alice_settings": [{"id": a} for a in ("a1", "a2", "a3")],
+                     "bob_settings": [{"id": b} for b in ("b1", "b2")]},
+        "ensemble": [{"id": "s1", "weight": "1/4"}, {"id": "s2", "weight": "3/4"}],
+        "kernel": {"s1": {p: half for p in pairs},
+                   "s2": {p: (quarter if i % 2 else half) for i, p in enumerate(pairs)}},
+    }))
+
+
+class TestVectorisedRun:
+    def test_edge_draws_pick_like_the_scalar_sampler(self):
+        """Every slot of a trial forced to the words where a pick can go
+        wrong: 0, draws equal to a cumulative value, setting boundaries
+        k/n, and the top words that round to 1.0."""
+        model = _edge_model()
+        words = {0, 1, _MASK64, _MASK64 - 2**10, _MASK64 - 2**11}
+        words |= {int(c * 2**64) for c in (0.25, 0.5, 0.75)}
+        words |= {k * 2**64 // n + d for n in (2, 3) for k in range(1, n) for d in (-1, 0, 1, 2048)}
+        policies = (UniformSettingPolicy(), FixedSequencePolicy(pairs=(("a3", "b2"), ("a1", "b1"))))
+        for policy in policies:
+            for slot in range(DRAWS_PER_TRIAL):
+                for word in words:
+                    seed = seed_for_word(word, 2 * DRAWS_PER_TRIAL + slot)
+                    assert run_experiment(model, 3, seed, policy=policy) == reference_run(
+                        model, 3, seed, policy
+                    ), (policy, slot, word)
+
+    @settings(max_examples=120, deadline=None)
+    @given(simulation_inputs())
+    def test_records_equal_the_scalar_reference_sampler(self, case):
+        model, trials, seed, policy = case
+        assert run_experiment(model, trials, seed, policy=policy) == reference_run(
+            model, trials, seed, policy
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(simulation_inputs(), st.booleans(), st.data())
+    def test_chunk_size_never_changes_records_stats_or_csv(self, case, reveal, data):
+        model, trials, seed, policy = case
+        records, stats, csv_bytes = _run_outputs(model, trials, seed, policy, reveal)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "reference.csv"
+            write_records_csv(records, path, reveal_hidden=reveal)
+            assert csv_bytes == path.read_bytes()
+        assert stats == summarize(records, model.scenario, seed=seed)
+        chunk = data.draw(st.integers(1, trials), label="chunk")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHUNK", chunk)
+            assert _run_outputs(model, trials, seed, policy, reveal) == (records, stats, csv_bytes)
+
+    def test_simulate_rejects_what_run_experiment_rejects(self, singlet_chsh, fixtures_dir):
+        from bell_lab.model import InvalidModelError, UnknownIdError
+
+        with pytest.raises(BellLabError):
+            simulate(singlet_chsh, 0, seed=1)
+        with pytest.raises(InvalidModelError):
+            simulate(load_theory(fixtures_dir / "bad_sum.json"), 10, seed=1)
+        with pytest.raises(UnknownIdError):
+            simulate(singlet_chsh, 5, seed=1, policy=FixedSequencePolicy(pairs=(("a1", "zz"),)))

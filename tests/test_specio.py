@@ -6,7 +6,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+import genmodels
 from bell_lab.model import validate_theory
 from bell_lab.specio import (
     SpecFormatError,
@@ -145,6 +147,24 @@ class TestRoundTrip:
         back = load_theory(out)
         assert back.scenario == singlet_chsh.scenario
         assert back.kernel.cells == singlet_chsh.kernel.cells
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=genmodels.relabelled_models())
+    def test_parse_validate_dump_parse_is_identity(self, model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("round_trip") / "m.json"
+        valid = not validate_theory(model)
+        if any("|" in s.id for s in (*model.scenario.alice_settings, *model.scenario.bob_settings)):
+            assert not valid
+        if not valid:
+            return
+        dump_theory(model, path)
+        text = path.read_bytes()
+        parsed = parse_theory(text)
+        assert parsed == model
+        assert validate_theory(parsed) == []
+        dump_theory(parsed, path)
+        assert path.read_bytes() == text
+        assert parse_theory(path.read_bytes()) == parsed
 
     def test_dict_form_uses_rational_strings(self):
         import numpy as np
