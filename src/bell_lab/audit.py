@@ -29,7 +29,6 @@ from .model import (
     behavior,
     format_probability,
     require_valid,
-    resolve_tolerance,
 )
 
 RESIDUAL_METRIC = "max absolute difference between joint cells and products of marginals"
@@ -114,8 +113,7 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
     on the cell that moved.  Conditioning on zero-probability far outcomes
     is skipped (the factorized form still covers those cells).
     """
-    require_valid(model, tol)
-    t = resolve_tolerance(model, tol)
+    t = require_valid(model, tol)
     scen = model.scenario
     ref_b = scen.bob_settings[0].id
     ref_a = scen.alice_settings[0].id
@@ -248,45 +246,24 @@ class SignalReport:
 
 def signal_deltas(table: BehaviorTable, tol: float = 0.0) -> SignalReport:
     """Signal audit of an already-computed behavior table."""
-    scen = table.scenario
-    deltas: list[SignalDelta] = []
-    bob_ids = scen.bob_ids()
-    alice_ids = scen.alice_ids()
-    for a in alice_ids:
-        for outcome in OUTCOMES:
-            values = [table.cell(a, b).marginal_a(outcome) for b in bob_ids]
-            for i in range(len(bob_ids)):
-                for j in range(i + 1, len(bob_ids)):
-                    deltas.append(
-                        SignalDelta(
-                            side="alice",
-                            outcome=outcome,
-                            own_setting=a,
-                            far_pair=(bob_ids[i], bob_ids[j]),
-                            delta=abs(values[i] - values[j]),
-                        )
-                    )
-    for b in bob_ids:
-        for outcome in OUTCOMES:
-            values = [table.cell(a, b).marginal_b(outcome) for a in alice_ids]
-            for i in range(len(alice_ids)):
-                for j in range(i + 1, len(alice_ids)):
-                    deltas.append(
-                        SignalDelta(
-                            side="bob",
-                            outcome=outcome,
-                            own_setting=b,
-                            far_pair=(alice_ids[i], alice_ids[j]),
-                            delta=abs(values[i] - values[j]),
-                        )
-                    )
-    return SignalReport(deltas=tuple(deltas), tolerance=tol)
+
+    def marginal(side: str, own: str, far: str, outcome: int) -> Prob:
+        if side == "alice":
+            return table.cell(own, far).marginal_a(outcome)
+        return table.cell(far, own).marginal_b(outcome)
+
+    deltas = tuple(
+        SignalDelta(side, outcome, own, (far, later),
+                    abs(marginal(side, own, far, outcome) - marginal(side, own, later, outcome)))
+        for side, own, outcome, far, later in table.scenario.far_pairs()
+    )
+    return SignalReport(deltas=deltas, tolerance=tol)
 
 
 def check_signal_locality(model: TheoryModel, tol: float | None = None) -> SignalReport:
     """Marginalize the model to its behavior, then compare far-setting marginals."""
-    table = behavior(model, tol)
-    return signal_deltas(table, resolve_tolerance(model, tol))
+    t = require_valid(model, tol)
+    return signal_deltas(behavior(model, t), t)
 
 
 def auto_equal_axes(scenario: Scenario) -> list[tuple[str, str]]:
@@ -365,8 +342,7 @@ def check_anticorrelation(
     equivalent to the observable-level one.  With `equal_axis_pairs` omitted
     the axes are auto-detected from matching direction vectors.
     """
-    require_valid(model, tol)
-    t = resolve_tolerance(model, tol)
+    t = require_valid(model, tol)
     if equal_axis_pairs is None:
         equal_axis_pairs = auto_equal_axes(model.scenario)
     if not equal_axis_pairs:

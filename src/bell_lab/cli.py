@@ -26,12 +26,12 @@ from .audit import (
     check_anticorrelation,
     check_bell_locality,
     check_signal_locality,
+    signal_deltas,
 )
 from .harness import (
-    AntiCorrelationPreconditionError,
+    Axis,
     BellTestResult,
     EnumerationLimitError,
-    ScenarioShapeError,
     all_correlators,
     bell1964,
     chsh,
@@ -39,7 +39,8 @@ from .harness import (
     resolve_axes,
 )
 from .instructions import classify_states, derive_instruction_sets, DerivationFailure
-from .model import BellLabError, TheoryModel, behavior, format_probability, validate_theory
+from .model import (BellLabError, TheoryModel, behavior, format_probability, resolve_tolerance,
+                    validate_theory)
 from .montecarlo import FixedSequencePolicy, UniformSettingPolicy, simulate
 from .singlet import make_planar_singlet
 from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
@@ -69,6 +70,13 @@ def _parse_axes_arg(model: TheoryModel, text: str | None) -> list[tuple[str, str
     if not names:
         raise BellLabError("--axes given but empty")
     return resolve_axes(model.scenario, names)
+
+
+def _parse_bell1964(model: TheoryModel, text: str) -> tuple[Axis, Axis, Axis]:
+    names = [s.strip() for s in text.split(",")]
+    if len(names) != 3:
+        raise BellLabError(f"--bell1964 needs three axes, got {len(names)}")
+    return tuple(resolve_axes(model.scenario, names))
 
 
 def _load(path: str) -> tuple[TheoryModel, bytes]:
@@ -302,11 +310,7 @@ def _run_bell_tests(model: TheoryModel, args) -> BellTestResult:
         chsh_result = chsh(table, *roles, tol=args.tol)
     bell_result = None
     if args.bell1964:
-        names = [s.strip() for s in args.bell1964.split(",")]
-        if len(names) != 3:
-            raise BellLabError(f"--bell1964 needs three axes, got {len(names)}")
-        axes = resolve_axes(model.scenario, names)
-        bell_result = bell1964(table, (axes[0], axes[1], axes[2]), tol=args.tol)
+        bell_result = bell1964(table, _parse_bell1964(model, args.bell1964), tol=args.tol)
     membership = None
     if args.membership:
         membership = local_polytope_membership(table, model.scenario, tol=args.tol)
@@ -410,17 +414,20 @@ def run_pipeline(spec_path: str, args) -> RunReport:
     if violations:
         return RunReport(__version__, spec_path, digest, model.name, sections)
 
-    sections["bell_locality"] = check_bell_locality(model, args.tol).to_dict()
-    sections["signal_locality"] = check_signal_locality(model, args.tol).to_dict()
+    # the model remembers that it is valid at t: no check below validates again
+    t = resolve_tolerance(model, args.tol)
+    table = behavior(model, t)
+    sections["bell_locality"] = check_bell_locality(model, t).to_dict()
+    sections["signal_locality"] = signal_deltas(table, t).to_dict()
 
     axes = _parse_axes_arg(model, args.axes)
     try:
-        sections["anticorrelation"] = check_anticorrelation(model, axes, args.tol).to_dict()
+        sections["anticorrelation"] = check_anticorrelation(model, axes, t).to_dict()
     except EqualAxisError as exc:
         sections["anticorrelation"] = {"skipped": str(exc)}
 
     try:
-        derived = derive_instruction_sets(model, axes, args.tol)
+        derived = derive_instruction_sets(model, axes, t)
         if isinstance(derived, DerivationFailure):
             sections["instructions"] = {"derived": False, "failure": derived.to_dict()}
         else:
@@ -432,31 +439,28 @@ def run_pipeline(spec_path: str, args) -> RunReport:
     except EqualAxisError as exc:
         sections["instructions"] = {"skipped": str(exc)}
 
-    table = behavior(model, args.tol)
     bell: dict[str, Any] = {
         "correlators": {
             f"{a}|{b}": format_probability(v) for (a, b), v in all_correlators(table).items()
         }
     }
     if args.chsh:
-        bell["chsh"] = chsh(table, *_parse_roles(args.chsh), tol=args.tol).to_dict()
+        bell["chsh"] = chsh(table, *_parse_roles(args.chsh), tol=t).to_dict()
     elif len(model.scenario.alice_settings) == 2 and len(model.scenario.bob_settings) == 2:
         a1, a2 = model.scenario.alice_ids()
         b1, b2 = model.scenario.bob_ids()
-        bell["chsh"] = chsh(table, a1, a2, b1, b2, tol=args.tol).to_dict()
+        bell["chsh"] = chsh(table, a1, a2, b1, b2, tol=t).to_dict()
     else:
         bell["chsh"] = {"skipped": "no roles given and scenario is not two-by-two"}
     if args.bell1964:
-        names = [s.strip() for s in args.bell1964.split(",")]
         try:
-            axes3 = resolve_axes(model.scenario, names)
-            bell["bell1964"] = bell1964(table, (axes3[0], axes3[1], axes3[2]), tol=args.tol).to_dict()
-        except (AntiCorrelationPreconditionError, ScenarioShapeError, BellLabError) as exc:
+            bell["bell1964"] = bell1964(table, _parse_bell1964(model, args.bell1964), tol=t).to_dict()
+        except BellLabError as exc:
             bell["bell1964"] = {"skipped": str(exc)}
     else:
         bell["bell1964"] = {"skipped": "no axes given (--bell1964)"}
     try:
-        bell["membership"] = local_polytope_membership(table, model.scenario, tol=args.tol).to_dict()
+        bell["membership"] = local_polytope_membership(table, model.scenario, tol=t).to_dict()
     except EnumerationLimitError as exc:
         bell["membership"] = {"skipped": str(exc)}
     sections["bell_tests"] = bell
@@ -573,6 +577,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None:
+            # simulate and make-singlet take --tol too, but compare nothing with it
+            resolve_tolerance(True, args.tol)
         return args.func(args)
     except (SpecFormatError, BellLabError) as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")

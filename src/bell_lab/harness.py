@@ -6,7 +6,11 @@ Conventions, stated once and printed in reports:
 * Correlator: E(a, b) = P(+,+) - P(+,-) - P(-,+) + P(-,-).
 * CHSH: S = E(a,b) + E(a,b') + E(a',b) - E(a',b'), for named roles
   (a, a', b, b').  The local bound is brute-forced over all 16
-  deterministic sign assignments on every call, never assumed.
+  deterministic sign assignments on every call, never assumed; the value,
+  the bound, the 2x2 strategy maximum and the facet certificates all
+  evaluate one signed form.
+* Tolerance: `model.resolve_tolerance`, the rule models follow too: an
+  explicit `tol`, else 0 for an exact table and 1e-9 for a decimal one.
 * Three-axis inequality over axes (1, 2, 3), each axis an
   (alice_id, bob_id) pair: |E(1,2) - E(1,3)| <= 1 + E(2,3), valid for
   local models that are perfectly anti-correlated on each axis; the
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,16 +41,18 @@ from .model import (
     BehaviorTable,
     BellLabError,
     JOINT_OUTCOMES,
-    DEFAULT_TOL,
     Prob,
     Scenario,
     format_probability,
-    is_exact,
+    resolve_tolerance,
 )
 
 Axis = tuple[str, str]
 
 CHSH_CONVENTION = "S = E(a,b) + E(a,b') + E(a',b) - E(a',b')"
+
+#: the signs of E(a,b), E(a,b'), E(a',b), E(a',b') in CHSH_CONVENTION
+CHSH_SIGNS = (+1, +1, +1, -1)
 
 _MAX_SETTINGS_PER_SIDE = 4
 
@@ -61,18 +68,6 @@ class EnumerationLimitError(BellLabError):
 class AntiCorrelationPreconditionError(BellLabError):
     """The three-axis inequality was asked of a behavior that is not
     perfectly anti-correlated on its axes; use chsh for such behaviors."""
-
-
-def table_is_exact(table: BehaviorTable) -> bool:
-    return all(
-        all(is_exact(p) for p in dist.values()) for dist in table.cells.values()
-    )
-
-
-def _table_tol(table: BehaviorTable, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return 0.0 if table_is_exact(table) else DEFAULT_TOL
 
 
 def correlator(table: BehaviorTable, a_id: str, b_id: str) -> Prob:
@@ -147,14 +142,18 @@ def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Be
     return BehaviorTable(scenario=scenario, cells=cells)
 
 
+def _chsh_form(signs: tuple[int, int, int, int], e, a, a2, b, b2):
+    """s1*E(a,b) + s2*E(a,b') + s3*E(a',b) + s4*E(a',b') for a pairing `e`:
+    correlators of named settings, or the product of two +-1 outcomes."""
+    return signs[0] * e(a, b) + signs[1] * e(a, b2) + signs[2] * e(a2, b) + signs[3] * e(a2, b2)
+
+
 def _chsh_sign_bound(signs: tuple[int, int, int, int]) -> int:
-    """Brute-force max of s1*ab + s2*ab' + s3*a'b + s4*a'b' over signs in {+-1}^4."""
-    best = None
-    for a, a2, b, b2 in itertools.product((+1, -1), repeat=4):
-        val = signs[0] * a * b + signs[1] * a * b2 + signs[2] * a2 * b + signs[3] * a2 * b2
-        if best is None or val > best:
-            best = val
-    return best
+    """Brute-force max of the form over the 16 outcome assignments in {+-1}^4."""
+    return max(
+        _chsh_form(signs, operator.mul, *outcomes)
+        for outcomes in itertools.product((+1, -1), repeat=4)
+    )
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,11 @@ def chsh(
     The bound is recomputed by exhausting all 16 deterministic sign
     assignments to the four role settings.
     """
-    t = _table_tol(table, tol)
+    t = resolve_tolerance(table, tol)
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     corr = {pair: correlator(table, *pair) for pair in pairs}
-    value = corr[(a, b)] + corr[(a, b_prime)] + corr[(a_prime, b)] - corr[(a_prime, b_prime)]
-    bound = Fraction(_chsh_sign_bound((+1, +1, +1, -1)))
+    value = _chsh_form(CHSH_SIGNS, lambda x, y: corr[(x, y)], a, a_prime, b, b_prime)
+    bound = Fraction(_chsh_sign_bound(CHSH_SIGNS))
     return CHSHResult(
         roles=(a, a_prime, b, b_prime),
         correlators=corr,
@@ -245,10 +244,9 @@ def max_local_chsh(scenario: Scenario) -> LocalBoundResult:
     b, b2 = scenario.bob_ids()
     values: dict[DeterministicStrategy, Prob] = {}
     for strat in enumerate_strategies(scenario):
-        tbl = strategy_behavior(strat, scenario)
-        res = correlator(tbl, a, b) + correlator(tbl, a, b2) + correlator(tbl, a2, b) - correlator(tbl, a2, b2)
-        values[strat] = res
-    bound = max(abs(v) for v in values.values())
+        am, bm = strat.alice_map, strat.bob_map
+        values[strat] = _chsh_form(CHSH_SIGNS, lambda x, y: am[x] * bm[y], a, a2, b, b2)
+    bound = Fraction(max(abs(v) for v in values.values()))
     achievers = tuple(s for s, v in values.items() if abs(v) == bound)
     return LocalBoundResult(bound=bound, achievers=achievers, values=values, roles=(a, a2, b, b2))
 
@@ -290,7 +288,7 @@ def bell1964(
     """
     if len(axes) != 3:
         raise ScenarioShapeError(f"three axes required, got {len(axes)}")
-    t = _table_tol(table, tol)
+    t = resolve_tolerance(table, tol)
     for a_id, b_id in axes:
         dist = table.cell(a_id, b_id)
         if dist.pp > t or dist.mm > t:
@@ -477,7 +475,7 @@ def _chsh_facet_certificate(
     for signs in itertools.product((+1, -1), repeat=4):
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
-        value = sum(s * corrs[pair] for s, pair in zip(signs, pairs))
+        value = _chsh_form(signs, lambda x, y: corrs[(x, y)], a, a2, b, b2)
         bound = Fraction(_chsh_sign_bound(signs))
         if value > bound + t:
             terms = " ".join(
@@ -510,7 +508,7 @@ def local_polytope_membership(
     are checked on those integers before they are returned.
     """
     scenario = scenario if scenario is not None else table.scenario
-    t = _table_tol(table, tol)
+    t = resolve_tolerance(table, tol)
     strategies = enumerate_strategies(scenario)
 
     row_keys = [

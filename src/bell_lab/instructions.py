@@ -32,7 +32,6 @@ from .model import (
     TheoryModel,
     format_probability,
     require_valid,
-    resolve_tolerance,
 )
 
 Axis = tuple[str, str]
@@ -150,8 +149,7 @@ def derive_instruction_sets(
     DerivationFailure; otherwise the full instruction set with ensemble
     weights attached.
     """
-    require_valid(model, tol)
-    t = resolve_tolerance(model, tol)
+    t = require_valid(model, tol)
     if axes is None:
         axes = auto_equal_axes(model.scenario)
     if not axes:

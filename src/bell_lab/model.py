@@ -12,8 +12,14 @@ Probabilities come in two flavors and the distinction is load-bearing:
 * decimal floats, on which checks apply a tolerance (default 1e-9).
 
 A model is *exact* when every weight and every kernel entry is a Fraction.
-Mixed models are treated as decimal.  All containers are frozen; functions
-here are pure and never mutate their inputs.
+Mixed models are treated as decimal.  All containers are frozen: settings
+and ensemble entries are tuples, and the kernel keeps a private copy of its
+cells behind a read-only mapping, so a model cannot change after it is
+built.  That lets a model remember the tolerances at which
+`validate_theory` found it valid: `require_valid` validates once per
+tolerance, however many checks a model passes through.
+`resolve_tolerance` is the one tolerance rule, for models and behavior
+tables alike.  Functions here are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 Prob = Fraction | float
 
@@ -138,6 +146,20 @@ class Scenario:
         """All (alice_id, bob_id) setting pairs in declaration order."""
         return [(a.id, b.id) for a in self.alice_settings for b in self.bob_settings]
 
+    def far_pairs(self) -> Iterator[tuple[str, str, int, str, str]]:
+        """(side, own setting, outcome, far setting, later far setting) for
+        every pair of far settings, Alice's side first: the order in which
+        no-signalling deltas are reported."""
+        for side, own_ids, far_ids in (
+            ("alice", self.alice_ids(), self.bob_ids()),
+            ("bob", self.bob_ids(), self.alice_ids()),
+        ):
+            for own in own_ids:
+                for outcome in OUTCOMES:
+                    for i, far in enumerate(far_ids):
+                        for later in far_ids[i + 1:]:
+                            yield side, own, outcome, far, later
+
 
 @dataclass(frozen=True)
 class EnsembleEntry:
@@ -213,11 +235,25 @@ class OutcomeDistribution:
         return OutcomeDistribution(vals[(1, 1)], vals[(1, -1)], vals[(-1, 1)], vals[(-1, -1)])
 
 
+def _all_exact(dists) -> bool:
+    return all(is_exact(p) for dist in dists for p in dist.values())
+
+
 @dataclass(frozen=True)
 class ResponseKernel:
-    """Per-state conditional outcome distributions, keyed (state_id, a_id, b_id)."""
+    """Per-state conditional outcome distributions, keyed (state_id, a_id, b_id).
+
+    `cells` is a read-only view of a private copy of the mapping given.
+    """
 
     cells: Mapping[tuple[str, str, str], OutcomeDistribution]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+
+    def __reduce__(self):
+        # a mapping proxy neither pickles nor deep-copies; its dict does
+        return ResponseKernel, (dict(self.cells),)
 
     def cell(self, state_id: str, a_id: str, b_id: str) -> OutcomeDistribution:
         try:
@@ -235,16 +271,17 @@ class TheoryModel:
     ensemble: HiddenStateEnsemble
     kernel: ResponseKernel
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         """True iff every weight and kernel entry is an exact Fraction."""
-        for e in self.ensemble.entries:
-            if not is_exact(e.weight):
-                return False
-        for dist in self.kernel.cells.values():
-            if not all(is_exact(p) for p in dist.values()):
-                return False
-        return True
+        return all(is_exact(e.weight) for e in self.ensemble.entries) and _all_exact(
+            self.kernel.cells.values()
+        )
+
+    @cached_property
+    def _valid_at(self) -> set[float]:
+        """Resolved tolerances at which `validate_theory` found no violation."""
+        return set()
 
 
 @dataclass(frozen=True)
@@ -260,6 +297,11 @@ class BehaviorTable:
         except KeyError:
             raise UnknownIdError(f"behavior has no cell for (a={a_id!r}, b={b_id!r})") from None
 
+    @property
+    def is_exact(self) -> bool:
+        """True iff every cell entry is an exact Fraction."""
+        return _all_exact(self.cells.values())
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -269,11 +311,16 @@ class Violation:
     message: str
 
 
-def resolve_tolerance(model_or_exact: TheoryModel | bool, tol: float | None) -> float:
-    """Tolerance for comparisons: explicit wins; else 0 (exact) or DEFAULT_TOL."""
+def resolve_tolerance(subject: TheoryModel | BehaviorTable | bool, tol: float | None) -> float:
+    """The tolerance every check compares with: an explicit `tol` wins,
+    else 0 for an exact model or table (or `True`) and DEFAULT_TOL for a
+    decimal one.  A negative, NaN or infinite `tol` would turn failing
+    comparisons into passes, so it raises BellLabError."""
     if tol is not None:
+        if not 0 <= tol < math.inf:
+            raise BellLabError(f"tolerance must be a finite number >= 0, got {tol!r}")
         return tol
-    exact = model_or_exact.is_exact if isinstance(model_or_exact, TheoryModel) else model_or_exact
+    exact = subject if isinstance(subject, bool) else subject.is_exact
     return 0.0 if exact else DEFAULT_TOL
 
 
@@ -370,13 +417,21 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
                 out.append(Violation(loc, f"cell must sum to 1 exactly, got {total}"))
         elif abs(total - 1.0) > t:
             out.append(Violation(loc, f"cell must sum to 1 within {t}, got {total!r}"))
+    if not out:
+        model._valid_at.add(t)
     return out
 
 
-def require_valid(model: TheoryModel, tol: float | None = None) -> None:
-    violations = validate_theory(model, tol)
-    if violations:
-        raise InvalidModelError(tuple(violations))
+def require_valid(model: TheoryModel, tol: float | None = None) -> float:
+    """Raise InvalidModelError unless the model is valid at `tol`; return
+    the resolved tolerance.  Validates only at a tolerance at which the
+    model has not yet been found valid."""
+    t = resolve_tolerance(model, tol)
+    if t not in model._valid_at:
+        violations = validate_theory(model, t)
+        if violations:
+            raise InvalidModelError(tuple(violations))
+    return t
 
 
 def behavior(model: TheoryModel, tol: float | None = None) -> BehaviorTable:
@@ -439,22 +494,3 @@ def conditional_marginal(
         return None
     return joint / denom
 
-
-def swap_sides(model: TheoryModel) -> TheoryModel:
-    """Mirror the model: wings exchanged, kernel cells transposed."""
-    scen = Scenario(
-        alice_settings=model.scenario.bob_settings,
-        bob_settings=model.scenario.alice_settings,
-    )
-    cells = {
-        (state_id, b_id, a_id): OutcomeDistribution(
-            pp=dist.pp, pm=dist.mp, mp=dist.pm, mm=dist.mm
-        )
-        for (state_id, a_id, b_id), dist in model.kernel.cells.items()
-    }
-    return TheoryModel(
-        name=f"{model.name} (sides swapped)",
-        scenario=scen,
-        ensemble=model.ensemble,
-        kernel=ResponseKernel(cells),
-    )

@@ -341,29 +341,22 @@ def _summarize_counts(
         return p, math.sqrt(p * (1.0 - p) / n)
 
     deltas: list[NoSignalingDelta] = []
-    for side, own_ids, far_ids in (
-        ("alice", scenario.alice_ids(), scenario.bob_ids()),
-        ("bob", scenario.bob_ids(), scenario.alice_ids()),
-    ):
-        for own in own_ids:
-            for outcome in (+1, -1):
-                for i in range(len(far_ids)):
-                    for j in range(i + 1, len(far_ids)):
-                        first = marginal(side, own, far_ids[i], outcome)
-                        second = marginal(side, own, far_ids[j], outcome)
-                        if first is None or second is None:
-                            continue
-                        (p1, se1), (p2, se2) = first, second
-                        deltas.append(
-                            NoSignalingDelta(
-                                side=side,
-                                outcome=outcome,
-                                own_setting=own,
-                                far_pair=(far_ids[i], far_ids[j]),
-                                delta=abs(p1 - p2),
-                                std_error=math.sqrt(se1 * se1 + se2 * se2),
-                            )
-                        )
+    for side, own, outcome, far, later in scenario.far_pairs():
+        first = marginal(side, own, far, outcome)
+        second = marginal(side, own, later, outcome)
+        if first is None or second is None:
+            continue
+        (p1, se1), (p2, se2) = first, second
+        deltas.append(
+            NoSignalingDelta(
+                side=side,
+                outcome=outcome,
+                own_setting=own,
+                far_pair=(far, later),
+                delta=abs(p1 - p2),
+                std_error=math.sqrt(se1 * se1 + se2 * se2),
+            )
+        )
 
     return ExperimentStats(
         trials=trials,

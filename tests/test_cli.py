@@ -400,3 +400,53 @@ class TestTopLevel:
         )
         assert code == 2
         assert "zz" in err
+
+
+class TestToleranceFlag:
+    """A NaN, infinite or negative --tol would make failing comparisons
+    pass; every subcommand rejects it as bad input."""
+
+    SUBCOMMANDS = {
+        "validate": [],
+        "check-locality": [],
+        "check-signal": [],
+        "check-anticorrelation": [],
+        "derive-instructions": [],
+        "bell-test": ["--membership"],
+        "simulate": ["--trials", "10"],
+        "report": [],
+    }
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "make-singlet"])
+    def test_bad_tolerance_exits_two(self, capsys, fixtures_dir, command, tol):
+        if command == "make-singlet":
+            argv = [command, "--alice", "a1=0", "--bob", "b1=45"]
+        else:
+            spec = fixtures_dir / "golden" / "decimal_nonlocal_3x3.json"
+            argv = [command, str(spec), *self.SUBCOMMANDS[command]]
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be a finite number >= 0" in err
+
+
+class TestBell1964Axes:
+    """report and bell-test read --bell1964 through one parser."""
+
+    @pytest.mark.parametrize("axes, count", [("n1,n2", 2), ("n1,n2,n3,n1", 4), ("n1", 1)])
+    def test_report_skips_a_wrong_axis_count(self, capsys, fixtures_dir, axes, count):
+        spec = fixtures_dir / "certificates" / "singlet_three_axes.json"
+        code, out, err = run_cli(capsys, "report", str(spec), "--bell1964", axes, "--format", "json")
+        assert code == 0
+        assert err == ""
+        section = json.loads(out)["sections"]["bell_tests"]["bell1964"]
+        assert section == {"skipped": f"--bell1964 needs three axes, got {count}"}
+
+    @pytest.mark.parametrize("axes, count", [("n1,n2", 2), ("n1,n2,n3,n1", 4)])
+    def test_bell_test_rejects_a_wrong_axis_count(self, capsys, fixtures_dir, axes, count):
+        spec = fixtures_dir / "certificates" / "singlet_three_axes.json"
+        code, out, err = run_cli(capsys, "bell-test", str(spec), "--bell1964", axes)
+        assert code == 2
+        assert out == ""
+        assert f"--bell1964 needs three axes, got {count}" in err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bell_lab.audit import check_anticorrelation, check_bell_locality, check_signal_locality
+from bell_lab.cli import main
+from bell_lab.instructions import derive_instruction_sets
 from bell_lab.model import (
     DEFAULT_TOL,
+    BellLabError,
     EnsembleEntry,
     HiddenStateEnsemble,
     InvalidModelError,
@@ -27,9 +34,11 @@ from bell_lab.model import (
     parse_probability,
     require_valid,
     resolve_tolerance,
-    swap_sides,
     validate_theory,
 )
+from bell_lab.montecarlo import run_experiment, simulate
+from bell_lab.singlet import make_planar_singlet
+from bell_lab.specio import dump_theory
 
 import genmodels
 from genmodels import random_anticorr_mixture, random_product_model
@@ -107,6 +116,12 @@ def tiny_model(**overrides) -> TheoryModel:
     )
     fields.update(overrides)
     return TheoryModel(**fields)
+
+
+def decimal_model(total: float) -> TheoryModel:
+    """tiny_model with one decimal cell summing to `total`."""
+    cell = OutcomeDistribution(0.0, total, 0.0, 0.0)
+    return tiny_model(kernel=ResponseKernel({("s1", "a1", "b1"): cell}))
 
 
 class TestValidation:
@@ -256,6 +271,15 @@ class TestExactness:
         assert resolve_tolerance(False, None) == DEFAULT_TOL
         assert resolve_tolerance(True, 1e-6) == 1e-6
         assert resolve_tolerance(tiny_model(), None) == 0.0
+        assert resolve_tolerance(behavior(tiny_model()), None) == 0.0
+        assert resolve_tolerance(behavior(decimal_model(1.0)), None) == DEFAULT_TOL
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(BellLabError, match="tolerance"):
+            resolve_tolerance(tiny_model(), bad)
+        with pytest.raises(BellLabError, match="tolerance"):
+            validate_theory(tiny_model(), bad)
 
 
 class TestBehavior:
@@ -315,18 +339,90 @@ class TestConditionalMarginal:
             conditional_marginal(tiny_model(), "charlie", +1, "a1", "b1", "s1")
 
 
-class TestSwapSides:
-    def test_double_swap_restores_kernel(self):
+class TestValidateOnce:
+    """A model remembers the tolerances it was found valid at; the memo
+    must never let an invalid model through."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            behavior,
+            check_bell_locality,
+            check_signal_locality,
+            lambda m: check_anticorrelation(m, [("a1", "b1")]),
+            lambda m: derive_instruction_sets(m, [("a1", "b1")]),
+            lambda m: run_experiment(m, 10, seed=1),
+            lambda m: simulate(m, 10, seed=1),
+        ],
+    )
+    def test_valid_at_a_loose_tolerance_is_not_valid_at_the_default(self, check):
+        model = decimal_model(1.0 + 1e-5)
+        assert require_valid(model, 1e-3) == 1e-3
+        with pytest.raises(InvalidModelError):
+            check(model)
+        assert require_valid(model, 1e-3) == 1e-3
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch) -> list:
+        """The tolerance of every validate_theory call, wherever it is made."""
+        import bell_lab.cli as cli_module
+        import bell_lab.model as model_module
+
+        calls = []
+        original = model_module.validate_theory
+
+        def counted(model, tol=None):
+            calls.append(tol)
+            return original(model, tol)
+
+        monkeypatch.setattr(model_module, "validate_theory", counted)
+        monkeypatch.setattr(cli_module, "validate_theory", counted)
+        return calls
+
+    def test_each_tolerance_validates_once(self, validate_calls):
+        model = decimal_model(1.0)
+        for _ in range(3):
+            assert require_valid(model) == DEFAULT_TOL
+            assert require_valid(model, 1e-6) == 1e-6
+        assert validate_calls == [DEFAULT_TOL, 1e-6]
+
+    def test_kernel_cells_are_read_only(self):
+        model = tiny_model()
+        with pytest.raises(TypeError):
+            model.kernel.cells[("s1", "a1", "b1")] = OutcomeDistribution.point(+1, +1)
+        with pytest.raises(TypeError):
+            del model.kernel.cells[("s1", "a1", "b1")]
+
+    def test_the_source_dict_does_not_reach_the_model(self):
+        cells = {("s1", "a1", "b1"): OutcomeDistribution.point(+1, -1)}
+        model = tiny_model(kernel=ResponseKernel(cells))
+        require_valid(model)
+        cells[("s1", "a1", "b1")] = OutcomeDistribution(Fraction(2), Fraction(0), Fraction(0), Fraction(0))
+        cells[("s2", "a1", "b1")] = OutcomeDistribution.point(+1, +1)
+        assert dict(model.kernel.cells) == {("s1", "a1", "b1"): OutcomeDistribution.point(+1, -1)}
+        assert validate_theory(model) == []
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+    def test_models_pickle_and_deep_copy(self, clone):
         import numpy as np
 
-        model = random_product_model(np.random.default_rng(3), 2, 2, 2)
-        twice = swap_sides(swap_sides(model))
-        assert twice.kernel.cells == model.kernel.cells
-        assert twice.scenario == model.scenario
+        for model in (tiny_model(), random_product_model(np.random.default_rng(5), 2, 3, 3)):
+            require_valid(model)
+            twin = clone(model)
+            assert twin == model
+            assert twin.kernel.cells == model.kernel.cells
+            assert twin.is_exact == model.is_exact
+            assert validate_theory(twin) == []
+            with pytest.raises(TypeError):
+                twin.kernel.cells[("s1", "a1", "b1")] = None
 
-    def test_swap_transposes_cells(self):
-        model = tiny_model()
-        swapped = swap_sides(model)
-        dist = swapped.kernel.cell("s1", "b1", "a1")
-        assert dist.mp == Fraction(1)
-        assert dist.pm == Fraction(0)
+    def test_report_validates_once(self, validate_calls, tmp_path, capsys):
+        spec = tmp_path / "three_axes.json"
+        dump_theory(make_planar_singlet("n1=0,n2=60,n3=120", "n1=0,n2=60,n3=120"), spec)
+        code = main(["report", str(spec), "--bell1964", "n1,n2,n3", "--simulate-trials", "50",
+                     "--format", "json"])
+        sections = json.loads(capsys.readouterr().out)["sections"]
+        assert code == 0
+        assert "skipped" not in sections["bell_tests"]["bell1964"]
+        assert "skipped" not in sections["simulation"]
+        assert validate_calls == [None]

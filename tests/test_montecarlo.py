@@ -216,7 +216,8 @@ class TestCsvExport:
         records = run_experiment(singlet_chsh, 20, seed=31)
         out = tmp_path / "records.csv"
         write_records_csv(records, out)
-        rows = list(csv.reader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["trial", "a", "b", "A", "B"]
         assert len(rows) == 21
         assert all(len(row) == 5 for row in rows)
@@ -225,7 +226,8 @@ class TestCsvExport:
         records = run_experiment(singlet_chsh, 5, seed=32)
         out = tmp_path / "records.csv"
         write_records_csv(records, out, reveal_hidden=True)
-        rows = list(csv.reader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["trial", "a", "b", "A", "B", "lambda"]
         assert rows[1][5] == "psi"
 
@@ -233,7 +235,8 @@ class TestCsvExport:
         records = run_experiment(singlet_chsh, 10, seed=33)
         out = tmp_path / "records.csv"
         write_records_csv(records, out)
-        rows = list(csv.reader(out.open()))[1:]
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         for rec, row in zip(records, rows):
             assert row == [str(rec.trial), rec.a_id, rec.b_id, str(rec.outcome_a), str(rec.outcome_b)]
 
