@@ -60,16 +60,7 @@ from .harness import (
     local_polytope_membership,
     max_local_chsh,
 )
-from .montecarlo import (
-    ExperimentStats,
-    FixedSequencePolicy,
-    TrialRecord,
-    UniformSettingPolicy,
-    run_experiment,
-    simulate,
-    summarize,
-    write_records_csv,
-)
+from .montecarlo import ExperimentStats, FixedSequencePolicy, UniformSettingPolicy, simulate
 
 __all__ = [
     "__version__",
@@ -86,6 +77,5 @@ __all__ = [
     "Bell1964Result", "BellTestResult", "CHSHResult", "DeterministicStrategy",
     "MembershipCertificate", "bell1964", "chsh", "correlator",
     "enumerate_strategies", "local_polytope_membership", "max_local_chsh",
-    "ExperimentStats", "FixedSequencePolicy", "TrialRecord", "UniformSettingPolicy",
-    "run_experiment", "simulate", "summarize", "write_records_csv",
+    "ExperimentStats", "FixedSequencePolicy", "UniformSettingPolicy", "simulate",
 ]

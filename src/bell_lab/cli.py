@@ -227,6 +227,27 @@ def render_stats(stats, out) -> None:
 
 
 # ---------------------------------------------------------------------------
+# JSON sections shared by a subcommand and `report`
+
+
+def validation_json(violations) -> dict:
+    return {
+        "valid": not violations,
+        "violations": [{"location": v.location, "message": v.message} for v in violations],
+    }
+
+
+def derivation_json(result) -> dict:
+    if isinstance(result, DerivationFailure):
+        return {"derived": False, "failure": result.to_dict()}
+    return {
+        "derived": True,
+        "instructions": result.to_dict(),
+        "partition": classify_states(result).to_dict(),
+    }
+
+
+# ---------------------------------------------------------------------------
 # subcommand handlers
 
 
@@ -234,14 +255,7 @@ def cmd_validate(args) -> int:
     model, _ = _load(args.spec)
     violations = validate_theory(model, args.tol)
     if args.fmt == "json":
-        emit_json(
-            {
-                "valid": not violations,
-                "violations": [
-                    {"location": v.location, "message": v.message} for v in violations
-                ],
-            }
-        )
+        emit_json(validation_json(violations))
     else:
         render_validation(violations, sys.stdout)
     return 0 if not violations else 1
@@ -282,24 +296,12 @@ def cmd_derive_instructions(args) -> int:
     model, _ = _load(args.spec)
     axes = _parse_axes_arg(model, args.axes)
     result = derive_instruction_sets(model, axes, args.tol)
-    if isinstance(result, DerivationFailure):
-        if args.fmt == "json":
-            emit_json({"derived": False, "failure": result.to_dict()})
-        else:
-            render_instructions(result, None, sys.stdout)
-        return 1
-    partition = classify_states(result)
+    failed = isinstance(result, DerivationFailure)
     if args.fmt == "json":
-        emit_json(
-            {
-                "derived": True,
-                "instructions": result.to_dict(),
-                "partition": partition.to_dict(),
-            }
-        )
+        emit_json(derivation_json(result))
     else:
-        render_instructions(result, partition, sys.stdout)
-    return 0
+        render_instructions(result, None if failed else classify_states(result), sys.stdout)
+    return 1 if failed else 0
 
 
 def _run_bell_tests(model: TheoryModel, args) -> BellTestResult:
@@ -337,18 +339,22 @@ def _parse_policy(model: TheoryModel, text: str):
         return UniformSettingPolicy()
     if text.startswith("sequence:"):
         path = text[len("sequence:"):]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise BellLabError(f"{path}: setting sequence is not UTF-8 ({exc})") from exc
         pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) != 2:
-                    raise BellLabError(
-                        f"{path}:{line_no}: expected 'aId,bId', got {line!r}"
-                    )
-                pairs.append((parts[0], parts[1]))
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 2:
+                raise BellLabError(
+                    f"{path}:{line_no}: expected 'aId,bId', got {line!r}"
+                )
+            pairs.append((parts[0], parts[1]))
         if not pairs:
             raise BellLabError(f"{path}: empty setting sequence")
         return FixedSequencePolicy(pairs=tuple(pairs))
@@ -361,7 +367,7 @@ def cmd_simulate(args) -> int:
     roles = _parse_roles(args.chsh_roles) if args.chsh_roles else None
     stats = simulate(
         model, args.trials, args.seed, policy=policy, chsh_roles=roles,
-        csv_path=args.out or None, reveal_hidden=args.reveal_lambda,
+        csv_path=args.out or None, reveal_hidden=args.reveal_lambda, tol=args.tol,
     )
     if args.fmt == "json":
         emit_json(stats.to_dict())
@@ -407,10 +413,7 @@ def run_pipeline(spec_path: str, args) -> RunReport:
     sections: dict[str, Any] = {}
 
     violations = validate_theory(model, args.tol)
-    sections["validation"] = {
-        "valid": not violations,
-        "violations": [{"location": v.location, "message": v.message} for v in violations],
-    }
+    sections["validation"] = validation_json(violations)
     if violations:
         return RunReport(__version__, spec_path, digest, model.name, sections)
 
@@ -427,15 +430,7 @@ def run_pipeline(spec_path: str, args) -> RunReport:
         sections["anticorrelation"] = {"skipped": str(exc)}
 
     try:
-        derived = derive_instruction_sets(model, axes, t)
-        if isinstance(derived, DerivationFailure):
-            sections["instructions"] = {"derived": False, "failure": derived.to_dict()}
-        else:
-            sections["instructions"] = {
-                "derived": True,
-                "instructions": derived.to_dict(),
-                "partition": classify_states(derived).to_dict(),
-            }
+        sections["instructions"] = derivation_json(derive_instruction_sets(model, axes, t))
     except EqualAxisError as exc:
         sections["instructions"] = {"skipped": str(exc)}
 
@@ -466,7 +461,7 @@ def run_pipeline(spec_path: str, args) -> RunReport:
     sections["bell_tests"] = bell
 
     if args.simulate_trials > 0:
-        sections["simulation"] = simulate(model, args.simulate_trials, args.seed).to_dict()
+        sections["simulation"] = simulate(model, args.simulate_trials, args.seed, tol=t).to_dict()
     else:
         sections["simulation"] = {"skipped": "not requested (--simulate-trials)"}
     return RunReport(__version__, spec_path, digest, model.name, sections)
@@ -578,7 +573,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.tol is not None:
-            # simulate and make-singlet take --tol too, but compare nothing with it
+            # make-singlet takes --tol too but compares nothing with it; a
+            # bad value is refused for every subcommand
             resolve_tolerance(True, args.tol)
         return args.func(args)
     except (SpecFormatError, BellLabError) as exc:

@@ -25,6 +25,7 @@ tables alike.  Functions here are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +42,9 @@ JOINT_OUTCOMES: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1
 DEFAULT_TOL = 1e-9
 
 _UNIT_NORM_TOL = 1e-9
+
+#: The largest float as an int: an exact value beyond it cannot meet a float.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 class BellLabError(Exception):
@@ -65,13 +69,17 @@ def parse_probability(value: object, where: str = "probability") -> Prob:
     """Convert a JSON-ish value into a probability.
 
     Ints and "p/q" strings become exact Fractions; other numbers become
-    floats.  Denominators must be positive and values must not be NaN.
+    floats.  Denominators must be positive, values must be finite, and an
+    exact value must not exceed the largest float (a decimal model sums
+    its exact and float cells as floats).
     """
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a number or 'p/q' string, got a bool")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if abs(value) > _FLOAT_MAX:
+            raise ValueError(f"{where}: too large for a float")
         return Fraction(value)
     if isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
@@ -87,6 +95,8 @@ def parse_probability(value: object, where: str = "probability") -> Prob:
             raise ValueError(f"{where}: non-integer term in {value!r}") from exc
         if den <= 0:
             raise ValueError(f"{where}: denominator must be positive in {value!r}")
+        if abs(num) > den * _FLOAT_MAX:
+            raise ValueError(f"{where}: too large for a float")
         return Fraction(num, den)
     raise ValueError(f"{where}: expected a number or 'p/q' string, got {type(value).__name__}")
 
@@ -98,6 +108,12 @@ def format_probability(value: Prob) -> object:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     return value
+
+
+def is_text(value: str) -> bool:
+    """False when `value` holds a lone surrogate, which no UTF-8 output can
+    carry; JSON admits one as an escape such as "\\ud800"."""
+    return value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value)
 
 
 def is_exact(value: Prob) -> bool:

@@ -2,18 +2,19 @@
 
 Every random draw is a pure function of (seed, trial, slot): the stream is
 the SplitMix64 sequence evaluated at position trial*4 + slot, so trial i
-can be generated without generating trials 0..i-1.  The engine evaluates
-the stream in numpy uint64 over fixed-size chunks of trials; a run's
-records depend only on (seed, trial, slot), never on the chunking, and
-`simulate` keeps one chunk alive at a time, so its memory is flat in the
-trial count.
+can be generated without generating trials 0..i-1.  `simulate` is the one
+engine: it evaluates the stream in numpy uint64 over fixed-size chunks of
+trials, tallies each chunk into counts, and optionally writes each chunk's
+rows to CSV.  The CSV rows are the run's records; they depend only on
+(seed, trial, slot), never on the chunking, and only one chunk is alive at
+a time, so memory is flat in the trial count.
 
 Slots: 0 = hidden state, 1 = Alice setting, 2 = Bob setting, 3 = outcome
 pair.  Fixed-sequence setting policies leave slots 1 and 2 unused but
 reserved, so switching policy never shifts the other draws.
 
-Summaries deliberately see only observables: hidden-state ids stay out of
-the statistics and out of CSV exports unless explicitly revealed.
+Statistics deliberately see only observables: hidden-state ids stay out of
+the summary and out of the CSV unless explicitly revealed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import io
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,28 +49,9 @@ DRAWS_PER_TRIAL = 4
 SLOT_STATE, SLOT_ALICE, SLOT_BOB, SLOT_OUTCOME = range(DRAWS_PER_TRIAL)
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche on 64-bit words."""
-    z = (z ^ (z >> 30)) * _MUL1 & _MASK64
-    z = (z ^ (z >> 27)) * _MUL2 & _MASK64
-    return z ^ (z >> 31)
-
-
-def stream_uniform(seed: int, position: int) -> float:
-    """The SplitMix64 output at `position`, mapped into [0, 1)."""
-    state = (seed + (position + 1) * _GAMMA) & _MASK64
-    return _mix64(state) / 2.0**64
-
-
-def trial_uniform(seed: int, trial: int, slot: int) -> float:
-    if not 0 <= slot < DRAWS_PER_TRIAL:
-        raise ValueError(f"slot must be in [0, {DRAWS_PER_TRIAL}), got {slot}")
-    return stream_uniform(seed, trial * DRAWS_PER_TRIAL + slot)
-
-
 def _stream_words(seed: int, positions: np.ndarray) -> np.ndarray:
-    """The SplitMix64 words at uint64 `positions`, before `stream_uniform`
-    scales them.  Every operand is np.uint64: under NumPy 1.x a uint64
+    """The SplitMix64 words at uint64 `positions`, before they are scaled
+    into [0, 1].  Every operand is np.uint64: under NumPy 1.x a uint64
     scalar meeting a Python int promotes to float64."""
     u64 = np.uint64
     with np.errstate(over="ignore"):
@@ -81,7 +62,7 @@ def _stream_words(seed: int, positions: np.ndarray) -> np.ndarray:
 
 
 def _stream_uniforms(seed: int, positions: np.ndarray) -> np.ndarray:
-    """`stream_uniform` at every position, bit for bit."""
+    """The stream at `positions` as word / 2^64; the top words round to 1.0."""
     return _stream_words(seed, positions).astype(np.float64) / 2.0**64
 
 
@@ -104,16 +85,6 @@ class FixedSequencePolicy:
 SettingPolicy = UniformSettingPolicy | FixedSequencePolicy
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    state_id: str
-    a_id: str
-    b_id: str
-    outcome_a: int
-    outcome_b: int
-
-
 def _cumulative(values: list[float]) -> list[float]:
     total = 0.0
     out = []
@@ -126,10 +97,11 @@ def _cumulative(values: list[float]) -> list[float]:
 class _Sampler:
     """One model's cumulative tables as arrays; generates trials in chunks."""
 
-    def __init__(self, model: TheoryModel, trials: int, policy: SettingPolicy | None):
+    def __init__(self, model: TheoryModel, trials: int, policy: SettingPolicy | None,
+                 tol: float | None):
         if trials <= 0:
             raise BellLabError(f"trial count must be positive, got {trials}")
-        require_valid(model)
+        require_valid(model, tol)
         self.trials = trials
         self.scenario = scen = model.scenario
         self.state_ids = model.ensemble.state_ids()
@@ -181,28 +153,6 @@ class _Sampler:
             a, b = self.sequence[0][k], self.sequence[1][k]
         joint = (self.outcome_cum[state, a, b] <= draw(SLOT_OUTCOME)[:, None]).sum(axis=1)
         return state, a, b, np.minimum(joint, len(JOINT_OUTCOMES) - 1)
-
-
-def run_experiment(
-    model: TheoryModel,
-    trials: int,
-    seed: int,
-    policy: SettingPolicy | None = None,
-) -> list[TrialRecord]:
-    """Simulate `trials` EPRB rounds; bit-identical for identical inputs.
-
-    Builds one record per trial, for library callers that want them;
-    `simulate` gives the summary and the CSV without keeping records.
-    """
-    sampler = _Sampler(model, trials, policy)
-    states, alice, bob = sampler.state_ids, sampler.alice_ids, sampler.bob_ids
-    return [
-        TrialRecord(t, states[s], alice[a], bob[b], *JOINT_OUTCOMES[j])
-        for start, state, a_idx, b_idx, joint in sampler.chunks(seed)
-        for t, s, a, b, j in zip(
-            itertools.count(start), state.tolist(), a_idx.tolist(), b_idx.tolist(), joint.tolist()
-        )
-    ]
 
 
 @dataclass(frozen=True)
@@ -268,23 +218,6 @@ class ExperimentStats:
         }
 
 
-def summarize(
-    records: list[TrialRecord],
-    scenario: Scenario,
-    chsh_roles: tuple[str, str, str, str] | None = None,
-    seed: int | None = None,
-) -> ExperimentStats:
-    """Aggregate records into estimates; sees outcomes and settings only.
-
-    `chsh_roles` defaults to declaration order (a1, a2, b1, b2) when the
-    scenario is two-by-two and all four pairs were observed.
-    """
-    if not records:
-        raise BellLabError("cannot summarize an empty record list")
-    counts = Counter((rec.a_id, rec.b_id, rec.outcome_a, rec.outcome_b) for rec in records)
-    return _summarize_counts(dict(counts), len(records), scenario, chsh_roles, seed)
-
-
 def _summarize_counts(
     counts: dict[tuple[str, str, int, int], int],
     trials: int,
@@ -292,7 +225,9 @@ def _summarize_counts(
     chsh_roles: tuple[str, str, str, str] | None,
     seed: int | None,
 ) -> ExperimentStats:
-    """The statistics of `summarize`, from counts keyed (a, b, A, B)."""
+    """Aggregate counts keyed (a, b, A, B) into estimates; sees outcomes and
+    settings only.  `chsh_roles` defaults to declaration order (a1, a2, b1,
+    b2) when the scenario is two-by-two and all four pairs were observed."""
     pair_counts: dict[tuple[str, str], int] = {}
     for (a, b, _, _), n in counts.items():
         pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
@@ -370,22 +305,6 @@ def _summarize_counts(
     )
 
 
-def write_records_csv(records: list[TrialRecord], path, reveal_hidden: bool = False) -> None:
-    """Export observable columns `trial,a,b,A,B`; the hidden-state column
-    appears only when explicitly revealed."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["trial", "a", "b", "A", "B"]
-        if reveal_hidden:
-            header.append("lambda")
-        writer.writerow(header)
-        for rec in records:
-            row = [rec.trial, rec.a_id, rec.b_id, rec.outcome_a, rec.outcome_b]
-            if reveal_hidden:
-                row.append(rec.state_id)
-            writer.writerow(row)
-
-
 def _csv_cells(*values: object) -> str:
     """`values` as csv.writer quotes them within a row, each after a comma."""
     buf = io.StringIO()
@@ -401,14 +320,17 @@ def simulate(
     chsh_roles: tuple[str, str, str, str] | None = None,
     csv_path=None,
     reveal_hidden: bool = False,
+    tol: float | None = None,
 ) -> ExperimentStats:
-    """Simulate `trials` EPRB rounds and summarise them without records.
+    """Simulate `trials` EPRB rounds; bit-identical for identical inputs.
 
-    The statistics equal `summarize(run_experiment(...))`, and the CSV
-    written to `csv_path` equals `write_records_csv(run_experiment(...))`
-    byte for byte, but only one chunk of trials is alive at a time.
+    Returns the observable statistics.  With `csv_path`, also writes the
+    run's records, one row `trial,a,b,A,B` per trial; `reveal_hidden` adds
+    the hidden-state column `lambda`.  The model must be valid at `tol`
+    (default: exact for rational models, 1e-9 otherwise).  Only one chunk
+    of trials is alive at a time.
     """
-    sampler = _Sampler(model, trials, policy)
+    sampler = _Sampler(model, trials, policy, tol)
     keys = [(a, b, *ab) for a in sampler.alice_ids for b in sampler.bob_ids for ab in JOINT_OUTCOMES]
     tails = np.array([_csv_cells(*key) for key in keys], dtype=object)
     lambdas = np.array([_csv_cells(s) + "\r\n" for s in sampler.state_ids], dtype=object)

@@ -29,6 +29,7 @@ from .model import (
     Scenario,
     Setting,
     TheoryModel,
+    is_text,
 )
 
 Direction = tuple[float, float, float]
@@ -50,7 +51,7 @@ def _check_direction(direction: Direction, label: str) -> np.ndarray:
     if vec.shape != (3,):
         raise DirectionError(f"{label}: direction must have three components")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _UNIT_TOL:
+    if not abs(norm - 1.0) <= _UNIT_TOL:
         raise DirectionError(f"{label}: direction must be a unit vector, norm is {norm!r}")
     return vec
 
@@ -108,6 +109,8 @@ def parse_planar_settings(text: str) -> list[Setting]:
             angle = float(angle_text)
         except ValueError as exc:
             raise DirectionError(f"bad angle {angle_text!r} for setting {sid!r}") from exc
+        if not math.isfinite(angle):
+            raise DirectionError(f"angle {angle_text!r} for setting {sid!r} is not finite")
         if not sid:
             raise DirectionError(f"empty setting id in {chunk!r}")
         settings.append(Setting(id=sid, direction=planar_direction(angle)))
@@ -129,6 +132,9 @@ def make_quantum_theory(spec: SingletSpec) -> TheoryModel:
     The hidden state is the quantum state itself, so the ensemble is a
     point mass; the kernel cells are the singlet joint distributions.
     """
+    for text in (spec.name, *(s.id for s in (*spec.alice, *spec.bob))):
+        if not is_text(text):
+            raise BellLabError(f"{text!r} holds a lone surrogate, which no spec can carry")
     for s in list(spec.alice) + list(spec.bob):
         if s.direction is None:
             raise DirectionError(f"setting {s.id!r}: singlet models need a direction per setting")

@@ -39,6 +39,7 @@ from .model import (
     Setting,
     TheoryModel,
     format_probability,
+    is_text,
     parse_probability,
 )
 
@@ -73,6 +74,8 @@ def _as_list(value: Any, path: str) -> list[Any]:
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise SpecFormatError(f"{path}: expected a string, got {type(value).__name__}")
+    if not is_text(value):
+        raise SpecFormatError(f"{path}: {value!r} holds a lone surrogate")
     return value
 
 
@@ -85,7 +88,10 @@ def _parse_setting(obj: Any, path: str) -> Setting:
         vec = _as_list(d["vector"], f"{path}.vector")
         if len(vec) != 3 or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in vec):
             raise SpecFormatError(f"{path}.vector: expected three numbers")
-        direction = (float(vec[0]), float(vec[1]), float(vec[2]))
+        try:
+            direction = (float(vec[0]), float(vec[1]), float(vec[2]))
+        except OverflowError:
+            raise SpecFormatError(f"{path}.vector: component too large for a float") from None
     return Setting(id=sid, direction=direction)
 
 
@@ -161,9 +167,11 @@ def parse_theory(text: str | bytes, source: str = "<string>") -> TheoryModel:
     kernel_obj = _as_dict(top["kernel"], "$.kernel")
     cells: dict[tuple[str, str, str], OutcomeDistribution] = {}
     for state_id, by_pair in kernel_obj.items():
+        _as_str(state_id, "$.kernel")
         pair_obj = _as_dict(by_pair, f"$.kernel.{state_id}")
         for pair_key, cell in pair_obj.items():
             path = f"$.kernel.{state_id}.{pair_key}"
+            _as_str(pair_key, f"$.kernel.{state_id}")
             if pair_key.count("|") != 1:
                 raise SpecFormatError(f"{path}: cell keys must look like 'aId|bId'")
             a_id, b_id = pair_key.split("|")

@@ -1,26 +1,65 @@
-"""The scalar per-trial sampler, kept as a test oracle.
+"""The scalar per-trial sampler and CSV writer, kept as a test oracle.
 
 This is the Monte Carlo loop as it was before the engine was vectorised:
-one `trial_uniform` call per draw, `bisect_right` on Python lists of
-cumulative sums.  Tests hold `bell_lab.montecarlo.run_experiment` to the
-same records, draw for draw.
+the SplitMix64 stream one word at a time in Python ints, one
+`trial_uniform` call per draw, `bisect_right` on Python lists of
+cumulative sums, and one `csv.writer` row per record.  Tests hold the
+records that `bell_lab.montecarlo.simulate` writes to CSV to these,
+draw for draw and byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from bisect import bisect_right
+from typing import NamedTuple
 
 from bell_lab.model import JOINT_OUTCOMES, TheoryModel
 from bell_lab.montecarlo import (
+    DRAWS_PER_TRIAL,
     SLOT_ALICE,
     SLOT_BOB,
     SLOT_OUTCOME,
     SLOT_STATE,
     FixedSequencePolicy,
     SettingPolicy,
-    TrialRecord,
-    trial_uniform,
 )
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+MUL1 = 0xBF58476D1CE4E5B9
+MUL2 = 0x94D049BB133111EB
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: a bijective avalanche on 64-bit words."""
+    z = (z ^ (z >> 30)) * MUL1 & MASK64
+    z = (z ^ (z >> 27)) * MUL2 & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_uniform(seed: int, position: int) -> float:
+    """The SplitMix64 output at `position`, mapped into [0, 1]."""
+    state = (seed + (position + 1) * GAMMA) & MASK64
+    return _mix64(state) / 2.0**64
+
+
+def trial_uniform(seed: int, trial: int, slot: int) -> float:
+    if not 0 <= slot < DRAWS_PER_TRIAL:
+        raise ValueError(f"slot must be in [0, {DRAWS_PER_TRIAL}), got {slot}")
+    return stream_uniform(seed, trial * DRAWS_PER_TRIAL + slot)
+
+
+class Record(NamedTuple):
+    """One trial: the hidden state, the settings and the outcome pair."""
+
+    trial: int
+    state_id: str
+    a_id: str
+    b_id: str
+    outcome_a: int
+    outcome_b: int
 
 
 def _cumulative(values: list[float]) -> list[float]:
@@ -38,8 +77,8 @@ def _pick(cum: list[float], u: float) -> int:
 
 def reference_run(
     model: TheoryModel, trials: int, seed: int, policy: SettingPolicy
-) -> list[TrialRecord]:
-    seed &= (1 << 64) - 1
+) -> list[Record]:
+    seed &= MASK64
     state_ids = model.ensemble.state_ids()
     state_cum = _cumulative([float(e.weight) for e in model.ensemble.entries])
     alice_ids = model.scenario.alice_ids()
@@ -60,5 +99,25 @@ def reference_run(
             b_id = bob_ids[min(int(ub * len(bob_ids)), len(bob_ids) - 1)]
         cum = outcome_cum[(state, a_id, b_id)]
         outcome_a, outcome_b = JOINT_OUTCOMES[_pick(cum, trial_uniform(seed, index, SLOT_OUTCOME))]
-        records.append(TrialRecord(index, state, a_id, b_id, outcome_a, outcome_b))
+        records.append(Record(index, state, a_id, b_id, outcome_a, outcome_b))
     return records
+
+
+def reference_csv(records: list[Record], reveal_hidden: bool = False) -> bytes:
+    """The CSV of `records`: observable columns `trial,a,b,A,B`, plus the
+    hidden-state column `lambda` only when revealed."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["trial", "a", "b", "A", "B"] + (["lambda"] if reveal_hidden else []))
+    for rec in records:
+        row = [rec.trial, rec.a_id, rec.b_id, rec.outcome_a, rec.outcome_b]
+        writer.writerow(row + ([rec.state_id] if reveal_hidden else []))
+    return buf.getvalue().encode("utf-8")
+
+
+def read_records(path) -> list[Record]:
+    """The records of a CSV written with the hidden-state column revealed."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["trial", "a", "b", "A", "B", "lambda"], rows[0]
+    return [Record(int(t), s, a, b, int(A), int(B)) for t, a, b, A, B, s in rows[1:]]

@@ -33,7 +33,7 @@ from bell_lab.instructions import (
     realize_model,
 )
 from bell_lab.model import JOINT_OUTCOMES, behavior, resolve_tolerance
-from bell_lab.montecarlo import FixedSequencePolicy, run_experiment, summarize
+from bell_lab.montecarlo import FixedSequencePolicy, simulate
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory
 
@@ -73,8 +73,8 @@ def test_criterion_01_perfect_anticorrelation():
     )
 
     policy = FixedSequencePolicy(pairs=(("n1", "n1"), ("n2", "n2")))
-    records = run_experiment(model, 100_000, seed=7, policy=policy)
-    same = sum(1 for r in records if r.outcome_a == r.outcome_b)
+    stats = simulate(model, 100_000, seed=7, policy=policy)
+    same = sum(n for (_, _, A, B), n in stats.counts.items() if A == B)
     elapsed = time.perf_counter() - start
 
     ok = worst_analytic <= 1e-12 and same == 0 and elapsed < 5.0
@@ -83,7 +83,7 @@ def test_criterion_01_perfect_anticorrelation():
         ok,
         "equal-axes singlet: analytic same-outcome prob "
         f"{worst_analytic:.2e} (<=1e-12), {same} same-outcome events in "
-        f"{len(records)} forced-equal-axis trials, {elapsed:.2f}s (<5s)",
+        f"{stats.trials} forced-equal-axis trials, {elapsed:.2f}s (<5s)",
     )
 
 
@@ -183,8 +183,7 @@ def test_criterion_06_quantum_chsh_violation():
     analytic = chsh(table, "a2", "a1", "b1", "b2")
     analytic_gap = abs(abs(float(analytic.chsh_value)) - ROOT8)
 
-    records = run_experiment(model, 100_000, seed=42)
-    stats = summarize(records, model.scenario, chsh_roles=("a2", "a1", "b1", "b2"), seed=42)
+    stats = simulate(model, 100_000, seed=42, chsh_roles=("a2", "a1", "b1", "b2"))
     mc_gap = abs(abs(stats.chsh.value) - ROOT8)
     sigmas = mc_gap / stats.chsh.std_error
     elapsed = time.perf_counter() - start
@@ -245,8 +244,7 @@ def test_criterion_08_signal_locality():
     worst_analytic = max(analytic_deltas)
 
     model = chsh_singlet()
-    records = run_experiment(model, 100_000, seed=8)
-    stats = summarize(records, model.scenario, seed=8)
+    stats = simulate(model, 100_000, seed=8)
     worst_sigma = max(
         (d.delta / d.std_error if d.std_error > 0 else 0.0) for d in stats.signal_deltas
     )

@@ -289,6 +289,42 @@ class TestSimulate:
         doc = json.loads(out)
         assert set(doc["pair_counts"]) == {"a1|b1", "a2|b2"}
 
+    def test_non_utf8_sequence_file_exits_two(self, capsys, singlet_chsh_path, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_bytes(b"a1,b1\n\xff\xfe\n")
+        code, out, err = run_cli(
+            capsys, "simulate", str(singlet_chsh_path), "--trials", "10",
+            "--policy", f"sequence:{seq}",
+        )
+        assert code == 2
+        assert out == ""
+        assert str(seq) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "command, trials", [("simulate", "--trials"), ("report", "--simulate-trials")]
+    )
+    def test_tol_reaches_the_sampler(self, capsys, tmp_path, command, trials):
+        # one decimal cell sums to 1.00001: valid at --tol 0.001, not at 1e-9
+        spec = tmp_path / "loose.json"
+        spec.write_text(json.dumps({
+            "name": "loose", "ensemble": [{"id": "s1", "weight": 1}],
+            "scenario": {"alice_settings": [{"id": "a1"}], "bob_settings": [{"id": "b1"}]},
+            "kernel": {"s1": {"a1|b1": {"++": 0.5, "+-": 0.50001, "-+": 0.0, "--": 0.0}}},
+        }))
+        argv = [command, str(spec), trials, "10", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv)
+        if command == "simulate":
+            assert (code, out) == (2, "")
+            assert "sum to 1" in err
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["sections"]["validation"]["valid"] is False
+        code, out, err = run_cli(capsys, *argv, "--tol", "0.001")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        stats = doc if command == "simulate" else doc["sections"]["simulation"]
+        assert stats["trials"] == 10
+
     def test_bad_policy_errors(self, capsys, singlet_chsh_path):
         code, _, err = run_cli(
             capsys, "simulate", str(singlet_chsh_path), "--trials", "10", "--policy", "coin"
@@ -326,11 +362,12 @@ class TestMakeSinglet:
         assert doc["kernel"]["psi"]["a1|b1"]
 
     def test_rejects_bad_angles(self, capsys):
-        code, _, err = run_cli(
-            capsys, "make-singlet", "--alice", "a1=zero", "--bob", "b1=90"
-        )
-        assert code == 2
-        assert "angle" in err
+        for angle in ("zero", "nan", "inf", "-inf", "1e400"):
+            code, out, err = run_cli(
+                capsys, "make-singlet", "--alice", f"a1={angle}", "--bob", "b1=90"
+            )
+            assert (code, out) == (2, ""), angle
+            assert "angle" in err
 
 
 class TestReport:

@@ -1,8 +1,9 @@
 """Simulation engine: counter-based streams, reproducibility, statistics.
 
-The distributional checks pin exact counts for fixed seeds (frozen from
-the implementation once, then held); the statistical checks use generous
-sigma windows so they stay deterministic.
+A run's records are the rows of the CSV that `simulate` writes with the
+hidden state revealed.  The distributional checks pin exact counts for
+fixed seeds (frozen from the implementation once, then held); the
+statistical checks use generous sigma windows so they stay deterministic.
 """
 
 from __future__ import annotations
@@ -21,25 +22,51 @@ from hypothesis import strategies as st
 
 import genmodels
 from bell_lab import montecarlo
-from bell_lab.model import BellLabError, behavior
+from bell_lab.model import BellLabError, InvalidModelError, UnknownIdError, behavior
 from bell_lab.montecarlo import (
     DRAWS_PER_TRIAL,
     FixedSequencePolicy,
     SLOT_OUTCOME,
     SLOT_STATE,
     UniformSettingPolicy,
-    run_experiment,
     simulate,
-    stream_uniform,
-    summarize,
-    trial_uniform,
-    write_records_csv,
 )
 from bell_lab.specio import load_theory, parse_theory
-from reference_sampler import reference_run
+from reference_sampler import (
+    GAMMA,
+    MASK64,
+    MUL1,
+    MUL2,
+    read_records,
+    reference_csv,
+    reference_run,
+    stream_uniform,
+    trial_uniform,
+)
+
+
+def run_records(model, trials, seed, policy=None):
+    """The statistics of one `simulate` run and its records, read back from
+    the CSV it writes with the hidden state revealed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        stats = simulate(model, trials, seed, policy=policy, csv_path=path, reveal_hidden=True)
+        return stats, read_records(path)
+
+
+def records_of(model, trials, seed, policy=None):
+    return run_records(model, trials, seed, policy)[1]
+
+
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 class TestStream:
+    """The scalar SplitMix64 stream of the reference sampler; the engine
+    is held to it in TestVectorisedStream."""
+
     def test_pure_function_of_seed_and_position(self):
         assert stream_uniform(1, 0) == stream_uniform(1, 0)
         assert stream_uniform(1, 0) != stream_uniform(2, 0)
@@ -69,58 +96,54 @@ class TestStream:
 
 class TestRunExperiment:
     def test_records_are_bit_reproducible(self, singlet_chsh):
-        first = run_experiment(singlet_chsh, 500, seed=77)
-        second = run_experiment(singlet_chsh, 500, seed=77)
+        first = run_records(singlet_chsh, 500, seed=77)
+        second = run_records(singlet_chsh, 500, seed=77)
         assert first == second
 
     def test_different_seeds_differ(self, singlet_chsh):
-        assert run_experiment(singlet_chsh, 200, seed=1) != run_experiment(
-            singlet_chsh, 200, seed=2
-        )
+        assert records_of(singlet_chsh, 200, seed=1) != records_of(singlet_chsh, 200, seed=2)
 
     def test_trial_indices_are_in_order(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 50, seed=3)
+        records = records_of(singlet_chsh, 50, seed=3)
         assert [r.trial for r in records] == list(range(50))
 
     def test_trial_count_must_be_positive(self, singlet_chsh):
-        with pytest.raises(BellLabError):
-            run_experiment(singlet_chsh, 0, seed=1)
+        for trials in (0, -1):
+            with pytest.raises(BellLabError, match="trial count must be positive"):
+                simulate(singlet_chsh, trials, seed=1)
 
     def test_invalid_model_rejected(self, fixtures_dir):
         model = load_theory(fixtures_dir / "bad_sum.json")
-        from bell_lab.model import InvalidModelError
-
         with pytest.raises(InvalidModelError):
-            run_experiment(model, 10, seed=1)
+            simulate(model, 10, seed=1)
 
     def test_fixed_sequence_policy_cycles(self, singlet_chsh):
         policy = FixedSequencePolicy(pairs=(("a1", "b1"), ("a2", "b2")))
-        records = run_experiment(singlet_chsh, 6, seed=4, policy=policy)
+        records = records_of(singlet_chsh, 6, seed=4, policy=policy)
         assert [(r.a_id, r.b_id) for r in records] == [
             ("a1", "b1"), ("a2", "b2"), ("a1", "b1"), ("a2", "b2"), ("a1", "b1"), ("a2", "b2"),
         ]
 
     def test_fixed_sequence_rejects_unknown_ids(self, singlet_chsh):
-        from bell_lab.model import UnknownIdError
-
-        policy = FixedSequencePolicy(pairs=(("a1", "zz"),))
-        with pytest.raises(UnknownIdError):
-            run_experiment(singlet_chsh, 5, seed=4, policy=policy)
+        for pair in (("a1", "zz"), ("zz", "b1")):
+            policy = FixedSequencePolicy(pairs=(("a1", "b1"), pair))
+            with pytest.raises(UnknownIdError):
+                simulate(singlet_chsh, 5, seed=4, policy=policy)
 
     def test_empty_fixed_sequence_rejected(self):
         with pytest.raises(BellLabError):
             FixedSequencePolicy(pairs=())
 
     def test_policy_change_keeps_state_draws(self, singlet_chsh):
-        uniform = run_experiment(singlet_chsh, 100, seed=11)
-        fixed = run_experiment(
+        uniform = records_of(singlet_chsh, 100, seed=11)
+        fixed = records_of(
             singlet_chsh, 100, seed=11, policy=FixedSequencePolicy(pairs=(("a1", "b1"),))
         )
         # same slot layout: the hidden state sequence is untouched by policy
         assert [r.state_id for r in uniform] == [r.state_id for r in fixed]
 
     def test_uniform_policy_spreads_settings(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 4000, seed=12, policy=UniformSettingPolicy())
+        records = records_of(singlet_chsh, 4000, seed=12, policy=UniformSettingPolicy())
         pair_counts = Counter((r.a_id, r.b_id) for r in records)
         assert set(pair_counts) == set(singlet_chsh.scenario.pairs())
         for n in pair_counts.values():
@@ -128,7 +151,7 @@ class TestRunExperiment:
 
     def test_outcome_frequencies_track_the_kernel(self, fixtures_dir):
         model = load_theory(fixtures_dir / "two_state.json")
-        records = run_experiment(model, 20000, seed=13)
+        records = records_of(model, 20000, seed=13)
         table = behavior(model)
         counts = Counter((r.outcome_a, r.outcome_b) for r in records)
         for (A, B), n in counts.items():
@@ -139,8 +162,7 @@ class TestRunExperiment:
 
 class TestSummarize:
     def test_correlator_estimates_and_errors(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 20000, seed=21)
-        stats = summarize(records, singlet_chsh.scenario, seed=21)
+        stats = simulate(singlet_chsh, 20000, seed=21)
         table = behavior(singlet_chsh)
         for pair, est in stats.correlators.items():
             from bell_lab.harness import correlator
@@ -150,14 +172,12 @@ class TestSummarize:
             assert abs(est.value - truth) < 5 * est.std_error
 
     def test_chsh_roles_default_to_declaration_order(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 2000, seed=22)
-        stats = summarize(records, singlet_chsh.scenario)
+        stats = simulate(singlet_chsh, 2000, seed=22)
         assert stats.chsh_roles == ("a1", "a2", "b1", "b2")
         assert stats.chsh is not None
 
     def test_explicit_roles_pick_up_the_violation(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 40000, seed=23)
-        stats = summarize(records, singlet_chsh.scenario, chsh_roles=("a2", "a1", "b1", "b2"))
+        stats = simulate(singlet_chsh, 40000, seed=23, chsh_roles=("a2", "a1", "b1", "b2"))
         assert abs(stats.chsh.value) > 2.5
         se_manual = math.sqrt(
             sum(stats.correlators[p].std_error ** 2 for p in [
@@ -167,42 +187,40 @@ class TestSummarize:
         assert stats.chsh.std_error == pytest.approx(se_manual)
 
     def test_counts_total_to_trials(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 3000, seed=24)
-        stats = summarize(records, singlet_chsh.scenario)
+        stats = simulate(singlet_chsh, 3000, seed=24)
         assert sum(stats.counts.values()) == 3000
         assert sum(stats.pair_counts.values()) == 3000
         assert stats.trials == 3000
 
     def test_missing_pairs_drop_chsh(self, singlet_chsh):
         policy = FixedSequencePolicy(pairs=(("a1", "b1"),))
-        records = run_experiment(singlet_chsh, 100, seed=25, policy=policy)
-        stats = summarize(records, singlet_chsh.scenario)
+        stats = simulate(singlet_chsh, 100, seed=25, policy=policy)
         assert stats.chsh is None
         assert stats.chsh_roles is None
         assert list(stats.correlators) == [("a1", "b1")]
 
     def test_signal_deltas_have_errors_and_stay_small(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 30000, seed=26)
-        stats = summarize(records, singlet_chsh.scenario)
+        stats = simulate(singlet_chsh, 30000, seed=26)
         assert stats.signal_deltas
         for d in stats.signal_deltas:
             assert d.std_error > 0
             assert d.delta < 4 * d.std_error
 
-    def test_empty_records_rejected(self, singlet_chsh):
+    def test_empty_records_rejected(self, singlet_chsh, tmp_path):
+        # a run of no trials is refused before its CSV is opened
+        out = tmp_path / "records.csv"
+        out.write_bytes(b"kept")
         with pytest.raises(BellLabError):
-            summarize([], singlet_chsh.scenario)
+            simulate(singlet_chsh, 0, seed=1, csv_path=out)
+        assert out.read_bytes() == b"kept"
 
-    def test_summary_never_mentions_hidden_states(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 500, seed=27)
-        doc = summarize(records, singlet_chsh.scenario, seed=27).to_dict()
-        import json
-
+    def test_summary_never_mentions_hidden_states(self, singlet_chsh, tmp_path):
+        doc = simulate(singlet_chsh, 500, seed=27, csv_path=tmp_path / "r.csv",
+                       reveal_hidden=True).to_dict()
         assert "psi" not in json.dumps(doc)
 
     def test_to_dict_shape(self, singlet_chsh):
-        records = run_experiment(singlet_chsh, 500, seed=28)
-        doc = summarize(records, singlet_chsh.scenario, seed=28).to_dict()
+        doc = simulate(singlet_chsh, 500, seed=28).to_dict()
         assert doc["trials"] == 500
         assert doc["seed"] == 28
         assert set(doc) == {
@@ -213,30 +231,27 @@ class TestSummarize:
 
 class TestCsvExport:
     def test_observable_columns_only_by_default(self, singlet_chsh, tmp_path):
-        records = run_experiment(singlet_chsh, 20, seed=31)
         out = tmp_path / "records.csv"
-        write_records_csv(records, out)
-        with out.open(newline="") as fh:
-            rows = list(csv.reader(fh))
+        simulate(singlet_chsh, 20, seed=31, csv_path=out)
+        rows = read_rows(out)
         assert rows[0] == ["trial", "a", "b", "A", "B"]
         assert len(rows) == 21
         assert all(len(row) == 5 for row in rows)
+        assert "psi" not in out.read_text(encoding="utf-8")
 
     def test_reveal_hidden_adds_lambda_column(self, singlet_chsh, tmp_path):
-        records = run_experiment(singlet_chsh, 5, seed=32)
         out = tmp_path / "records.csv"
-        write_records_csv(records, out, reveal_hidden=True)
-        with out.open(newline="") as fh:
-            rows = list(csv.reader(fh))
+        simulate(singlet_chsh, 5, seed=32, csv_path=out, reveal_hidden=True)
+        rows = read_rows(out)
         assert rows[0] == ["trial", "a", "b", "A", "B", "lambda"]
         assert rows[1][5] == "psi"
 
     def test_round_trip_values(self, singlet_chsh, tmp_path):
-        records = run_experiment(singlet_chsh, 10, seed=33)
+        records = records_of(singlet_chsh, 10, seed=33)
         out = tmp_path / "records.csv"
-        write_records_csv(records, out)
-        with out.open(newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+        simulate(singlet_chsh, 10, seed=33, csv_path=out)
+        rows = read_rows(out)[1:]
+        assert len(rows) == len(records)
         for rec, row in zip(records, rows):
             assert row == [str(rec.trial), rec.a_id, rec.b_id, str(rec.outcome_a), str(rec.outcome_b)]
 
@@ -244,12 +259,13 @@ class TestCsvExport:
 class TestPhysicsOfTheRun:
     def test_forced_equal_axes_never_agree(self, singlet_equal_axes):
         policy = FixedSequencePolicy(pairs=(("n1", "n1"), ("n2", "n2")))
-        records = run_experiment(singlet_equal_axes, 20000, seed=7, policy=policy)
+        records = records_of(singlet_equal_axes, 20000, seed=7, policy=policy)
+        assert len(records) == 20000
         assert all(r.outcome_a != r.outcome_b for r in records)
 
     def test_deterministic_model_replays_its_instructions(self, fixtures_dir):
         model = load_theory(fixtures_dir / "eight_pattern.json")
-        records = run_experiment(model, 5000, seed=41)
+        records = records_of(model, 5000, seed=41)
         for rec in records:
             dist = model.kernel.cell(rec.state_id, rec.a_id, rec.b_id)
             assert dist.prob(rec.outcome_a, rec.outcome_b) == 1
@@ -257,10 +273,6 @@ class TestPhysicsOfTheRun:
 
 # ---------------------------------------------------------------------------
 # the vectorised engine against the scalar definitions
-
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _unxorshift(y: int, shift: int) -> int:
@@ -274,11 +286,11 @@ def seed_for_word(word: int, position: int) -> int:
     """The seed whose SplitMix64 word at `position` is `word` (the
     finalizer is a bijection, so it inverts step by step)."""
     z = _unxorshift(word, 31)
-    z = z * pow(_MUL2, -1, 1 << 64) & _MASK64
+    z = z * pow(MUL2, -1, 1 << 64) & MASK64
     z = _unxorshift(z, 27)
-    z = z * pow(_MUL1, -1, 1 << 64) & _MASK64
+    z = z * pow(MUL1, -1, 1 << 64) & MASK64
     z = _unxorshift(z, 30)
-    return (z - (position + 1) * _GAMMA) & _MASK64
+    return (z - (position + 1) * GAMMA) & MASK64
 
 
 @st.composite
@@ -293,9 +305,9 @@ def halfway_words(draw) -> int:
 #: 64-bit words, weighted towards those at and above 2^63 and those whose
 #: conversion to float64 rounds, up to 1.0 at the top.
 WORDS = st.one_of(
-    st.integers(0, _MASK64),
-    st.integers(2**63, _MASK64),
-    st.integers(_MASK64 - 2**12, _MASK64),
+    st.integers(0, MASK64),
+    st.integers(2**63, MASK64),
+    st.integers(MASK64 - 2**12, MASK64),
     st.integers(0, 2**12),
     halfway_words(),
 )
@@ -304,7 +316,7 @@ WORDS = st.one_of(
 class TestVectorisedStream:
     @settings(max_examples=300, deadline=None)
     @given(
-        seed=st.one_of(st.integers(0, _MASK64), st.integers(2**63, _MASK64)),
+        seed=st.one_of(st.integers(0, MASK64), st.integers(2**63, MASK64)),
         positions=st.lists(st.integers(0, 2**62), min_size=1, max_size=8),
     )
     def test_equals_scalar_stream(self, seed, positions):
@@ -325,7 +337,7 @@ class TestVectorisedStream:
         assert 0.0 <= u[0] <= 1.0
 
     def test_top_words_round_to_one(self):
-        seed = seed_for_word(_MASK64, 5)
+        seed = seed_for_word(MASK64, 5)
         assert stream_uniform(seed, 5) == 1.0
         assert montecarlo._stream_uniforms(seed, np.array([5], dtype=np.uint64))[0] == 1.0
 
@@ -346,16 +358,16 @@ def simulation_inputs(draw):
         position = draw(st.integers(0, trials - 1)) * DRAWS_PER_TRIAL + draw(st.integers(0, 3))
         seed = seed_for_word(draw(WORDS), position)
     else:
-        seed = draw(st.one_of(st.integers(0, _MASK64), st.integers(2**63, _MASK64)))
+        seed = draw(st.one_of(st.integers(0, MASK64), st.integers(2**63, MASK64)))
     return model, trials, seed, policy
 
 
 def _run_outputs(model, trials, seed, policy, reveal):
-    """Records, streamed statistics and streamed CSV bytes of one run."""
+    """Statistics and CSV bytes of one run."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
         stats = simulate(model, trials, seed, policy=policy, csv_path=path, reveal_hidden=reveal)
-        return run_experiment(model, trials, seed, policy=policy), stats, path.read_bytes()
+        return stats, path.read_bytes()
 
 
 def _edge_model():
@@ -380,7 +392,7 @@ class TestVectorisedRun:
         wrong: 0, draws equal to a cumulative value, setting boundaries
         k/n, and the top words that round to 1.0."""
         model = _edge_model()
-        words = {0, 1, _MASK64, _MASK64 - 2**10, _MASK64 - 2**11}
+        words = {0, 1, MASK64, MASK64 - 2**10, MASK64 - 2**11}
         words |= {int(c * 2**64) for c in (0.25, 0.5, 0.75)}
         words |= {k * 2**64 // n + d for n in (2, 3) for k in range(1, n) for d in (-1, 0, 1, 2048)}
         policies = (UniformSettingPolicy(), FixedSequencePolicy(pairs=(("a3", "b2"), ("a1", "b1"))))
@@ -388,7 +400,7 @@ class TestVectorisedRun:
             for slot in range(DRAWS_PER_TRIAL):
                 for word in words:
                     seed = seed_for_word(word, 2 * DRAWS_PER_TRIAL + slot)
-                    assert run_experiment(model, 3, seed, policy=policy) == reference_run(
+                    assert records_of(model, 3, seed, policy) == reference_run(
                         model, 3, seed, policy
                     ), (policy, slot, word)
 
@@ -396,31 +408,21 @@ class TestVectorisedRun:
     @given(simulation_inputs())
     def test_records_equal_the_scalar_reference_sampler(self, case):
         model, trials, seed, policy = case
-        assert run_experiment(model, trials, seed, policy=policy) == reference_run(
-            model, trials, seed, policy
-        )
+        assert records_of(model, trials, seed, policy) == reference_run(model, trials, seed, policy)
 
     @settings(max_examples=60, deadline=None)
     @given(simulation_inputs(), st.booleans(), st.data())
     def test_chunk_size_never_changes_records_stats_or_csv(self, case, reveal, data):
+        """The CSV is the reference records as the reference writer writes
+        them, the statistics are those of the records' counts, and neither
+        depends on the chunk size."""
         model, trials, seed, policy = case
-        records, stats, csv_bytes = _run_outputs(model, trials, seed, policy, reveal)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "reference.csv"
-            write_records_csv(records, path, reveal_hidden=reveal)
-            assert csv_bytes == path.read_bytes()
-        assert stats == summarize(records, model.scenario, seed=seed)
+        records = reference_run(model, trials, seed, policy)
+        stats, csv_bytes = _run_outputs(model, trials, seed, policy, reveal)
+        assert csv_bytes == reference_csv(records, reveal_hidden=reveal)
+        counts = Counter((r.a_id, r.b_id, r.outcome_a, r.outcome_b) for r in records)
+        assert stats == montecarlo._summarize_counts(dict(counts), trials, model.scenario, None, seed)
         chunk = data.draw(st.integers(1, trials), label="chunk")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_CHUNK", chunk)
-            assert _run_outputs(model, trials, seed, policy, reveal) == (records, stats, csv_bytes)
-
-    def test_simulate_rejects_what_run_experiment_rejects(self, singlet_chsh, fixtures_dir):
-        from bell_lab.model import InvalidModelError, UnknownIdError
-
-        with pytest.raises(BellLabError):
-            simulate(singlet_chsh, 0, seed=1)
-        with pytest.raises(InvalidModelError):
-            simulate(load_theory(fixtures_dir / "bad_sum.json"), 10, seed=1)
-        with pytest.raises(UnknownIdError):
-            simulate(singlet_chsh, 5, seed=1, policy=FixedSequencePolicy(pairs=(("a1", "zz"),)))
+            assert _run_outputs(model, trials, seed, policy, reveal) == (stats, csv_bytes)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bell_lab.model import behavior, validate_theory
+from bell_lab.model import BellLabError, behavior, validate_theory
 from bell_lab.singlet import (
     DirectionError,
     SingletSpec,
@@ -135,8 +135,9 @@ class TestOracle:
                     )
 
     def test_rejects_non_unit_directions(self):
-        with pytest.raises(DirectionError):
-            singlet_joint_prob((0.0, 0.0, 2.0), (0.0, 0.0, 1.0), +1, +1)
+        for direction in ((0.0, 0.0, 2.0), (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)):
+            with pytest.raises(DirectionError):
+                singlet_joint_prob(direction, (0.0, 0.0, 1.0), +1, +1)
 
     def test_rejects_bad_outcomes(self):
         with pytest.raises(ValueError):
@@ -182,6 +183,13 @@ class TestSingletModel:
             parse_planar_settings("a1=north")
         with pytest.raises(DirectionError):
             parse_planar_settings("=45")
+        for angle in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(DirectionError, match="not finite"):
+                parse_planar_settings(f"a1=0,a2={angle}")
+        with pytest.raises(BellLabError, match="lone surrogate"):
+            make_planar_singlet("\udcff=0", "b1=0")
+        with pytest.raises(BellLabError, match="lone surrogate"):
+            make_planar_singlet("a1=0", "b1=0", name="n\udcff")
 
     def test_quantum_theory_requires_directions(self):
         from bell_lab.model import Setting

@@ -91,6 +91,11 @@ class TestParse:
             (lambda d: d["ensemble"][0].update(wieght=1), r"\$\.ensemble\[0\]: unknown key"),
             (lambda d: d["ensemble"][0].update(weight=True), r"\$\.ensemble\[0\]\.weight"),
             (lambda d: d["scenario"]["alice_settings"][0].update(vector=[1, 0]), r"\.vector"),
+            (lambda d: d["scenario"]["bob_settings"][0].update(vector=[10**400, 0, 0]),
+             r"\$\.scenario\.bob_settings\[0\]\.vector: component too large"),
+            (lambda d: d.update(name="\ud800"), r"\$\.name: .* lone surrogate"),
+            (lambda d: d["kernel"]["s1"].update({"a1|\udc80": {}}), r"\$\.kernel\.s1: .* lone surrogate"),
+            (lambda d: d["kernel"].update({"\udc80": {}}), r"\$\.kernel: .* lone surrogate"),
             (lambda d: d["kernel"]["s1"]["a1|b1"].pop("--"), r"missing required key '--'"),
             (lambda d: d["kernel"]["s1"].update({"a1b1": {}}), r"'aId\|bId'"),
             (lambda d: d["kernel"]["s1"]["a1|b1"].update({"++": "1/0"}), r"denominator"),
