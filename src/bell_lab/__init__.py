@@ -26,7 +26,6 @@ from .model import (
     UnknownIdError,
     Violation,
     behavior,
-    conditional_marginal,
     validate_theory,
 )
 from .specio import SpecFormatError, dump_theory, load_theory, parse_theory, theory_to_dict
@@ -58,7 +57,6 @@ from .harness import (
     correlator,
     enumerate_strategies,
     local_polytope_membership,
-    max_local_chsh,
 )
 from .montecarlo import ExperimentStats, FixedSequencePolicy, UniformSettingPolicy, simulate
 
@@ -67,7 +65,7 @@ __all__ = [
     "BehaviorTable", "BellLabError", "EnsembleEntry", "HiddenStateEnsemble",
     "InvalidModelError", "OutcomeDistribution", "ResponseKernel", "Scenario",
     "Setting", "TheoryModel", "UnknownIdError", "Violation",
-    "behavior", "conditional_marginal", "validate_theory",
+    "behavior", "validate_theory",
     "SpecFormatError", "dump_theory", "load_theory", "parse_theory", "theory_to_dict",
     "SingletSpec", "make_planar_singlet", "make_quantum_theory", "singlet_joint_prob",
     "AntiCorrelationReport", "LocalityReport", "SignalReport",
@@ -76,6 +74,6 @@ __all__ = [
     "classify_states", "derive_instruction_sets", "realize_model",
     "Bell1964Result", "BellTestResult", "CHSHResult", "DeterministicStrategy",
     "MembershipCertificate", "bell1964", "chsh", "correlator",
-    "enumerate_strategies", "local_polytope_membership", "max_local_chsh",
+    "enumerate_strategies", "local_polytope_membership",
     "ExperimentStats", "FixedSequencePolicy", "UniformSettingPolicy", "simulate",
 ]

@@ -12,6 +12,12 @@ absolute difference between a joint cell and the matching product of
 marginals.  That choice of metric is this tool's, not a standard one, and
 reports say so.  Conditional-form failures still appear as violations; for
 strictly positive kernels the two forms agree on the verdict.
+
+The hidden-state audits read the model's kernel tensor (`TheoryModel.tensor`):
+each locality form is one array expression over `K[state, a, b, A, B]` and
+its marginals, and the anti-correlation audit reads the slices
+`K[:, a, b, +, +]` and `K[:, a, b, -, -]`.  The signal audit reads the
+behavior table.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import (
     BehaviorTable,
     BellLabError,
+    JOINT_OUTCOMES,
     OUTCOMES,
     Prob,
     Scenario,
@@ -105,96 +114,65 @@ class LocalityReport:
         }
 
 
+#: (form, A, B) of the 16 checks on one (state, a, b) cell, in report
+#: order: the far-setting forms, the far-outcome forms per joint outcome,
+#: then factorization
+_SLOTS = (
+    [("conditional-alice", A, None) for A in OUTCOMES]
+    + [("conditional-bob", None, B) for B in OUTCOMES]
+    + [(form, A, B) for A, B in JOINT_OUTCOMES for form in ("conditional-alice", "conditional-bob")]
+    + [("factorization", A, B) for A, B in JOINT_OUTCOMES]
+)
+
+
 def check_bell_locality(model: TheoryModel, tol: float | None = None) -> LocalityReport:
     """Audit every (state, a, b, A, B) cell for both locality forms.
 
     Reference marginals are taken against the first far setting in
     declaration order; far-setting dependence then surfaces as a violation
     on the cell that moved.  Conditioning on zero-probability far outcomes
-    is skipped (the factorized form still covers those cells).
+    is skipped (the factorized form still covers those cells).  Each form
+    is one array expression over the kernel tensor; the 16 checks of a
+    cell sit on its last axis, so violations come out in the order state,
+    a, b, form.
     """
     t = require_valid(model, tol)
-    scen = model.scenario
-    ref_b = scen.bob_settings[0].id
-    ref_a = scen.alice_settings[0].id
+    kt = model.tensor
+    K, marg_a, marg_b = kt.K, kt.alice_marginals, kt.bob_marginals
+    S, na, nb = K.shape[:3]
+    own_a = np.broadcast_to(marg_a[:, :, :1, :, None], K.shape)  # P(A | a, first b)
+    own_b = np.broadcast_to(marg_b[:, :1, :, None, :], K.shape)  # P(B | first a, b)
+    given_b = np.broadcast_to(marg_b[..., None, :], K.shape)     # P(B | a, b)
+    given_a = np.broadcast_to(marg_a[..., :, None], K.shape)     # P(A | a, b)
 
-    violations: list[LocalityViolation] = []
-    worst: Prob = Fraction(0)
+    def conditional(denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        live = denom > t
+        return np.divide(K, denom, out=np.empty(K.shape, dtype=object), where=live), live
 
-    for entry in model.ensemble.entries:
-        state = entry.state_id
-        own_a = {
-            (a.id, A): model.kernel.cell(state, a.id, ref_b).marginal_a(A)
-            for a in scen.alice_settings
-            for A in OUTCOMES
-        }
-        own_b = {
-            (b.id, B): model.kernel.cell(state, ref_a, b.id).marginal_b(B)
-            for b in scen.bob_settings
-            for B in OUTCOMES
-        }
-        for a in scen.alice_settings:
-            for b in scen.bob_settings:
-                dist = model.kernel.cell(state, a.id, b.id)
-                if b.id != ref_b:
-                    for A in OUTCOMES:
-                        lhs = dist.marginal_a(A)
-                        rhs = own_a[(a.id, A)]
-                        resid = abs(lhs - rhs)
-                        if resid > t:
-                            violations.append(
-                                LocalityViolation(
-                                    "conditional-alice", state, a.id, b.id, A, None, lhs, rhs, resid
-                                )
-                            )
-                if a.id != ref_a:
-                    for B in OUTCOMES:
-                        lhs = dist.marginal_b(B)
-                        rhs = own_b[(b.id, B)]
-                        resid = abs(lhs - rhs)
-                        if resid > t:
-                            violations.append(
-                                LocalityViolation(
-                                    "conditional-bob", state, a.id, b.id, None, B, lhs, rhs, resid
-                                )
-                            )
-                for A in OUTCOMES:
-                    for B in OUTCOMES:
-                        denom_b = dist.marginal_b(B)
-                        if denom_b > t:
-                            lhs = dist.prob(A, B) / denom_b
-                            rhs = own_a[(a.id, A)]
-                            resid = abs(lhs - rhs)
-                            if resid > t:
-                                violations.append(
-                                    LocalityViolation(
-                                        "conditional-alice", state, a.id, b.id, A, B, lhs, rhs, resid
-                                    )
-                                )
-                        denom_a = dist.marginal_a(A)
-                        if denom_a > t:
-                            lhs = dist.prob(A, B) / denom_a
-                            rhs = own_b[(b.id, B)]
-                            resid = abs(lhs - rhs)
-                            if resid > t:
-                                violations.append(
-                                    LocalityViolation(
-                                        "conditional-bob", state, a.id, b.id, A, B, lhs, rhs, resid
-                                    )
-                                )
-                for A in OUTCOMES:
-                    for B in OUTCOMES:
-                        joint = dist.prob(A, B)
-                        product = own_a[(a.id, A)] * own_b[(b.id, B)]
-                        resid = abs(joint - product)
-                        if resid > t:
-                            violations.append(
-                                LocalityViolation(
-                                    "factorization", state, a.id, b.id, A, B, joint, product, resid
-                                )
-                            )
-                            if resid > worst:
-                                worst = resid
+    alice_lhs, alice_live = conditional(given_b)
+    bob_lhs, bob_live = conditional(given_a)
+    pairs = lambda x, y: np.stack([x, y], axis=-1).reshape(S, na, nb, 8)
+    lhs = np.concatenate([marg_a, marg_b, pairs(alice_lhs, bob_lhs), K.reshape(S, na, nb, 4)], -1)
+    rhs = np.concatenate([own_a[..., 0], own_b[..., 0, :], pairs(own_a, own_b),
+                          (own_a * own_b).reshape(S, na, nb, 4)], -1)
+    live = np.concatenate([  # a far-setting form skips the reference far setting
+        np.broadcast_to((np.arange(nb) > 0)[:, None], (S, na, nb, 2)),
+        np.broadcast_to((np.arange(na) > 0)[:, None, None], (S, na, nb, 2)),
+        pairs(alice_live, bob_live),
+        np.ones((S, na, nb, 4), dtype=bool),
+    ], -1)
+    resid = np.subtract(lhs, rhs, out=np.empty(lhs.shape, dtype=object), where=live)
+    np.abs(resid, out=resid, where=live)
+    bad = np.greater(resid, t, out=np.zeros(live.shape, dtype=bool), where=live)
+
+    states, a_ids, b_ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
+    violations = [
+        LocalityViolation(_SLOTS[k][0], states[s], a_ids[a], b_ids[b], *_SLOTS[k][1:], *values)
+        for s, a, b, k, *values in zip(*(i.tolist() for i in np.nonzero(bad)),
+                                       lhs[bad].tolist(), rhs[bad].tolist(), resid[bad].tolist())
+    ]
+    # every residual listed exceeds t >= 0, and max keeps the first of equals
+    worst = max((v.residual for v in violations if v.form == "factorization"), default=Fraction(0))
     return LocalityReport(violations=tuple(violations), worst_residual=worst, tolerance=t)
 
 
@@ -349,15 +327,15 @@ def check_anticorrelation(
         raise EqualAxisError(
             "no equal-axis pairs: declare them explicitly or give both wings matching vectors"
         )
-    for a_id, b_id in equal_axis_pairs:
-        model.scenario.alice_setting(a_id)
-        model.scenario.bob_setting(b_id)
-    checks: list[AxisCheck] = []
-    for entry in model.ensemble.entries:
-        for a_id, b_id in equal_axis_pairs:
-            dist = model.kernel.cell(entry.state_id, a_id, b_id)
-            ok = dist.pp <= t and dist.mm <= t
-            checks.append(AxisCheck(entry.state_id, a_id, b_id, dist.pp, dist.mm, ok))
+    alice, bob = model.scenario.pair_indices(equal_axis_pairs)
+    same = model.tensor.K[:, alice, bob]
+    checks = [
+        AxisCheck(state, a_id, b_id, pp, mm, pp <= t and mm <= t)
+        for state, pp_row, mm_row in zip(
+            model.ensemble.state_ids(), same[..., 0, 0].tolist(), same[..., 1, 1].tolist()
+        )
+        for (a_id, b_id), pp, mm in zip(equal_axis_pairs, pp_row, mm_row)
+    ]
     return AntiCorrelationReport(
         axes_checked=tuple(equal_axis_pairs), checks=tuple(checks), tolerance=t
     )

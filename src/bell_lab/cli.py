@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from . import __version__
 from .audit import (
@@ -52,28 +53,49 @@ def emit_json(obj: Any, out=None) -> None:
     (out or sys.stdout).write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _fields(text: str, seps: str = ",") -> Iterator[tuple[str, bool, str]]:
+    """(field, quoted, separator after it or "") for each field of one
+    argument or sequence line, split at the characters of `seps` with CSV
+    quoting.  A field is the text up to the next separator, stripped,
+    unless it is one double-quoted string (spaces around it aside): then
+    it is the text inside, where a doubled quote stands for one quote and
+    separators are plain text.  So any setting id can be named, and text
+    in which no field starts with a quote splits as `str.split` does."""
+    sep = f"([{re.escape(seps)}]|\\Z)"
+    quoted = re.compile(rf'\s*"((?:[^"]|"")*)"\s*{sep}')
+    bare = re.compile(rf"([^{re.escape(seps)}]*){sep}")
+    pos = 0
+    while True:
+        match = quoted.match(text, pos)
+        if match:
+            yield match[1].replace('""', '"'), True, match[2]
+        else:
+            match = bare.match(text, pos)
+            yield match[1].strip(), False, match[2]
+        if not match[2]:
+            return
+        pos = match.end()
+
+
 def _parse_roles(text: str) -> tuple[str, str, str, str]:
     """'a1,a2:b1,b2' -> roles (a, a_prime, b, b_prime)."""
-    try:
-        alice_part, bob_part = text.split(":")
-        a, a2 = (s.strip() for s in alice_part.split(","))
-        b, b2 = (s.strip() for s in bob_part.split(","))
-    except ValueError:
-        raise BellLabError(f"expected 'a,aPrime:b,bPrime', got {text!r}") from None
-    return a, a2, b, b2
+    fields = list(_fields(text, ",:"))
+    if [sep for *_, sep in fields] != [",", ":", ",", ""]:
+        raise BellLabError(f"expected 'a,aPrime:b,bPrime', got {text!r}")
+    return tuple(field for field, *_ in fields)
 
 
 def _parse_axes_arg(model: TheoryModel, text: str | None) -> list[tuple[str, str]] | None:
     if text is None:
         return None
-    names = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+    names = [field for field, quoted, _ in _fields(text) if field or quoted]
     if not names:
         raise BellLabError("--axes given but empty")
     return resolve_axes(model.scenario, names)
 
 
 def _parse_bell1964(model: TheoryModel, text: str) -> tuple[Axis, Axis, Axis]:
-    names = [s.strip() for s in text.split(",")]
+    names = [field for field, *_ in _fields(text)]
     if len(names) != 3:
         raise BellLabError(f"--bell1964 needs three axes, got {len(names)}")
     return tuple(resolve_axes(model.scenario, names))
@@ -349,7 +371,7 @@ def _parse_policy(model: TheoryModel, text: str):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            parts = [field for field, *_ in _fields(line)]
             if len(parts) != 2:
                 raise BellLabError(
                     f"{path}:{line_no}: expected 'aId,bId', got {line!r}"

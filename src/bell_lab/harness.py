@@ -6,9 +6,9 @@ Conventions, stated once and printed in reports:
 * Correlator: E(a, b) = P(+,+) - P(+,-) - P(-,+) + P(-,-).
 * CHSH: S = E(a,b) + E(a,b') + E(a',b) - E(a',b'), for named roles
   (a, a', b, b').  The local bound is brute-forced over all 16
-  deterministic sign assignments on every call, never assumed; the value,
-  the bound, the 2x2 strategy maximum and the facet certificates all
-  evaluate one signed form.
+  deterministic sign assignments, once per sign pattern at import, never
+  assumed; the value, the bound and the facet certificates all evaluate
+  one signed form.
 * Tolerance: `model.resolve_tolerance`, the rule models follow too: an
   explicit `tol`, else 0 for an exact table and 1e-9 for a decimal one.
 * Three-axis inequality over axes (1, 2, 3), each axis an
@@ -129,31 +129,19 @@ def enumerate_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
     return out
 
 
-def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> BehaviorTable:
-    from .model import OutcomeDistribution
-
-    cells = {
-        (a.id, b.id): OutcomeDistribution.point(
-            strategy.outcome_a(a.id), strategy.outcome_b(b.id)
-        )
-        for a in scenario.alice_settings
-        for b in scenario.bob_settings
-    }
-    return BehaviorTable(scenario=scenario, cells=cells)
-
-
 def _chsh_form(signs: tuple[int, int, int, int], e, a, a2, b, b2):
     """s1*E(a,b) + s2*E(a,b') + s3*E(a',b) + s4*E(a',b') for a pairing `e`:
     correlators of named settings, or the product of two +-1 outcomes."""
     return signs[0] * e(a, b) + signs[1] * e(a, b2) + signs[2] * e(a2, b) + signs[3] * e(a2, b2)
 
 
-def _chsh_sign_bound(signs: tuple[int, int, int, int]) -> int:
-    """Brute-force max of the form over the 16 outcome assignments in {+-1}^4."""
-    return max(
-        _chsh_form(signs, operator.mul, *outcomes)
-        for outcomes in itertools.product((+1, -1), repeat=4)
-    )
+#: Each sign pattern's bound: the max of its form over the 16 outcome
+#: assignments in {+-1}^4, brute-forced once at import
+_CHSH_SIGN_BOUNDS = {
+    signs: max(_chsh_form(signs, operator.mul, *outcomes)
+               for outcomes in itertools.product((+1, -1), repeat=4))
+    for signs in itertools.product((+1, -1), repeat=4)
+}
 
 
 @dataclass(frozen=True)
@@ -190,14 +178,14 @@ def chsh(
 ) -> CHSHResult:
     """Evaluate S for the given roles and compare against the local bound.
 
-    The bound is recomputed by exhausting all 16 deterministic sign
-    assignments to the four role settings.
+    The bound is the maximum over all 16 deterministic sign assignments
+    to the four role settings, exhausted once at import.
     """
     t = resolve_tolerance(table, tol)
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     corr = {pair: correlator(table, *pair) for pair in pairs}
     value = _chsh_form(CHSH_SIGNS, lambda x, y: corr[(x, y)], a, a_prime, b, b_prime)
-    bound = Fraction(_chsh_sign_bound(CHSH_SIGNS))
+    bound = Fraction(_CHSH_SIGN_BOUNDS[CHSH_SIGNS])
     return CHSHResult(
         roles=(a, a_prime, b, b_prime),
         correlators=corr,
@@ -206,49 +194,6 @@ def chsh(
         violated=abs(value) - bound > t,
         tolerance=t,
     )
-
-
-@dataclass(frozen=True)
-class LocalBoundResult:
-    """Exhaustive |S| maximum over every deterministic strategy of a 2x2 scenario."""
-
-    bound: Prob
-    achievers: tuple[DeterministicStrategy, ...]
-    values: dict[DeterministicStrategy, Prob]
-    roles: tuple[str, str, str, str]
-    convention: str = CHSH_CONVENTION
-
-    def to_dict(self) -> dict:
-        return {
-            "convention": self.convention,
-            "roles": {"a": self.roles[0], "a_prime": self.roles[1], "b": self.roles[2], "b_prime": self.roles[3]},
-            "bound": format_probability(self.bound),
-            "strategy_count": len(self.values),
-            "achiever_count": len(self.achievers),
-            "values": {s.label(): format_probability(v) for s, v in self.values.items()},
-        }
-
-
-def max_local_chsh(scenario: Scenario) -> LocalBoundResult:
-    """max |S| over all 16 deterministic strategies of a two-setting scenario.
-
-    Roles are taken in declaration order: (a, a') = Alice's settings,
-    (b, b') = Bob's.
-    """
-    if len(scenario.alice_settings) != 2 or len(scenario.bob_settings) != 2:
-        raise ScenarioShapeError(
-            "CHSH bound needs exactly 2 settings per side, got "
-            f"{len(scenario.alice_settings)}x{len(scenario.bob_settings)}"
-        )
-    a, a2 = scenario.alice_ids()
-    b, b2 = scenario.bob_ids()
-    values: dict[DeterministicStrategy, Prob] = {}
-    for strat in enumerate_strategies(scenario):
-        am, bm = strat.alice_map, strat.bob_map
-        values[strat] = _chsh_form(CHSH_SIGNS, lambda x, y: am[x] * bm[y], a, a2, b, b2)
-    bound = Fraction(max(abs(v) for v in values.values()))
-    achievers = tuple(s for s, v in values.items() if abs(v) == bound)
-    return LocalBoundResult(bound=bound, achievers=achievers, values=values, roles=(a, a2, b, b2))
 
 
 @dataclass(frozen=True)
@@ -465,7 +410,7 @@ def _chsh_facet_certificate(
     table: BehaviorTable, scenario: Scenario, t: float
 ) -> SeparatingFunctional | None:
     """Search the eight CHSH sign variants of a 2x2 scenario for one the
-    behavior exceeds; bounds are brute-forced per variant."""
+    behavior exceeds; each variant's bound is brute-forced."""
     if len(scenario.alice_settings) != 2 or len(scenario.bob_settings) != 2:
         return None
     a, a2 = scenario.alice_ids()
@@ -476,7 +421,7 @@ def _chsh_facet_certificate(
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
         value = _chsh_form(signs, lambda x, y: corrs[(x, y)], a, a2, b, b2)
-        bound = Fraction(_chsh_sign_bound(signs))
+        bound = Fraction(_CHSH_SIGN_BOUNDS[signs])
         if value > bound + t:
             terms = " ".join(
                 f"{'+' if s > 0 else '-'}E({p[0]},{p[1]})" for s, p in zip(signs, pairs)

@@ -9,9 +9,10 @@ therefore carries an instruction set: a sign per axis for Alice, with Bob's
 sign the negation.  Over n axes there are exactly 2^n possible sign
 patterns, so the ensemble splits into 2^n classes (some possibly empty).
 
-`derive_instruction_sets` mechanizes exactly that step and returns a
-structured `DerivationFailure` naming the first blocking marginal instead
-of raising, because a failed derivation is a finding, not a crash.
+`derive_instruction_sets` mechanizes exactly that step, reading the
+marginals of the model's kernel tensor, and returns a structured
+`DerivationFailure` naming the first blocking marginal instead of raising,
+because a failed derivation is a finding, not a crash.
 """
 
 from __future__ import annotations
@@ -156,43 +157,35 @@ def derive_instruction_sets(
         raise EqualAxisError(
             "no axes to derive on: declare equal-axis pairs or give settings matching vectors"
         )
-    for a_id, b_id in axes:
-        model.scenario.alice_setting(a_id)
-        model.scenario.bob_setting(b_id)
+    alice, bob = model.scenario.pair_indices(axes)
+    # P(+1 | a, b, state) on each wing, per state and axis: against every
+    # far setting, then on the axis itself
+    plus_a, plus_b = model.tensor.alice_marginals[..., 0], model.tensor.bob_marginals[..., 0]
+    alice_rows = plus_a[:, alice, :].tolist()
+    bob_rows = plus_b[:, :, bob].transpose(0, 2, 1).tolist()
+    alice_own = plus_a[:, alice, bob].tolist()
+    bob_own = plus_b[:, alice, bob].tolist()
 
     assignments: dict[str, dict[Axis, tuple[int, int]]] = {}
     weights: dict[str, Prob] = {}
-    for entry in model.ensemble.entries:
+    for s, entry in enumerate(model.ensemble.entries):
         state = entry.state_id
         per_axis: dict[Axis, tuple[int, int]] = {}
-        for axis in axes:
-            a_id, b_id = axis
-            alice_margs = [
-                model.kernel.cell(state, a_id, far.id).marginal_a(+1)
-                for far in model.scenario.bob_settings
-            ]
-            if max(alice_margs) - min(alice_margs) > t:
-                return DerivationFailure(
-                    state, axis, "alice", max(alice_margs),
-                    "own-outcome marginal moves with the far setting",
-                )
-            bob_margs = [
-                model.kernel.cell(state, far.id, b_id).marginal_b(+1)
-                for far in model.scenario.alice_settings
-            ]
-            if max(bob_margs) - min(bob_margs) > t:
-                return DerivationFailure(
-                    state, axis, "bob", max(bob_margs),
-                    "own-outcome marginal moves with the far setting",
-                )
-            alice_marg = model.kernel.cell(state, a_id, b_id).marginal_a(+1)
+        for i, axis in enumerate(axes):
+            for side, margs in (("alice", alice_rows[s][i]), ("bob", bob_rows[s][i])):
+                if max(margs) - min(margs) > t:
+                    return DerivationFailure(
+                        state, axis, side, max(margs),
+                        "own-outcome marginal moves with the far setting",
+                    )
+            alice_marg = alice_own[s][i]
             a_val = _resolve_sign(alice_marg, t)
             if a_val is None:
                 return DerivationFailure(
                     state, axis, "alice", alice_marg,
                     "marginal strictly between 0 and 1: outcome not deterministic",
                 )
-            bob_marg = model.kernel.cell(state, a_id, b_id).marginal_b(+1)
+            bob_marg = bob_own[s][i]
             b_val = _resolve_sign(bob_marg, t)
             if b_val is None:
                 return DerivationFailure(

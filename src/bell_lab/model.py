@@ -20,6 +20,13 @@ built.  That lets a model remember the tolerances at which
 tolerance, however many checks a model passes through.
 `resolve_tolerance` is the one tolerance rule, for models and behavior
 tables alike.  Functions here are pure and never mutate their inputs.
+
+Once a model is valid, `TheoryModel.tensor` holds its kernel as one
+read-only `KernelTensor`: numpy object arrays `K[state, a, b, A, B]` and
+`w[state]` of the model's own Fraction and float values, in declaration
+order.  `behavior`, the audits, the derivation and the sampler all read
+it; object arrays apply the same Python operators as a loop would, so
+every value keeps its type and its bits.
 """
 
 from __future__ import annotations
@@ -32,12 +39,16 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+import numpy as np
+
 Prob = Fraction | float
 
 OUTCOMES: tuple[int, int] = (+1, -1)
 
 #: Joint outcomes in canonical order; also the order of cell keys "++", "+-", ...
 JOINT_OUTCOMES: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+_FIELDS = dict(zip(JOINT_OUTCOMES, ("pp", "pm", "mp", "mm")))
 
 DEFAULT_TOL = 1e-9
 
@@ -158,6 +169,13 @@ class Scenario:
                 return s
         raise UnknownIdError(f"unknown Bob setting id {setting_id!r}")
 
+    def pair_indices(self, pairs) -> tuple[list[int], list[int]]:
+        """Declaration positions of (alice_id, bob_id) pairs, as an Alice
+        list and a Bob list; the first unknown id raises UnknownIdError."""
+        found = [(self.alice_settings.index(self.alice_setting(a_id)),
+                  self.bob_settings.index(self.bob_setting(b_id))) for a_id, b_id in pairs]
+        return [a for a, _ in found], [b for _, b in found]
+
     def pairs(self) -> list[tuple[str, str]]:
         """All (alice_id, bob_id) setting pairs in declaration order."""
         return [(a.id, b.id) for a in self.alice_settings for b in self.bob_settings]
@@ -213,9 +231,7 @@ class OutcomeDistribution:
 
     def prob(self, outcome_a: int, outcome_b: int) -> Prob:
         try:
-            return {(1, 1): self.pp, (1, -1): self.pm, (-1, 1): self.mp, (-1, -1): self.mm}[
-                (outcome_a, outcome_b)
-            ]
+            return getattr(self, _FIELDS[(outcome_a, outcome_b)])
         except KeyError:
             raise ValueError(f"outcomes must be +1 or -1, got ({outcome_a}, {outcome_b})") from None
 
@@ -243,12 +259,9 @@ class OutcomeDistribution:
     @staticmethod
     def point(outcome_a: int, outcome_b: int) -> OutcomeDistribution:
         """Deterministic cell: all mass on one joint outcome, exact."""
-        one, zero = Fraction(1), Fraction(0)
-        vals = {
-            (a, b): (one if (a, b) == (outcome_a, outcome_b) else zero)
-            for a, b in JOINT_OUTCOMES
-        }
-        return OutcomeDistribution(vals[(1, 1)], vals[(1, -1)], vals[(-1, 1)], vals[(-1, -1)])
+        return OutcomeDistribution(
+            *(Fraction(int(ab == (outcome_a, outcome_b))) for ab in JOINT_OUTCOMES)
+        )
 
 
 def _all_exact(dists) -> bool:
@@ -280,6 +293,34 @@ class ResponseKernel:
             ) from None
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class KernelTensor:
+    """A valid model's kernel as read-only numpy object arrays.
+
+    `K[state, a, b, A, B]` is P(A, B | a, b, state) and `w[state]` the
+    state's weight, both the model's own Fraction or float values, indexed
+    in declaration order; outcome index 0 is +1 and 1 is -1.
+    """
+
+    K: np.ndarray
+    w: np.ndarray
+
+    @cached_property
+    def alice_marginals(self) -> np.ndarray:
+        """P(A | a, b, state) at [state, a, b, A]: K[..., A, +] + K[..., A, -]."""
+        return _read_only(self.K[..., 0] + self.K[..., 1])
+
+    @cached_property
+    def bob_marginals(self) -> np.ndarray:
+        """P(B | a, b, state) at [state, a, b, B]: K[..., +, B] + K[..., -, B]."""
+        return _read_only(self.K[..., 0, :] + self.K[..., 1, :])
+
+
 @dataclass(frozen=True)
 class TheoryModel:
     name: str
@@ -298,6 +339,22 @@ class TheoryModel:
     def _valid_at(self) -> set[float]:
         """Resolved tolerances at which `validate_theory` found no violation."""
         return set()
+
+    @cached_property
+    def tensor(self) -> KernelTensor:
+        """The kernel as one tensor, built once the model has been found valid."""
+        if not self._valid_at:
+            raise BellLabError("validate the model before reading its kernel tensor")
+        a_ids, b_ids = self.scenario.alice_ids(), self.scenario.bob_ids()
+        cells = [self.kernel.cells[(e.state_id, a, b)].values()
+                 for e in self.ensemble.entries for a in a_ids for b in b_ids]
+        K = np.array(cells, dtype=object).reshape(-1, len(a_ids), len(b_ids), 2, 2)
+        w = np.array([e.weight for e in self.ensemble.entries], dtype=object)
+        return KernelTensor(_read_only(K), _read_only(w))
+
+    def __getstate__(self) -> dict:
+        # a copied array would be writable: a copy rebuilds its own tensor
+        return {k: v for k, v in self.__dict__.items() if k != "tensor"}
 
 
 @dataclass(frozen=True)
@@ -341,18 +398,28 @@ def resolve_tolerance(subject: TheoryModel | BehaviorTable | bool, tol: float | 
 
 
 def _check_unit(direction: tuple[float, float, float], where: str, out: list[Violation]) -> None:
-    norm = math.sqrt(sum(c * c for c in direction))
+    try:
+        norm = math.sqrt(sum(c * c for c in direction))
+    except OverflowError:
+        norm = math.inf
     if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
         out.append(Violation(where, f"direction must be a unit vector, norm is {norm!r}"))
+
+
+def _beyond_float(value: Prob) -> bool:
+    """An exact value that a decimal sum cannot convert to a float, as
+    `parse_probability` refuses it."""
+    return isinstance(value, Fraction) and abs(value) > _FLOAT_MAX
 
 
 def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violation]:
     """Check every structural invariant; an empty list means the model is valid.
 
     Exact quantities are held to exact equalities; decimal ones to `tol`
-    (default 1e-9).  NaN and infinite numbers, and setting ids containing
-    '|' (the separator of kernel keys), are violations too, so a model
-    built through the library is held to what the spec parser accepts.
+    (default 1e-9).  NaN and infinite numbers, exact values beyond the
+    float range, and setting ids containing '|' (the separator of kernel
+    keys) are violations too, so a model built through the library is held
+    to what the spec parser accepts.
     Every violation is reported, not just the first.
     """
     out: list[Violation] = []
@@ -384,6 +451,9 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
         if e.state_id in seen_states:
             out.append(Violation(f"ensemble[{e.state_id}]", "duplicate hidden-state id"))
         seen_states.add(e.state_id)
+        if _beyond_float(e.weight):
+            out.append(Violation(f"ensemble[{e.state_id}].weight", "weight too large for a float"))
+            continue
         if not isinstance(e.weight, Fraction) and not math.isfinite(e.weight):
             out.append(
                 Violation(f"ensemble[{e.state_id}].weight", f"weight must be finite, got {e.weight!r}")
@@ -419,14 +489,20 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
         if key not in expected:
             out.append(Violation(loc, "cell references ids outside the scenario or ensemble"))
             continue
+        summable = True
         for label, p in dist.as_dict().items():
             if isinstance(p, Fraction):
                 if p < 0 or p > 1:
-                    out.append(Violation(f"{loc}.{label}", f"probability out of [0,1]: {p}"))
+                    huge = _beyond_float(p)
+                    summable = summable and not huge
+                    out.append(Violation(f"{loc}.{label}", "probability too large for a float"
+                                         if huge else f"probability out of [0,1]: {p}"))
             elif not math.isfinite(p):
                 out.append(Violation(f"{loc}.{label}", f"probability must be finite, got {p!r}"))
             elif p < -t or p > 1 + t:
                 out.append(Violation(f"{loc}.{label}", f"probability out of [0,1]: {p!r}"))
+        if not summable:
+            continue
         total = dist.total()
         if isinstance(total, Fraction):
             if total != 1:
@@ -453,60 +529,19 @@ def require_valid(model: TheoryModel, tol: float | None = None) -> float:
 def behavior(model: TheoryModel, tol: float | None = None) -> BehaviorTable:
     """Ensemble-average the kernel into the observable behavior table.
 
-    Exactness propagates: an all-rational model yields all-rational cells.
-    Raises InvalidModelError if the model fails validation.
+    Each cell folds w * K over the states in order, starting from
+    Fraction(0), so exactness propagates: an all-rational model yields
+    all-rational cells.  Raises InvalidModelError if the model fails
+    validation.
     """
     require_valid(model, tol)
-    cells: dict[tuple[str, str], OutcomeDistribution] = {}
-    for a in model.scenario.alice_settings:
-        for b in model.scenario.bob_settings:
-            acc: list[Prob] = [Fraction(0)] * 4
-            for e in model.ensemble.entries:
-                dist = model.kernel.cell(e.state_id, a.id, b.id)
-                for i, p in enumerate(dist.values()):
-                    acc[i] = acc[i] + e.weight * p
-            cells[(a.id, b.id)] = OutcomeDistribution(*acc)
+    kt = model.tensor
+    mean = np.add.reduce(kt.w[:, None, None, None, None] * kt.K, axis=0, initial=Fraction(0))
+    rows = mean.reshape(*mean.shape[:2], 4).tolist()
+    cells = {
+        (a, b): OutcomeDistribution(*rows[i][j])
+        for i, a in enumerate(model.scenario.alice_ids())
+        for j, b in enumerate(model.scenario.bob_ids())
+    }
     return BehaviorTable(scenario=model.scenario, cells=cells)
-
-
-def conditional_marginal(
-    model: TheoryModel,
-    side: str,
-    outcome: int,
-    own_setting: str,
-    far_setting: str,
-    state_id: str,
-    far_outcome: int | None = None,
-    tol: float | None = None,
-) -> Prob | None:
-    """Kernel-level conditional for one hidden state.
-
-    With `far_outcome` given: P(own outcome | both settings, far outcome, state).
-    Without: the plain marginal P(own outcome | both settings, state).
-    Returns None when the conditioning event has probability 0 (never 0/0).
-    """
-    if side not in ("alice", "bob"):
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    model.ensemble.weight_of(state_id)
-    if side == "alice":
-        a_id, b_id = own_setting, far_setting
-        model.scenario.alice_setting(a_id)
-        model.scenario.bob_setting(b_id)
-    else:
-        a_id, b_id = far_setting, own_setting
-        model.scenario.alice_setting(a_id)
-        model.scenario.bob_setting(b_id)
-    dist = model.kernel.cell(state_id, a_id, b_id)
-    t = resolve_tolerance(model, tol)
-    if far_outcome is None:
-        return dist.marginal_a(outcome) if side == "alice" else dist.marginal_b(outcome)
-    if side == "alice":
-        denom = dist.marginal_b(far_outcome)
-        joint = dist.prob(outcome, far_outcome)
-    else:
-        denom = dist.marginal_a(far_outcome)
-        joint = dist.prob(far_outcome, outcome)
-    if denom <= t:
-        return None
-    return joint / denom
 

@@ -9,6 +9,10 @@ rows to CSV.  The CSV rows are the run's records; they depend only on
 (seed, trial, slot), never on the chunking, and only one chunk is alive at
 a time, so memory is flat in the trial count.
 
+The sampler's tables are running sums over the model's kernel tensor
+(`TheoryModel.tensor`), as floats: one over the weights, one over each
+cell's four outcomes.
+
 Slots: 0 = hidden state, 1 = Alice setting, 2 = Bob setting, 3 = outcome
 pair.  Fixed-sequence setting policies leave slots 1 and 2 unused but
 reserved, so switching policy never shifts the other draws.
@@ -85,15 +89,6 @@ class FixedSequencePolicy:
 SettingPolicy = UniformSettingPolicy | FixedSequencePolicy
 
 
-def _cumulative(values: list[float]) -> list[float]:
-    total = 0.0
-    out = []
-    for v in values:
-        total += max(0.0, v)
-        out.append(total)
-    return out
-
-
 class _Sampler:
     """One model's cumulative tables as arrays; generates trials in chunks."""
 
@@ -107,25 +102,16 @@ class _Sampler:
         self.state_ids = model.ensemble.state_ids()
         self.alice_ids = scen.alice_ids()
         self.bob_ids = scen.bob_ids()
-        self.state_cum = np.array(_cumulative([float(e.weight) for e in model.ensemble.entries]))
-        # outcome_cum[state, a, b] is the cumulative table of one kernel cell
-        self.outcome_cum = np.array([
-            [
-                [_cumulative([float(p) for p in model.kernel.cell(s, a, b).values()])
-                 for b in self.bob_ids]
-                for a in self.alice_ids
-            ]
-            for s in self.state_ids
-        ])
+        # running sums in order; a decimal cell may dip below 0 within the
+        # tolerance and counts as 0.  outcome_cum[state, a, b] is the
+        # cumulative table of one kernel cell
+        kt = model.tensor
+        self.state_cum = np.cumsum(kt.w.astype(float))
+        cells = kt.K.astype(float).reshape(*kt.K.shape[:3], len(JOINT_OUTCOMES))
+        self.outcome_cum = np.cumsum(np.maximum(cells, 0.0), axis=-1)
         self.sequence = None
         if isinstance(policy, FixedSequencePolicy):
-            for a_id, b_id in policy.pairs:
-                scen.alice_setting(a_id)
-                scen.bob_setting(b_id)
-            self.sequence = (
-                np.array([self.alice_ids.index(a) for a, _ in policy.pairs]),
-                np.array([self.bob_ids.index(b) for _, b in policy.pairs]),
-            )
+            self.sequence = tuple(map(np.array, scen.pair_indices(policy.pairs)))
 
     def chunks(self, seed: int) -> Iterator[tuple]:
         """Per chunk of at most `_CHUNK` trials: the first trial, then the

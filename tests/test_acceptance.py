@@ -21,9 +21,7 @@ from bell_lab.harness import (
     chsh,
     enumerate_strategies,
     local_polytope_membership,
-    max_local_chsh,
     resolve_axes,
-    strategy_behavior,
 )
 from bell_lab.instructions import (
     DerivationFailure,
@@ -33,6 +31,7 @@ from bell_lab.instructions import (
     realize_model,
 )
 from bell_lab.model import JOINT_OUTCOMES, behavior, resolve_tolerance
+from reference_harness import max_local_chsh, strategy_behavior
 from bell_lab.montecarlo import FixedSequencePolicy, simulate
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory

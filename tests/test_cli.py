@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import json
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bell_lab.cli import main
-from bell_lab.specio import load_theory
+from bell_lab.cli import _fields, _parse_axes_arg, _parse_bell1964, _parse_policy, _parse_roles, main
+from bell_lab.instructions import InstructionSet, realize_model
+from bell_lab.model import BellLabError, Scenario, Setting
+from bell_lab.specio import dump_theory, load_theory
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -260,7 +269,7 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["trials"] == 2000
         assert doc["seed"] == 42
-        header = out_csv.read_text().splitlines()[0]
+        header = out_csv.read_text(encoding="utf-8").splitlines()[0]
         assert header == "trial,a,b,A,B"
 
     def test_reveal_lambda_column(self, capsys, singlet_chsh_path, tmp_path):
@@ -273,11 +282,11 @@ class TestSimulate:
             "--reveal-lambda",
         )
         assert code == 0
-        assert out_csv.read_text().splitlines()[0] == "trial,a,b,A,B,lambda"
+        assert out_csv.read_text(encoding="utf-8").splitlines()[0] == "trial,a,b,A,B,lambda"
 
     def test_sequence_policy_file(self, capsys, singlet_chsh_path, tmp_path):
         seq = tmp_path / "seq.txt"
-        seq.write_text("# pairs\na1,b1\na2,b2\n")
+        seq.write_text("# pairs\na1,b1\na2,b2\n", encoding="utf-8")
         code, out, _ = run_cli(
             capsys,
             "simulate", str(singlet_chsh_path),
@@ -310,7 +319,7 @@ class TestSimulate:
             "name": "loose", "ensemble": [{"id": "s1", "weight": 1}],
             "scenario": {"alice_settings": [{"id": "a1"}], "bob_settings": [{"id": "b1"}]},
             "kernel": {"s1": {"a1|b1": {"++": 0.5, "+-": 0.50001, "-+": 0.0, "--": 0.0}}},
-        }))
+        }), encoding="utf-8")
         argv = [command, str(spec), trials, "10", "--format", "json"]
         code, out, err = run_cli(capsys, *argv)
         if command == "simulate":
@@ -487,3 +496,94 @@ class TestBell1964Axes:
         assert code == 2
         assert out == ""
         assert f"--bell1964 needs three axes, got {count}" in err
+
+
+def quoted(*ids: str) -> str:
+    """The quoting writer: ids as one CSV row with every field quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="").writerow(ids)
+    return buf.getvalue()
+
+
+def shared_axes_spec(path, ids: list[str]):
+    """An exact anti-correlated mixture on shared axes named by `ids`."""
+    axes = tuple((i, i) for i in ids)
+    instr = InstructionSet(
+        axes=axes,
+        assignments={f"s{k}": {axis: (s, -s) for axis, s in zip(axes, signs)}
+                     for k, signs in enumerate(itertools.product((1, -1), repeat=len(ids)))},
+        weights={f"s{k}": Fraction(1, 2 ** len(ids)) for k in range(2 ** len(ids))},
+    )
+    settings_ = tuple(Setting(i) for i in ids)
+    dump_theory(realize_model(instr, Scenario(settings_, settings_)), path)
+    return load_theory(path)
+
+
+#: Valid setting ids: any text without '|', the kernel-key separator.
+setting_ids = st.text(max_size=6).filter(lambda s: "|" not in s)
+
+
+class TestQuotedIds:
+    """Flags and sequence files read fields with CSV quoting, so every
+    valid setting id can be named; text without quoted fields parses as
+    it did before quoting was read."""
+
+    IDS = ["n,1", 'n"2', " n:3 "]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(setting_ids, min_size=1, max_size=4), roles=st.lists(setting_ids, min_size=4, max_size=4))
+    def test_every_valid_id_names_itself(self, ids, roles):
+        assert [field for field, *_ in _fields(quoted(*ids))] == ids
+        text = quoted(*roles[:2]) + ":" + quoted(*roles[2:])
+        assert _parse_roles(text) == tuple(roles)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ids=st.lists(setting_ids.filter(lambda s: not {"=", "\n", "\r"} & set(s)),
+                        min_size=3, max_size=3, unique=True))
+    def test_axes_and_sequence_lines_name_any_id(self, tmp_path_factory, ids):
+        # axes split a field at '=' and a sequence file at line breaks
+        model = shared_axes_spec(tmp_path_factory.mktemp("q") / "spec.json", ids)
+        axes = [(i, i) for i in ids]
+        assert _parse_axes_arg(model, quoted(*ids)) == axes
+        assert list(_parse_bell1964(model, quoted(*ids))) == axes
+        seq = tmp_path_factory.mktemp("q") / "seq.txt"
+        seq.write_text("".join(quoted(i, i) + "\n" for i in ids), encoding="utf-8")
+        assert _parse_policy(model, f"sequence:{seq}").pairs == tuple(axes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.sampled_from('ab ,:"\t\n'), max_size=12))
+    def test_text_without_quoted_fields_splits_as_before(self, text):
+        assume(not any(chunk.strip().startswith('"') for chunk in re.split("[,:]", text)))
+        assert [field for field, *_ in _fields(text)] == [s.strip() for s in text.split(",")]
+        try:  # the roles parser before quoting
+            alice_part, bob_part = text.split(":")
+            a, a2 = (s.strip() for s in alice_part.split(","))
+            b, b2 = (s.strip() for s in bob_part.split(","))
+        except ValueError:
+            with pytest.raises(BellLabError):
+                _parse_roles(text)
+        else:
+            assert _parse_roles(text) == (a, a2, b, b2)
+
+    def test_every_flag_names_ids_with_commas_quotes_and_colons(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        shared_axes_spec(spec, self.IDS)
+        axes = [[i, i] for i in self.IDS]
+        roles = quoted(*self.IDS[:2]) + ":" + quoted(*self.IDS[:2])
+        code, out, err = run_cli(capsys, "check-anticorrelation", str(spec), "--axes", quoted(*self.IDS),
+                                 "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["axes"] == axes
+        code, out, err = run_cli(capsys, "derive-instructions", str(spec), "--axes", quoted(*self.IDS),
+                                 "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["instructions"]["axes"] == axes
+        code, out, err = run_cli(capsys, "bell-test", str(spec), "--bell1964", quoted(*self.IDS),
+                                 "--chsh", roles, "--format", "json")
+        doc = json.loads(out)
+        assert (code, err) == (0, "") and doc["bell1964"]["axes"] == axes
+        assert list(doc["chsh"]["roles"].values()) == self.IDS[:2] * 2
+        seq = tmp_path / "seq.txt"
+        seq.write_text("# pairs\n" + quoted(self.IDS[0], self.IDS[2]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", str(spec), "--trials", "20", "--policy",
+                                 f"sequence:{seq}", "--chsh-roles", roles, "--format", "json")
+        doc = json.loads(out)
+        assert (code, err) == (0, "") and list(doc["pair_counts"]) == [f"{self.IDS[0]}|{self.IDS[2]}"]

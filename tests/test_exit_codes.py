@@ -1,6 +1,7 @@
 """The CLI exit-code contract as a property: whatever bytes arrive as a spec,
-a setting sequence or `make-singlet` text, `main` returns 0 (check passed),
-1 (check failed) or 2 (bad input) and raises nothing.
+a setting sequence, a flag that names settings or `make-singlet` text,
+`main` returns 0 (check passed), 1 (check failed) or 2 (bad input) and
+raises nothing.
 
 Each run goes through `cli.main` in process, with stdout encoding UTF-8
 strictly as a terminal does, so text that cannot be written is caught too.
@@ -153,9 +154,39 @@ def test_make_singlet_text_exits_zero_or_two(alice, bob, name):
         assert validate_theory(parse_theory(out)) == []
 
 
+#: The four flags that name settings, each with a subcommand that reads it.
+SETTING_FLAGS = [
+    ("bell-test", "--chsh"), ("report", "--chsh"), ("simulate", "--chsh-roles"),
+    ("check-anticorrelation", "--axes"), ("derive-instructions", "--axes"), ("report", "--axes"),
+    ("bell-test", "--bell1964"), ("report", "--bell1964"),
+]
+
+#: Argument text: anything argv can carry, and fixture ids mixed with
+#: quotes, separators and spaces.
+setting_text = st.one_of(
+    argv_text,
+    st.lists(st.sampled_from(["n1", "n2", "n3", "a1", "a2", "b1", "b2", '"', '""', ",", ":", "=", " "]),
+             max_size=10).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag=st.sampled_from(SETTING_FLAGS), text=setting_text,
+       spec=st.sampled_from(["two_state.json", "eight_pattern.json",
+                             "certificates/singlet_chsh.json", "certificates/singlet_three_axes.json"]))
+@example(flag=("bell-test", "--chsh"), text='"a1", "a2":"b1","b""2"', spec="certificates/singlet_chsh.json")
+@example(flag=("report", "--bell1964"), text='n1,"n2" ,"n3', spec="certificates/singlet_three_axes.json")
+@example(flag=("simulate", "--chsh-roles"), text='"a1,a2:b1,b2"', spec="certificates/singlet_chsh.json")
+def test_setting_flags_exit_zero_one_or_two(flag, text, spec):
+    command, name = flag
+    trials = ["--trials", "5"] if command == "simulate" else []
+    run([command, str(FIXTURES / spec), *trials, f"{name}={text}"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(sequence=st.one_of(st.binary(max_size=32),
-                          st.lists(st.sampled_from(["a1,b1", "a2,b2", "a1", "#", "zz,b1", ""]))
+                          st.lists(st.sampled_from(["a1,b1", "a2,b2", "a1", "#", "zz,b1", "",
+                                                    '"a1","b1"', '"a1,b1"', '"a2" , b2']))
                           .map(lambda lines: "\n".join(lines).encode())))
 @example(sequence=b"a1,b1\n\xff\xfe\n")
 def test_any_sequence_file_exits_zero_or_two(sequence):

@@ -24,13 +24,12 @@ from bell_lab.harness import (
     correlator,
     enumerate_strategies,
     local_polytope_membership,
-    max_local_chsh,
     resolve_axes,
-    strategy_behavior,
 )
 from bell_lab.model import BellLabError, Scenario, Setting, behavior
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
+from reference_harness import max_local_chsh, strategy_behavior
 from reference_simplex import _phase1_simplex as reference_phase1
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -118,6 +117,13 @@ class TestLocalBound:
     def test_wrong_shape_rejected(self, singlet_three_axes):
         with pytest.raises(ScenarioShapeError):
             max_local_chsh(singlet_three_axes.scenario)
+
+    def test_sign_bound_table_is_the_strategy_maximum(self, singlet_chsh):
+        # the table chsh and the facet search read, brute-forced at import
+        assert harness._CHSH_SIGN_BOUNDS[harness.CHSH_SIGNS] == max_local_chsh(singlet_chsh.scenario).bound
+        for signs, bound in harness._CHSH_SIGN_BOUNDS.items():
+            odd = signs[0] * signs[1] * signs[2] * signs[3] == -1
+            assert bound == (2 if odd else 4)
 
 
 class TestBell1964:

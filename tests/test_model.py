@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bell_lab.audit import check_anticorrelation, check_bell_locality, check_signal_locality
@@ -29,7 +29,6 @@ from bell_lab.model import (
     TheoryModel,
     UnknownIdError,
     behavior,
-    conditional_marginal,
     format_probability,
     parse_probability,
     require_valid,
@@ -42,6 +41,7 @@ from bell_lab.specio import dump_theory
 
 import genmodels
 from genmodels import random_anticorr_mixture, random_product_model
+from reference_audit import conditional_marginal
 
 
 class TestParseProbability:
@@ -215,20 +215,30 @@ class TestValidation:
     @settings(max_examples=80, deadline=None)
     @given(
         model=st.one_of(genmodels.arbitrary_models(), genmodels.decimal_models()),
-        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
-        data=st.data(),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf"), Fraction(10**400)]),
+        target=st.sampled_from(["weight", "cell", "direction"]),
+        pick=st.integers(0, 2**16),
     )
-    def test_non_finite_values_always_reported(self, model, bad, data):
-        target = data.draw(st.sampled_from(["weight", "cell", "direction"]))
+    # an exact value beyond the float range next to a float: the decimal
+    # sum of a cell, or of the weights, used to raise OverflowError
+    @example(model=tiny_model(kernel=ResponseKernel(
+        {("s1", "a1", "b1"): OutcomeDistribution(0.5, 0.5, 0.0, 0.0)})),
+        bad=Fraction(10**400), target="cell", pick=1)
+    @example(model=tiny_model(
+        ensemble=HiddenStateEnsemble((EnsembleEntry("s1", 0.5), EnsembleEntry("s2", 0.5))),
+        kernel=ResponseKernel({(s, "a1", "b1"): OutcomeDistribution.point(+1, -1) for s in ("s1", "s2")})),
+        bad=Fraction(10**400), target="weight", pick=1)
+    def test_non_finite_values_always_reported(self, model, bad, target, pick):
         if target == "weight":
-            i = data.draw(st.integers(0, len(model.ensemble.entries) - 1))
+            i = pick % len(model.ensemble.entries)
             entries = list(model.ensemble.entries)
             entries[i] = EnsembleEntry(entries[i].state_id, bad)
             model = replace(model, ensemble=HiddenStateEnsemble(tuple(entries)))
             where = f"ensemble[{entries[i].state_id}].weight"
         elif target == "cell":
-            key = data.draw(st.sampled_from(sorted(model.kernel.cells)))
-            label = data.draw(st.sampled_from(["++", "+-", "-+", "--"]))
+            keys = sorted(model.kernel.cells)
+            key = keys[pick % len(keys)]
+            label = ["++", "+-", "-+", "--"][pick // len(keys) % 4]
             cells = dict(model.kernel.cells)
             cells[key] = OutcomeDistribution.from_mapping({**cells[key].as_dict(), label: bad})
             model = replace(model, kernel=ResponseKernel(cells))
