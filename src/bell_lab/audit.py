@@ -16,8 +16,12 @@ strictly positive kernels the two forms agree on the verdict.
 The hidden-state audits read the model's kernel tensor (`TheoryModel.tensor`):
 each locality form is one array expression over `K[state, a, b, A, B]` and
 its marginals, and the anti-correlation audit reads the slices
-`K[:, a, b, +, +]` and `K[:, a, b, -, -]`.  The signal audit reads the
-behavior table.
+`K[:, a, b, +, +]` and `K[:, a, b, -, -]`.  On an exact model both compare
+the integer form instead (`N = K * D[state]`): with the tolerance written
+as its exact ratio p / q, a check is an inequality between
+cross-multiplied Python ints, which decides as the Fraction comparison
+with the float tolerance does, and Fractions are built only for the cells
+a report lists.  The signal audit reads the behavior table.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .model import (
     BehaviorTable,
     BellLabError,
     JOINT_OUTCOMES,
+    KernelTensor,
     OUTCOMES,
     Prob,
     Scenario,
@@ -38,6 +43,7 @@ from .model import (
     behavior,
     format_probability,
     require_valid,
+    resolve_tolerance,
 )
 
 RESIDUAL_METRIC = "max absolute difference between joint cells and products of marginals"
@@ -125,21 +131,26 @@ _SLOTS = (
 )
 
 
-def check_bell_locality(model: TheoryModel, tol: float | None = None) -> LocalityReport:
-    """Audit every (state, a, b, A, B) cell for both locality forms.
+def _by_slot(setting_a, setting_b, outcome_a, outcome_b, joint) -> np.ndarray:
+    """Stack one array per form on a last axis in `_SLOTS` order: the
+    far-setting forms at [state, a, b, outcome], the far-outcome forms and
+    factorization at [state, a, b, A, B]."""
+    cells = joint.shape[:3]
+    pairs = np.stack([outcome_a, outcome_b], axis=-1).reshape(*cells, 8)
+    return np.concatenate([setting_a, setting_b, pairs, joint.reshape(*cells, 4)], -1)
 
-    Reference marginals are taken against the first far setting in
-    declaration order; far-setting dependence then surfaces as a violation
-    on the cell that moved.  Conditioning on zero-probability far outcomes
-    is skipped (the factorized form still covers those cells).  Each form
-    is one array expression over the kernel tensor; the 16 checks of a
-    cell sit on its last axis, so violations come out in the order state,
-    a, b, form.
-    """
-    t = require_valid(model, tol)
-    kt = model.tensor
+
+def _setting_live(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A far-setting form skips the reference far setting."""
+    S, na, nb = shape
+    return (np.broadcast_to((np.arange(nb) > 0)[:, None], (S, na, nb, 2)),
+            np.broadcast_to((np.arange(na) > 0)[:, None, None], (S, na, nb, 2)))
+
+
+def _object_checks(kt: KernelTensor, t: float):
+    """The 16 checks of every cell on the model's own values: `bad` at
+    [state, a, b, slot] and the (lhs, rhs, residual) of each bad cell."""
     K, marg_a, marg_b = kt.K, kt.alice_marginals, kt.bob_marginals
-    S, na, nb = K.shape[:3]
     own_a = np.broadcast_to(marg_a[:, :, :1, :, None], K.shape)  # P(A | a, first b)
     own_b = np.broadcast_to(marg_b[:, :1, :, None, :], K.shape)  # P(B | first a, b)
     given_b = np.broadcast_to(marg_b[..., None, :], K.shape)     # P(B | a, b)
@@ -151,25 +162,66 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
 
     alice_lhs, alice_live = conditional(given_b)
     bob_lhs, bob_live = conditional(given_a)
-    pairs = lambda x, y: np.stack([x, y], axis=-1).reshape(S, na, nb, 8)
-    lhs = np.concatenate([marg_a, marg_b, pairs(alice_lhs, bob_lhs), K.reshape(S, na, nb, 4)], -1)
-    rhs = np.concatenate([own_a[..., 0], own_b[..., 0, :], pairs(own_a, own_b),
-                          (own_a * own_b).reshape(S, na, nb, 4)], -1)
-    live = np.concatenate([  # a far-setting form skips the reference far setting
-        np.broadcast_to((np.arange(nb) > 0)[:, None], (S, na, nb, 2)),
-        np.broadcast_to((np.arange(na) > 0)[:, None, None], (S, na, nb, 2)),
-        pairs(alice_live, bob_live),
-        np.ones((S, na, nb, 4), dtype=bool),
-    ], -1)
+    lhs = _by_slot(marg_a, marg_b, alice_lhs, bob_lhs, K)
+    rhs = _by_slot(own_a[..., 0], own_b[..., 0, :], own_a, own_b, own_a * own_b)
+    live = _by_slot(*_setting_live(K.shape[:3]), alice_live, bob_live,
+                    np.ones(K.shape, dtype=bool))
     resid = np.subtract(lhs, rhs, out=np.empty(lhs.shape, dtype=object), where=live)
     np.abs(resid, out=resid, where=live)
     bad = np.greater(resid, t, out=np.zeros(live.shape, dtype=bool), where=live)
+    return bad, zip(lhs[bad].tolist(), rhs[bad].tolist(), resid[bad].tolist())
 
+
+def _integer_checks(kt: KernelTensor, t: float):
+    """`_object_checks` on an exact model's integer form.  Each side of a
+    check is a ratio of Python ints, lhs = Ln / Ld and rhs = Rn / Rd, so
+    with t = p / q exactly a check fails when |Ln Rd - Rn Ld| q > p Ld Rd.
+    Fractions are built only for the cells that fail."""
+    N, D = kt.integer_form
+    p, q = Fraction(t).as_integer_ratio()
+    D = np.broadcast_to(D[:, None, None, None, None], N.shape)
+    Ma = N[..., 0] + N[..., 1]        # D P(A | a, b) at [state, a, b, A]
+    Mb = N[..., 0, :] + N[..., 1, :]  # D P(B | a, b) at [state, a, b, B]
+    own_a = np.broadcast_to(Ma[:, :, :1, :, None], N.shape)
+    own_b = np.broadcast_to(Mb[:, :1, :, None, :], N.shape)
+    given_b = np.broadcast_to(Mb[..., None, :], N.shape)
+    given_a = np.broadcast_to(Ma[..., :, None], N.shape)
+
+    Ln = _by_slot(Ma, Mb, N, N, N)
+    Ld = _by_slot(D[..., 0], D[..., 0, :], given_b, given_a, D)
+    Rn = _by_slot(own_a[..., 0], own_b[..., 0, :], own_a, own_b, own_a * own_b)
+    Rd = _by_slot(D[..., 0], D[..., 0, :], D, D, D * D)
+    live = _by_slot(*_setting_live(N.shape[:3]), given_b * q > p * D, given_a * q > p * D,
+                    np.ones(N.shape, dtype=bool))
+    bad = live & (np.abs(Ln * Rd - Rn * Ld) * q > p * Ld * Rd)
+
+    def values():
+        for ln, ld, rn, rd in zip(Ln[bad].tolist(), Ld[bad].tolist(),
+                                  Rn[bad].tolist(), Rd[bad].tolist()):
+            lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
+            yield lhs, rhs, abs(lhs - rhs)
+
+    return bad, values()
+
+
+def check_bell_locality(model: TheoryModel, tol: float | None = None) -> LocalityReport:
+    """Audit every (state, a, b, A, B) cell for both locality forms.
+
+    Reference marginals are taken against the first far setting in
+    declaration order; far-setting dependence then surfaces as a violation
+    on the cell that moved.  Conditioning on zero-probability far outcomes
+    is skipped (the factorized form still covers those cells).  Each form
+    is one array expression over the kernel tensor, on its integer form
+    for an exact model; the 16 checks of a cell sit on its last axis, so
+    violations come out in the order state, a, b, form.
+    """
+    t = require_valid(model, tol)
+    checks = _integer_checks if model.is_exact else _object_checks
+    bad, values = checks(model.tensor, t)
     states, a_ids, b_ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
     violations = [
-        LocalityViolation(_SLOTS[k][0], states[s], a_ids[a], b_ids[b], *_SLOTS[k][1:], *values)
-        for s, a, b, k, *values in zip(*(i.tolist() for i in np.nonzero(bad)),
-                                       lhs[bad].tolist(), rhs[bad].tolist(), resid[bad].tolist())
+        LocalityViolation(_SLOTS[k][0], states[s], a_ids[a], b_ids[b], *_SLOTS[k][1:], *value)
+        for (s, a, b, k), value in zip(zip(*(i.tolist() for i in np.nonzero(bad))), values)
     ]
     # every residual listed exceeds t >= 0, and max keeps the first of equals
     worst = max((v.residual for v in violations if v.form == "factorization"), default=Fraction(0))
@@ -222,8 +274,10 @@ class SignalReport:
         }
 
 
-def signal_deltas(table: BehaviorTable, tol: float = 0.0) -> SignalReport:
-    """Signal audit of an already-computed behavior table."""
+def signal_deltas(table: BehaviorTable, tol: float | None = None) -> SignalReport:
+    """Signal audit of an already-computed behavior table, at the tolerance
+    `resolve_tolerance` gives the table for `tol`."""
+    t = resolve_tolerance(table, tol)
 
     def marginal(side: str, own: str, far: str, outcome: int) -> Prob:
         if side == "alice":
@@ -235,7 +289,7 @@ def signal_deltas(table: BehaviorTable, tol: float = 0.0) -> SignalReport:
                     abs(marginal(side, own, far, outcome) - marginal(side, own, later, outcome)))
         for side, own, outcome, far, later in table.scenario.far_pairs()
     )
-    return SignalReport(deltas=deltas, tolerance=tol)
+    return SignalReport(deltas=deltas, tolerance=t)
 
 
 def check_signal_locality(model: TheoryModel, tol: float | None = None) -> SignalReport:
@@ -328,13 +382,20 @@ def check_anticorrelation(
             "no equal-axis pairs: declare them explicitly or give both wings matching vectors"
         )
     alice, bob = model.scenario.pair_indices(equal_axis_pairs)
-    same = model.tensor.K[:, alice, bob]
+    kt = model.tensor
+    pp_rows, mm_rows = kt.K[:, alice, bob, 0, 0].tolist(), kt.K[:, alice, bob, 1, 1].tolist()
+    if model.is_exact:
+        same = kt.integer_form[0][:, alice, bob]
+        bound = kt.floor_counts(t)[:, None]
+        ok_rows = ((same[..., 0, 0] <= bound) & (same[..., 1, 1] <= bound)).tolist()
+    else:
+        ok_rows = [[pp <= t and mm <= t for pp, mm in zip(*row)] for row in zip(pp_rows, mm_rows)]
     checks = [
-        AxisCheck(state, a_id, b_id, pp, mm, pp <= t and mm <= t)
-        for state, pp_row, mm_row in zip(
-            model.ensemble.state_ids(), same[..., 0, 0].tolist(), same[..., 1, 1].tolist()
+        AxisCheck(state, a_id, b_id, pp, mm, ok)
+        for state, pp_row, mm_row, ok_row in zip(
+            model.ensemble.state_ids(), pp_rows, mm_rows, ok_rows
         )
-        for (a_id, b_id), pp, mm in zip(equal_axis_pairs, pp_row, mm_row)
+        for (a_id, b_id), pp, mm, ok in zip(equal_axis_pairs, pp_row, mm_row, ok_row)
     ]
     return AntiCorrelationReport(
         axes_checked=tuple(equal_axis_pairs), checks=tuple(checks), tolerance=t

@@ -85,17 +85,40 @@ def _parse_roles(text: str) -> tuple[str, str, str, str]:
     return tuple(field for field, *_ in fields)
 
 
+def _axis_names(text: str) -> list[str | tuple[str, str | None]]:
+    """The axis names of an --axes or --bell1964 argument, for
+    `resolve_axes`.  When no field and no side of '=' is quoted these are
+    the fields as before, each an 'aId=bId' pair or a bare id.  Otherwise
+    the argument is split at ',' and '=' with quoting, and each field is
+    verbatim: `"x=1"` is the bare id x=1 and `"a,1"="b"` the pair of ids
+    a,1 and b.  An empty unquoted field stays "", which --axes skips."""
+    fields = list(_fields(text, ",="))
+    if not any(quoted for _, quoted, _ in fields):
+        return [field for field, *_ in _fields(text)]
+    names, sides = [], []
+    for field, quoted, sep in fields:
+        sides.append(field)
+        if sep == "=":
+            continue
+        if len(sides) > 2:
+            raise BellLabError(f"expected 'aId=bId', got {'='.join(sides)!r}")
+        blank = sides == [""] and not quoted
+        names.append("" if blank else (*sides, None)[:2])
+        sides = []
+    return names
+
+
 def _parse_axes_arg(model: TheoryModel, text: str | None) -> list[tuple[str, str]] | None:
     if text is None:
         return None
-    names = [field for field, quoted, _ in _fields(text) if field or quoted]
+    names = [name for name in _axis_names(text) if name != ""]
     if not names:
         raise BellLabError("--axes given but empty")
     return resolve_axes(model.scenario, names)
 
 
 def _parse_bell1964(model: TheoryModel, text: str) -> tuple[Axis, Axis, Axis]:
-    names = [field for field, *_ in _fields(text)]
+    names = _axis_names(text)
     if len(names) != 3:
         raise BellLabError(f"--bell1964 needs three axes, got {len(names)}")
     return tuple(resolve_axes(model.scenario, names))

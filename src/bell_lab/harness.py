@@ -541,30 +541,34 @@ def all_correlators(table: BehaviorTable) -> dict[tuple[str, str], Prob]:
     return {pair: correlator(table, *pair) for pair in table.scenario.pairs()}
 
 
-def resolve_axes(scenario: Scenario, names: list[str]) -> list[Axis]:
+def resolve_axes(scenario: Scenario, names: list[str | tuple[str, str | None]]) -> list[Axis]:
     """Resolve axis names to (alice_id, bob_id) pairs.
 
-    Accepts explicit 'aId=bId' pairs; a bare name matches a Bob setting of
-    the same id, else a Bob setting with an equal direction vector.
+    A name is an 'aId=bId' pair, split at its first '=', or a bare id; a
+    tuple names its ids verbatim, (aId, bId) a pair and (id, None) a bare
+    id, so an id holding '=' can be named.  A bare id matches a Bob
+    setting of the same id, else a Bob setting with an equal direction
+    vector.
     """
     from .audit import auto_equal_axes
 
     vector_pairs = dict(auto_equal_axes(scenario))
     out: list[Axis] = []
     for name in names:
-        if "=" in name:
-            a_id, _, b_id = name.partition("=")
-            scenario.alice_setting(a_id)
+        if isinstance(name, str):
+            a_id, pair, b_id = name.partition("=")
+            name = (a_id, b_id if pair else None)
+        a_id, b_id = name
+        scenario.alice_setting(a_id)
+        if b_id is not None:
             scenario.bob_setting(b_id)
             out.append((a_id, b_id))
-            continue
-        scenario.alice_setting(name)
-        if any(s.id == name for s in scenario.bob_settings):
-            out.append((name, name))
-        elif name in vector_pairs:
-            out.append((name, vector_pairs[name]))
+        elif any(s.id == a_id for s in scenario.bob_settings):
+            out.append((a_id, a_id))
+        elif a_id in vector_pairs:
+            out.append((a_id, vector_pairs[a_id]))
         else:
             raise BellLabError(
-                f"cannot resolve axis {name!r}: no same-id or same-vector Bob setting"
+                f"cannot resolve axis {a_id!r}: no same-id or same-vector Bob setting"
             )
     return out

@@ -10,7 +10,9 @@ sign the negation.  Over n axes there are exactly 2^n possible sign
 patterns, so the ensemble splits into 2^n classes (some possibly empty).
 
 `derive_instruction_sets` mechanizes exactly that step, reading the
-marginals of the model's kernel tensor, and returns a structured
+marginals of the model's kernel tensor (for an exact model, integer counts
+over one denominator per state, compared with integer bounds that the
+tolerance gives that denominator), and returns a structured
 `DerivationFailure` naming the first blocking marginal instead of raising,
 because a failed derivation is a finding, not a crash.
 """
@@ -128,11 +130,11 @@ class DerivationFailure:
         }
 
 
-def _resolve_sign(value: Prob, tol: float) -> int | None:
-    """+1 / -1 when `value` is within tol of 1 / 0, else None."""
-    if value >= 1 - tol:
+def _resolve_sign(value: Prob, low: Prob, high: Prob) -> int | None:
+    """+1 / -1 when `value` is at least `high` / at most `low`, else None."""
+    if value >= high:
         return +1
-    if value <= tol:
+    if value <= low:
         return -1
     return None
 
@@ -158,9 +160,20 @@ def derive_instruction_sets(
             "no axes to derive on: declare equal-axis pairs or give settings matching vectors"
         )
     alice, bob = model.scenario.pair_indices(axes)
+    kt = model.tensor
+    if model.is_exact:
+        # counts x over D[state]: x / D is above t exactly when x > floor(t D),
+        # and at least 1 - t when x >= ceil((1 - t) D)
+        N, D = kt.integer_form
+        plus_a, plus_b = N[..., 0, 0] + N[..., 0, 1], N[..., 0, 0] + N[..., 1, 0]
+        low, high = kt.floor_counts(t).tolist(), (-kt.floor_counts(-(1 - t))).tolist()
+        shown = lambda s, count: Fraction(count, D[s])
+    else:
+        plus_a, plus_b = kt.alice_marginals[..., 0], kt.bob_marginals[..., 0]
+        low, high = [t] * len(plus_a), [1 - t] * len(plus_a)
+        shown = lambda s, marginal: marginal
     # P(+1 | a, b, state) on each wing, per state and axis: against every
     # far setting, then on the axis itself
-    plus_a, plus_b = model.tensor.alice_marginals[..., 0], model.tensor.bob_marginals[..., 0]
     alice_rows = plus_a[:, alice, :].tolist()
     bob_rows = plus_b[:, :, bob].transpose(0, 2, 1).tolist()
     alice_own = plus_a[:, alice, bob].tolist()
@@ -173,28 +186,28 @@ def derive_instruction_sets(
         per_axis: dict[Axis, tuple[int, int]] = {}
         for i, axis in enumerate(axes):
             for side, margs in (("alice", alice_rows[s][i]), ("bob", bob_rows[s][i])):
-                if max(margs) - min(margs) > t:
+                if max(margs) - min(margs) > low[s]:
                     return DerivationFailure(
-                        state, axis, side, max(margs),
+                        state, axis, side, shown(s, max(margs)),
                         "own-outcome marginal moves with the far setting",
                     )
             alice_marg = alice_own[s][i]
-            a_val = _resolve_sign(alice_marg, t)
+            a_val = _resolve_sign(alice_marg, low[s], high[s])
             if a_val is None:
                 return DerivationFailure(
-                    state, axis, "alice", alice_marg,
+                    state, axis, "alice", shown(s, alice_marg),
                     "marginal strictly between 0 and 1: outcome not deterministic",
                 )
             bob_marg = bob_own[s][i]
-            b_val = _resolve_sign(bob_marg, t)
+            b_val = _resolve_sign(bob_marg, low[s], high[s])
             if b_val is None:
                 return DerivationFailure(
-                    state, axis, "bob", bob_marg,
+                    state, axis, "bob", shown(s, bob_marg),
                     "marginal strictly between 0 and 1: outcome not deterministic",
                 )
             if b_val != -a_val:
                 return DerivationFailure(
-                    state, axis, "bob", bob_marg,
+                    state, axis, "bob", shown(s, bob_marg),
                     "anti-correlation fails: both wings fixed to the same sign",
                 )
             per_axis[axis] = (a_val, b_val)

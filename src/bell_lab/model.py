@@ -26,7 +26,12 @@ read-only `KernelTensor`: numpy object arrays `K[state, a, b, A, B]` and
 `w[state]` of the model's own Fraction and float values, in declaration
 order.  `behavior`, the audits, the derivation and the sampler all read
 it; object arrays apply the same Python operators as a loop would, so
-every value keeps its type and its bits.
+every value keeps its type and its bits.  An exact model's tensor also
+holds an integer form (`KernelTensor.integer_form`): one denominator
+`D[state]` per state and Python-int numerators `N = K * D[state]`.
+`behavior` sums it over a common denominator, and the audits and the
+derivation compare its cross-multiplied integers, so no Fraction is
+built for a value that is not reported.
 """
 
 from __future__ import annotations
@@ -320,6 +325,23 @@ class KernelTensor:
         """P(B | a, b, state) at [state, a, b, B]: K[..., +, B] + K[..., -, B]."""
         return _read_only(self.K[..., 0, :] + self.K[..., 1, :])
 
+    @cached_property
+    def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """An exact model's kernel over one denominator per state, as
+        read-only object arrays of Python ints: `(N, D)` with `D[state]` the
+        lcm of the state's cell denominators and `N[state, a, b, A, B]` =
+        K * D[state].  Only for a tensor of Fractions."""
+        num = np.frompyfunc(lambda f: f.numerator, 1, 1)(self.K)
+        den = np.frompyfunc(lambda f: f.denominator, 1, 1)(self.K)
+        D = np.lcm.reduce(den.reshape(len(den), -1), axis=1)
+        return _read_only(num * (D[:, None, None, None, None] // den)), _read_only(D)
+
+    def floor_counts(self, value: float) -> np.ndarray:
+        """floor(value * D[state]) per state, for an exact model: a count x
+        over D[state] is at most `value` exactly when x <= this bound."""
+        p, q = Fraction(value).as_integer_ratio()
+        return p * self.integer_form[1] // q
+
 
 @dataclass(frozen=True)
 class TheoryModel:
@@ -529,14 +551,24 @@ def require_valid(model: TheoryModel, tol: float | None = None) -> float:
 def behavior(model: TheoryModel, tol: float | None = None) -> BehaviorTable:
     """Ensemble-average the kernel into the observable behavior table.
 
-    Each cell folds w * K over the states in order, starting from
-    Fraction(0), so exactness propagates: an all-rational model yields
-    all-rational cells.  Raises InvalidModelError if the model fails
-    validation.
+    An exact model's cells are one integer sum over the states, w * K =
+    w * N / D, over the common denominator of every w * D, so exactness
+    propagates: an all-rational model yields all-rational cells.  Any
+    other model folds w * K over the states in order, starting from
+    Fraction(0).  Raises InvalidModelError if the model fails validation.
     """
     require_valid(model, tol)
     kt = model.tensor
-    mean = np.add.reduce(kt.w[:, None, None, None, None] * kt.K, axis=0, initial=Fraction(0))
+    if model.is_exact:
+        N, D = kt.integer_form
+        weights = kt.w.tolist()
+        scale = [w.denominator * d for w, d in zip(weights, D.tolist())]
+        common = math.lcm(*scale)
+        factor = np.array([w.numerator * (common // d) for w, d in zip(weights, scale)],
+                          dtype=object)
+        mean = np.frompyfunc(lambda n: Fraction(n, common), 1, 1)(np.tensordot(factor, N, axes=1))
+    else:
+        mean = np.add.reduce(kt.w[:, None, None, None, None] * kt.K, axis=0, initial=Fraction(0))
     rows = mean.reshape(*mean.shape[:2], 4).tolist()
     cells = {
         (a, b): OutcomeDistribution(*rows[i][j])

@@ -7,6 +7,7 @@ auto-detection.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,8 @@ from bell_lab.audit import (
     signal_deltas,
 )
 from bell_lab.model import (
+    DEFAULT_TOL,
+    BellLabError,
     EnsembleEntry,
     HiddenStateEnsemble,
     OutcomeDistribution,
@@ -32,6 +35,7 @@ from bell_lab.model import (
     TheoryModel,
     behavior,
 )
+from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory
 
 
@@ -143,6 +147,22 @@ class TestSignalLocality:
         table = behavior(singlet_chsh)
         report = signal_deltas(table, tol=1e-9)
         assert report.signal_local
+
+    def test_signal_deltas_defaults_to_the_tolerance_rule(self, fixtures_dir):
+        # a decimal table's marginals differ by rounding (5.55e-17 here):
+        # with no tol it is audited at DEFAULT_TOL, as check_signal_locality does
+        singlet = make_planar_singlet("a1=0,a2=90", "b1=45,b2=135")
+        report = signal_deltas(behavior(singlet))
+        assert 0 < report.max_delta <= DEFAULT_TOL
+        assert (report.tolerance, report.verdict) == (DEFAULT_TOL, "SignalLocal")
+        assert report == check_signal_locality(singlet)
+        exact = signal_deltas(behavior(load_theory(fixtures_dir / "signalling.json")))
+        assert (exact.tolerance, exact.verdict) == (0.0, "Signalling")
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    def test_signal_deltas_rejects_bad_tolerances(self, singlet_chsh, tol):
+        with pytest.raises(BellLabError, match="tolerance"):
+            signal_deltas(behavior(singlet_chsh), tol)
 
 
 class TestAntiCorrelation:

@@ -10,10 +10,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bell_lab.cli import _fields, _parse_axes_arg, _parse_bell1964, _parse_policy, _parse_roles, main
+from bell_lab.cli import (_axis_names, _fields, _parse_axes_arg, _parse_bell1964, _parse_policy,
+                          _parse_roles, main)
 from bell_lab.instructions import InstructionSet, realize_model
 from bell_lab.model import BellLabError, Scenario, Setting
 from bell_lab.specio import dump_theory, load_theory
@@ -528,7 +529,7 @@ class TestQuotedIds:
     valid setting id can be named; text without quoted fields parses as
     it did before quoting was read."""
 
-    IDS = ["n,1", 'n"2', " n:3 "]
+    IDS = ["n,1", 'n"=2', " n:3 "]  # commas, quotes, '=' and colons
 
     @settings(max_examples=200, deadline=None)
     @given(ids=st.lists(setting_ids, min_size=1, max_size=4), roles=st.lists(setting_ids, min_size=4, max_size=4))
@@ -538,14 +539,18 @@ class TestQuotedIds:
         assert _parse_roles(text) == tuple(roles)
 
     @settings(max_examples=50, deadline=None)
-    @given(ids=st.lists(setting_ids.filter(lambda s: not {"=", "\n", "\r"} & set(s)),
+    @given(ids=st.lists(setting_ids.filter(lambda s: not {"\n", "\r"} & set(s)),
                         min_size=3, max_size=3, unique=True))
+    @example(ids=["x=1", "=", 'a"=b'])
     def test_axes_and_sequence_lines_name_any_id(self, tmp_path_factory, ids):
-        # axes split a field at '=' and a sequence file at line breaks
+        # a sequence file splits at line breaks
         model = shared_axes_spec(tmp_path_factory.mktemp("q") / "spec.json", ids)
         axes = [(i, i) for i in ids]
         assert _parse_axes_arg(model, quoted(*ids)) == axes
         assert list(_parse_bell1964(model, quoted(*ids))) == axes
+        pairs = ",".join(quoted(i) + " = " + quoted(i) for i in ids)
+        assert _parse_axes_arg(model, pairs) == axes
+        assert list(_parse_bell1964(model, pairs)) == axes
         seq = tmp_path_factory.mktemp("q") / "seq.txt"
         seq.write_text("".join(quoted(i, i) + "\n" for i in ids), encoding="utf-8")
         assert _parse_policy(model, f"sequence:{seq}").pairs == tuple(axes)
@@ -564,6 +569,23 @@ class TestQuotedIds:
                 _parse_roles(text)
         else:
             assert _parse_roles(text) == (a, a2, b, b2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.sampled_from('ab =,"\t'), max_size=12))
+    def test_axes_without_quoted_fields_split_as_before(self, text):
+        # the axes parser before quoting was read: comma fields, stripped,
+        # each split by resolve_axes at its first '='
+        assume(not any(quoted for _, quoted, _ in _fields(text, ",=")))
+        assert _axis_names(text) == [s.strip() for s in text.split(",")]
+
+    def test_a_quoted_side_names_an_id_holding_equals(self, tmp_path):
+        model = shared_axes_spec(tmp_path / "spec.json", ["x=1", "x", "1"])
+        assert _parse_axes_arg(model, '"x=1"') == [("x=1", "x=1")]
+        assert _parse_axes_arg(model, '"x=1"=x, "x" = "1"') == [("x=1", "x"), ("x", "1")]
+        assert _parse_axes_arg(model, "x=1") == [("x", "1")]  # unquoted: a pair, as before
+        assert _parse_axes_arg(model, 'x=1, x=1 ,') == [("x", "1"), ("x", "1")]
+        with pytest.raises(BellLabError, match="aId=bId"):
+            _parse_axes_arg(model, '"x"=1=x')
 
     def test_every_flag_names_ids_with_commas_quotes_and_colons(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

@@ -26,7 +26,7 @@ from bell_lab.harness import (
     local_polytope_membership,
     resolve_axes,
 )
-from bell_lab.model import BellLabError, Scenario, Setting, behavior
+from bell_lab.model import BellLabError, Scenario, Setting, UnknownIdError, behavior
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
 from reference_harness import max_local_chsh, strategy_behavior
@@ -181,6 +181,14 @@ class TestResolveAxes:
     def test_unresolvable_name_raises(self, singlet_chsh):
         with pytest.raises(BellLabError, match="cannot resolve axis"):
             resolve_axes(singlet_chsh.scenario, ["a1"])
+
+    def test_tuples_name_ids_holding_equals_verbatim(self):
+        settings_ = (Setting("x=1"), Setting("x"), Setting("1"))
+        scenario = Scenario(settings_, settings_)
+        assert resolve_axes(scenario, [("x=1", None), ("x=1", "x"), "x=1"]) == [
+            ("x=1", "x=1"), ("x=1", "x"), ("x", "1")]
+        with pytest.raises(UnknownIdError, match="Bob setting id 'y'"):
+            resolve_axes(scenario, [("x=1", "y")])
 
 
 class TestMembership:
