@@ -453,6 +453,8 @@ class RunReport:
 
 
 def run_pipeline(spec_path: str, args) -> RunReport:
+    if args.simulate_trials < 0:
+        raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
     model, raw = _load(spec_path)
     digest = hashlib.sha256(raw).hexdigest()
     sections: dict[str, Any] = {}
@@ -484,12 +486,9 @@ def run_pipeline(spec_path: str, args) -> RunReport:
             f"{a}|{b}": format_probability(v) for (a, b), v in all_correlators(table).items()
         }
     }
-    if args.chsh:
-        bell["chsh"] = chsh(table, *_parse_roles(args.chsh), tol=t).to_dict()
-    elif len(model.scenario.alice_settings) == 2 and len(model.scenario.bob_settings) == 2:
-        a1, a2 = model.scenario.alice_ids()
-        b1, b2 = model.scenario.bob_ids()
-        bell["chsh"] = chsh(table, a1, a2, b1, b2, tol=t).to_dict()
+    roles = _parse_roles(args.chsh) if args.chsh else model.scenario.default_chsh_roles()
+    if roles is not None:
+        bell["chsh"] = chsh(table, *roles, tol=t).to_dict()
     else:
         bell["chsh"] = {"skipped": "no roles given and scenario is not two-by-two"}
     if args.bell1964:

@@ -411,10 +411,10 @@ def _chsh_facet_certificate(
 ) -> SeparatingFunctional | None:
     """Search the eight CHSH sign variants of a 2x2 scenario for one the
     behavior exceeds; each variant's bound is brute-forced."""
-    if len(scenario.alice_settings) != 2 or len(scenario.bob_settings) != 2:
+    roles = scenario.default_chsh_roles()
+    if roles is None:
         return None
-    a, a2 = scenario.alice_ids()
-    b, b2 = scenario.bob_ids()
+    a, a2, b, b2 = roles
     pairs = [(a, b), (a, b2), (a2, b), (a2, b2)]
     corrs = {pair: correlator(table, *pair) for pair in pairs}
     for signs in itertools.product((+1, -1), repeat=4):

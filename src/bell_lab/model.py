@@ -181,6 +181,13 @@ class Scenario:
                   self.bob_settings.index(self.bob_setting(b_id))) for a_id, b_id in pairs]
         return [a for a, _ in found], [b for _, b in found]
 
+    def default_chsh_roles(self) -> tuple[str, str, str, str] | None:
+        """The CHSH roles (a, a', b, b') in declaration order on a
+        two-by-two scenario; None on any other shape."""
+        if len(self.alice_settings) != 2 or len(self.bob_settings) != 2:
+            return None
+        return (*self.alice_ids(), *self.bob_ids())
+
     def pairs(self) -> list[tuple[str, str]]:
         """All (alice_id, bob_id) setting pairs in declaration order."""
         return [(a.id, b.id) for a in self.alice_settings for b in self.bob_settings]
@@ -439,15 +446,18 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
 
     Exact quantities are held to exact equalities; decimal ones to `tol`
     (default 1e-9).  NaN and infinite numbers, exact values beyond the
-    float range, and setting ids containing '|' (the separator of kernel
-    keys) are violations too, so a model built through the library is held
-    to what the spec parser accepts.
+    float range, setting ids containing '|' (the separator of kernel keys)
+    and a name or id holding a lone surrogate are violations too, so a
+    model built through the library is held to what the spec parser
+    accepts.
     Every violation is reported, not just the first.
     """
     out: list[Violation] = []
     t = resolve_tolerance(model, tol)
     scen = model.scenario
 
+    if not is_text(model.name):
+        out.append(Violation("name", f"{model.name!r} holds a lone surrogate"))
     if not scen.alice_settings:
         out.append(Violation("scenario.alice_settings", "at least one setting required"))
     if not scen.bob_settings:
@@ -462,6 +472,10 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
                 # kernel keys and simulation counts join setting ids with '|'
                 out.append(Violation(f"scenario.{side}_settings[{s.id}]",
                                      "setting id must not contain '|'"))
+            if not is_text(s.id):
+                # located by repr: no UTF-8 output can print the id itself
+                out.append(Violation(f"scenario.{side}_settings[{s.id!r}]",
+                                     "setting id holds a lone surrogate"))
             if s.direction is not None:
                 _check_unit(s.direction, f"scenario.{side}_settings[{s.id}].direction", out)
 
@@ -473,6 +487,8 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
         if e.state_id in seen_states:
             out.append(Violation(f"ensemble[{e.state_id}]", "duplicate hidden-state id"))
         seen_states.add(e.state_id)
+        if not is_text(e.state_id):
+            out.append(Violation(f"ensemble[{e.state_id!r}]", "hidden-state id holds a lone surrogate"))
         if _beyond_float(e.weight):
             out.append(Violation(f"ensemble[{e.state_id}].weight", "weight too large for a float"))
             continue
@@ -492,12 +508,13 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
         elif abs(weight_sum - 1.0) > t:
             out.append(Violation("ensemble", f"weights must sum to 1 within {t}, got {weight_sum!r}"))
 
-    expected = {
+    # declaration order (state, a, b), so missing cells are reported in it
+    expected = dict.fromkeys(
         (e.state_id, a.id, b.id)
         for e in model.ensemble.entries
         for a in scen.alice_settings
         for b in scen.bob_settings
-    }
+    )
     for key in expected:
         if key not in model.kernel.cells:
             out.append(

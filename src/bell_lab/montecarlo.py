@@ -17,6 +17,11 @@ Slots: 0 = hidden state, 1 = Alice setting, 2 = Bob setting, 3 = outcome
 pair.  Fixed-sequence setting policies leave slots 1 and 2 unused but
 reserved, so switching policy never shifts the other draws.
 
+The summary reads the run's count tensor C[a, b, A, B] with integer sums.
+Its CHSH estimate is the one CHSH form of `harness`; the roles default to
+declaration order on a two-by-two scenario, and an unknown role id is
+refused before any record is written.
+
 Statistics deliberately see only observables: hidden-state ids stay out of
 the summary and out of the CSV unless explicitly revealed.
 """
@@ -33,9 +38,11 @@ from typing import Iterator
 
 import numpy as np
 
+from .harness import CHSH_SIGNS, _chsh_form
 from .model import (
     BellLabError,
     JOINT_OUTCOMES,
+    OUTCOMES,
     Scenario,
     TheoryModel,
     require_valid,
@@ -205,90 +212,62 @@ class ExperimentStats:
 
 
 def _summarize_counts(
-    counts: dict[tuple[str, str, int, int], int],
+    counts: np.ndarray,
     trials: int,
     scenario: Scenario,
     chsh_roles: tuple[str, str, str, str] | None,
     seed: int | None,
 ) -> ExperimentStats:
-    """Aggregate counts keyed (a, b, A, B) into estimates; sees outcomes and
-    settings only.  `chsh_roles` defaults to declaration order (a1, a2, b1,
-    b2) when the scenario is two-by-two and all four pairs were observed."""
+    """Estimates from the count tensor C[a, b, A, B] (declaration order,
+    outcome index 0 is +1); sees outcomes and settings only.  `chsh_roles`
+    defaults to `Scenario.default_chsh_roles` and is dropped unless all four
+    of its pairs were observed."""
+    a_ids, b_ids = scenario.alice_ids(), scenario.bob_ids()
+    totals = counts.sum(axis=(2, 3)).tolist()
+    e_sums = (counts[..., 0, 0] - counts[..., 0, 1] - counts[..., 1, 0] + counts[..., 1, 1]).tolist()
+    # hits[side][a][b][outcome index]: the own wing's marginal counts
+    hits = {"alice": counts.sum(axis=3).tolist(), "bob": counts.sum(axis=2).tolist()}
     pair_counts: dict[tuple[str, str], int] = {}
-    for (a, b, _, _), n in counts.items():
-        pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
-
     correlators: dict[tuple[str, str], Estimate] = {}
-    for pair in scenario.pairs():
-        n = pair_counts.get(pair, 0)
-        if n == 0:
+    # (side, own, far, outcome) -> the own marginal and its standard error
+    marginals: dict[tuple[str, str, str, int], tuple[float, float]] = {}
+    for (i, a), (j, b) in itertools.product(enumerate(a_ids), enumerate(b_ids)):
+        if not (n := totals[i][j]):
             continue
-        a, b = pair
-        e_sum = sum(A * B * counts.get((a, b, A, B), 0) for A, B in JOINT_OUTCOMES)
-        est = e_sum / n
-        se = math.sqrt(max(0.0, 1.0 - est * est) / n)
-        correlators[pair] = Estimate(value=est, std_error=se)
+        est = e_sums[i][j] / n
+        pair_counts[(a, b)] = n
+        correlators[(a, b)] = Estimate(value=est, std_error=math.sqrt(max(0.0, 1.0 - est * est) / n))
+        for k, outcome in enumerate(OUTCOMES):
+            for side, own, far in (("alice", a, b), ("bob", b, a)):
+                p = hits[side][i][j][k] / n
+                marginals[(side, own, far, outcome)] = p, math.sqrt(p * (1.0 - p) / n)
 
-    if chsh_roles is None and len(scenario.alice_settings) == 2 and len(scenario.bob_settings) == 2:
-        a1, a2 = scenario.alice_ids()
-        b1, b2 = scenario.bob_ids()
-        chsh_roles = (a1, a2, b1, b2)
+    if chsh_roles is None:
+        chsh_roles = scenario.default_chsh_roles()
     chsh_est: Estimate | None = None
     if chsh_roles is not None:
         a, a2, b, b2 = chsh_roles
         needed = [(a, b), (a, b2), (a2, b), (a2, b2)]
         if all(pair in correlators for pair in needed):
-            value = (
-                correlators[(a, b)].value
-                + correlators[(a, b2)].value
-                + correlators[(a2, b)].value
-                - correlators[(a2, b2)].value
-            )
+            value = _chsh_form(CHSH_SIGNS, lambda x, y: correlators[(x, y)].value, *chsh_roles)
             se = math.sqrt(sum(correlators[p].std_error ** 2 for p in needed))
             chsh_est = Estimate(value=value, std_error=se)
         else:
             chsh_roles = None
 
-    def marginal(side: str, own: str, far: str, outcome: int) -> tuple[float, float] | None:
-        pair = (own, far) if side == "alice" else (far, own)
-        n = pair_counts.get(pair, 0)
-        if n == 0:
-            return None
-        if side == "alice":
-            hits = sum(counts.get((own, far, outcome, B), 0) for B in (+1, -1))
-        else:
-            hits = sum(counts.get((far, own, A, outcome), 0) for A in (+1, -1))
-        p = hits / n
-        return p, math.sqrt(p * (1.0 - p) / n)
-
-    deltas: list[NoSignalingDelta] = []
+    deltas = []
     for side, own, outcome, far, later in scenario.far_pairs():
-        first = marginal(side, own, far, outcome)
-        second = marginal(side, own, later, outcome)
-        if first is None or second is None:
-            continue
-        (p1, se1), (p2, se2) = first, second
-        deltas.append(
-            NoSignalingDelta(
-                side=side,
-                outcome=outcome,
-                own_setting=own,
-                far_pair=(far, later),
-                delta=abs(p1 - p2),
-                std_error=math.sqrt(se1 * se1 + se2 * se2),
-            )
-        )
-
+        first, second = (marginals.get((side, own, f, outcome)) for f in (far, later))
+        if first is not None and second is not None:
+            (p1, se1), (p2, se2) = first, second
+            deltas.append(NoSignalingDelta(
+                side=side, outcome=outcome, own_setting=own, far_pair=(far, later),
+                delta=abs(p1 - p2), std_error=math.sqrt(se1 * se1 + se2 * se2)))
+    observed = zip(itertools.product(a_ids, b_ids, JOINT_OUTCOMES), counts.ravel().tolist())
     return ExperimentStats(
-        trials=trials,
-        seed=seed,
-        counts=counts,
-        pair_counts=pair_counts,
-        correlators=correlators,
-        chsh=chsh_est,
-        chsh_roles=chsh_roles,
-        signal_deltas=tuple(deltas),
-    )
+        trials=trials, seed=seed, counts={(a, b, *ab): n for (a, b, ab), n in observed if n},
+        pair_counts=pair_counts, correlators=correlators, chsh=chsh_est, chsh_roles=chsh_roles,
+        signal_deltas=tuple(deltas))
 
 
 def _csv_cells(*values: object) -> str:
@@ -317,20 +296,21 @@ def simulate(
     of trials is alive at a time.
     """
     sampler = _Sampler(model, trials, policy, tol)
-    keys = [(a, b, *ab) for a in sampler.alice_ids for b in sampler.bob_ids for ab in JOINT_OUTCOMES]
-    tails = np.array([_csv_cells(*key) for key in keys], dtype=object)
+    if chsh_roles is not None:  # an unknown role id fails before the CSV is opened
+        sampler.scenario.pair_indices(zip(chsh_roles[:2], chsh_roles[2:]))
+    keys = itertools.product(sampler.alice_ids, sampler.bob_ids, JOINT_OUTCOMES)
+    tails = np.array([_csv_cells(a, b, *ab) for a, b, ab in keys], dtype=object)
     lambdas = np.array([_csv_cells(s) + "\r\n" for s in sampler.state_ids], dtype=object)
-    counts = np.zeros(len(keys), dtype=np.int64)
+    counts = np.zeros((len(sampler.alice_ids), len(sampler.bob_ids), 2, 2), dtype=np.int64)
     with (open(csv_path, "w", newline="", encoding="utf-8") if csv_path is not None
           else contextlib.nullcontext()) as sink:
         if sink is not None:
             sink.write("trial,a,b,A,B,lambda\r\n" if reveal_hidden else "trial,a,b,A,B\r\n")
         for start, state, a, b, joint in sampler.chunks(seed):
             code = (a * len(sampler.bob_ids) + b) * len(JOINT_OUTCOMES) + joint
-            counts += np.bincount(code, minlength=len(keys))
+            counts += np.bincount(code, minlength=counts.size).reshape(counts.shape)
             if sink is not None:
                 ends = lambdas[state].tolist() if reveal_hidden else itertools.repeat("\r\n")
                 trial_ids = map(str, range(start, start + len(code)))
                 sink.write("".join(map("".join, zip(trial_ids, tails[code].tolist(), ends))))
-    observed = {key: n for key, n in zip(keys, counts.tolist()) if n}
-    return _summarize_counts(observed, trials, sampler.scenario, chsh_roles, seed)
+    return _summarize_counts(counts, trials, sampler.scenario, chsh_roles, seed)

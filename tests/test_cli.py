@@ -6,13 +6,18 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import bell_lab
 from bell_lab.cli import (_axis_names, _fields, _parse_axes_arg, _parse_bell1964, _parse_policy,
                           _parse_roles, main)
 from bell_lab.instructions import InstructionSet, realize_model
@@ -42,6 +47,28 @@ def singlet_chsh_path(tmp_path, capsys):
 
 
 class TestValidate:
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_missing_cells_in_declaration_order_under_any_hash_seed(self, tmp_path, command):
+        """Each run is a fresh interpreter: string hashing, and with it the
+        order of a set of ids, changes with PYTHONHASHSEED."""
+        spec = tmp_path / "missing.json"
+        spec.write_text(json.dumps({
+            "name": "one cell", "ensemble": [{"id": "s1", "weight": 1}],
+            "scenario": {"alice_settings": [{"id": "a1"}, {"id": "a2"}],
+                         "bob_settings": [{"id": "b1"}, {"id": "b2"}]},
+            "kernel": {"s1": {"a1|b1": {"++": "1/2", "+-": 0, "-+": 0, "--": "1/2"}}},
+        }), encoding="utf-8")
+        src = str(Path(bell_lab.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-m", "bell_lab", command, str(spec)],
+                                  env=env, capture_output=True, check=False)
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1]
+        cells = re.findall(r"kernel\[s1,(a\d),(b\d)\]", runs[0][1].decode("utf-8"))
+        assert cells == [("a1", "b2"), ("a2", "b1"), ("a2", "b2")]
+
     def test_valid_spec_exits_zero(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "validate", str(fixtures_dir / "two_state.json"))
         assert code == 0
@@ -356,6 +383,25 @@ class TestSimulate:
         assert doc["chsh_roles"] == ["a2", "a1", "b1", "b2"]
         assert abs(doc["chsh"]["value"]) > 2.5
 
+    def test_unknown_chsh_roles_exit_two(self, capsys, singlet_chsh_path, tmp_path):
+        out = tmp_path / "records.csv"
+        for roles in ("zz,a2:b1,b2", "a1,a2:b1,zz"):
+            code, stdout, err = run_cli(capsys, "simulate", str(singlet_chsh_path), "--trials", "10",
+                                        "--chsh-roles", roles, "--out", str(out))
+            assert (code, stdout) == (2, ""), roles
+            assert "'zz'" in err
+        assert not out.exists()
+
+    def test_unobserved_chsh_roles_give_null(self, capsys, singlet_chsh_path, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("a1,b1\na2,b2\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "simulate", str(singlet_chsh_path), "--trials", "10",
+                               "--policy", f"sequence:{seq}", "--chsh-roles", "a2,a1:b1,b2",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["chsh"], doc["chsh_roles"]) == (None, None)
+
 
 class TestMakeSinglet:
     def test_writes_loadable_spec(self, singlet_chsh_path):
@@ -381,6 +427,12 @@ class TestMakeSinglet:
 
 
 class TestReport:
+    def test_negative_simulate_trials_exit_two(self, capsys, singlet_chsh_path):
+        code, out, err = run_cli(capsys, "report", str(singlet_chsh_path),
+                                 "--simulate-trials", "-5")
+        assert (code, out) == (2, "")
+        assert "--simulate-trials" in err
+
     def test_full_pipeline_json(self, capsys, singlet_chsh_path):
         code, out, _ = run_cli(
             capsys,

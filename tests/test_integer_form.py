@@ -52,7 +52,7 @@ GRID = tuple(Fraction(v) for v in (
 ))
 
 #: Marginals more than 1e-9 inside (0, 1).
-INNER = tuple(v for v in GRID if 10**-9 < v < 1 - 10**-9)
+INNER = tuple(v for v in GRID if Fraction(1e-9) < v < 1 - Fraction(1e-9))
 
 REASONS = {
     "moves": "own-outcome marginal moves with the far setting",

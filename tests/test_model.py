@@ -30,6 +30,7 @@ from bell_lab.model import (
     UnknownIdError,
     behavior,
     format_probability,
+    is_text,
     parse_probability,
     require_valid,
     resolve_tolerance,
@@ -37,7 +38,7 @@ from bell_lab.model import (
 )
 from bell_lab.montecarlo import simulate
 from bell_lab.singlet import make_planar_singlet
-from bell_lab.specio import dump_theory
+from bell_lab.specio import dump_theory, parse_theory, theory_to_dict
 
 import genmodels
 from genmodels import random_anticorr_mixture, random_product_model
@@ -211,6 +212,36 @@ class TestValidation:
         kernel = ResponseKernel({("s1", "a|x", "b1"): OutcomeDistribution.point(+1, -1)})
         found = validate_theory(tiny_model(scenario=scen, kernel=kernel))
         assert [v.location for v in found] == ["scenario.alice_settings[a|x]"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(place=st.sampled_from(["name", "setting", "state"]),
+           text=st.text(st.one_of(st.characters(), st.sampled_from("\ud800\udbff\udc00\udfff")),
+                        max_size=4))
+    @example(place="name", text="a\ud800")
+    @example(place="setting", text="a\ud800")
+    @example(place="state", text="a\ud800")
+    def test_a_valid_model_dumps_a_spec_that_loads_back(self, place, text):
+        """A lone surrogate in the name, a setting id or a state id is a
+        violation: JSON escapes it, and the spec parser refuses it."""
+        if place == "name":
+            model, where = tiny_model(name=text), "name"
+        elif place == "setting":
+            model = tiny_model(
+                scenario=Scenario(alice_settings=(Setting(text),), bob_settings=(Setting("b1"),)),
+                kernel=ResponseKernel({("s1", text, "b1"): OutcomeDistribution.point(+1, -1)}))
+            where = f"scenario.alice_settings[{text!r}]"
+        else:
+            model = tiny_model(
+                ensemble=HiddenStateEnsemble(entries=(EnsembleEntry(text, Fraction(1)),)),
+                kernel=ResponseKernel({(text, "a1", "b1"): OutcomeDistribution.point(+1, -1)}))
+            where = f"ensemble[{text!r}]"
+        found = validate_theory(model)
+        surrogates = [v.location for v in found if "lone surrogate" in v.message]
+        assert surrogates == ([] if is_text(text) else [where])
+        "".join(surrogates).encode("utf-8")  # the report of a surrogate prints
+        if not found:
+            spec = json.dumps(theory_to_dict(model), indent=2)
+            assert theory_to_dict(parse_theory(spec)) == theory_to_dict(model)
 
     @settings(max_examples=80, deadline=None)
     @given(

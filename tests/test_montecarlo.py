@@ -17,12 +17,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genmodels
 from bell_lab import montecarlo
-from bell_lab.model import BellLabError, InvalidModelError, UnknownIdError, behavior
+from bell_lab.model import (
+    JOINT_OUTCOMES,
+    BellLabError,
+    InvalidModelError,
+    Scenario,
+    Setting,
+    UnknownIdError,
+    behavior,
+)
 from bell_lab.montecarlo import (
     DRAWS_PER_TRIAL,
     FixedSequencePolicy,
@@ -40,6 +48,7 @@ from reference_sampler import (
     read_records,
     reference_csv,
     reference_run,
+    reference_summary,
     stream_uniform,
     trial_uniform,
 )
@@ -56,6 +65,25 @@ def run_records(model, trials, seed, policy=None):
 
 def records_of(model, trials, seed, policy=None):
     return run_records(model, trials, seed, policy)[1]
+
+
+def count_keys(scenario) -> list[tuple[str, str, int, int]]:
+    """The keys (a, b, A, B) of the count tensor's cells, in its order."""
+    return [(a, b, A, B)
+            for a in scenario.alice_ids() for b in scenario.bob_ids() for A, B in JOINT_OUTCOMES]
+
+
+def count_tensor(scenario, counts) -> np.ndarray:
+    """Counts keyed (a, b, A, B) as the tensor C[a, b, A, B] that the
+    summary reads."""
+    cells = [counts.get(key, 0) for key in count_keys(scenario)]
+    return np.array(cells, dtype=np.int64).reshape(len(scenario.alice_ids()), -1, 2, 2)
+
+
+def observed_counts(scenario, tensor) -> dict:
+    """The nonzero counts of `tensor` keyed (a, b, A, B), in declaration
+    order: the dict the summary used to be given."""
+    return {key: n for key, n in zip(count_keys(scenario), tensor.ravel().tolist()) if n}
 
 
 def read_rows(path) -> list[list[str]]:
@@ -421,8 +449,64 @@ class TestVectorisedRun:
         stats, csv_bytes = _run_outputs(model, trials, seed, policy, reveal)
         assert csv_bytes == reference_csv(records, reveal_hidden=reveal)
         counts = Counter((r.a_id, r.b_id, r.outcome_a, r.outcome_b) for r in records)
-        assert stats == montecarlo._summarize_counts(dict(counts), trials, model.scenario, None, seed)
+        tensor = count_tensor(model.scenario, counts)
+        assert stats == montecarlo._summarize_counts(tensor, trials, model.scenario, None, seed)
         chunk = data.draw(st.integers(1, trials), label="chunk")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_CHUNK", chunk)
             assert _run_outputs(model, trials, seed, policy, reveal) == (stats, csv_bytes)
+
+
+def _scenario(na: int, nb: int, shared: bool = False) -> Scenario:
+    """na x nb settings named a1.. and b1.., or s1.. on both wings."""
+    alice, bob = ("s", "s") if shared else ("a", "b")
+    return Scenario(tuple(Setting(f"{alice}{i + 1}") for i in range(na)),
+                    tuple(Setting(f"{bob}{j + 1}") for j in range(nb)))
+
+
+@st.composite
+def count_summaries(draw):
+    """(scenario, C, roles): a 1x1 to 3x3 count tensor with zero cells and
+    whole pairs left unobserved, and CHSH roles that are None or drawn from
+    the scenario's ids (so often naming an unobserved pair)."""
+    na, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    scenario = _scenario(na, nb, draw(st.booleans()))
+    cell = st.one_of(st.just(0), st.integers(1, 60), st.integers(1, 2**40))
+    tensor = np.array(draw(st.lists(cell, min_size=na * nb * 4, max_size=na * nb * 4)),
+                      dtype=np.int64).reshape(na, nb, 2, 2)
+    seen = draw(st.lists(st.booleans(), min_size=na * nb, max_size=na * nb))
+    tensor = tensor * np.array(seen, dtype=np.int64).reshape(na, nb, 1, 1)
+    a_ids, b_ids = st.sampled_from(scenario.alice_ids()), st.sampled_from(scenario.bob_ids())
+    roles = draw(st.one_of(st.none(), st.tuples(a_ids, a_ids, b_ids, b_ids)))
+    return scenario, tensor, roles
+
+
+_FULL_2X2 = np.array([[[[7, 1], [2, 5]], [[0, 3], [4, 0]]],
+                      [[[1, 6], [6, 1]], [[2**40, 3], [1, 9]]]], dtype=np.int64)
+
+
+class TestSummaryFromTensor:
+    @settings(max_examples=300, deadline=None)
+    @given(case=count_summaries(), seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)))
+    # 2x2 with every pair seen: default roles, and given roles
+    @example(case=(_scenario(2, 2), _FULL_2X2, None), seed=1)
+    @example(case=(_scenario(2, 2), _FULL_2X2, ("a2", "a1", "b1", "b2")), seed=2)
+    # given roles on a pair never seen
+    @example(case=(_scenario(2, 2), _FULL_2X2 * np.array([1, 0]).reshape(1, 2, 1, 1),
+                   ("a1", "a2", "b1", "b2")), seed=3)
+    def test_summary_equals_the_dict_walk(self, case, seed):
+        """The tensor summary gives the old dict walk's statistics and the
+        same JSON bytes, for every shape, count and choice of roles."""
+        scenario, tensor, roles = case
+        trials = int(tensor.sum())
+        got = montecarlo._summarize_counts(tensor, trials, scenario, roles, seed)
+        want = reference_summary(observed_counts(scenario, tensor), trials, scenario, roles, seed)
+        assert got == want
+        assert json.dumps(got.to_dict()).encode() == json.dumps(want.to_dict()).encode()
+
+    def test_unknown_role_ids_are_refused_before_the_csv(self, singlet_chsh, tmp_path):
+        out = tmp_path / "records.csv"
+        for roles in (("zz", "a2", "b1", "b2"), ("a1", "a2", "b1", "zz")):
+            with pytest.raises(UnknownIdError, match="zz"):
+                simulate(singlet_chsh, 10, seed=1, chsh_roles=roles, csv_path=out)
+        assert not out.exists()
