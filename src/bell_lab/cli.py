@@ -208,13 +208,13 @@ def render_instructions(result, partition, out) -> None:
             f"  state {state_id}: pattern {pattern} "
             f"(weight {_fmt(result.weights[state_id])})\n"
         )
-    if partition is not None:
-        out.write(f"  classes ({len(partition.classes)} patterns):\n")
-        for cls in partition.classes:
-            members = ",".join(cls.members) if cls.members else "-"
-            out.write(
-                f"    {cls.label()}: weight {_fmt(cls.weight)} members {members}\n"
-            )
+    if "skipped" in partition:
+        out.write(f"  classes skipped: {partition['skipped']}\n")
+        return
+    out.write(f"  classes ({partition['class_count']} patterns):\n")
+    for cls in partition["classes"]:
+        members = ",".join(cls["members"]) if cls["members"] else "-"
+        out.write(f"    {cls['pattern']}: weight {cls['weight']} members {members}\n")
 
 
 def render_bell_tests(result: BellTestResult, out) -> None:
@@ -285,11 +285,11 @@ def validation_json(violations) -> dict:
 def derivation_json(result) -> dict:
     if isinstance(result, DerivationFailure):
         return {"derived": False, "failure": result.to_dict()}
-    return {
-        "derived": True,
-        "instructions": result.to_dict(),
-        "partition": classify_states(result).to_dict(),
-    }
+    try:
+        partition = classify_states(result).to_dict()
+    except EnumerationLimitError as exc:  # past 16 axes
+        partition = {"skipped": str(exc)}
+    return {"derived": True, "instructions": result.to_dict(), "partition": partition}
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +341,12 @@ def cmd_derive_instructions(args) -> int:
     model, _ = _load(args.spec)
     axes = _parse_axes_arg(model, args.axes)
     result = derive_instruction_sets(model, axes, args.tol)
-    failed = isinstance(result, DerivationFailure)
+    doc = derivation_json(result)
     if args.fmt == "json":
-        emit_json(derivation_json(result))
+        emit_json(doc)
     else:
-        render_instructions(result, None if failed else classify_states(result), sys.stdout)
-    return 1 if failed else 0
+        render_instructions(result, doc.get("partition"), sys.stdout)
+    return 0 if doc["derived"] else 1
 
 
 def _run_bell_tests(model: TheoryModel, args) -> BellTestResult:
@@ -541,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comparison tolerance (default: exact for rational models, 1e-9 otherwise)")
     common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text",
                         help="output format")
-    common.add_argument("--seed", type=int, default=0, help="random seed for simulations")
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -590,6 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal-lambda", action="store_true",
                    help="include the hidden-state column in the CSV (pedagogy only)")
     p.add_argument("--chsh-roles", metavar="A,A2:B,B2", help="roles for the CHSH estimate")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", parents=[common], help="full pipeline over one spec")
@@ -599,6 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bell1964", metavar="AX1,AX2,AX3", help="axes for the 1964 inequality")
     p.add_argument("--simulate-trials", type=int, default=0,
                    help="also simulate this many trials (0 = skip)")
+    p.add_argument("--seed", type=int, default=0, help="random seed for --simulate-trials")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("make-singlet", parents=[common],
@@ -621,10 +622,7 @@ def main(argv: list[str] | None = None) -> int:
             # bad value is refused for every subcommand
             resolve_tolerance(True, args.tol)
         return args.func(args)
-    except (SpecFormatError, BellLabError) as exc:
-        sys.stderr.write(f"{PROG}: error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (BellLabError, OSError) as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 2
 

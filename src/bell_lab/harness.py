@@ -40,6 +40,7 @@ from fractions import Fraction
 from .model import (
     BehaviorTable,
     BellLabError,
+    EnumerationLimitError,
     JOINT_OUTCOMES,
     Prob,
     Scenario,
@@ -59,10 +60,6 @@ _MAX_SETTINGS_PER_SIDE = 4
 
 class ScenarioShapeError(BellLabError):
     """The scenario does not have the setting counts this test needs."""
-
-
-class EnumerationLimitError(BellLabError):
-    """Scenario too large for exhaustive deterministic-strategy enumeration."""
 
 
 class AntiCorrelationPreconditionError(BellLabError):

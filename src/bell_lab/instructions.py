@@ -14,7 +14,8 @@ marginals of the model's kernel tensor (for an exact model, integer counts
 over one denominator per state, compared with integer bounds that the
 tolerance gives that denominator), and returns a structured
 `DerivationFailure` naming the first blocking marginal instead of raising,
-because a failed derivation is a finding, not a crash.
+because a failed derivation is a finding, not a crash.  `realize_model`
+validates the model it builds, so weights that do not sum to 1 raise.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .audit import EqualAxisError, auto_equal_axes
 from .model import (
     BellLabError,
     EnsembleEntry,
+    EnumerationLimitError,
     HiddenStateEnsemble,
     OutcomeDistribution,
     Prob,
@@ -277,13 +279,14 @@ class ClassPartition:
 def classify_states(
     instructions: InstructionSet, axes: tuple[Axis, ...] | None = None
 ) -> ClassPartition:
-    """Group states by Alice's sign pattern over `axes` (default: all axes)."""
+    """Group states by Alice's sign pattern over `axes` (default: all axes);
+    past 16 axes, raise EnumerationLimitError."""
     use = instructions.axes if axes is None else tuple(axes)
     for axis in use:
         if axis not in instructions.axes:
             raise InstructionSetError(f"axis {axis} is not part of the instruction set")
     if len(use) > _MAX_AXES:
-        raise InstructionSetError(
+        raise EnumerationLimitError(
             f"refusing to enumerate 2^{len(use)} classes (limit 2^{_MAX_AXES})"
         )
     by_pattern: dict[tuple[int, ...], list[str]] = {}
@@ -308,7 +311,7 @@ def realize_model(
 
     Every scenario setting must appear in exactly one axis on its wing;
     each kernel cell then puts probability 1 on the instructed outcome
-    pair, exactly.
+    pair, exactly.  The model must pass `validate_theory` (InvalidModelError).
     """
     alice_axis: dict[str, Axis] = {}
     bob_axis: dict[str, Axis] = {}
@@ -341,6 +344,8 @@ def realize_model(
             for s in instructions.state_ids()
         )
     )
-    return TheoryModel(
+    model = TheoryModel(
         name=name, scenario=scenario, ensemble=ensemble, kernel=ResponseKernel(cells)
     )
+    require_valid(model)
+    return model

@@ -19,7 +19,10 @@ built.  That lets a model remember the tolerances at which
 `validate_theory` found it valid: `require_valid` validates once per
 tolerance, however many checks a model passes through.
 `resolve_tolerance` is the one tolerance rule, for models and behavior
-tables alike.  Functions here are pure and never mutate their inputs.
+tables alike.  `validate_theory` states each invariant once, and every
+builder in the package (`make_quantum_theory`, `realize_model`) ends with
+`require_valid`, so no model it returns fails validation.  Functions here
+are pure and never mutate their inputs.
 
 Once a model is valid, `TheoryModel.tensor` holds its kernel as one
 read-only `KernelTensor`: numpy object arrays `K[state, a, b, A, B]` and
@@ -69,6 +72,10 @@ class BellLabError(Exception):
 
 class UnknownIdError(BellLabError):
     """A referenced setting or hidden-state id does not exist."""
+
+
+class EnumerationLimitError(BellLabError):
+    """Too many settings or axes to enumerate every strategy or class."""
 
 
 class InvalidModelError(BellLabError):
@@ -426,13 +433,36 @@ def resolve_tolerance(subject: TheoryModel | BehaviorTable | bool, tol: float | 
     return 0.0 if exact else DEFAULT_TOL
 
 
-def _check_unit(direction: tuple[float, float, float], where: str, out: list[Violation]) -> None:
+def direction_fault(direction) -> str | None:
+    """Why `direction` is not a unit vector, or None: one rule for models and singlets."""
     try:
         norm = math.sqrt(sum(c * c for c in direction))
     except OverflowError:
         norm = math.inf
-    if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
-        out.append(Violation(where, f"direction must be a unit vector, norm is {norm!r}"))
+    if abs(norm - 1.0) <= _UNIT_NORM_TOL:
+        return None
+    return f"direction must be a unit vector, norm is {norm!r}"
+
+
+def _sum_fault(total: Prob, t: float, what: str) -> str | None:
+    """Why `total` is not 1 (exactly for a Fraction, else within `t`), or None."""
+    if isinstance(total, Fraction):
+        return None if total == 1 else f"{what} must sum to 1 exactly, got {total}"
+    return f"{what} must sum to 1 within {t}, got {total!r}" if abs(total - 1.0) > t else None
+
+
+def _loc(template: str, *ids: str) -> str:
+    """`template` naming each id, by repr if it holds a lone surrogate (no UTF-8 can print it)."""
+    return template.format(*(repr(i) if isinstance(i, str) and not is_text(i) else i for i in ids))
+
+
+def _check_id(id_: str, seen: set[str], where: str, kind: str, out: list[Violation]) -> None:
+    """Flag `id_` when it is in `seen` or holds a lone surrogate; add it to `seen`."""
+    if id_ in seen:
+        out.append(Violation(_loc(where, id_), f"duplicate {kind} id"))
+    seen.add(id_)
+    if not is_text(id_):
+        out.append(Violation(_loc(where, id_), f"{kind} id holds a lone surrogate"))
 
 
 def _beyond_float(value: Prob) -> bool:
@@ -463,70 +493,47 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     if not scen.bob_settings:
         out.append(Violation("scenario.bob_settings", "at least one setting required"))
     for side, settings in (("alice", scen.alice_settings), ("bob", scen.bob_settings)):
+        where = f"scenario.{side}_settings[{{}}]"
         seen: set[str] = set()
         for s in settings:
-            if s.id in seen:
-                out.append(Violation(f"scenario.{side}_settings[{s.id}]", "duplicate setting id"))
-            seen.add(s.id)
+            _check_id(s.id, seen, where, "setting", out)
             if "|" in s.id:
                 # kernel keys and simulation counts join setting ids with '|'
-                out.append(Violation(f"scenario.{side}_settings[{s.id}]",
-                                     "setting id must not contain '|'"))
-            if not is_text(s.id):
-                # located by repr: no UTF-8 output can print the id itself
-                out.append(Violation(f"scenario.{side}_settings[{s.id!r}]",
-                                     "setting id holds a lone surrogate"))
-            if s.direction is not None:
-                _check_unit(s.direction, f"scenario.{side}_settings[{s.id}].direction", out)
+                out.append(Violation(_loc(where, s.id), "setting id must not contain '|'"))
+            if s.direction is not None and (fault := direction_fault(s.direction)):
+                out.append(Violation(_loc(where + ".direction", s.id), fault))
 
     if not model.ensemble.entries:
         out.append(Violation("ensemble", "at least one hidden state required"))
-    seen_states: set[str] = set()
+    seen = set()
     weight_sum: Prob = Fraction(0)
+    weight_at = "ensemble[{}].weight"
     for e in model.ensemble.entries:
-        if e.state_id in seen_states:
-            out.append(Violation(f"ensemble[{e.state_id}]", "duplicate hidden-state id"))
-        seen_states.add(e.state_id)
-        if not is_text(e.state_id):
-            out.append(Violation(f"ensemble[{e.state_id!r}]", "hidden-state id holds a lone surrogate"))
-        if _beyond_float(e.weight):
-            out.append(Violation(f"ensemble[{e.state_id}].weight", "weight too large for a float"))
+        _check_id(e.state_id, seen, "ensemble[{}]", "hidden-state", out)
+        w = e.weight
+        if _beyond_float(w):
+            out.append(Violation(_loc(weight_at, e.state_id), "weight too large for a float"))
             continue
-        if not isinstance(e.weight, Fraction) and not math.isfinite(e.weight):
-            out.append(
-                Violation(f"ensemble[{e.state_id}].weight", f"weight must be finite, got {e.weight!r}")
-            )
-        elif e.weight <= 0:
-            out.append(
-                Violation(f"ensemble[{e.state_id}].weight", f"weight must be > 0, got {e.weight}")
-            )
-        weight_sum = weight_sum + e.weight
-    if model.ensemble.entries:
-        if isinstance(weight_sum, Fraction):
-            if weight_sum != 1:
-                out.append(Violation("ensemble", f"weights must sum to 1 exactly, got {weight_sum}"))
-        elif abs(weight_sum - 1.0) > t:
-            out.append(Violation("ensemble", f"weights must sum to 1 within {t}, got {weight_sum!r}"))
+        if not isinstance(w, Fraction) and not math.isfinite(w):
+            out.append(Violation(_loc(weight_at, e.state_id), f"weight must be finite, got {w!r}"))
+        elif w <= 0:
+            out.append(Violation(_loc(weight_at, e.state_id), f"weight must be > 0, got {w}"))
+        weight_sum = weight_sum + w
+    if model.ensemble.entries and (fault := _sum_fault(weight_sum, t, "weights")):
+        out.append(Violation("ensemble", fault))
 
     # declaration order (state, a, b), so missing cells are reported in it
-    expected = dict.fromkeys(
-        (e.state_id, a.id, b.id)
-        for e in model.ensemble.entries
-        for a in scen.alice_settings
-        for b in scen.bob_settings
-    )
+    expected = dict.fromkeys((e.state_id, a.id, b.id) for e in model.ensemble.entries
+                             for a in scen.alice_settings for b in scen.bob_settings)
+    cell, entry = "kernel[{},{},{}]", "kernel[{},{},{}].{}"
     for key in expected:
         if key not in model.kernel.cells:
-            out.append(
-                Violation(
-                    f"kernel[{key[0]},{key[1]},{key[2]}]",
-                    "missing cell: every (state, a, b) needs an outcome distribution",
-                )
-            )
+            out.append(Violation(_loc(cell, *key),
+                                 "missing cell: every (state, a, b) needs an outcome distribution"))
     for key, dist in model.kernel.cells.items():
-        loc = f"kernel[{key[0]},{key[1]},{key[2]}]"
         if key not in expected:
-            out.append(Violation(loc, "cell references ids outside the scenario or ensemble"))
+            out.append(Violation(_loc(cell, *key),
+                                 "cell references ids outside the scenario or ensemble"))
             continue
         summable = True
         for label, p in dist.as_dict().items():
@@ -534,20 +541,14 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
                 if p < 0 or p > 1:
                     huge = _beyond_float(p)
                     summable = summable and not huge
-                    out.append(Violation(f"{loc}.{label}", "probability too large for a float"
+                    out.append(Violation(_loc(entry, *key, label), "probability too large for a float"
                                          if huge else f"probability out of [0,1]: {p}"))
             elif not math.isfinite(p):
-                out.append(Violation(f"{loc}.{label}", f"probability must be finite, got {p!r}"))
+                out.append(Violation(_loc(entry, *key, label), f"probability must be finite, got {p!r}"))
             elif p < -t or p > 1 + t:
-                out.append(Violation(f"{loc}.{label}", f"probability out of [0,1]: {p!r}"))
-        if not summable:
-            continue
-        total = dist.total()
-        if isinstance(total, Fraction):
-            if total != 1:
-                out.append(Violation(loc, f"cell must sum to 1 exactly, got {total}"))
-        elif abs(total - 1.0) > t:
-            out.append(Violation(loc, f"cell must sum to 1 within {t}, got {total!r}"))
+                out.append(Violation(_loc(entry, *key, label), f"probability out of [0,1]: {p!r}"))
+        if summable and (fault := _sum_fault(dist.total(), t, "cell")):
+            out.append(Violation(_loc(cell, *key), fault))
     if not out:
         model._valid_at.add(t)
     return out

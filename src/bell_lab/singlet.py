@@ -10,6 +10,8 @@ probabilities are quadratic forms <psi| P(A,a) (x) P(B,b) |psi>, computed
 here by building the 4x4 operator, not by quoting a formula; the matching
 closed form (1 - A*B*a.b)/4 is held to this computation by the test-suite
 oracle over randomized directions before anything relies on it.
+`make_quantum_theory` validates the model it builds, so a duplicate id or
+one holding '|' raises instead of yielding a spec `validate` refuses.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from .model import (
     Scenario,
     Setting,
     TheoryModel,
-    is_text,
+    direction_fault,
+    require_valid,
 )
 
 Direction = tuple[float, float, float]
-
-_UNIT_TOL = 1e-9
 
 #: Singlet amplitudes in the (++, +-, -+, --) product basis.
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -50,9 +51,9 @@ def _check_direction(direction: Direction, label: str) -> np.ndarray:
     vec = np.asarray(direction, dtype=float)
     if vec.shape != (3,):
         raise DirectionError(f"{label}: direction must have three components")
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= _UNIT_TOL:
-        raise DirectionError(f"{label}: direction must be a unit vector, norm is {norm!r}")
+    # Python floats: their products overflow to inf without a numpy warning
+    if fault := direction_fault(vec.tolist()):
+        raise DirectionError(f"{label}: {fault}")
     return vec
 
 
@@ -130,15 +131,12 @@ def make_quantum_theory(spec: SingletSpec) -> TheoryModel:
     """Single hidden state `psi` carrying the full quantum kernel.
 
     The hidden state is the quantum state itself, so the ensemble is a
-    point mass; the kernel cells are the singlet joint distributions.
+    point mass; the kernel cells are the singlet joint distributions.  The
+    model must pass `validate_theory`, else InvalidModelError is raised.
     """
-    for text in (spec.name, *(s.id for s in (*spec.alice, *spec.bob))):
-        if not is_text(text):
-            raise BellLabError(f"{text!r} holds a lone surrogate, which no spec can carry")
-    for s in list(spec.alice) + list(spec.bob):
+    for s in (*spec.alice, *spec.bob):
         if s.direction is None:
             raise DirectionError(f"setting {s.id!r}: singlet models need a direction per setting")
-        _check_direction(s.direction, f"setting {s.id!r}")
     scenario = Scenario(alice_settings=tuple(spec.alice), bob_settings=tuple(spec.bob))
     cells = {
         (HIDDEN_STATE_ID, a.id, b.id): singlet_cell(a.direction, b.direction)
@@ -148,9 +146,11 @@ def make_quantum_theory(spec: SingletSpec) -> TheoryModel:
     ensemble = HiddenStateEnsemble(
         entries=(EnsembleEntry(state_id=HIDDEN_STATE_ID, weight=Fraction(1)),)
     )
-    return TheoryModel(
+    model = TheoryModel(
         name=spec.name, scenario=scenario, ensemble=ensemble, kernel=ResponseKernel(cells)
     )
+    require_valid(model)
+    return model
 
 
 def make_planar_singlet(alice_angles: str, bob_angles: str, name: str = "quantum singlet") -> TheoryModel:

@@ -263,12 +263,13 @@ _ID_TEXT = st.text(st.sampled_from('ab1|,"\n é'), max_size=3)
 
 
 @st.composite
-def relabelled_models(draw) -> TheoryModel:
-    """An exact or decimal model under drawn setting and hidden-state ids."""
+def relabelled_models(draw, ids=_ID_TEXT) -> TheoryModel:
+    """An exact or decimal model under setting and hidden-state ids drawn
+    from `ids`."""
     model = draw(st.one_of(arbitrary_models(), decimal_models()))
-    alice = {s.id: draw(_ID_TEXT) for s in model.scenario.alice_settings}
-    bob = {s.id: draw(_ID_TEXT) for s in model.scenario.bob_settings}
-    states = {e.state_id: draw(_ID_TEXT) for e in model.ensemble.entries}
+    alice = {s.id: draw(ids) for s in model.scenario.alice_settings}
+    bob = {s.id: draw(ids) for s in model.scenario.bob_settings}
+    states = {e.state_id: draw(ids) for e in model.ensemble.entries}
     return TheoryModel(
         name=draw(st.text(max_size=5)),
         scenario=Scenario(

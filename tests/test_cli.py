@@ -223,6 +223,34 @@ class TestDeriveInstructions:
         assert code == 0
         assert "classes" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_partition_skipped_past_sixteen_axes(self, capsys, tmp_path, fmt):
+        """17 derived axes would need 2^17 classes: the derivation is
+        printed, the partition skipped, and the exit code stays 0."""
+        path = seventeen_axes_spec(tmp_path)
+        code, out, _ = run_cli(capsys, "derive-instructions", str(path), "--format", fmt)
+        assert code == 0
+        skipped = "refusing to enumerate 2^17 classes (limit 2^16)"
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["derived"] is True
+            assert doc["partition"] == {"skipped": skipped}
+        else:
+            assert out.startswith("Instruction derivation: OK\n")
+            assert out.endswith(f"  classes skipped: {skipped}\n")
+
+
+def seventeen_axes_spec(tmp_path) -> Path:
+    """One deterministic state on 17 shared axes, all Alice outcomes +1."""
+    ids = [f"n{k}" for k in range(1, 18)]
+    axes = tuple((i, i) for i in ids)
+    instr = InstructionSet(axes=axes, assignments={"s": {axis: (1, -1) for axis in axes}},
+                           weights={"s": Fraction(1)})
+    settings_ = tuple(Setting(i) for i in ids)
+    path = tmp_path / "seventeen.json"
+    dump_theory(realize_model(instr, Scenario(settings_, settings_)), path)
+    return path
+
 
 class TestBellTest:
     def test_chsh_roles_and_membership(self, capsys, singlet_chsh_path):
@@ -417,6 +445,14 @@ class TestMakeSinglet:
         doc = json.loads(out)
         assert doc["kernel"]["psi"]["a1|b1"]
 
+    @pytest.mark.parametrize("alice", ["a1=0,a1=90", "a|1=0"])
+    def test_ids_of_an_invalid_spec_exit_two(self, capsys, alice):
+        """A duplicate id, or one holding '|', would make a spec that
+        `validate` refuses or that does not parse: nothing is written."""
+        code, out, err = run_cli(capsys, "make-singlet", "--alice", alice, "--bob", "b1=45")
+        assert (code, out) == (2, "")
+        assert "invalid theory model" in err
+
     def test_rejects_bad_angles(self, capsys):
         for angle in ("zero", "nan", "inf", "-inf", "1e400"):
             code, out, err = run_cli(
@@ -474,6 +510,16 @@ class TestReport:
         assert sections["instructions"]["partition"]["class_count"] == 8
         assert sections["bell_tests"]["chsh"]["skipped"]
 
+    def test_partition_skipped_past_sixteen_axes(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "report", str(seventeen_axes_spec(tmp_path)),
+                               "--format", "json")
+        assert code == 0
+        instructions = json.loads(out)["sections"]["instructions"]
+        assert instructions["derived"] is True
+        assert len(instructions["instructions"]["axes"]) == 17
+        assert instructions["partition"] == {
+            "skipped": "refusing to enumerate 2^17 classes (limit 2^16)"}
+
     def test_text_report_renders(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "report", str(fixtures_dir / "two_state.json"))
         assert code == 0
@@ -492,6 +538,25 @@ class TestTopLevel:
     def test_no_command_shows_usage(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        [command, "{spec}"] for command in ("validate", "check-locality", "check-signal",
+                                            "check-anticorrelation", "derive-instructions",
+                                            "bell-test")
+    ] + [["make-singlet", "--alice", "a1=0", "--bob", "b1=45"]])
+    def test_seed_is_refused_where_nothing_is_drawn(self, capsys, singlet_chsh_path, argv):
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(spec=singlet_chsh_path) for arg in argv] + ["--seed", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_simulate_and_report_take_seed(self, capsys, singlet_chsh_path):
+        code, out, _ = run_cli(capsys, "simulate", str(singlet_chsh_path), "--trials", "20",
+                               "--seed", "7", "--format", "json")
+        assert (code, json.loads(out)["seed"]) == (0, 7)
+        code, out, _ = run_cli(capsys, "report", str(singlet_chsh_path), "--simulate-trials", "20",
+                               "--seed", "7", "--format", "json")
+        assert (code, json.loads(out)["sections"]["simulation"]["seed"]) == (0, 7)
 
     def test_unknown_ids_exit_two(self, capsys, singlet_chsh_path):
         code, _, err = run_cli(

@@ -147,6 +147,8 @@ argv_text = st.one_of(
 @example(alice="a=0,a2=-inf", bob="b=1e400", name="s")
 @example(alice="\udcff=0", bob="b=0", name="s")
 @example(alice="a=0", bob="b=0", name="\udcff")
+@example(alice="a=0,a=90", bob="b=0", name="s")
+@example(alice="a|1=0", bob="b=0", name="s")
 def test_make_singlet_text_exits_zero_or_two(alice, bob, name):
     code, out = run(["make-singlet", f"--alice={alice}", f"--bob={bob}", f"--name={name}"])
     assert code in (0, 2)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bell_lab.audit import check_anticorrelation, check_bell_locality, check_signal_locality
 from bell_lab.cli import main
-from bell_lab.instructions import derive_instruction_sets
+from bell_lab.instructions import InstructionSet, derive_instruction_sets, realize_model
 from bell_lab.model import (
     DEFAULT_TOL,
     BellLabError,
@@ -37,7 +37,7 @@ from bell_lab.model import (
     validate_theory,
 )
 from bell_lab.montecarlo import simulate
-from bell_lab.singlet import make_planar_singlet
+from bell_lab.singlet import SingletSpec, make_planar_singlet, make_quantum_theory, planar_direction
 from bell_lab.specio import dump_theory, parse_theory, theory_to_dict
 
 import genmodels
@@ -302,6 +302,70 @@ class TestValidation:
             assert validate_theory(random_anticorr_mixture(rng, 2, 4)) == []
 
 
+#: Ids from a small alphabet, so duplicates, '|' and lone surrogates all
+#: come up.
+rule_ids = st.text(st.sampled_from("a1|\ud800"), max_size=3)
+
+#: Instruction weights, most of which do not sum to 1.
+instruction_weights = st.one_of(
+    st.fractions(0, 2, max_denominator=4), st.floats(0, 1.5),
+    st.sampled_from([float("nan"), Fraction(10**400)]),
+)
+
+
+class TestOneRule:
+    """The builders return only models that `validate_theory` passes, and
+    a violation report always prints."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(alice=st.lists(st.tuples(rule_ids, st.none() | st.floats(-360, 360)), max_size=3),
+           bob=st.lists(st.tuples(rule_ids, st.floats(-360, 360)), max_size=3),
+           name=st.text(st.sampled_from("s\ud800"), max_size=2))
+    @example(alice=[("a", 0.0), ("a", 90.0)], bob=[("b", 45.0)], name="s")
+    @example(alice=[("a|1", 0.0)], bob=[("b", 45.0)], name="s")
+    def test_make_quantum_theory_returns_only_valid_models(self, alice, bob, name):
+        def settings_(pairs):
+            return tuple(Setting(i, None if deg is None else planar_direction(deg)) for i, deg in pairs)
+        try:
+            model = make_quantum_theory(SingletSpec(settings_(alice), settings_(bob), name))
+        except BellLabError:
+            return
+        assert validate_theory(model) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(axes=st.lists(st.tuples(rule_ids, rule_ids), min_size=1, max_size=3),
+           states=st.dictionaries(rule_ids, instruction_weights, max_size=3),
+           signs=st.lists(st.sampled_from([1, -1]), min_size=9, max_size=9))
+    @example(axes=[("n", "n")], states={"s": Fraction(1, 2)}, signs=[1] * 9)
+    @example(axes=[("a|1", "b")], states={"s": Fraction(1)}, signs=[1] * 9)
+    def test_realize_model_returns_only_valid_models(self, axes, states, signs):
+        assignments = {state: {axis: (signs[3 * i + j], -signs[3 * i + j])
+                               for j, axis in enumerate(axes)}
+                       for i, state in enumerate(states)}
+        scenario = Scenario(tuple(Setting(a) for a, _ in axes), tuple(Setting(b) for _, b in axes))
+        try:
+            model = realize_model(InstructionSet(tuple(axes), assignments, states), scenario)
+        except BellLabError:
+            return
+        assert validate_theory(model) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=genmodels.relabelled_models(ids=st.text(st.sampled_from("a1|,\ud800\udfff"),
+                                                         max_size=3)))
+    @example(model=tiny_model(
+        scenario=Scenario((Setting("a|\ud800"),), (Setting("b1"),)),
+        kernel=ResponseKernel({("s1", "a|\ud800", "b1"): OutcomeDistribution.point(+1, -1)})))
+    @example(model=tiny_model(
+        ensemble=HiddenStateEnsemble((EnsembleEntry("\ud800", Fraction(1, 2)),)),
+        kernel=ResponseKernel({("\ud800", "a1", "b1"): OutcomeDistribution(0.5, 0.5, 0.5, -1.0),
+                               ("\ud800", "a1", "zz"): OutcomeDistribution.point(+1, -1)})))
+    def test_every_violation_report_prints(self, model):
+        violations = tuple(validate_theory(model))
+        str(InvalidModelError(violations)).encode("utf-8")
+        for v in violations:
+            f"{v.location}: {v.message}".encode("utf-8")
+
+
 class TestExactness:
     def test_exact_model_reports_exact(self):
         assert tiny_model().is_exact
@@ -466,6 +530,7 @@ class TestValidateOnce:
     def test_report_validates_once(self, validate_calls, tmp_path, capsys):
         spec = tmp_path / "three_axes.json"
         dump_theory(make_planar_singlet("n1=0,n2=60,n3=120", "n1=0,n2=60,n3=120"), spec)
+        validate_calls.clear()  # the builder validated the model it wrote
         code = main(["report", str(spec), "--bell1964", "n1,n2,n3", "--simulate-trials", "50",
                      "--format", "json"])
         sections = json.loads(capsys.readouterr().out)["sections"]
