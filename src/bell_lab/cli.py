@@ -7,6 +7,12 @@ codes: 0 = clean verdict (or report generated), 1 = audited property
 fails, 2 = input could not be used (parse error, schema violation,
 invalid model, bad flags).
 
+The six check subcommands (`validate` to `bell-test`) are the rows of one
+table, `CHECKS`, which `build_parser` registers; `cmd_check` serves them
+all: load the spec, run the row's check, emit JSON or text, and return 0
+if the check passed, else 1.  `make-singlet` compares and renders
+nothing, so it takes no `--tol` or `--format`.
+
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
 """
@@ -19,6 +25,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterator
 
 from . import __version__
@@ -293,93 +300,79 @@ def derivation_json(result) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# the check subcommands: one row each, one handler
 
 
-def cmd_validate(args) -> int:
-    model, _ = _load(args.spec)
+def _validate(model: TheoryModel, args):
     violations = validate_theory(model, args.tol)
-    if args.fmt == "json":
-        emit_json(validation_json(violations))
-    else:
-        render_validation(violations, sys.stdout)
-    return 0 if not violations else 1
+    to_json = partial(validation_json, violations)
+    return to_json, partial(render_validation, violations), not violations
 
 
-def cmd_check_locality(args) -> int:
-    model, _ = _load(args.spec)
+def _locality(model: TheoryModel, args):
     report = check_bell_locality(model, args.tol)
-    if args.fmt == "json":
-        emit_json(report.to_dict())
-    else:
-        render_locality(report, sys.stdout)
-    return 0 if report.bell_local else 1
+    return report.to_dict, partial(render_locality, report), report.bell_local
 
 
-def cmd_check_signal(args) -> int:
-    model, _ = _load(args.spec)
+def _signal(model: TheoryModel, args):
     report = check_signal_locality(model, args.tol)
-    if args.fmt == "json":
-        emit_json(report.to_dict())
-    else:
-        render_signal(report, sys.stdout)
-    return 0 if report.signal_local else 1
+    return report.to_dict, partial(render_signal, report), report.signal_local
 
 
-def cmd_check_anticorrelation(args) -> int:
-    model, _ = _load(args.spec)
-    axes = _parse_axes_arg(model, args.axes)
-    report = check_anticorrelation(model, axes, args.tol)
-    if args.fmt == "json":
-        emit_json(report.to_dict())
-    else:
-        render_anticorr(report, sys.stdout)
-    return 0 if report.holds else 1
+def _anticorrelation(model: TheoryModel, args):
+    report = check_anticorrelation(model, _parse_axes_arg(model, args.axes), args.tol)
+    return report.to_dict, partial(render_anticorr, report), report.holds
 
 
-def cmd_derive_instructions(args) -> int:
-    model, _ = _load(args.spec)
-    axes = _parse_axes_arg(model, args.axes)
-    result = derive_instruction_sets(model, axes, args.tol)
+def _derivation(model: TheoryModel, args):
+    result = derive_instruction_sets(model, _parse_axes_arg(model, args.axes), args.tol)
     doc = derivation_json(result)
-    if args.fmt == "json":
-        emit_json(doc)
-    else:
-        render_instructions(result, doc.get("partition"), sys.stdout)
-    return 0 if doc["derived"] else 1
+    return lambda: doc, partial(render_instructions, result, doc.get("partition")), doc["derived"]
 
 
-def _run_bell_tests(model: TheoryModel, args) -> BellTestResult:
+def _bell_tests(model: TheoryModel, args):
     table = behavior(model, args.tol)
-    chsh_result = None
-    if args.chsh:
-        roles = _parse_roles(args.chsh)
-        chsh_result = chsh(table, *roles, tol=args.tol)
-    bell_result = None
-    if args.bell1964:
-        bell_result = bell1964(table, _parse_bell1964(model, args.bell1964), tol=args.tol)
-    membership = None
-    if args.membership:
-        membership = local_polytope_membership(table, model.scenario, tol=args.tol)
-    return BellTestResult(
+    result = BellTestResult(
+        chsh=chsh(table, *_parse_roles(args.chsh), tol=args.tol) if args.chsh else None,
+        bell1964=(bell1964(table, _parse_bell1964(model, args.bell1964), tol=args.tol)
+                  if args.bell1964 else None),
+        membership=local_polytope_membership(table, tol=args.tol) if args.membership else None,
         correlators=all_correlators(table),
-        chsh=chsh_result,
-        bell1964=bell_result,
-        membership=membership,
     )
+    return result.to_dict, partial(render_bell_tests, result), True
 
 
-def cmd_bell_test(args) -> int:
+#: One row per check subcommand, in `--help` order: name, help, the check
+#: and the flags beyond the spec, `--tol` and `--format`.  A check returns
+#: a builder of its JSON document (called only for `--format json`), a
+#: text renderer taking the output stream, and whether the check passed.
+CHECKS = (
+    ("validate", "check model invariants", _validate, {}),
+    ("check-locality", "audit Bell locality", _locality, {}),
+    ("check-signal", "audit signal locality", _signal, {}),
+    ("check-anticorrelation", "audit perfect anti-correlation on equal axes", _anticorrelation,
+     {"--axes": dict(help="comma-separated axes: 'a1=b1,a2=b2' or bare shared ids")}),
+    ("derive-instructions", "derive per-state instruction sets and the class partition",
+     _derivation, {"--axes": dict(help="comma-separated axes (default: auto-detect by vector)")}),
+    ("bell-test", "CHSH, three-axis inequality, membership", _bell_tests, {
+        "--chsh": dict(metavar="A,A2:B,B2", help="CHSH roles (a, a_prime : b, b_prime)"),
+        "--bell1964": dict(metavar="AX1,AX2,AX3", help="three axes for the 1964 inequality"),
+        "--membership": dict(action="store_true", help="decide local-polytope membership"),
+    }),
+)
+
+
+def cmd_check(check, args) -> int:
     model, _ = _load(args.spec)
-    result = _run_bell_tests(model, args)
+    to_json, render, passed = check(model, args)
     if args.fmt == "json":
-        emit_json(result.to_dict())
+        emit_json(to_json())
     else:
-        render_bell_tests(result, sys.stdout)
-    return 0
+        render(sys.stdout)
+    return 0 if passed else 1
 
 
-def _parse_policy(model: TheoryModel, text: str):
+def _parse_policy(text: str):
     if text == "uniform":
         return UniformSettingPolicy()
     if text.startswith("sequence:"):
@@ -408,7 +401,7 @@ def _parse_policy(model: TheoryModel, text: str):
 
 def cmd_simulate(args) -> int:
     model, _ = _load(args.spec)
-    policy = _parse_policy(model, args.policy)
+    policy = _parse_policy(args.policy)
     roles = _parse_roles(args.chsh_roles) if args.chsh_roles else None
     stats = simulate(
         model, args.trials, args.seed, policy=policy, chsh_roles=roles,
@@ -499,7 +492,7 @@ def run_pipeline(spec_path: str, args) -> RunReport:
     else:
         bell["bell1964"] = {"skipped": "no axes given (--bell1964)"}
     try:
-        bell["membership"] = local_polytope_membership(table, model.scenario, tol=t).to_dict()
+        bell["membership"] = local_polytope_membership(table, tol=t).to_dict()
     except EnumerationLimitError as exc:
         bell["membership"] = {"skipped": str(exc)}
     sections["bell_tests"] = bell
@@ -550,36 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check model invariants")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("check-locality", parents=[common], help="audit Bell locality")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_check_locality)
-
-    p = sub.add_parser("check-signal", parents=[common], help="audit signal locality")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_check_signal)
-
-    p = sub.add_parser("check-anticorrelation", parents=[common],
-                       help="audit perfect anti-correlation on equal axes")
-    p.add_argument("spec")
-    p.add_argument("--axes", help="comma-separated axes: 'a1=b1,a2=b2' or bare shared ids")
-    p.set_defaults(func=cmd_check_anticorrelation)
-
-    p = sub.add_parser("derive-instructions", parents=[common],
-                       help="derive per-state instruction sets and the class partition")
-    p.add_argument("spec")
-    p.add_argument("--axes", help="comma-separated axes (default: auto-detect by vector)")
-    p.set_defaults(func=cmd_derive_instructions)
-
-    p = sub.add_parser("bell-test", parents=[common], help="CHSH, three-axis inequality, membership")
-    p.add_argument("spec")
-    p.add_argument("--chsh", metavar="A,A2:B,B2", help="CHSH roles (a, a_prime : b, b_prime)")
-    p.add_argument("--bell1964", metavar="AX1,AX2,AX3", help="three axes for the 1964 inequality")
-    p.add_argument("--membership", action="store_true", help="decide local-polytope membership")
-    p.set_defaults(func=cmd_bell_test)
+    for name, help_text, check, flags in CHECKS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("spec")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=partial(cmd_check, check))
 
     p = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo EPRB experiment")
     p.add_argument("spec")
@@ -602,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed for --simulate-trials")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("make-singlet", parents=[common],
-                       help="write a quantum singlet spec from planar angles")
+    p = sub.add_parser("make-singlet", help="write a quantum singlet spec from planar angles")
     p.add_argument("--alice", required=True, metavar="ID=DEG,...",
                    help="Alice settings as 'a1=0,a2=90' (x-z plane angles in degrees)")
     p.add_argument("--bob", required=True, metavar="ID=DEG,...", help="Bob settings")
@@ -617,9 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None:
-            # make-singlet takes --tol too but compares nothing with it; a
-            # bad value is refused for every subcommand
+        if getattr(args, "tol", None) is not None:
             resolve_tolerance(True, args.tol)
         return args.func(args)
     except (BellLabError, OSError) as exc:

@@ -403,12 +403,10 @@ def _eliminate(row: list[int], prow: list[int], enter: int, pivot: int, det: int
     return [(x * pivot - factor * y) // det for x, y in zip(row, prow)]
 
 
-def _chsh_facet_certificate(
-    table: BehaviorTable, scenario: Scenario, t: float
-) -> SeparatingFunctional | None:
+def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctional | None:
     """Search the eight CHSH sign variants of a 2x2 scenario for one the
     behavior exceeds; each variant's bound is brute-forced."""
-    roles = scenario.default_chsh_roles()
+    roles = table.scenario.default_chsh_roles()
     if roles is None:
         return None
     a, a2, b, b2 = roles
@@ -439,7 +437,7 @@ def _chsh_facet_certificate(
 
 
 def local_polytope_membership(
-    table: BehaviorTable, scenario: Scenario | None = None, tol: float | None = None
+    table: BehaviorTable, tol: float | None = None
 ) -> MembershipCertificate:
     """Decide membership in the convex hull of deterministic strategies.
 
@@ -449,7 +447,7 @@ def local_polytope_membership(
     tolerance (0 for exact tables, else 1e-9).  Both kinds of certificate
     are checked on those integers before they are returned.
     """
-    scenario = scenario if scenario is not None else table.scenario
+    scenario = table.scenario
     t = resolve_tolerance(table, tol)
     strategies = enumerate_strategies(scenario)
 
@@ -496,7 +494,7 @@ def local_polytope_membership(
     if max(vertex_values) > 0:
         raise BellLabError("outside certificate failed verification; simplex bug")
 
-    facet = _chsh_facet_certificate(table, scenario, t)
+    facet = _chsh_facet_certificate(table, t)
     if facet is not None:
         return MembershipCertificate(
             inside=False, weights=None, functional=facet, residual=residual, tolerance=t

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import itertools
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import bell_lab
 from bell_lab.cli import (_axis_names, _fields, _parse_axes_arg, _parse_bell1964, _parse_policy,
-                          _parse_roles, main)
+                          _parse_roles, build_parser, main)
 from bell_lab.instructions import InstructionSet, realize_model
 from bell_lab.model import BellLabError, Scenario, Setting
 from bell_lab.specio import dump_theory, load_theory
@@ -558,6 +559,38 @@ class TestTopLevel:
                                "--seed", "7", "--format", "json")
         assert (code, json.loads(out)["sections"]["simulation"]["seed"]) == (0, 7)
 
+    COMMON = {"-h", "--help", "--tol", "--format"}
+
+    #: command -> (positional arguments, option strings), in `--help` order
+    FLAGS = {
+        "validate": (["spec"], COMMON),
+        "check-locality": (["spec"], COMMON),
+        "check-signal": (["spec"], COMMON),
+        "check-anticorrelation": (["spec"], COMMON | {"--axes"}),
+        "derive-instructions": (["spec"], COMMON | {"--axes"}),
+        "bell-test": (["spec"], COMMON | {"--chsh", "--bell1964", "--membership"}),
+        "simulate": (["spec"], COMMON | {"--trials", "--policy", "--out", "--reveal-lambda",
+                                         "--chsh-roles", "--seed"}),
+        "report": (["spec"], COMMON | {"--axes", "--chsh", "--bell1964", "--simulate-trials",
+                                       "--seed"}),
+        "make-singlet": ([], {"-h", "--help", "--alice", "--bob", "--name", "--out"}),
+    }
+
+    @staticmethod
+    def subcommands() -> dict[str, argparse.ArgumentParser]:
+        return next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_each_subcommand_has_exactly_its_flags(self, command):
+        positionals, options = self.FLAGS[command]
+        actions = self.subcommands()[command]._actions
+        assert [a.dest for a in actions if not a.option_strings] == positionals
+        assert {opt for a in actions for opt in a.option_strings} == options
+
+    def test_subcommands_keep_their_help_order(self):
+        assert list(self.subcommands()) == list(self.FLAGS)
+
     def test_unknown_ids_exit_two(self, capsys, singlet_chsh_path):
         code, _, err = run_cli(
             capsys, "bell-test", str(singlet_chsh_path), "--chsh", "zz,a1:b1,b2"
@@ -582,17 +615,22 @@ class TestToleranceFlag:
     }
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
-    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "make-singlet"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_bad_tolerance_exits_two(self, capsys, fixtures_dir, command, tol):
-        if command == "make-singlet":
-            argv = [command, "--alice", "a1=0", "--bob", "b1=45"]
-        else:
-            spec = fixtures_dir / "golden" / "decimal_nonlocal_3x3.json"
-            argv = [command, str(spec), *self.SUBCOMMANDS[command]]
+        spec = fixtures_dir / "golden" / "decimal_nonlocal_3x3.json"
+        argv = [command, str(spec), *self.SUBCOMMANDS[command]]
         code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
         assert code == 2
         assert out == ""
         assert "tolerance must be a finite number >= 0" in err
+
+    @pytest.mark.parametrize("flag", ["--tol=1e-3", "--format=json", "--format=text"])
+    def test_make_singlet_has_no_tolerance_or_format(self, capsys, flag):
+        """make-singlet compares nothing and always writes the JSON spec."""
+        with pytest.raises(SystemExit) as info:
+            main(["make-singlet", "--alice", "a1=0", "--bob", "b1=45", flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestBell1964Axes:
@@ -670,7 +708,7 @@ class TestQuotedIds:
         assert list(_parse_bell1964(model, pairs)) == axes
         seq = tmp_path_factory.mktemp("q") / "seq.txt"
         seq.write_text("".join(quoted(i, i) + "\n" for i in ids), encoding="utf-8")
-        assert _parse_policy(model, f"sequence:{seq}").pairs == tuple(axes)
+        assert _parse_policy(f"sequence:{seq}").pairs == tuple(axes)
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(st.sampled_from('ab ,:"\t\n'), max_size=12))
