@@ -15,6 +15,9 @@ nothing, so it takes no `--tol` or `--format`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
+`emit_json` writes those bytes in chunks of about a MiB, so a large report
+is never held as one string.  A closed stdout (`| head`, `>&-`) does not
+change the exit code: it stays the check's own 0 or 1.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import repeat
 from typing import Any, Iterator
 
 from . import __version__
@@ -56,8 +62,80 @@ from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 PROG = "bell-lab"
 
 
+#: `emit_json` hands its stream about this many characters per `write`.
+_WRITE_CHARS = 1 << 20
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _encoder(level: int) -> json.JSONEncoder:
+    """json's C encoder for a container `level` deep whose values are not
+    containers: its item separator is the newline and indent that
+    `indent=2` puts between the items."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False,
+                            separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def _at_once(obj: Any, level: int) -> str | None:
+    """The `indent=2` text of `obj`, `level` deep, when one C encoder call
+    can write it: a scalar, or a container that holds no container.  That
+    call puts the items at their indent; only the brackets need theirs
+    put back.  Else None."""
+    if not isinstance(obj, _CONTAINERS):
+        return _encoder(level).encode(obj)
+    if any(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat(_CONTAINERS))):
+        return None
+    text = _encoder(level).encode(obj)
+    if len(text) == 2:  # {} or []
+        return text
+    inner = "\n" + "  " * (level + 1)
+    return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+
+
+def _chunks(obj: Any, level: int) -> Iterator[str]:
+    """The `indent=2` text of a container `level` deep that holds a
+    container, in pieces: each value the C encoder can write at once is
+    one piece, and the rest are walked."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        # '"key": ' cut from {key: 0}, so json converts or refuses the key
+        items = ((_encoder(0).encode({key: 0})[1:-2], value) for key, value in sorted(obj.items()))
+        brackets = "{}"
+    else:
+        items, brackets = zip(repeat(""), obj), "[]"
+    sep = brackets[0] + inner
+    for head, value in items:
+        text = _at_once(value, level + 1)
+        if text is None:
+            yield sep + head
+            yield from _chunks(value, level + 1)
+        else:
+            yield sep + head + text
+        sep = "," + inner
+    yield inner[:-2] + brackets[1]
+
+
 def emit_json(obj: Any, out=None) -> None:
-    (out or sys.stdout).write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write `json.dumps(obj, indent=2, sort_keys=True)` and a newline to
+    `out` (default stdout), byte for byte, in writes of about
+    `_WRITE_CHARS` characters, so the whole text is never held at once.
+    Each container without a container inside is written by json's C
+    encoder in one call, so a long list of flat rows costs one C call
+    per row.  A value `json` cannot encode raises its TypeError, perhaps
+    after some chunks are written; a document that contains itself
+    raises RecursionError where `json` raises ValueError."""
+    out = out or sys.stdout
+    text = _at_once(obj, 0)
+    chunks = (text,) if text is not None else _chunks(obj, 0)
+    parts, size = [], 0
+    for chunk in chunks:
+        parts.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_CHARS:
+            out.write("".join(parts))
+            parts, size = [], 0
+    parts.append("\n")
+    out.write("".join(parts))
 
 
 def _fields(text: str, seps: str = ",") -> Iterator[tuple[str, bool, str]]:
@@ -362,14 +440,45 @@ CHECKS = (
 )
 
 
+@contextmanager
+def _named_file():
+    """An OSError on a file the command line names is bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise BellLabError(str(exc)) from exc
+
+
+def _output(fmt: str, to_json, render, code: int = 0) -> int:
+    """Write a command's result to stdout, as JSON (`to_json()`) or as
+    text (`render(sys.stdout)`), and return its exit code `code`.  A
+    reader that closes stdout early does not change the verdict, so a
+    broken pipe keeps `code`; any other failure to write stdout is an
+    unwritable output, as for --out.  Either way fd 1 then points at
+    os.devnull, so the interpreter's last flush stays quiet (the "Note
+    on SIGPIPE" in Python's `signal` docs).  With fd 1 closed before the
+    start (`>&-`), sys.stdout is None and nothing is written."""
+    if sys.stdout is None:
+        return code
+    try:
+        if fmt == "json":
+            emit_json(to_json())
+        else:
+            render(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise BellLabError(str(exc)) from exc
+    return code
+
+
 def cmd_check(check, args) -> int:
     model, _ = _load(args.spec)
     to_json, render, passed = check(model, args)
-    if args.fmt == "json":
-        emit_json(to_json())
-    else:
-        render(sys.stdout)
-    return 0 if passed else 1
+    return _output(args.fmt, to_json, render, 0 if passed else 1)
 
 
 def _parse_policy(text: str):
@@ -378,7 +487,7 @@ def _parse_policy(text: str):
     if text.startswith("sequence:"):
         path = text[len("sequence:"):]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with _named_file(), open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise BellLabError(f"{path}: setting sequence is not UTF-8 ({exc})") from exc
@@ -403,27 +512,26 @@ def cmd_simulate(args) -> int:
     model, _ = _load(args.spec)
     policy = _parse_policy(args.policy)
     roles = _parse_roles(args.chsh_roles) if args.chsh_roles else None
-    stats = simulate(
-        model, args.trials, args.seed, policy=policy, chsh_roles=roles,
-        csv_path=args.out or None, reveal_hidden=args.reveal_lambda, tol=args.tol,
-    )
-    if args.fmt == "json":
-        emit_json(stats.to_dict())
-    else:
-        render_stats(stats, sys.stdout)
+    with _named_file():
+        stats = simulate(
+            model, args.trials, args.seed, policy=policy, chsh_roles=roles,
+            csv_path=args.out or None, reveal_hidden=args.reveal_lambda, tol=args.tol,
+        )
+
+    def render(out) -> None:
+        render_stats(stats, out)
         if args.out:
-            sys.stdout.write(f"  records written to {args.out}\n")
-    return 0
+            out.write(f"  records written to {args.out}\n")
+    return _output(args.fmt, stats.to_dict, render)
 
 
 def cmd_make_singlet(args) -> int:
     model = make_planar_singlet(args.alice, args.bob, name=args.name)
-    if args.out:
+    if not args.out:
+        return _output("json", partial(theory_to_dict, model), None)
+    with _named_file():
         dump_theory(model, args.out)
-        sys.stdout.write(f"singlet spec written to {args.out}\n")
-    else:
-        emit_json(theory_to_dict(model))
-    return 0
+    return _output("text", None, lambda out: out.write(f"singlet spec written to {args.out}\n"))
 
 
 @dataclass(frozen=True)
@@ -518,11 +626,7 @@ def render_report(report: RunReport, out) -> None:
 
 def cmd_report(args) -> int:
     report = run_pipeline(args.spec, args)
-    if args.fmt == "json":
-        emit_json(report.to_dict())
-    else:
-        render_report(report, sys.stdout)
-    return 0
+    return _output(args.fmt, report.to_dict, partial(render_report, report))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "tol", None) is not None:
             resolve_tolerance(True, args.tol)
         return args.func(args)
-    except (BellLabError, OSError) as exc:
+    except BellLabError as exc:
         sys.stderr.write(f"{PROG}: error: {exc}\n")
         return 2
 

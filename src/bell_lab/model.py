@@ -126,6 +126,8 @@ def parse_probability(value: object, where: str = "probability") -> Prob:
 
 def format_probability(value: Prob) -> object:
     """Inverse of parse_probability for serialization: Fractions to 'p/q' or int."""
+    if type(value) is float:  # skips the ABC check of isinstance(value, Fraction)
+        return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
