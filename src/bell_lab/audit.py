@@ -22,12 +22,19 @@ as its exact ratio p / q, a check is an inequality between
 cross-multiplied Python ints, which decides as the Fraction comparison
 with the float tolerance does, and Fractions are built only for the cells
 a report lists.  The signal audit reads the behavior table.
+
+A locality violation is a tuple-backed row (`LocalityViolation`, a
+NamedTuple), zipped from the index lists of the failing cells without a
+Python call per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,14 +62,15 @@ class EqualAxisError(BellLabError):
     """No equal-axis pairs were declared and none could be auto-detected."""
 
 
-@dataclass(frozen=True)
-class LocalityViolation:
+class LocalityViolation(NamedTuple):
     """One cell where a locality equation fails.
 
     `form` is "factorization" (joint vs product of marginals) or
     "conditional-alice"/"conditional-bob" (far-setting or far-outcome
     dependence of the named wing's marginal; the far outcome slot is None
-    when only the far setting was varied).
+    when only the far setting was varied).  A row is a tuple of its nine
+    fields, so it is immutable, iterable and indexable, and equals the
+    plain tuple of its fields.
     """
 
     form: str
@@ -129,6 +137,8 @@ _SLOTS = (
     + [(form, A, B) for A, B in JOINT_OUTCOMES for form in ("conditional-alice", "conditional-bob")]
     + [("factorization", A, B) for A, B in JOINT_OUTCOMES]
 )
+_FORMS, _OUTCOMES_A, _OUTCOMES_B = zip(*_SLOTS)
+_FACTORIZATION = tuple(form == "factorization" for form in _FORMS)
 
 
 def _by_slot(setting_a, setting_b, outcome_a, outcome_b, joint) -> np.ndarray:
@@ -149,7 +159,8 @@ def _setting_live(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 def _object_checks(kt: KernelTensor, t: float):
     """The 16 checks of every cell on the model's own values: `bad` at
-    [state, a, b, slot] and the (lhs, rhs, residual) of each bad cell."""
+    [state, a, b, slot] and the lhs, rhs and residual lists of the bad
+    cells."""
     K, marg_a, marg_b = kt.K, kt.alice_marginals, kt.bob_marginals
     own_a = np.broadcast_to(marg_a[:, :, :1, :, None], K.shape)  # P(A | a, first b)
     own_b = np.broadcast_to(marg_b[:, :1, :, None, :], K.shape)  # P(B | first a, b)
@@ -169,7 +180,7 @@ def _object_checks(kt: KernelTensor, t: float):
     resid = np.subtract(lhs, rhs, out=np.empty(lhs.shape, dtype=object), where=live)
     np.abs(resid, out=resid, where=live)
     bad = np.greater(resid, t, out=np.zeros(live.shape, dtype=bool), where=live)
-    return bad, zip(lhs[bad].tolist(), rhs[bad].tolist(), resid[bad].tolist())
+    return bad, lhs[bad].tolist(), rhs[bad].tolist(), resid[bad].tolist()
 
 
 def _integer_checks(kt: KernelTensor, t: float):
@@ -194,14 +205,9 @@ def _integer_checks(kt: KernelTensor, t: float):
     live = _by_slot(*_setting_live(N.shape[:3]), given_b * q > p * D, given_a * q > p * D,
                     np.ones(N.shape, dtype=bool))
     bad = live & (np.abs(Ln * Rd - Rn * Ld) * q > p * Ld * Rd)
-
-    def values():
-        for ln, ld, rn, rd in zip(Ln[bad].tolist(), Ld[bad].tolist(),
-                                  Rn[bad].tolist(), Rd[bad].tolist()):
-            lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
-            yield lhs, rhs, abs(lhs - rhs)
-
-    return bad, values()
+    lhs = list(map(Fraction, Ln[bad].tolist(), Ld[bad].tolist()))
+    rhs = list(map(Fraction, Rn[bad].tolist(), Rd[bad].tolist()))
+    return bad, lhs, rhs, list(map(abs, map(sub, lhs, rhs)))
 
 
 def check_bell_locality(model: TheoryModel, tol: float | None = None) -> LocalityReport:
@@ -213,19 +219,24 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
     is skipped (the factorized form still covers those cells).  Each form
     is one array expression over the kernel tensor, on its integer form
     for an exact model; the 16 checks of a cell sit on its last axis, so
-    violations come out in the order state, a, b, form.
+    violations come out in the order state, a, b, form.  The rows are
+    zipped from the index lists of the failing cells, one column per
+    field.
     """
     t = require_valid(model, tol)
     checks = _integer_checks if model.is_exact else _object_checks
-    bad, values = checks(model.tensor, t)
+    bad, lhs, rhs, resid = checks(model.tensor, t)
+    s, a, b, k = (i.tolist() for i in np.nonzero(bad))
     states, a_ids, b_ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
-    violations = [
-        LocalityViolation(_SLOTS[k][0], states[s], a_ids[a], b_ids[b], *_SLOTS[k][1:], *value)
-        for (s, a, b, k), value in zip(zip(*(i.tolist() for i in np.nonzero(bad))), values)
-    ]
+    columns = (map(_FORMS.__getitem__, k), map(states.__getitem__, s),
+               map(a_ids.__getitem__, a), map(b_ids.__getitem__, b),
+               map(_OUTCOMES_A.__getitem__, k), map(_OUTCOMES_B.__getitem__, k), lhs, rhs, resid)
+    # tuple.__new__ is what LocalityViolation._make calls, without a
+    # Python frame per row
+    violations = tuple(map(tuple.__new__, repeat(LocalityViolation), zip(*columns)))
     # every residual listed exceeds t >= 0, and max keeps the first of equals
-    worst = max((v.residual for v in violations if v.form == "factorization"), default=Fraction(0))
-    return LocalityReport(violations=tuple(violations), worst_residual=worst, tolerance=t)
+    worst = max(compress(resid, map(_FACTORIZATION.__getitem__, k)), default=Fraction(0))
+    return LocalityReport(violations=violations, worst_residual=worst, tolerance=t)
 
 
 @dataclass(frozen=True)

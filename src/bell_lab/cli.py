@@ -15,9 +15,12 @@ nothing, so it takes no `--tol` or `--format`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
-`emit_json` writes those bytes in chunks of about a MiB, so a large report
-is never held as one string.  A closed stdout (`| head`, `>&-`) does not
-change the exit code: it stays the check's own 0 or 1.
+`emit_json` writes those bytes in writes of exactly `_WRITE_CHARS`
+characters (a MiB) but the last, so a large report is never held as one
+string.  json's C encoder writes each container that holds no container
+in one call, and a list of flat rows, such as the locality violations,
+in one call per slab of `_SLAB_ROWS` rows.  A closed stdout (`| head`,
+`>&-`) does not change the exit code: it stays the check's own 0 or 1.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Iterator
 
 from . import __version__
@@ -62,8 +65,11 @@ from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 PROG = "bell-lab"
 
 
-#: `emit_json` hands its stream about this many characters per `write`.
+#: `emit_json` hands its stream this many characters per `write`, and
+#: fewer only in its last one.
 _WRITE_CHARS = 1 << 20
+#: a list of flat rows is encoded this many rows per C encoder call
+_SLAB_ROWS = 256
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -92,15 +98,47 @@ def _at_once(obj: Any, level: int) -> str | None:
     return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
 
 
+def _flat_rows(items) -> bool:
+    """Whether every item of a list is a non-empty dict that holds no
+    container, checked in one pass over the set of the values' types."""
+    if set(map(type, items)) != {dict} or not all(items):
+        return False
+    types = set(map(type, chain.from_iterable(map(dict.values, items))))
+    return not any(issubclass(t, _CONTAINERS) for t in types)
+
+
+def _slabs(rows, level: int) -> Iterator[str]:
+    """The `indent=2` text of a list of flat rows `level` deep, one piece
+    per `_SLAB_ROWS` rows, each written by one C encoder call.  That call
+    separates rows as it separates a row's items, by a newline and the
+    items' indent; json escapes a newline inside a string, so a raw
+    newline is always a separator, and one replace gives each row's
+    brackets their own indent."""
+    row = "\n" + "  " * (level + 1)
+    item = row + "  "
+    encode = _encoder(level + 1).encode
+    between, rejoined = "}," + item + "{", row + "}," + row + "{" + item
+    sep = "["
+    for start in range(0, len(rows), _SLAB_ROWS):
+        text = encode(rows[start:start + _SLAB_ROWS])  # [{...},<item>{...}]
+        yield sep + row + "{" + item + text[2:-2].replace(between, rejoined) + row + "}"
+        sep = ","
+    yield row[:-2] + "]"
+
+
 def _chunks(obj: Any, level: int) -> Iterator[str]:
     """The `indent=2` text of a container `level` deep that holds a
-    container, in pieces: each value the C encoder can write at once is
-    one piece, and the rest are walked."""
+    container, in pieces: a list of flat rows goes by slabs, each other
+    value the C encoder can write at once is one piece, and the rest are
+    walked."""
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
         # '"key": ' cut from {key: 0}, so json converts or refuses the key
         items = ((_encoder(0).encode({key: 0})[1:-2], value) for key, value in sorted(obj.items()))
         brackets = "{}"
+    elif _flat_rows(obj):
+        yield from _slabs(obj, level)
+        return
     else:
         items, brackets = zip(repeat(""), obj), "[]"
     sep = brackets[0] + inner
@@ -117,23 +155,34 @@ def _chunks(obj: Any, level: int) -> Iterator[str]:
 
 def emit_json(obj: Any, out=None) -> None:
     """Write `json.dumps(obj, indent=2, sort_keys=True)` and a newline to
-    `out` (default stdout), byte for byte, in writes of about
-    `_WRITE_CHARS` characters, so the whole text is never held at once.
+    `out` (default stdout), byte for byte, so the whole text is never
+    held at once.  Every write but the last is exactly `_WRITE_CHARS`
+    characters: pieces are gathered until they reach it, the piece that
+    crosses it is cut there, and its remainder opens the next write.
     Each container without a container inside is written by json's C
-    encoder in one call, so a long list of flat rows costs one C call
-    per row.  A value `json` cannot encode raises its TypeError, perhaps
-    after some chunks are written; a document that contains itself
-    raises RecursionError where `json` raises ValueError."""
+    encoder in one call, and a list of non-empty flat dicts, such as the
+    locality violations, in one call per `_SLAB_ROWS` rows.  A value
+    `json` cannot encode raises its TypeError, perhaps after some
+    writes; a document that contains itself raises RecursionError where
+    `json` raises ValueError."""
     out = out or sys.stdout
     text = _at_once(obj, 0)
     chunks = (text,) if text is not None else _chunks(obj, 0)
     parts, size = [], 0
     for chunk in chunks:
-        parts.append(chunk)
-        size += len(chunk)
-        if size >= _WRITE_CHARS:
-            out.write("".join(parts))
-            parts, size = [], 0
+        start = 0
+        while size + len(chunk) - start >= _WRITE_CHARS:  # a write ends in this chunk
+            stop = start + _WRITE_CHARS - size
+            parts.append(chunk[start:stop])
+            joined = "".join(parts)
+            # free the pieces, and this text after its write, so that one
+            # write's text and the stream's encoded copy are all that is held
+            parts.clear()
+            out.write(joined)
+            del joined
+            start, size = stop, 0
+        parts.append(chunk[start:])
+        size += len(chunk) - start
     parts.append("\n")
     out.write("".join(parts))
 

@@ -231,12 +231,6 @@ class HiddenStateEnsemble:
     def state_ids(self) -> tuple[str, ...]:
         return tuple(e.state_id for e in self.entries)
 
-    def weight_of(self, state_id: str) -> Prob:
-        for e in self.entries:
-            if e.state_id == state_id:
-                return e.weight
-        raise UnknownIdError(f"unknown hidden-state id {state_id!r}")
-
 
 @dataclass(frozen=True)
 class OutcomeDistribution:

@@ -1,8 +1,9 @@
 """The per-cell dict walks of the audit chain, kept as test oracles.
 
 These are `behavior`, `check_bell_locality`, `check_anticorrelation`,
-`derive_instruction_sets`, the sampler's cumulative tables and
-`conditional_marginal` as bell_lab shipped them before the kernel became
+`derive_instruction_sets`, the sampler's cumulative tables,
+`conditional_marginal` and `HiddenStateEnsemble.weight_of` (here a
+function) as bell_lab shipped them before the kernel became
 one cached tensor: nested loops over `model.kernel.cell(state, a, b)`,
 one `OutcomeDistribution` method call per probability.  Property tests
 hold the tensor versions to these, value for value and type for type.
@@ -30,6 +31,7 @@ from bell_lab.model import (
     OutcomeDistribution,
     Prob,
     TheoryModel,
+    UnknownIdError,
     require_valid,
     resolve_tolerance,
 )
@@ -55,6 +57,14 @@ def behavior(model: TheoryModel, tol: float | None = None) -> BehaviorTable:
     return BehaviorTable(scenario=model.scenario, cells=cells)
 
 
+def weight_of(model: TheoryModel, state_id: str) -> Prob:
+    """The weight of one hidden state; an unknown id raises UnknownIdError."""
+    for e in model.ensemble.entries:
+        if e.state_id == state_id:
+            return e.weight
+    raise UnknownIdError(f"unknown hidden-state id {state_id!r}")
+
+
 def conditional_marginal(
     model: TheoryModel,
     side: str,
@@ -73,7 +83,7 @@ def conditional_marginal(
     """
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    model.ensemble.weight_of(state_id)
+    weight_of(model, state_id)
     if side == "alice":
         a_id, b_id = own_setting, far_setting
         model.scenario.alice_setting(a_id)

@@ -7,6 +7,7 @@ auto-detection.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 import genmodels
 from bell_lab.audit import (
     EqualAxisError,
+    LocalityViolation,
     auto_equal_axes,
     check_anticorrelation,
     check_bell_locality,
@@ -37,6 +39,8 @@ from bell_lab.model import (
 )
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory
+
+import reference_audit
 
 
 class TestBellLocality:
@@ -92,6 +96,43 @@ class TestBellLocality:
     @given(genmodels.product_models())
     def test_every_product_model_is_bell_local(self, model):
         assert check_bell_locality(model).bell_local
+
+
+class TestLocalityViolationRow:
+    """A violation is a tuple-backed row: immutable, built by position,
+    and serialized as before."""
+
+    ROW = LocalityViolation("conditional-bob", "s1", "a2", "b1", None, -1,
+                            Fraction(1, 3), 0.5, Fraction(1, 6))
+
+    @pytest.mark.parametrize("field", LocalityViolation._fields)
+    def test_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.ROW, field, 0)
+
+    def test_positional_construction_and_to_dict(self):
+        row = self.ROW
+        assert LocalityViolation._fields == (
+            "form", "state_id", "a_id", "b_id", "outcome_a", "outcome_b", "lhs", "rhs", "residual")
+        assert (row.form, row.state_id, row.outcome_a, row.outcome_b) == ("conditional-bob", "s1",
+                                                                         None, -1)
+        assert row == tuple(row) == ("conditional-bob", "s1", "a2", "b1", None, -1,
+                                     Fraction(1, 3), 0.5, Fraction(1, 6))
+        assert row[6] is row.lhs and row[-1] is row.residual
+        assert row.to_dict() == {
+            "form": "conditional-bob", "state": "s1", "a": "a2", "b": "b1",
+            "outcome_a": None, "outcome_b": -1,
+            "lhs": "1/3", "rhs": 0.5, "residual": "1/6",
+        }
+
+    def test_large_decimal_report_matches_the_reference(self):
+        model = genmodels.random_arbitrary_model(np.random.default_rng(3), 3, 3, 256)
+        report = check_bell_locality(model)
+        want = reference_audit.check_bell_locality(model)
+        assert len(report.violations) > 1000
+        assert all(type(v) is LocalityViolation for v in report.violations)
+        assert report.violations == want.violations
+        assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
 
 
 class TestSignalLocality:

@@ -113,6 +113,82 @@ def test_unencodable_values_raise_what_json_dumps_raises(doc):
 
 
 # ---------------------------------------------------------------------------
+# lists of flat rows, encoded one slab of rows per C encoder call
+
+
+class Row(dict):
+    """A dict subclass: the slab path takes plain dicts only."""
+
+
+#: texts that look like the separators the slab path rewrites
+_ROW_TEXT = st.one_of(_TEXT, st.sampled_from(("},\n    {", "}, {", "},\n  {", "}]", "\n  }")))
+_ROW_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _ROW_TEXT)
+_ROW_KEYS = (_ROW_TEXT, st.one_of(st.integers(), st.floats(), st.booleans()), st.none())
+_ROWS = st.one_of(*(st.dictionaries(keys, _ROW_VALUES, min_size=1, max_size=4)
+                    for keys in _ROW_KEYS))
+#: rows that send the whole list to the walker
+_SPOILERS = st.sampled_from((Row(x=1.5), {}, {"t": (1, "2")}, {"l": [1, None]}, [{"a": 1}]))
+
+
+@st.composite
+def row_lists(draw, spoilers: bool = True) -> list:
+    """More than two slabs of rows cycled from a few drawn ones, with up
+    to two rows swapped for ones the slab path must not take."""
+    pool = draw(st.lists(_ROWS, min_size=1, max_size=5))
+    n = draw(st.integers(2 * cli._SLAB_ROWS + 1, 3 * cli._SLAB_ROWS))
+    rows = [dict(pool[i % len(pool)]) for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if spoilers else 0):
+        rows[draw(st.integers(0, n - 1))] = draw(_SPOILERS)
+    return rows
+
+
+def _takes_slabs(rows: list) -> bool:
+    return all(type(row) is dict and row and not any(
+        isinstance(v, (dict, list, tuple)) for v in row.values()) for row in rows)
+
+
+#: the row list at the top, under a key, and two lists deep
+_PLACES = (lambda rows: rows, lambda rows: {"n": len(rows), "violations": rows},
+           lambda rows: [[rows], 1])
+
+
+def _cycled(*rows) -> list:
+    return [dict(rows[i % len(rows)]) for i in range(2 * cli._SLAB_ROWS + 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_lists(), st.sampled_from(_PLACES), st.sampled_from((1, 7, 1 << 20)))
+@example(_cycled({"lhs": float("nan"), "rhs": float("inf"), "residual": -float("inf"),
+                  "s": "},\n    {"}, {"s": "}, {", "t": "\n"}), _PLACES[1], 7)
+@example(_cycled({0.5: "},\n      {", 2: None, True: -0.0}, {None: float("nan")}), _PLACES[2], 1)
+@example(_cycled({"a": 1}, {"a": 2})[:-1] + [Row(a=3)], _PLACES[0], 1 << 20)
+def test_row_lists_give_the_same_bytes_as_json_dumps(rows, place, write_chars):
+    doc = place(rows)
+    writes = []
+    with mock.patch.object(cli, "_WRITE_CHARS", write_chars), \
+            mock.patch.object(cli, "_slabs", wraps=cli._slabs) as slabs:
+        emit_json(doc, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == dumps(doc)
+    assert all(len(w) == write_chars for w in writes[:-1])
+    assert any(call.args[0] is rows for call in slabs.call_args_list) == _takes_slabs(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_lists(spoilers=False), st.sampled_from((set, Fraction)), st.integers(1, 3),
+       st.sampled_from((1, 7, 1 << 20)))
+def test_unencodable_value_in_the_last_row_of_a_slab(rows, kind, slab, write_chars):
+    """The C encoder's TypeError for a whole slab is json.dumps's."""
+    at = min(slab * cli._SLAB_ROWS, len(rows)) - 1
+    rows[at] = {**rows[at], next(iter(rows[at])): kind((1, 2)) if kind is set else kind(1, 3)}
+    doc = {"violations": rows}
+    with pytest.raises(TypeError) as want:
+        dumps(doc)
+    with mock.patch.object(cli, "_WRITE_CHARS", write_chars), pytest.raises(TypeError) as got:
+        emit_json(doc, io.StringIO())
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
 # bounded writes on a report the size of the benchmark's decimal one
 
 

@@ -19,6 +19,7 @@ from bell_lab.specio import (
 )
 
 from genmodels import random_anticorr_mixture, random_product_model
+from reference_audit import weight_of
 
 
 class TestLoad:
@@ -26,7 +27,7 @@ class TestLoad:
         model = load_theory(fixtures_dir / "two_state.json")
         assert model.name
         assert model.is_exact
-        assert model.ensemble.weight_of("up") == Fraction(1, 2)
+        assert weight_of(model, "up") == Fraction(1, 2)
         assert validate_theory(model) == []
 
     def test_eight_pattern_fixture_loads(self, fixtures_dir):
