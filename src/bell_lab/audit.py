@@ -49,6 +49,7 @@ from .model import (
     TheoryModel,
     behavior,
     format_probability,
+    fraction_array,
     require_valid,
     resolve_tolerance,
 )
@@ -394,12 +395,13 @@ def check_anticorrelation(
         )
     alice, bob = model.scenario.pair_indices(equal_axis_pairs)
     kt = model.tensor
-    pp_rows, mm_rows = kt.K[:, alice, bob, 0, 0].tolist(), kt.K[:, alice, bob, 1, 1].tolist()
     if model.is_exact:
-        same = kt.integer_form[0][:, alice, bob]
-        bound = kt.floor_counts(t)[:, None]
-        ok_rows = ((same[..., 0, 0] <= bound) & (same[..., 1, 1] <= bound)).tolist()
+        N, D = kt.integer_form
+        pp, mm, bound = N[:, alice, bob, 0, 0], N[:, alice, bob, 1, 1], kt.floor_counts(t)[:, None]
+        ok_rows = ((pp <= bound) & (mm <= bound)).tolist()
+        pp_rows, mm_rows = fraction_array(pp, D[:, None]).tolist(), fraction_array(mm, D[:, None]).tolist()
     else:
+        pp_rows, mm_rows = kt.K[:, alice, bob, 0, 0].tolist(), kt.K[:, alice, bob, 1, 1].tolist()
         ok_rows = [[pp <= t and mm <= t for pp, mm in zip(*row)] for row in zip(pp_rows, mm_rows)]
     checks = [
         AxisCheck(state, a_id, b_id, pp, mm, ok)

@@ -13,28 +13,27 @@ Probabilities come in two flavors and the distinction is load-bearing:
 
 A model is *exact* when every weight and every kernel entry is a Fraction.
 Mixed models are treated as decimal.  All containers are frozen: settings
-and ensemble entries are tuples, and the kernel keeps a private copy of its
-cells behind a read-only mapping, so a model cannot change after it is
-built.  That lets a model remember the tolerances at which
-`validate_theory` found it valid: `require_valid` validates once per
-tolerance, however many checks a model passes through.
-`resolve_tolerance` is the one tolerance rule, for models and behavior
-tables alike.  `validate_theory` states each invariant once, and every
-builder in the package (`make_quantum_theory`, `realize_model`) ends with
-`require_valid`, so no model it returns fails validation.  Functions here
-are pure and never mutate their inputs.
+and ensemble entries are tuples, and the kernel keeps its values in
+read-only arrays, so a model cannot change after it is built.  That lets
+a model remember the tolerances at which `validate_theory` found it
+valid: `require_valid` validates once per tolerance, however many checks
+a model passes through.  `resolve_tolerance` is the one tolerance rule,
+for models and behavior tables alike.  `validate_theory` states each
+invariant once, and every builder in the package (`make_quantum_theory`,
+`realize_model`) ends with `require_valid`, so no model it returns fails
+validation.  Functions here are pure and never mutate their inputs.
 
-Once a model is valid, `TheoryModel.tensor` holds its kernel as one
-read-only `KernelTensor`: numpy object arrays `K[state, a, b, A, B]` and
-`w[state]` of the model's own Fraction and float values, in declaration
-order.  `behavior`, the audits, the derivation and the sampler all read
-it; object arrays apply the same Python operators as a loop would, so
-every value keeps its type and its bits.  An exact model's tensor also
-holds an integer form (`KernelTensor.integer_form`): one denominator
-`D[state]` per state and Python-int numerators `N = K * D[state]`.
-`behavior` sums it over a common denominator, and the audits and the
-derivation compare its cross-multiplied integers, so no Fraction is
-built for a value that is not reported.
+The kernel is stored once, as flat rows of four values per cell
+(`ResponseKernel`); the `cells` mapping and `TheoryModel.tensor`, a
+read-only `KernelTensor` of numpy object arrays `K[state, a, b, A, B]` and
+`w[state]` of the model's own values in declaration order, are built from
+it on first read.  Object arrays apply the same Python operators as a loop
+would, so every value keeps its type and its bits.  An exact kernel also
+has an integer form: one denominator `D[state]` per state and Python-int
+numerators `N = K * D[state]`, read straight from a spec's text.
+Validation holds it to 0 <= N <= D and the audits compare its
+cross-multiplied integers, so no Fraction is built for a value that is
+not reported.
 """
 
 from __future__ import annotations
@@ -44,8 +43,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -55,6 +56,9 @@ OUTCOMES: tuple[int, int] = (+1, -1)
 
 #: Joint outcomes in canonical order; also the order of cell keys "++", "+-", ...
 JOINT_OUTCOMES: tuple[tuple[int, int], ...] = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+#: The keys of a spec cell, in the order of JOINT_OUTCOMES and of a kernel row.
+CELL_KEYS: tuple[str, ...] = ("++", "+-", "-+", "--")
 
 _FIELDS = dict(zip(JOINT_OUTCOMES, ("pp", "pm", "mp", "mm")))
 
@@ -279,51 +283,94 @@ class OutcomeDistribution:
         )
 
 
-def _all_exact(dists) -> bool:
-    return all(is_exact(p) for dist in dists for p in dist.values())
-
-
-@dataclass(frozen=True)
-class ResponseKernel:
-    """Per-state conditional outcome distributions, keyed (state_id, a_id, b_id).
-
-    `cells` is a read-only view of a private copy of the mapping given.
-    """
-
-    cells: Mapping[tuple[str, str, str], OutcomeDistribution]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
-
-    def __reduce__(self):
-        # a mapping proxy neither pickles nor deep-copies; its dict does
-        return ResponseKernel, (dict(self.cells),)
-
-    def cell(self, state_id: str, a_id: str, b_id: str) -> OutcomeDistribution:
-        try:
-            return self.cells[(state_id, a_id, b_id)]
-        except KeyError:
-            raise UnknownIdError(
-                f"kernel has no cell for (state={state_id!r}, a={a_id!r}, b={b_id!r})"
-            ) from None
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-@dataclass(frozen=True, eq=False)
+def fraction_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.frompyfunc(Fraction, 2, 1)(num, den)
+
+
+class ResponseKernel:
+    """Per-state conditional outcome distributions, keyed (state_id, a_id, b_id):
+    `keys` in the order given and one row (++, +-, -+, --) per key, as
+    read-only (cells, 4) object arrays of the values (`rows`) or of an exact
+    kernel's reduced numerators and denominators (`ratios`), each built
+    from the other on first read, as is the `cells` view."""
+
+    def __init__(self, cells: Mapping[tuple[str, str, str], OutcomeDistribution] | None = None, *,
+                 keys: tuple = (), rows: np.ndarray | None = None, ratios: tuple | None = None):
+        if cells is not None:
+            keys = tuple(cells)
+            rows = np.array([dist.values() for dist in cells.values()], dtype=object).reshape(-1, 4)
+        self.keys = keys
+        if rows is not None:
+            self.rows = _read_only(rows)
+        if ratios is not None:
+            self.ratios, self.is_exact = tuple(map(_read_only, ratios)), True
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _read_only(fraction_array(*self.ratios))
+
+    @cached_property
+    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_read_only(np.frompyfunc(attrgetter(part), 1, 1)(self.rows))
+                     for part in ("numerator", "denominator"))
+
+    @cached_property
+    def is_exact(self) -> bool:
+        return all(map(is_exact, self.rows.flat))
+
+    @cached_property
+    def cells(self) -> Mapping[tuple[str, str, str], OutcomeDistribution]:
+        return MappingProxyType(dict(zip(self.keys, starmap(OutcomeDistribution, self.rows.tolist()))))
+
+    @cached_property
+    def _positions(self) -> dict[tuple[str, str, str], int]:
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    def _position(self, key: tuple[str, str, str]) -> int:
+        """The row of cell `key`; UnknownIdError if there is none."""
+        try:
+            return self._positions[key]
+        except KeyError:
+            raise UnknownIdError("kernel has no cell for (state={!r}, a={!r}, b={!r})".format(*key)) from None
+
+    def cell(self, state_id: str, a_id: str, b_id: str) -> OutcomeDistribution:
+        return self.cells[self.keys[self._position((state_id, a_id, b_id))]]
+
+    def __eq__(self, other: object) -> bool:
+        return self.cells == other.cells if isinstance(other, ResponseKernel) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ResponseKernel({dict(self.cells)!r})"
+
+    def __reduce__(self):
+        # a copied array would be writable: a copy rebuilds its own rows
+        return ResponseKernel, (dict(self.cells),)
+
+
 class KernelTensor:
-    """A valid model's kernel as read-only numpy object arrays.
+    """A model's kernel as read-only numpy object arrays.
 
     `K[state, a, b, A, B]` is P(A, B | a, b, state) and `w[state]` the
     state's weight, both the model's own Fraction or float values, indexed
-    in declaration order; outcome index 0 is +1 and 1 is -1.
+    in declaration order; outcome index 0 is +1 and 1 is -1.  Each is
+    arranged from the kernel's rows on first read.
     """
 
-    K: np.ndarray
-    w: np.ndarray
+    def __init__(self, w: np.ndarray, kernel: ResponseKernel, order: list | None, shape: tuple):
+        self.w = w
+        self._kernel, self._order, self._shape = kernel, order, shape
+
+    def _arranged(self, rows: np.ndarray) -> np.ndarray:
+        return _read_only((rows if self._order is None else rows[self._order]).reshape(self._shape))
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self._arranged(self._kernel.rows)
 
     @cached_property
     def alice_marginals(self) -> np.ndarray:
@@ -337,14 +384,20 @@ class KernelTensor:
 
     @cached_property
     def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """An exact model's kernel over one denominator per state, as
-        read-only object arrays of Python ints: `(N, D)` with `D[state]` the
-        lcm of the state's cell denominators and `N[state, a, b, A, B]` =
-        K * D[state].  Only for a tensor of Fractions."""
-        num = np.frompyfunc(lambda f: f.numerator, 1, 1)(self.K)
-        den = np.frompyfunc(lambda f: f.denominator, 1, 1)(self.K)
-        D = np.lcm.reduce(den.reshape(len(den), -1), axis=1)
+        """An exact kernel over one denominator per state, as read-only
+        object arrays of Python ints: `(N, D)` with `D[state]` the lcm of
+        the state's cell denominators and `N[state, a, b, A, B]` =
+        K * D[state].  Only for a kernel of Fractions."""
+        num, den = map(self._arranged, self._kernel.ratios)
+        D = np.lcm.reduce(den.reshape(len(den), math.prod(self._shape[1:])), axis=1)
         return _read_only(num * (D[:, None, None, None, None] // den)), _read_only(D)
+
+    def as_float(self) -> np.ndarray:
+        """K as float64, correctly rounded: N / D for an exact kernel."""
+        if not self._kernel.is_exact:
+            return self.K.astype(float)
+        N, D = self.integer_form
+        return (N / D[:, None, None, None, None]).astype(float)
 
     def floor_counts(self, value: float) -> np.ndarray:
         """floor(value * D[state]) per state, for an exact model: a count x
@@ -363,9 +416,13 @@ class TheoryModel:
     @cached_property
     def is_exact(self) -> bool:
         """True iff every weight and kernel entry is an exact Fraction."""
-        return all(is_exact(e.weight) for e in self.ensemble.entries) and _all_exact(
-            self.kernel.cells.values()
-        )
+        return all(is_exact(e.weight) for e in self.ensemble.entries) and self.kernel.is_exact
+
+    @cached_property
+    def _declared_cells(self) -> tuple[tuple[str, str, str], ...]:
+        """Every cell key the model needs, in declaration order."""
+        pairs = self.scenario.pairs()
+        return tuple((e.state_id, a, b) for e in self.ensemble.entries for a, b in pairs)
 
     @cached_property
     def _valid_at(self) -> set[float]:
@@ -374,15 +431,12 @@ class TheoryModel:
 
     @cached_property
     def tensor(self) -> KernelTensor:
-        """The kernel as one tensor, built once the model has been found valid."""
-        if not self._valid_at:
-            raise BellLabError("validate the model before reading its kernel tensor")
-        a_ids, b_ids = self.scenario.alice_ids(), self.scenario.bob_ids()
-        cells = [self.kernel.cells[(e.state_id, a, b)].values()
-                 for e in self.ensemble.entries for a in a_ids for b in b_ids]
-        K = np.array(cells, dtype=object).reshape(-1, len(a_ids), len(b_ids), 2, 2)
-        w = np.array([e.weight for e in self.ensemble.entries], dtype=object)
-        return KernelTensor(_read_only(K), _read_only(w))
+        """The kernel as one tensor; UnknownIdError for a missing cell."""
+        declared = self._declared_cells
+        order = None if self.kernel.keys == declared else list(map(self.kernel._position, declared))
+        w = _read_only(np.array([e.weight for e in self.ensemble.entries], dtype=object))
+        shape = (len(w), len(self.scenario.alice_settings), len(self.scenario.bob_settings), 2, 2)
+        return KernelTensor(w, self.kernel, order, shape)
 
     def __getstate__(self) -> dict:
         # a copied array would be writable: a copy rebuilds its own tensor
@@ -405,7 +459,7 @@ class BehaviorTable:
     @property
     def is_exact(self) -> bool:
         """True iff every cell entry is an exact Fraction."""
-        return _all_exact(self.cells.values())
+        return all(is_exact(p) for dist in self.cells.values() for p in dist.values())
 
 
 @dataclass(frozen=True)
@@ -467,6 +521,45 @@ def _beyond_float(value: Prob) -> bool:
     return isinstance(value, Fraction) and abs(value) > _FLOAT_MAX
 
 
+_CELL, _ENTRY = "kernel[{},{},{}]", "kernel[{},{},{}].{}"
+
+
+def _cell_faults(key: tuple[str, str, str], values: np.ndarray, t: float) -> list[Violation]:
+    """One declared cell's violations: its entries in order, then its sum."""
+    out, summable = [], True
+    for label, p in zip(CELL_KEYS, values):
+        if isinstance(p, Fraction):
+            if p < 0 or p > 1:
+                huge = _beyond_float(p)
+                summable = summable and not huge
+                out.append(Violation(_loc(_ENTRY, *key, label), "probability too large for a float"
+                                     if huge else f"probability out of [0,1]: {p}"))
+        elif not math.isfinite(p):
+            out.append(Violation(_loc(_ENTRY, *key, label), f"probability must be finite, got {p!r}"))
+        elif p < -t or p > 1 + t:
+            out.append(Violation(_loc(_ENTRY, *key, label), f"probability out of [0,1]: {p!r}"))
+    if summable and (fault := _sum_fault(OutcomeDistribution(*values).total(), t, "cell")):
+        out.append(Violation(_loc(_CELL, *key), fault))
+    return out
+
+
+def _suspect_rows(model: TheoryModel, t: float) -> Iterable[int]:
+    """The rows of a kernel in declaration order that `_cell_faults` may
+    flag, found on its arrays; every row unless all exact or all float."""
+    kernel = model.kernel
+    if kernel.keys and kernel.is_exact:
+        N, D = model.tensor.integer_form
+        N, D = N.reshape(-1, 4), np.repeat(D, len(kernel.keys) // len(D))
+        return np.flatnonzero(((N < 0) | (N > D[:, None])).any(axis=1) | (N.sum(axis=1) != D)).tolist()
+    if set(map(type, kernel.rows.flat)) <= {float}:
+        V = kernel.rows.astype(float)
+        with np.errstate(all="ignore"):  # as Python floats: inf - inf is nan, nan > t is False
+            total = ((V[:, 0] + V[:, 1]) + V[:, 2]) + V[:, 3]  # OutcomeDistribution.total's order
+            bad = (~np.isfinite(V) | (V < -t) | (V > 1 + t)).any(axis=1) | (np.abs(total - 1.0) > t)
+        return np.flatnonzero(bad).tolist()
+    return range(len(kernel.keys))
+
+
 def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violation]:
     """Check every structural invariant; an empty list means the model is valid.
 
@@ -518,33 +611,21 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     if model.ensemble.entries and (fault := _sum_fault(weight_sum, t, "weights")):
         out.append(Violation("ensemble", fault))
 
-    # declaration order (state, a, b), so missing cells are reported in it
-    expected = dict.fromkeys((e.state_id, a.id, b.id) for e in model.ensemble.entries
-                             for a in scen.alice_settings for b in scen.bob_settings)
-    cell, entry = "kernel[{},{},{}]", "kernel[{},{},{}].{}"
-    for key in expected:
-        if key not in model.kernel.cells:
-            out.append(Violation(_loc(cell, *key),
-                                 "missing cell: every (state, a, b) needs an outcome distribution"))
-    for key, dist in model.kernel.cells.items():
-        if key not in expected:
-            out.append(Violation(_loc(cell, *key),
-                                 "cell references ids outside the scenario or ensemble"))
-            continue
-        summable = True
-        for label, p in dist.as_dict().items():
-            if isinstance(p, Fraction):
-                if p < 0 or p > 1:
-                    huge = _beyond_float(p)
-                    summable = summable and not huge
-                    out.append(Violation(_loc(entry, *key, label), "probability too large for a float"
-                                         if huge else f"probability out of [0,1]: {p}"))
-            elif not math.isfinite(p):
-                out.append(Violation(_loc(entry, *key, label), f"probability must be finite, got {p!r}"))
-            elif p < -t or p > 1 + t:
-                out.append(Violation(_loc(entry, *key, label), f"probability out of [0,1]: {p!r}"))
-        if summable and (fault := _sum_fault(dist.total(), t, "cell")):
-            out.append(Violation(_loc(cell, *key), fault))
+    # a kernel in declaration order is checked on its arrays; any other is
+    # walked whole, in its own order, after the missing cells
+    kernel, expected = model.kernel, dict.fromkeys(model._declared_cells)
+    if kernel.keys == model._declared_cells:
+        rows = _suspect_rows(model, t)
+    else:
+        out.extend(Violation(_loc(_CELL, *key), "missing cell: every (state, a, b) needs an outcome "
+                             "distribution") for key in expected if key not in kernel._positions)
+        rows = range(len(kernel.keys))
+    for i in rows:
+        key = kernel.keys[i]
+        if key in expected:
+            out.extend(_cell_faults(key, kernel.rows[i], t))
+        else:
+            out.append(Violation(_loc(_CELL, *key), "cell references ids outside the scenario or ensemble"))
     if not out:
         model._valid_at.add(t)
     return out

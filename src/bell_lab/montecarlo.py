@@ -114,7 +114,7 @@ class _Sampler:
         # cumulative table of one kernel cell
         kt = model.tensor
         self.state_cum = np.cumsum(kt.w.astype(float))
-        cells = kt.K.astype(float).reshape(*kt.K.shape[:3], len(JOINT_OUTCOMES))
+        cells = kt.as_float().reshape(len(kt.w), len(self.alice_ids), len(self.bob_ids), 4)
         self.outcome_cum = np.cumsum(np.maximum(cells, 0.0), axis=-1)
         self.sequence = None
         if isinstance(policy, FixedSequencePolicy):

@@ -20,20 +20,30 @@ keys are rejected so typos fail loudly instead of being silently ignored.
 Parse errors carry line/column; schema errors carry the offending path.
 Every input that is not a spec (bytes that are not UTF-8, nesting too deep
 for the parser) raises SpecFormatError.
+
+`parse_theory` walks the kernel once into its stored form
+(`ResponseKernel`): ints and "p/q" strings become int numerators and
+denominators with no Fraction built, and a path is formatted only for the
+error that names it, the first in document order.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
+import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .model import (
+    CELL_KEYS,
     BellLabError,
     EnsembleEntry,
     HiddenStateEnsemble,
-    OutcomeDistribution,
+    Prob,
     ResponseKernel,
     Scenario,
     Setting,
@@ -43,63 +53,94 @@ from .model import (
     parse_probability,
 )
 
-_CELL_KEYS = ("++", "+-", "-+", "--")
+_CELL_KEY_SET = frozenset(CELL_KEYS)
+_cell_values = itemgetter(*CELL_KEYS)
 
 
 class SpecFormatError(BellLabError):
     """Malformed theory-spec input; message pinpoints path or line/column."""
 
 
-def _require_keys(obj: dict[str, Any], allowed: set[str], required: set[str], path: str) -> None:
+_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _as(kind: type, value: Any, path: str, *args: object) -> Any:
+    """`value` if it is a `kind`; `path` is formatted with `args` only for the error."""
+    if not isinstance(value, kind):
+        raise SpecFormatError(f"{path.format(*args)}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    if kind is str and not is_text(value):
+        raise SpecFormatError(f"{path.format(*args)}: {value!r} holds a lone surrogate")
+    return value
+
+
+def _fields(value: Any, allowed: tuple[str, ...], required: tuple[str, ...], path: str, *args) -> dict:
+    """`value` as an object with only `allowed` keys and every `required` one."""
+    obj = _as(dict, value, path, *args)
     for key in obj:
         if key not in allowed:
-            raise SpecFormatError(f"{path}: unknown key {key!r} (allowed: {sorted(allowed)})")
+            raise SpecFormatError(f"{path.format(*args)}: unknown key {key!r} (allowed: {sorted(allowed)})")
     for key in required:
         if key not in obj:
-            raise SpecFormatError(f"{path}: missing required key {key!r}")
+            raise SpecFormatError(f"{path.format(*args)}: missing required key {key!r}")
+    return obj
 
 
-def _as_dict(value: Any, path: str) -> dict[str, Any]:
-    if not isinstance(value, dict):
-        raise SpecFormatError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+def _prob(value: Any, path: str, *args: object) -> Prob:
+    """parse_probability, its error message led by the formatted path."""
+    try:
+        return parse_probability(value, "")
+    except ValueError as exc:
+        raise SpecFormatError(path.format(*args) + str(exc)) from exc
 
 
-def _as_list(value: Any, path: str) -> list[Any]:
-    if not isinstance(value, list):
-        raise SpecFormatError(f"{path}: expected an array, got {type(value).__name__}")
-    return value
-
-
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SpecFormatError(f"{path}: expected a string, got {type(value).__name__}")
-    if not is_text(value):
-        raise SpecFormatError(f"{path}: {value!r} holds a lone surrogate")
-    return value
-
-
-def _parse_setting(obj: Any, path: str) -> Setting:
-    d = _as_dict(obj, path)
-    _require_keys(d, {"id", "vector"}, {"id"}, path)
-    sid = _as_str(d["id"], f"{path}.id")
+def _parse_setting(obj: Any, side: str, i: int) -> Setting:
+    path = "$.scenario.{}_settings[{}]"
+    d = _fields(obj, ("id", "vector"), ("id",), path, side, i)
+    sid = _as(str, d["id"], path + ".id", side, i)
     direction = None
     if "vector" in d:
-        vec = _as_list(d["vector"], f"{path}.vector")
+        vec = _as(list, d["vector"], path + ".vector", side, i)
         if len(vec) != 3 or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in vec):
-            raise SpecFormatError(f"{path}.vector: expected three numbers")
+            raise SpecFormatError(f"{path.format(side, i)}.vector: expected three numbers")
         try:
             direction = (float(vec[0]), float(vec[1]), float(vec[2]))
         except OverflowError:
-            raise SpecFormatError(f"{path}.vector: component too large for a float") from None
+            raise SpecFormatError(f"{path.format(side, i)}.vector: component too large for a float") from None
     return Setting(id=sid, direction=direction)
 
 
-def _parse_prob(value: Any, path: str) -> Fraction | float:
+def _ratio(value: int | str) -> tuple[int, int]:
+    """An int or 'p/q' text in lowest terms; ValueError where parse_probability refuses it."""
+    if type(value) is int:
+        return value, 1
+    num, den = map(int, value.split("/"))
+    if den <= 0:
+        raise ValueError(value)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _columns(flat: list[Any], keys: list[tuple[str, str, str]]) -> dict[str, Any]:
+    """Kernel values, four per cell of `keys`, as ints-only `ratios` or as
+    `rows`; the first value parse_probability refuses raises."""
+    kinds = set(map(type, flat))
     try:
-        return parse_probability(value, path)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc)) from exc
+        if kinds <= {int, str}:
+            distinct = dict.fromkeys(flat)  # each distinct value is read once
+            pq = np.array(list(map(_ratio, distinct)), dtype=object).reshape(-1, 2)
+            if max(map(abs, pq[:, 0].tolist()), default=0) <= sys.float_info.max:
+                at = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, flat))
+                return {"ratios": (pq[at, 0].reshape(-1, 4), pq[at, 1].reshape(-1, 4))}
+        elif kinds <= {float} and all(map(math.isfinite, flat)):
+            return {"rows": _rows(flat)}
+    except ValueError:
+        pass
+    return {"rows": _rows([_prob(value, "$.kernel.{}.{}|{}.{}", *keys[i // 4], CELL_KEYS[i % 4])
+                           for i, value in enumerate(flat)])}
+
+
+def _rows(values: list[Any]) -> np.ndarray:
+    return np.array(values, dtype=object).reshape(-1, 4)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -135,55 +176,51 @@ def parse_theory(text: str | bytes, source: str = "<string>") -> TheoryModel:
     except ValueError as exc:
         raise SpecFormatError(f"{source}: {exc}") from exc
 
-    top = _as_dict(raw, "$")
-    _require_keys(top, {"name", "scenario", "ensemble", "kernel"}, {"name", "scenario", "ensemble", "kernel"}, "$")
-    name = _as_str(top["name"], "$.name")
+    top_keys = ("name", "scenario", "ensemble", "kernel")
+    top = _fields(raw, top_keys, top_keys, "$")
+    name = _as(str, top["name"], "$.name")
 
-    scen_obj = _as_dict(top["scenario"], "$.scenario")
-    _require_keys(scen_obj, {"alice_settings", "bob_settings"}, {"alice_settings", "bob_settings"}, "$.scenario")
-    alice = tuple(
-        _parse_setting(item, f"$.scenario.alice_settings[{i}]")
-        for i, item in enumerate(_as_list(scen_obj["alice_settings"], "$.scenario.alice_settings"))
-    )
-    bob = tuple(
-        _parse_setting(item, f"$.scenario.bob_settings[{i}]")
-        for i, item in enumerate(_as_list(scen_obj["bob_settings"], "$.scenario.bob_settings"))
+    sides = ("alice_settings", "bob_settings")
+    scen_obj = _fields(top["scenario"], sides, sides, "$.scenario")
+    alice, bob = (
+        tuple(_parse_setting(item, side, i) for i, item in
+              enumerate(_as(list, scen_obj[f"{side}_settings"], "$.scenario.{}_settings", side)))
+        for side in ("alice", "bob")
     )
     scenario = Scenario(alice_settings=alice, bob_settings=bob)
 
     entries = []
-    for i, item in enumerate(_as_list(top["ensemble"], "$.ensemble")):
-        path = f"$.ensemble[{i}]"
-        d = _as_dict(item, path)
-        _require_keys(d, {"id", "weight"}, {"id", "weight"}, path)
-        entries.append(
-            EnsembleEntry(
-                state_id=_as_str(d["id"], f"{path}.id"),
-                weight=_parse_prob(d["weight"], f"{path}.weight"),
-            )
-        )
+    for i, item in enumerate(_as(list, top["ensemble"], "$.ensemble")):
+        d = _fields(item, ("id", "weight"), ("id", "weight"), "$.ensemble[{}]", i)
+        state_id = _as(str, d["id"], "$.ensemble[{}].id", i)
+        entries.append(EnsembleEntry(state_id, _prob(d["weight"], "$.ensemble[{}].weight", i)))
     ensemble = HiddenStateEnsemble(entries=tuple(entries))
 
-    kernel_obj = _as_dict(top["kernel"], "$.kernel")
-    cells: dict[tuple[str, str, str], OutcomeDistribution] = {}
-    for state_id, by_pair in kernel_obj.items():
-        _as_str(state_id, "$.kernel")
-        pair_obj = _as_dict(by_pair, f"$.kernel.{state_id}")
-        for pair_key, cell in pair_obj.items():
-            path = f"$.kernel.{state_id}.{pair_key}"
-            _as_str(pair_key, f"$.kernel.{state_id}")
-            if pair_key.count("|") != 1:
-                raise SpecFormatError(f"{path}: cell keys must look like 'aId|bId'")
-            a_id, b_id = pair_key.split("|")
-            cell_d = _as_dict(cell, path)
-            _require_keys(cell_d, set(_CELL_KEYS), set(_CELL_KEYS), path)
-            cells[(state_id, a_id, b_id)] = OutcomeDistribution(
-                pp=_parse_prob(cell_d["++"], f"{path}.++"),
-                pm=_parse_prob(cell_d["+-"], f"{path}.+-"),
-                mp=_parse_prob(cell_d["-+"], f"{path}.-+"),
-                mm=_parse_prob(cell_d["--"], f"{path}.--"),
-            )
-    return TheoryModel(name=name, scenario=scenario, ensemble=ensemble, kernel=ResponseKernel(cells))
+    # one walk: cell keys in document order, and every value in one flat
+    # list, four per cell in CELL_KEYS order
+    kernel_obj = _as(dict, top["kernel"], "$.kernel")
+    keys: list[tuple[str, str, str]] = []
+    flat: list[Any] = []
+    pairs: dict[str, tuple[str, str]] = {}
+    try:
+        for state_id, by_pair in kernel_obj.items():
+            _as(str, state_id, "$.kernel")
+            for pair_key, cell in _as(dict, by_pair, "$.kernel.{}", state_id).items():
+                a_b = pairs.get(pair_key)
+                if a_b is None:  # each distinct cell key is checked once
+                    _as(str, pair_key, "$.kernel.{}", state_id)
+                    if pair_key.count("|") != 1:
+                        raise SpecFormatError(f"$.kernel.{state_id}.{pair_key}: cell keys must look like 'aId|bId'")
+                    a_b = pairs[pair_key] = tuple(pair_key.split("|"))
+                if type(cell) is not dict or cell.keys() != _CELL_KEY_SET:
+                    _fields(cell, CELL_KEYS, CELL_KEYS, "$.kernel.{}.{}", state_id, pair_key)
+                keys.append((state_id, *a_b))
+                flat.extend(_cell_values(cell))
+    except SpecFormatError:
+        _columns(flat, keys)  # a bad value earlier in the document is reported first
+        raise
+    kernel = ResponseKernel(keys=tuple(keys), **_columns(flat, keys))
+    return TheoryModel(name=name, scenario=scenario, ensemble=ensemble, kernel=kernel)
 
 
 def load_theory(path: str | Path) -> TheoryModel:
@@ -197,22 +234,10 @@ def load_theory(path: str | Path) -> TheoryModel:
 
 def theory_to_dict(model: TheoryModel) -> dict[str, Any]:
     def setting_obj(s: Setting) -> dict[str, Any]:
-        obj: dict[str, Any] = {"id": s.id}
-        if s.direction is not None:
-            obj["vector"] = list(s.direction)
-        return obj
+        return {"id": s.id} if s.direction is None else {"id": s.id, "vector": list(s.direction)}
 
-    kernel: dict[str, dict[str, Any]] = {}
-    for e in model.ensemble.entries:
-        by_pair: dict[str, Any] = {}
-        for a in model.scenario.alice_settings:
-            for b in model.scenario.bob_settings:
-                dist = model.kernel.cell(e.state_id, a.id, b.id)
-                by_pair[f"{a.id}|{b.id}"] = {
-                    key: format_probability(p) for key, p in dist.as_dict().items()
-                }
-        kernel[e.state_id] = by_pair
-
+    pair_keys = [f"{a}|{b}" for a, b in model.scenario.pairs()]
+    rows = model.tensor.K.reshape(len(model.ensemble.entries), len(pair_keys), 4).tolist()
     return {
         "name": model.name,
         "scenario": {
@@ -223,7 +248,9 @@ def theory_to_dict(model: TheoryModel) -> dict[str, Any]:
             {"id": e.state_id, "weight": format_probability(e.weight)}
             for e in model.ensemble.entries
         ],
-        "kernel": kernel,
+        "kernel": {e.state_id: {key: dict(zip(CELL_KEYS, map(format_probability, row)))
+                                for key, row in zip(pair_keys, state_rows)}
+                   for e, state_rows in zip(model.ensemble.entries, rows)},
     }
 
 

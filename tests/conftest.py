@@ -1,9 +1,22 @@
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+# hypothesis imports this module in its report hook when a test fails; its
+# libcst import warns (mypy_extensions.TypedDict is deprecated), and under
+# -W error that warning would replace the falsifying example with an
+# INTERNALERROR.  Importing it once here, with the warning ignored, keeps it
+# out of the hook.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

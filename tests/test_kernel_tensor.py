@@ -34,6 +34,7 @@ from bell_lab.model import (
     Scenario,
     Setting,
     TheoryModel,
+    UnknownIdError,
     require_valid,
 )
 from bell_lab.montecarlo import _Sampler
@@ -172,10 +173,17 @@ class TestCachedTensor:
                 array[(0,) * array.ndim] = Fraction(1)
         assert kt.K[1, 0, 2, 0, 1] == model.kernel.cells[("s2", "a1", "b3")].pm
 
-    def test_not_before_validation(self):
+    def test_read_before_validation(self):
+        # the tensor is arranged from the kernel's stored rows, valid or not;
+        # only a missing cell stops it
         model = genmodels.random_product_model(np.random.default_rng(3), 2, 2, 2)
-        with pytest.raises(BellLabError, match="validate"):
-            model.tensor
+        assert model.tensor.K[1, 0, 1, 1, 0] == model.kernel.cell("s2", "a1", "b2").mp
+        assert "_valid_at" not in vars(model) or not model._valid_at
+        cells = dict(model.kernel.cells)
+        del cells[("s2", "a2", "b1")]
+        broken = TheoryModel(model.name, model.scenario, model.ensemble, ResponseKernel(cells))
+        with pytest.raises(UnknownIdError, match=r"state='s2', a='a2', b='b1'"):
+            broken.tensor
 
     @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
     def test_models_with_a_tensor_pickle_and_deep_copy(self, clone):

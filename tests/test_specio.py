@@ -181,3 +181,144 @@ class TestRoundTrip:
         assert all(isinstance(w, (str, int)) for w in weights)
         text = json.dumps(doc)
         assert parse_theory(text).kernel.cells == model.kernel.cells
+
+
+def cell_value(label: str, value):
+    return lambda d: d["kernel"]["s1"]["a1|b1"].__setitem__(label, value)
+
+
+_CELL = "$.kernel.s1.a1|b1"
+_LONG = "1" * 4301 + "/2"
+
+
+class TestErrorTexts:
+    """One malformed spec per SpecFormatError site, with its whole message."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            # unknown, missing and mistyped keys at every level
+            (lambda d: d.update(extra=1),
+             "$: unknown key 'extra' (allowed: ['ensemble', 'kernel', 'name', 'scenario'])"),
+            (lambda d: d.pop("kernel"), "$: missing required key 'kernel'"),
+            (lambda d: d.update(scenario=[]), "$.scenario: expected an object, got list"),
+            (lambda d: d["scenario"].update(carol_settings=[]),
+             "$.scenario: unknown key 'carol_settings' (allowed: ['alice_settings', 'bob_settings'])"),
+            (lambda d: d["scenario"].pop("alice_settings"),
+             "$.scenario: missing required key 'alice_settings'"),
+            (lambda d: d["scenario"].update(alice_settings={}),
+             "$.scenario.alice_settings: expected an array, got dict"),
+            (lambda d: d["scenario"]["bob_settings"].__setitem__(0, "b1"),
+             "$.scenario.bob_settings[0]: expected an object, got str"),
+            (lambda d: d["scenario"]["bob_settings"][0].update(angle=0),
+             "$.scenario.bob_settings[0]: unknown key 'angle' (allowed: ['id', 'vector'])"),
+            (lambda d: d["scenario"]["bob_settings"][0].pop("id"),
+             "$.scenario.bob_settings[0]: missing required key 'id'"),
+            (lambda d: d.update(ensemble={}), "$.ensemble: expected an array, got dict"),
+            (lambda d: d["ensemble"].__setitem__(0, 1), "$.ensemble[0]: expected an object, got int"),
+            (lambda d: d["ensemble"][0].update(w=1),
+             "$.ensemble[0]: unknown key 'w' (allowed: ['id', 'weight'])"),
+            (lambda d: d["ensemble"][0].pop("weight"), "$.ensemble[0]: missing required key 'weight'"),
+            (lambda d: d.update(kernel=[]), "$.kernel: expected an object, got list"),
+            (lambda d: d["kernel"].update(s1=[]), "$.kernel.s1: expected an object, got list"),
+            (lambda d: d["kernel"]["s1"].update({"a1|b1": [0, 0.5, 0.5, 0]}),
+             f"{_CELL}: expected an object, got list"),
+            (lambda d: d["kernel"]["s1"]["a1|b1"].update({"+0": 0}),
+             f"{_CELL}: unknown key '+0' (allowed: ['++', '+-', '-+', '--'])"),
+            (lambda d: d["kernel"]["s1"]["a1|b1"].pop("-+"), f"{_CELL}: missing required key '-+'"),
+            # ids and vectors
+            (lambda d: d.update(name=7), "$.name: expected a string, got int"),
+            (lambda d: d["scenario"]["bob_settings"][0].update(id=1),
+             "$.scenario.bob_settings[0].id: expected a string, got int"),
+            (lambda d: d["ensemble"][0].update(id=None), "$.ensemble[0].id: expected a string, got NoneType"),
+            (lambda d: d["scenario"]["alice_settings"][0].update(id="a\ud800"),
+             "$.scenario.alice_settings[0].id: 'a\\ud800' holds a lone surrogate"),
+            (lambda d: d["kernel"].update({"\udc80": {}}), "$.kernel: '\\udc80' holds a lone surrogate"),
+            (lambda d: d["kernel"]["s1"].update({"a1|\udc80": {}}),
+             "$.kernel.s1: 'a1|\\udc80' holds a lone surrogate"),
+            (lambda d: d["scenario"]["alice_settings"][0].update(vector="z"),
+             "$.scenario.alice_settings[0].vector: expected an array, got str"),
+            (lambda d: d["scenario"]["alice_settings"][0].update(vector=[0, 1]),
+             "$.scenario.alice_settings[0].vector: expected three numbers"),
+            (lambda d: d["scenario"]["alice_settings"][0].update(vector=[0, True, 0]),
+             "$.scenario.alice_settings[0].vector: expected three numbers"),
+            (lambda d: d["scenario"]["alice_settings"][0].update(vector=[0, 10**400, 0]),
+             "$.scenario.alice_settings[0].vector: component too large for a float"),
+            # cell keys
+            (lambda d: d["kernel"]["s1"].update({"a1b1": {}}),
+             "$.kernel.s1.a1b1: cell keys must look like 'aId|bId'"),
+            (lambda d: d["kernel"]["s1"].update({"a1|b1|c": {}}),
+             "$.kernel.s1.a1|b1|c: cell keys must look like 'aId|bId'"),
+            # probabilities and weights
+            (cell_value("++", True), f"{_CELL}.++: expected a number or 'p/q' string, got a bool"),
+            (cell_value("--", None), f"{_CELL}.--: expected a number or 'p/q' string, got NoneType"),
+            (cell_value("+-", [1]), f"{_CELL}.+-: expected a number or 'p/q' string, got list"),
+            (cell_value("++", "1/0"), f"{_CELL}.++: denominator must be positive in '1/0'"),
+            (cell_value("++", "0/-1"), f"{_CELL}.++: denominator must be positive in '0/-1'"),
+            (cell_value("++", "1/2/3"),
+             f"{_CELL}.++: rational strings must look like 'p/q', got '1/2/3'"),
+            (cell_value("-+", "a/b"), f"{_CELL}.-+: non-integer term in 'a/b'"),
+            (cell_value("++", "1.5/2"), f"{_CELL}.++: non-integer term in '1.5/2'"),
+            (cell_value("++", _LONG), f"{_CELL}.++: non-integer term in '{_LONG}'"),
+            (cell_value("++", 10**400), f"{_CELL}.++: too large for a float"),
+            (cell_value("++", f"{10**400}/1"), f"{_CELL}.++: too large for a float"),
+            (lambda d: d["ensemble"][0].update(weight="x"),
+             "$.ensemble[0].weight: rational strings must look like 'p/q', got 'x'"),
+            (lambda d: d["ensemble"][0].update(weight=False),
+             "$.ensemble[0].weight: expected a number or 'p/q' string, got a bool"),
+            (lambda d: d["ensemble"][0].update(weight="1/0"),
+             "$.ensemble[0].weight: denominator must be positive in '1/0'"),
+        ],
+    )
+    def test_message(self, mutate, message):
+        doc = minimal_doc()
+        mutate(doc)
+        with pytest.raises(SpecFormatError) as info:
+            parse_theory(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_non_object_top_level(self):
+        with pytest.raises(SpecFormatError) as info:
+            parse_theory("[]")
+        assert str(info.value) == "$: expected an object, got list"
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("NaN", f"{_CELL}.+-: must be finite, got nan"),
+            ("Infinity", f"{_CELL}.+-: must be finite, got inf"),
+            ("-Infinity", f"{_CELL}.+-: must be finite, got -inf"),
+            ("1e400", f"{_CELL}.+-: must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_literals(self, literal, message):
+        text = json.dumps(minimal_doc()).replace('"+-": "1/2"', f'"+-": {literal}')
+        with pytest.raises(SpecFormatError) as info:
+            parse_theory(text)
+        assert str(info.value) == message
+
+    def test_duplicate_key(self):
+        text = json.dumps(minimal_doc()).replace('"s1": {"a1|b1"', '"s1": {}, "s1": {"a1|b1"')
+        with pytest.raises(SpecFormatError) as info:
+            parse_theory(text, source="dup.json")
+        assert str(info.value) == "dup.json: duplicate key 's1'"
+
+    def test_first_error_in_walk_order_wins(self):
+        # a bad value in the first cell is reported before a bad key in a later one
+        doc = minimal_doc()
+        doc["scenario"]["bob_settings"].append({"id": "b2"})
+        doc["kernel"]["s1"]["a1|b1"]["-+"] = "1/0"
+        doc["kernel"]["s1"]["a1|b2"] = {"++": 1}
+        with pytest.raises(SpecFormatError) as info:
+            parse_theory(json.dumps(doc))
+        assert str(info.value) == f"{_CELL}.-+: denominator must be positive in '1/0'"
+
+    @pytest.mark.parametrize("text", [" 1/2", "+1/2", "1_0/2_0", "١/٢", "1/ 2", "2/4"])
+    def test_rational_grammar(self, text):
+        # what int() accepts on each side of the one '/' is accepted
+        doc = minimal_doc()
+        doc["kernel"]["s1"]["a1|b1"].update({"+-": text, "-+": "1/2"})
+        model = parse_theory(json.dumps(doc))
+        pm = model.kernel.cell("s1", "a1", "b1").pm
+        assert type(pm) is Fraction and pm == Fraction(1, 2)
+        assert validate_theory(model) == []
