@@ -13,15 +13,16 @@ marginals.  That choice of metric is this tool's, not a standard one, and
 reports say so.  Conditional-form failures still appear as violations; for
 strictly positive kernels the two forms agree on the verdict.
 
-The hidden-state audits read the model's kernel tensor (`TheoryModel.tensor`):
-each locality form is one array expression over `K[state, a, b, A, B]` and
-its marginals, and the anti-correlation audit reads the slices
-`K[:, a, b, +, +]` and `K[:, a, b, -, -]`.  On an exact model both compare
-the integer form instead (`N = K * D[state]`): with the tolerance written
-as its exact ratio p / q, a check is an inequality between
-cross-multiplied Python ints, which decides as the Fraction comparison
-with the float tolerance does, and Fractions are built only for the cells
-a report lists.  The signal audit reads the behavior table.
+The hidden-state audits read the kernel tensor's `scaled` values: the
+integer form `N = K * D[state]` of an exact kernel, else the model's own
+`K[state, a, b, A, B]`.  Each locality form is one array expression over
+them and their marginals, and only the decide step differs: with the
+tolerance written as its exact ratio p / q, an integer check is an
+inequality between cross-multiplied Python ints, which decides as the
+Fraction comparison with the float tolerance does.  The anti-correlation
+audit compares the slices at `[:, a, b, +, +]` and `[:, a, b, -, -]` with
+the per-state bound `at_most(t)`.  Fractions are built only for the
+values a report lists.  The signal audit reads the behavior table.
 
 A locality violation is a tuple-backed row (`LocalityViolation`, a
 NamedTuple), zipped from the index lists of the failing cells without a
@@ -49,7 +50,6 @@ from .model import (
     TheoryModel,
     behavior,
     format_probability,
-    fraction_array,
     require_valid,
     resolve_tolerance,
 )
@@ -158,53 +158,37 @@ def _setting_live(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
             np.broadcast_to((np.arange(na) > 0)[:, None, None], (S, na, nb, 2)))
 
 
-def _object_checks(kt: KernelTensor, t: float):
-    """The 16 checks of every cell on the model's own values: `bad` at
-    [state, a, b, slot] and the lhs, rhs and residual lists of the bad
-    cells."""
-    K, marg_a, marg_b = kt.K, kt.alice_marginals, kt.bob_marginals
-    own_a = np.broadcast_to(marg_a[:, :, :1, :, None], K.shape)  # P(A | a, first b)
-    own_b = np.broadcast_to(marg_b[:, :1, :, None, :], K.shape)  # P(B | first a, b)
-    given_b = np.broadcast_to(marg_b[..., None, :], K.shape)     # P(B | a, b)
-    given_a = np.broadcast_to(marg_a[..., :, None], K.shape)     # P(A | a, b)
-
-    def conditional(denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        live = denom > t
-        return np.divide(K, denom, out=np.empty(K.shape, dtype=object), where=live), live
-
-    alice_lhs, alice_live = conditional(given_b)
-    bob_lhs, bob_live = conditional(given_a)
-    lhs = _by_slot(marg_a, marg_b, alice_lhs, bob_lhs, K)
-    rhs = _by_slot(own_a[..., 0], own_b[..., 0, :], own_a, own_b, own_a * own_b)
-    live = _by_slot(*_setting_live(K.shape[:3]), alice_live, bob_live,
-                    np.ones(K.shape, dtype=bool))
-    resid = np.subtract(lhs, rhs, out=np.empty(lhs.shape, dtype=object), where=live)
-    np.abs(resid, out=resid, where=live)
-    bad = np.greater(resid, t, out=np.zeros(live.shape, dtype=bool), where=live)
-    return bad, lhs[bad].tolist(), rhs[bad].tolist(), resid[bad].tolist()
-
-
-def _integer_checks(kt: KernelTensor, t: float):
-    """`_object_checks` on an exact model's integer form.  Each side of a
-    check is a ratio of Python ints, lhs = Ln / Ld and rhs = Rn / Rd, so
-    with t = p / q exactly a check fails when |Ln Rd - Rn Ld| q > p Ld Rd.
-    Fractions are built only for the cells that fail."""
-    N, D = kt.integer_form
-    p, q = Fraction(t).as_integer_ratio()
-    D = np.broadcast_to(D[:, None, None, None, None], N.shape)
-    Ma = N[..., 0] + N[..., 1]        # D P(A | a, b) at [state, a, b, A]
-    Mb = N[..., 0, :] + N[..., 1, :]  # D P(B | a, b) at [state, a, b, B]
-    own_a = np.broadcast_to(Ma[:, :, :1, :, None], N.shape)
-    own_b = np.broadcast_to(Mb[:, :1, :, None, :], N.shape)
-    given_b = np.broadcast_to(Mb[..., None, :], N.shape)
-    given_a = np.broadcast_to(Ma[..., :, None], N.shape)
-
-    Ln = _by_slot(Ma, Mb, N, N, N)
-    Ld = _by_slot(D[..., 0], D[..., 0, :], given_b, given_a, D)
+def _checks(kt: KernelTensor, t: float):
+    """The 16 checks of every cell on the kernel's `scaled` values: `bad`
+    at [state, a, b, slot] and the lhs, rhs and residual lists of the bad
+    cells.  Only deciding depends on D: without one, Python's operators
+    divide and subtract the model's own values; with one, each side is a
+    ratio of ints, lhs = Ln / Ld and rhs = Rn / Rd, which with t = p / q
+    fails when |Ln Rd - Rn Ld| q > p Ld Rd, and a Fraction is built only
+    for a cell that fails."""
+    X, D = kt.scaled
+    Ma = X[..., 0] + X[..., 1]        # P(A | a, b) at [state, a, b, A]
+    Mb = X[..., 0, :] + X[..., 1, :]  # P(B | a, b) at [state, a, b, B]
+    own_a = np.broadcast_to(Ma[:, :, :1, :, None], X.shape)  # P(A | a, first b)
+    own_b = np.broadcast_to(Mb[:, :1, :, None, :], X.shape)  # P(B | first a, b)
+    given_b = np.broadcast_to(Mb[..., None, :], X.shape)     # P(B | a, b)
+    given_a = np.broadcast_to(Ma[..., :, None], X.shape)     # P(A | a, b)
+    bound = kt.at_most(t)[:, None, None, None, None]
+    alice_live, bob_live = given_b > bound, given_a > bound
+    live = _by_slot(*_setting_live(X.shape[:3]), alice_live, bob_live, np.ones(X.shape, dtype=bool))
     Rn = _by_slot(own_a[..., 0], own_b[..., 0, :], own_a, own_b, own_a * own_b)
+    if D is None:
+        quotient = lambda given, alive: np.divide(X, given, out=np.empty(X.shape, dtype=object), where=alive)
+        lhs = _by_slot(Ma, Mb, quotient(given_b, alice_live), quotient(given_a, bob_live), X)
+        resid = np.subtract(lhs, Rn, out=np.empty(lhs.shape, dtype=object), where=live)
+        np.abs(resid, out=resid, where=live)
+        bad = np.greater(resid, t, out=np.zeros(live.shape, dtype=bool), where=live)
+        return bad, lhs[bad].tolist(), Rn[bad].tolist(), resid[bad].tolist()
+    p, q = Fraction(t).as_integer_ratio()
+    D = np.broadcast_to(D[:, None, None, None, None], X.shape)
+    Ln = _by_slot(Ma, Mb, X, X, X)
+    Ld = _by_slot(D[..., 0], D[..., 0, :], given_b, given_a, D)
     Rd = _by_slot(D[..., 0], D[..., 0, :], D, D, D * D)
-    live = _by_slot(*_setting_live(N.shape[:3]), given_b * q > p * D, given_a * q > p * D,
-                    np.ones(N.shape, dtype=bool))
     bad = live & (np.abs(Ln * Rd - Rn * Ld) * q > p * Ld * Rd)
     lhs = list(map(Fraction, Ln[bad].tolist(), Ld[bad].tolist()))
     rhs = list(map(Fraction, Rn[bad].tolist(), Rd[bad].tolist()))
@@ -225,8 +209,7 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
     field.
     """
     t = require_valid(model, tol)
-    checks = _integer_checks if model.is_exact else _object_checks
-    bad, lhs, rhs, resid = checks(model.tensor, t)
+    bad, lhs, rhs, resid = _checks(model.tensor, t)
     s, a, b, k = (i.tolist() for i in np.nonzero(bad))
     states, a_ids, b_ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
     columns = (map(_FORMS.__getitem__, k), map(states.__getitem__, s),
@@ -395,14 +378,11 @@ def check_anticorrelation(
         )
     alice, bob = model.scenario.pair_indices(equal_axis_pairs)
     kt = model.tensor
-    if model.is_exact:
-        N, D = kt.integer_form
-        pp, mm, bound = N[:, alice, bob, 0, 0], N[:, alice, bob, 1, 1], kt.floor_counts(t)[:, None]
-        ok_rows = ((pp <= bound) & (mm <= bound)).tolist()
-        pp_rows, mm_rows = fraction_array(pp, D[:, None]).tolist(), fraction_array(mm, D[:, None]).tolist()
-    else:
-        pp_rows, mm_rows = kt.K[:, alice, bob, 0, 0].tolist(), kt.K[:, alice, bob, 1, 1].tolist()
-        ok_rows = [[pp <= t and mm <= t for pp, mm in zip(*row)] for row in zip(pp_rows, mm_rows)]
+    X = kt.scaled[0]
+    pp, mm, bound = X[:, alice, bob, 0, 0], X[:, alice, bob, 1, 1], kt.at_most(t)[:, None]
+    ok_rows = ((pp <= bound) & (mm <= bound)).tolist()
+    shown, states = np.frompyfunc(kt.unscaled, 2, 1), np.arange(len(X))[:, None]
+    pp_rows, mm_rows = shown(pp, states).tolist(), shown(mm, states).tolist()
     checks = [
         AxisCheck(state, a_id, b_id, pp, mm, ok)
         for state, pp_row, mm_row, ok_row in zip(

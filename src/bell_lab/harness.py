@@ -140,6 +140,12 @@ _CHSH_SIGN_BOUNDS = {
     for signs in itertools.product((+1, -1), repeat=4)
 }
 
+#: The bound of |E(1,2) - E(1,3)| - E(2,3): its max over the 8
+#: anti-correlated sign patterns, E(i, j) = -s_i s_j, brute-forced once at
+#: import (Bell 1964)
+_BELL1964_BOUND = max(abs(s1 * s3 - s1 * s2) + s2 * s3
+                      for s1, s2, s3 in itertools.product((+1, -1), repeat=3))
+
 
 @dataclass(frozen=True)
 class CHSHResult:
@@ -244,7 +250,7 @@ def bell1964(
     e13 = correlator(table, ax1[0], ax3[1])
     e23 = correlator(table, ax2[0], ax3[1])
     lhs = abs(e12 - e13)
-    rhs = 1 + e23
+    rhs = _BELL1964_BOUND + e23
     # compare the difference to t: rhs + t would coerce exact rationals to float
     return Bell1964Result(
         axes=(ax1, ax2, ax3),

@@ -9,10 +9,10 @@ therefore carries an instruction set: a sign per axis for Alice, with Bob's
 sign the negation.  Over n axes there are exactly 2^n possible sign
 patterns, so the ensemble splits into 2^n classes (some possibly empty).
 
-`derive_instruction_sets` mechanizes exactly that step, reading the
-marginals of the model's kernel tensor (for an exact model, integer counts
-over one denominator per state, compared with integer bounds that the
-tolerance gives that denominator), and returns a structured
+`derive_instruction_sets` mechanizes exactly that step, comparing the
+marginals of the kernel tensor's `scaled` values with the per-state
+bounds `at_most` gives the tolerance (for an exact kernel, integer counts
+over one denominator per state), and returns a structured
 `DerivationFailure` naming the first blocking marginal instead of raising,
 because a failed derivation is a finding, not a crash.  `realize_model`
 validates the model it builds, so weights that do not sum to 1 raise.
@@ -163,19 +163,13 @@ def derive_instruction_sets(
         )
     alice, bob = model.scenario.pair_indices(axes)
     kt = model.tensor
-    if model.is_exact:
-        # counts x over D[state]: x / D is above t exactly when x > floor(t D),
-        # and at least 1 - t when x >= ceil((1 - t) D)
-        N, D = kt.integer_form
-        plus_a, plus_b = N[..., 0, 0] + N[..., 0, 1], N[..., 0, 0] + N[..., 1, 0]
-        low, high = kt.floor_counts(t).tolist(), (-kt.floor_counts(-(1 - t))).tolist()
-        shown = lambda s, count: Fraction(count, D[s])
-    else:
-        plus_a, plus_b = kt.alice_marginals[..., 0], kt.bob_marginals[..., 0]
-        low, high = [t] * len(plus_a), [1 - t] * len(plus_a)
-        shown = lambda s, marginal: marginal
-    # P(+1 | a, b, state) on each wing, per state and axis: against every
-    # far setting, then on the axis itself
+    # P(+1 | a, b, state) on each wing as `scaled` values, per state and
+    # axis: against every far setting, then on the axis itself.  A value
+    # stands for more than t exactly when it exceeds at_most(t), and for at
+    # least 1 - t when it reaches -at_most(-(1 - t)).
+    X = kt.scaled[0]
+    plus_a, plus_b = X[..., 0, 0] + X[..., 0, 1], X[..., 0, 0] + X[..., 1, 0]
+    low, high = kt.at_most(t).tolist(), (-kt.at_most(-(1 - t))).tolist()
     alice_rows = plus_a[:, alice, :].tolist()
     bob_rows = plus_b[:, :, bob].transpose(0, 2, 1).tolist()
     alice_own = plus_a[:, alice, bob].tolist()
@@ -190,26 +184,26 @@ def derive_instruction_sets(
             for side, margs in (("alice", alice_rows[s][i]), ("bob", bob_rows[s][i])):
                 if max(margs) - min(margs) > low[s]:
                     return DerivationFailure(
-                        state, axis, side, shown(s, max(margs)),
+                        state, axis, side, kt.unscaled(max(margs), s),
                         "own-outcome marginal moves with the far setting",
                     )
             alice_marg = alice_own[s][i]
             a_val = _resolve_sign(alice_marg, low[s], high[s])
             if a_val is None:
                 return DerivationFailure(
-                    state, axis, "alice", shown(s, alice_marg),
+                    state, axis, "alice", kt.unscaled(alice_marg, s),
                     "marginal strictly between 0 and 1: outcome not deterministic",
                 )
             bob_marg = bob_own[s][i]
             b_val = _resolve_sign(bob_marg, low[s], high[s])
             if b_val is None:
                 return DerivationFailure(
-                    state, axis, "bob", shown(s, bob_marg),
+                    state, axis, "bob", kt.unscaled(bob_marg, s),
                     "marginal strictly between 0 and 1: outcome not deterministic",
                 )
             if b_val != -a_val:
                 return DerivationFailure(
-                    state, axis, "bob", shown(s, bob_marg),
+                    state, axis, "bob", kt.unscaled(bob_marg, s),
                     "anti-correlation fails: both wings fixed to the same sign",
                 )
             per_axis[axis] = (a_val, b_val)

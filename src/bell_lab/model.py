@@ -28,12 +28,13 @@ The kernel is stored once, as flat rows of four values per cell
 read-only `KernelTensor` of numpy object arrays `K[state, a, b, A, B]` and
 `w[state]` of the model's own values in declaration order, are built from
 it on first read.  Object arrays apply the same Python operators as a loop
-would, so every value keeps its type and its bits.  An exact kernel also
-has an integer form: one denominator `D[state]` per state and Python-int
-numerators `N = K * D[state]`, read straight from a spec's text.
-Validation holds it to 0 <= N <= D and the audits compare its
-cross-multiplied integers, so no Fraction is built for a value that is
-not reported.
+would, so every value keeps its type and its bits.  `KernelTensor.scaled`
+decides once, by the kernel alone, how the per-state checks count: an
+exact kernel's integer form `(N, D)`, one denominator `D[state]` per state
+and Python-int numerators `N = K * D[state]`, else `(K, None)`.  The
+audits and the derivation compare `scaled` values with `at_most` bounds
+and build a Fraction only for a value they report, whatever the weights.
+`validate_theory` checks the stored rows in their own order.
 """
 
 from __future__ import annotations
@@ -373,37 +374,36 @@ class KernelTensor:
         return self._arranged(self._kernel.rows)
 
     @cached_property
-    def alice_marginals(self) -> np.ndarray:
-        """P(A | a, b, state) at [state, a, b, A]: K[..., A, +] + K[..., A, -]."""
-        return _read_only(self.K[..., 0] + self.K[..., 1])
-
-    @cached_property
-    def bob_marginals(self) -> np.ndarray:
-        """P(B | a, b, state) at [state, a, b, B]: K[..., +, B] + K[..., -, B]."""
-        return _read_only(self.K[..., 0, :] + self.K[..., 1, :])
-
-    @cached_property
     def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """An exact kernel over one denominator per state, as read-only
-        object arrays of Python ints: `(N, D)` with `D[state]` the lcm of
-        the state's cell denominators and `N[state, a, b, A, B]` =
-        K * D[state].  Only for a kernel of Fractions."""
+        """An exact kernel as read-only arrays of Python ints `(N, D)`: `D[state]`
+        the lcm of the state's cell denominators and `N` = K * D[state]."""
         num, den = map(self._arranged, self._kernel.ratios)
         D = np.lcm.reduce(den.reshape(len(den), math.prod(self._shape[1:])), axis=1)
         return _read_only(num * (D[:, None, None, None, None] // den)), _read_only(D)
 
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The kernel as the audits and the derivation compare it, `(X, D)`:
+        the integer form `(N, D)` of an exact kernel, else `(K, None)`.  A
+        value x of state s stands for x / D[s], or for x itself."""
+        return self.integer_form if self._kernel.is_exact else (self.K, None)
+
+    def at_most(self, value: float) -> np.ndarray:
+        """Per state, the bound b with x <= b exactly when a `scaled` value x
+        stands for at most `value`: floor(value * D[state]), or `value`."""
+        p, q = Fraction(value).as_integer_ratio()
+        D = self.scaled[1]
+        return np.full(len(self.w), value, dtype=object) if D is None else p * D // q
+
+    def unscaled(self, x: int | Prob, state: int) -> Prob:
+        """What a `scaled` value x of `state` stands for: x / D[state], or x."""
+        D = self.scaled[1]
+        return x if D is None else Fraction(x, D[state])
+
     def as_float(self) -> np.ndarray:
         """K as float64, correctly rounded: N / D for an exact kernel."""
-        if not self._kernel.is_exact:
-            return self.K.astype(float)
-        N, D = self.integer_form
-        return (N / D[:, None, None, None, None]).astype(float)
-
-    def floor_counts(self, value: float) -> np.ndarray:
-        """floor(value * D[state]) per state, for an exact model: a count x
-        over D[state] is at most `value` exactly when x <= this bound."""
-        p, q = Fraction(value).as_integer_ratio()
-        return p * self.integer_form[1] // q
+        X, D = self.scaled
+        return (X if D is None else X / D[:, None, None, None, None]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -543,14 +543,15 @@ def _cell_faults(key: tuple[str, str, str], values: np.ndarray, t: float) -> lis
     return out
 
 
-def _suspect_rows(model: TheoryModel, t: float) -> Iterable[int]:
-    """The rows of a kernel in declaration order that `_cell_faults` may
-    flag, found on its arrays; every row unless all exact or all float."""
-    kernel = model.kernel
-    if kernel.keys and kernel.is_exact:
-        N, D = model.tensor.integer_form
-        N, D = N.reshape(-1, 4), np.repeat(D, len(kernel.keys) // len(D))
-        return np.flatnonzero(((N < 0) | (N > D[:, None])).any(axis=1) | (N.sum(axis=1) != D)).tolist()
+def _suspect_rows(kernel: ResponseKernel, t: float) -> Iterable[int]:
+    """The rows, in the kernel's order, that `_cell_faults` may flag: every
+    row unless all exact (0 <= num <= den, and over the lcm L of the row's
+    denominators, num * (L / den) summing to L) or all float."""
+    if kernel.is_exact:
+        num, den = kernel.ratios
+        L = np.lcm.reduce(den, axis=1)
+        bad = ((num < 0) | (num > den)).any(axis=1) | ((num * (L[:, None] // den)).sum(axis=1) != L)
+        return np.flatnonzero(bad).tolist()
     if set(map(type, kernel.rows.flat)) <= {float}:
         V = kernel.rows.astype(float)
         with np.errstate(all="ignore"):  # as Python floats: inf - inf is nan, nan > t is False
@@ -611,16 +612,14 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     if model.ensemble.entries and (fault := _sum_fault(weight_sum, t, "weights")):
         out.append(Violation("ensemble", fault))
 
-    # a kernel in declaration order is checked on its arrays; any other is
-    # walked whole, in its own order, after the missing cells
+    # the declared cells the kernel lacks, then its own rows in its order:
+    # those outside the declared cells and those its arrays flag
     kernel, expected = model.kernel, dict.fromkeys(model._declared_cells)
-    if kernel.keys == model._declared_cells:
-        rows = _suspect_rows(model, t)
-    else:
-        out.extend(Violation(_loc(_CELL, *key), "missing cell: every (state, a, b) needs an outcome "
-                             "distribution") for key in expected if key not in kernel._positions)
-        rows = range(len(kernel.keys))
-    for i in rows:
+    present = set(kernel.keys)
+    out.extend(Violation(_loc(_CELL, *key), "missing cell: every (state, a, b) needs an outcome "
+                         "distribution") for key in expected if key not in present)
+    foreign = (i for i, key in enumerate(kernel.keys) if key not in expected)
+    for i in sorted({*_suspect_rows(kernel, t), *foreign}):
         key = kernel.keys[i]
         if key in expected:
             out.extend(_cell_faults(key, kernel.rows[i], t))

@@ -7,6 +7,7 @@ the property tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,16 @@ def decimal_models(draw) -> TheoryModel:
     return random_arbitrary_model(
         rng, draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     )
+
+
+@st.composite
+def float_weighted_models(draw, exact=None) -> TheoryModel:
+    """A model drawn from `exact` (default: arbitrary or anti-correlated
+    exact models) with every weight rounded to a float: an exact kernel in
+    a decimal model."""
+    model = draw(st.one_of(arbitrary_models(), anticorr_mixtures()) if exact is None else exact)
+    entries = tuple(EnsembleEntry(e.state_id, float(e.weight)) for e in model.ensemble.entries)
+    return replace(model, ensemble=HiddenStateEnsemble(entries))
 
 
 #: Short ids that may repeat, be empty, or hold '|', ',', quotes and newlines.

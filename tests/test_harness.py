@@ -145,6 +145,17 @@ class TestBell1964:
             result = bell1964(table, axes)
             assert result.satisfied
 
+    def test_bound_is_brute_forced(self, singlet_three_axes):
+        # over the 8 anti-correlated sign patterns, E(i, j) = -s_i s_j,
+        # |E(1,2) - E(1,3)| - E(2,3) reaches 1 and no more
+        assert harness._BELL1964_BOUND == 1 and type(harness._BELL1964_BOUND) is int
+        axes = (("n1", "n1"), ("n2", "n2"), ("n3", "n3"))
+        exact = bell1964(behavior(genmodels.random_anticorr_mixture(np.random.default_rng(5), 3, 4)), axes)
+        decimal = bell1964(behavior(singlet_three_axes), axes)
+        for result in (exact, decimal):
+            assert result.rhs == 1 + result.correlators["E(2,3)"]
+        assert type(exact.rhs) is Fraction and type(decimal.rhs) is float
+
     def test_precondition_enforced(self, singlet_chsh):
         table = behavior(singlet_chsh)
         axes = (("a1", "b1"), ("a2", "b2"), ("a1", "b2"))

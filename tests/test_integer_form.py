@@ -1,14 +1,16 @@
-"""The integer form of an exact model against the dict walks.
+"""The integer form of an exact kernel against the dict walks.
 
-An exact model's `behavior`, locality audit, anti-correlation audit and
-derivation compare Python-int numerators over one denominator per state
-(`KernelTensor.integer_form`) and build Fractions only for the values they
-report.  The properties here hold them to `tests/reference_audit.py` at
-the edges of that integer path: per-state denominators beyond 2^63,
-tolerances whose float is not the rational they spell (0.1, 1e-9, 1/3),
-residuals that sit exactly on those rationals, zero marginals where
-conditioning is skipped, and a derivation failure of every kind.  Decimal
-and mixed models must keep the object-array path.
+An exact model's `behavior`, and the locality audit, anti-correlation
+audit and derivation of any model with an exact kernel, compare Python-int
+numerators over one denominator per state (`KernelTensor.integer_form`)
+and build Fractions only for the values they report.  The properties here
+hold them to `tests/reference_audit.py` at the edges of that integer
+path: per-state denominators beyond 2^63, tolerances whose float is not
+the rational they spell (0.1, 1e-9, 1/3), residuals that sit exactly on
+those rationals, zero marginals where conditioning is skipped, and a
+derivation failure of every kind.  The path follows the kernel alone
+(`KernelTensor.scaled`): an exact kernel under float weights takes the
+integer path, and a decimal or mixed kernel keeps the object-array path.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def coprime_models(draw) -> TheoryModel:
             # the first two cells of a state keep their prime as a denominator
             cuts = sorted([draw(inner if c < 2 else edge), draw(edge), draw(edge)])
             parts = [b - a for a, b in zip([0, *cuts], [*cuts, p])]
-            cells[k, *divmod(c, nb)] = OutcomeDistribution(*(Fraction(n, p) for n in parts))
+            cells[(k, *divmod(c, nb))] = OutcomeDistribution(*(Fraction(n, p) for n in parts))
     return _model("coprime denominators", _scenario(na, nb), weights,
                   lambda k, i, j: cells[k, i, j])
 
@@ -182,11 +184,12 @@ def assert_same_as_the_dict_walks(model: TheoryModel, tol) -> None:
 
 
 def took_the_integer_path(model: TheoryModel) -> bool:
-    """True when the audits read the integer form and never built the
-    object-array marginals; False when the reverse."""
-    built = vars(model.tensor)
-    assert ("integer_form" in built) != ("alice_marginals" in built)
-    return "integer_form" in built
+    """True when the audits compared the integer form, False when they
+    compared the model's own values: the integer form iff the kernel is
+    exact."""
+    X, D = vars(model.tensor)["scaled"]
+    assert (D is not None) == model.kernel.is_exact
+    return D is not None
 
 
 class TestExactModels:
@@ -250,12 +253,27 @@ class TestDerivationFailures:
         assert took_the_integer_path(model)
 
 
+class TestFloatWeights:
+    @settings(max_examples=80, deadline=None)
+    @given(model=genmodels.float_weighted_models(st.one_of(
+               coprime_models(), grid_models(), genmodels.arbitrary_models(),
+               genmodels.anticorr_mixtures())),
+           tol=TOLERANCES)
+    def test_exact_kernels_take_the_integer_path(self, model, tol):
+        # float weights make the model decimal (tolerance 1e-9 by default)
+        # but leave every per-state check on the exact kernel
+        assert not model.is_exact and model.kernel.is_exact
+        assert_same_as_the_dict_walks(model, tol)
+        if "tensor" in vars(model):
+            assert took_the_integer_path(model)
+
+
 class TestObjectPath:
     @settings(max_examples=60, deadline=None)
     @given(model=st.one_of(genmodels.decimal_models(), genmodels.product_models()),
            tol=TOLERANCES)
     def test_decimal_and_mixed_models_keep_the_object_path(self, model, tol):
-        assert not model.is_exact
+        assert not model.kernel.is_exact
         assert_same_as_the_dict_walks(model, tol)
         if "tensor" in vars(model):
             assert not took_the_integer_path(model)

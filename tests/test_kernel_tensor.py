@@ -167,7 +167,8 @@ class TestCachedTensor:
         kt = model.tensor
         assert model.tensor is kt
         assert kt.K.shape == (4, 2, 3, 2, 2) and kt.w.shape == (4,)
-        for array in (kt.K, kt.w, kt.alice_marginals, kt.bob_marginals):
+        assert kt.scaled is kt.scaled and kt.scaled[0] is kt.K and kt.scaled[1] is None
+        for array in (kt.K, kt.w, kt.scaled[0]):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = Fraction(1)

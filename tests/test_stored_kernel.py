@@ -7,7 +7,8 @@ the array rules to it on valid and invalid models (missing and extra
 cells, entries out of range, bad sums, NaN, zero weights, duplicate and
 lone-surrogate ids, mixed exact and float values, cells out of order),
 and hold a parsed model to the model it was written from, value for value
-and bit for bit.
+and bit for bit.  An exact kernel is checked on its ratios in whatever
+order its spec lists the cells, with no Fraction built when it is valid.
 """
 
 from __future__ import annotations
@@ -189,6 +190,56 @@ class TestParsedTensor:
         assert "rows" not in vars(model.kernel)
         assert model.kernel.cell("s", "a", "b") == OutcomeDistribution(
             Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0))
+
+
+#: Faults written into a spec's kernel text, each keeping every value an int
+#: or a "p/q" string, so the kernel is still stored as ratios.
+SPEC_FAULTS = ("missing", "extra state", "extra pair", "above one", "below zero", "sum")
+
+
+@st.composite
+def shuffled_exact_specs(draw) -> str:
+    """The spec of an exact kernel (under exact or float weights) whose
+    kernel lists its states, and each state's pairs, in a drawn order, with
+    up to three faults written in."""
+    exact = st.one_of(genmodels.arbitrary_models(), genmodels.anticorr_mixtures())
+    doc = theory_to_dict(draw(st.one_of(exact, genmodels.float_weighted_models(exact))))
+    kernel = {state: dict(draw(st.permutations(list(doc["kernel"][state].items()))))
+              for state in draw(st.permutations(list(doc["kernel"])))}
+    for fault in draw(st.lists(st.sampled_from(SPEC_FAULTS), max_size=3)):
+        state = draw(st.sampled_from(sorted(kernel)))
+        pair = draw(st.sampled_from(sorted(kernel[state]) or ["a1|b1"]))
+        if fault == "missing":
+            kernel[state].pop(pair, None)
+        elif fault == "extra state":
+            kernel["zz"] = {pair: dict(zip(CELL_KEYS, (0, 1, 0, 0)))}
+        elif fault == "extra pair":
+            kernel[state]["a1|zz"] = dict(zip(CELL_KEYS, (0, 0, 1, 0)))
+        elif pair in kernel[state]:
+            value = {"above one": "3/2", "below zero": "-1/4", "sum": "1/8"}[fault]
+            kernel[state][pair] = {**kernel[state][pair], draw(st.sampled_from(CELL_KEYS)): value}
+    return json.dumps({**doc, "kernel": kernel})
+
+
+class TestReorderedExactKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(text=shuffled_exact_specs())
+    def test_rows_in_any_order_match_the_dict_walk(self, text):
+        parsed = parse_theory(text)
+        assert parsed.kernel.is_exact
+        got = [(v.location, v.message) for v in validate_theory(parsed)]
+        assert "_positions" not in vars(parsed.kernel)
+        if not got:  # checked on the ratios: no Fraction built
+            assert "rows" not in vars(parsed.kernel)
+        assert got == [(v.location, v.message) for v in ref.validate_theory(parsed)]
+
+    def test_a_shuffled_valid_kernel_builds_no_fraction(self):
+        text = _spec({"++": 0, "+-": "1/2", "-+": "1/2", "--": 0}, weight=1.0)
+        model = parse_theory(text)
+        assert model.kernel.keys != model._declared_cells
+        assert validate_theory(model) == []
+        assert "rows" not in vars(model.kernel) and "_positions" not in vars(model.kernel)
+        assert "tensor" not in vars(model)
 
 
 def _spec(values: dict, weight=1) -> str:
