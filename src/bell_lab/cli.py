@@ -15,12 +15,13 @@ nothing, so it takes no `--tol` or `--format`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
-`emit_json` writes those bytes in writes of exactly `_WRITE_CHARS`
-characters (a MiB) but the last, so a large report is never held as one
-string.  json's C encoder writes each container that holds no container
-in one call, and a list of flat rows, such as the locality violations,
-in one call per slab of `_SLAB_ROWS` rows.  A closed stdout (`| head`,
-`>&-`) does not change the exit code: it stays the check's own 0 or 1.
+`emit_json` writes each piece of those bytes as soon as it is encoded,
+so a large report is never held as one string.  json's C encoder writes
+each container that holds no container in one call, and a list of flat
+rows, such as the locality violations, in one call per slab of
+`_SLAB_ROWS` rows.  Text output writes a character stdout cannot encode
+as a backslash escape.  A closed stdout (`| head`, `>&-`) does not
+change the exit code: it stays the check's own 0 or 1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, repeat
 from typing import Any, Iterator
@@ -65,9 +65,6 @@ from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 PROG = "bell-lab"
 
 
-#: `emit_json` hands its stream this many characters per `write`, and
-#: fewer only in its last one.
-_WRITE_CHARS = 1 << 20
 #: a list of flat rows is encoded this many rows per C encoder call
 _SLAB_ROWS = 256
 _CONTAINERS = (dict, list, tuple)
@@ -155,36 +152,19 @@ def _chunks(obj: Any, level: int) -> Iterator[str]:
 
 def emit_json(obj: Any, out=None) -> None:
     """Write `json.dumps(obj, indent=2, sort_keys=True)` and a newline to
-    `out` (default stdout), byte for byte, so the whole text is never
-    held at once.  Every write but the last is exactly `_WRITE_CHARS`
-    characters: pieces are gathered until they reach it, the piece that
-    crosses it is cut there, and its remainder opens the next write.
-    Each container without a container inside is written by json's C
-    encoder in one call, and a list of non-empty flat dicts, such as the
-    locality violations, in one call per `_SLAB_ROWS` rows.  A value
+    `out` (default stdout), byte for byte, each piece as soon as it is
+    encoded, so the whole text is never held at once.  Each container
+    without a container inside is one piece, written by json's C encoder
+    in one call, and a list of non-empty flat dicts, such as the
+    locality violations, is one piece per `_SLAB_ROWS` rows.  A value
     `json` cannot encode raises its TypeError, perhaps after some
     writes; a document that contains itself raises RecursionError where
     `json` raises ValueError."""
     out = out or sys.stdout
     text = _at_once(obj, 0)
-    chunks = (text,) if text is not None else _chunks(obj, 0)
-    parts, size = [], 0
-    for chunk in chunks:
-        start = 0
-        while size + len(chunk) - start >= _WRITE_CHARS:  # a write ends in this chunk
-            stop = start + _WRITE_CHARS - size
-            parts.append(chunk[start:stop])
-            joined = "".join(parts)
-            # free the pieces, and this text after its write, so that one
-            # write's text and the stream's encoded copy are all that is held
-            parts.clear()
-            out.write(joined)
-            del joined
-            start, size = stop, 0
-        parts.append(chunk[start:])
-        size += len(chunk) - start
-    parts.append("\n")
-    out.write("".join(parts))
+    for piece in (text,) if text is not None else _chunks(obj, 0):
+        out.write(piece)
+    out.write("\n")
 
 
 def _fields(text: str, seps: str = ",") -> Iterator[tuple[str, bool, str]]:
@@ -506,13 +486,16 @@ def _output(fmt: str, to_json, render, code: int = 0) -> int:
     unwritable output, as for --out.  Either way fd 1 then points at
     os.devnull, so the interpreter's last flush stays quiet (the "Note
     on SIGPIPE" in Python's `signal` docs).  With fd 1 closed before the
-    start (`>&-`), sys.stdout is None and nothing is written."""
+    start (`>&-`), sys.stdout is None and nothing is written.  Text that
+    stdout cannot encode is written with backslash escapes."""
     if sys.stdout is None:
         return code
     try:
         if fmt == "json":
             emit_json(to_json())
         else:
+            if hasattr(sys.stdout, "reconfigure"):
+                sys.stdout.reconfigure(errors="backslashreplace")
             render(sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
@@ -583,36 +566,24 @@ def cmd_make_singlet(args) -> int:
     return _output("text", None, lambda out: out.write(f"singlet spec written to {args.out}\n"))
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything the pipeline learned about one spec file."""
-
-    tool_version: str
-    input_path: str
-    input_sha256: str
-    model_name: str
-    sections: dict[str, Any]
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": {"name": PROG, "version": self.tool_version},
-            "input": {"path": self.input_path, "sha256": self.input_sha256},
-            "model": self.model_name,
-            "sections": self.sections,
-        }
-
-
-def run_pipeline(spec_path: str, args) -> RunReport:
+def run_pipeline(spec_path: str, args) -> dict:
+    """The report on one spec file: the tool, the input and its digest,
+    the model's name and one section per stage of the pipeline."""
     if args.simulate_trials < 0:
         raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
     model, raw = _load(spec_path)
-    digest = hashlib.sha256(raw).hexdigest()
     sections: dict[str, Any] = {}
+    report = {
+        "tool": {"name": PROG, "version": __version__},
+        "input": {"path": spec_path, "sha256": hashlib.sha256(raw).hexdigest()},
+        "model": model.name,
+        "sections": sections,
+    }
 
     violations = validate_theory(model, args.tol)
     sections["validation"] = validation_json(violations)
     if violations:
-        return RunReport(__version__, spec_path, digest, model.name, sections)
+        return report
 
     # the model remembers that it is valid at t: no check below validates again
     t = resolve_tolerance(model, args.tol)
@@ -658,14 +629,14 @@ def run_pipeline(spec_path: str, args) -> RunReport:
         sections["simulation"] = simulate(model, args.simulate_trials, args.seed, tol=t).to_dict()
     else:
         sections["simulation"] = {"skipped": "not requested (--simulate-trials)"}
-    return RunReport(__version__, spec_path, digest, model.name, sections)
+    return report
 
 
-def render_report(report: RunReport, out) -> None:
-    out.write(f"{PROG} {report.tool_version} report\n")
-    out.write(f"input: {report.input_path} (sha256 {report.input_sha256[:16]}...)\n")
-    out.write(f"model: {report.model_name}\n")
-    for name, payload in report.sections.items():
+def render_report(report: dict, out) -> None:
+    out.write(f"{PROG} {report['tool']['version']} report\n")
+    out.write(f"input: {report['input']['path']} (sha256 {report['input']['sha256'][:16]}...)\n")
+    out.write(f"model: {report['model']}\n")
+    for name, payload in report["sections"].items():
         out.write(f"\n== {name} ==\n")
         if isinstance(payload, dict) and "skipped" in payload:
             out.write(f"skipped: {payload['skipped']}\n")
@@ -675,7 +646,7 @@ def render_report(report: RunReport, out) -> None:
 
 def cmd_report(args) -> int:
     report = run_pipeline(args.spec, args)
-    return _output(args.fmt, report.to_dict, partial(render_report, report))
+    return _output(args.fmt, lambda: report, partial(render_report, report))
 
 
 # ---------------------------------------------------------------------------

@@ -622,7 +622,9 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     for i in sorted({*_suspect_rows(kernel, t), *foreign}):
         key = kernel.keys[i]
         if key in expected:
-            out.extend(_cell_faults(key, kernel.rows[i], t))
+            # an exact row is built from its own ratios, not the whole `rows` array
+            row = fraction_array(*(part[i] for part in kernel.ratios)) if kernel.is_exact else kernel.rows[i]
+            out.extend(_cell_faults(key, row, t))
         else:
             out.append(Violation(_loc(_CELL, *key), "cell references ids outside the scenario or ensemble"))
     if not out:

@@ -1,6 +1,7 @@
 """The output boundary: `emit_json` writes the bytes of
-`json.dumps(obj, indent=2, sort_keys=True)` in bounded writes, and a
-closed stdout keeps the check's exit code.
+`json.dumps(obj, indent=2, sort_keys=True)` one encoded piece at a time,
+text output escapes what stdout cannot encode, and a closed stdout keeps
+the check's exit code.
 
 The closed-pipe tests run the CLI as a child process under `-X dev -W
 error`, so a warning at interpreter exit (an unclosed file, a failed last
@@ -79,18 +80,14 @@ DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=40)
 
 
 @settings(max_examples=400, deadline=None)
-@given(DOCUMENTS, st.sampled_from((1, 7, 1 << 20)))
-@example({"a": [], "b": {}, "c": [{}], "d": ()}, 1 << 20)
-@example([True, 1, 1.0, False, 0, 2**64 + 1, -(2**70)], 1 << 20)
-@example({1: {"x": 1}, 1.5: [float("nan")], True: [float("inf"), -float("inf")]}, 7)
-@example({None: ["\ud800", "é", "\udfff\ud800"]}, 1)
-def test_same_bytes_as_json_dumps(doc, write_chars):
-    """Also with writes of a few characters, so where the text is cut
-    into writes does not change it."""
+@given(DOCUMENTS)
+@example({"a": [], "b": {}, "c": [{}], "d": ()})
+@example([True, 1, 1.0, False, 0, 2**64 + 1, -(2**70)])
+@example({1: {"x": 1}, 1.5: [float("nan")], True: [float("inf"), -float("inf")]})
+@example({None: ["\ud800", "é", "\udfff\ud800"]})
+def test_same_bytes_as_json_dumps(doc):
     writes = []
-    stream = SimpleNamespace(write=writes.append)
-    with mock.patch.object(cli, "_WRITE_CHARS", write_chars):
-        emit_json(doc, stream)
+    emit_json(doc, SimpleNamespace(write=writes.append))
     assert "".join(writes) == dumps(doc)
 
 
@@ -157,33 +154,30 @@ def _cycled(*rows) -> list:
 
 
 @settings(max_examples=60, deadline=None)
-@given(row_lists(), st.sampled_from(_PLACES), st.sampled_from((1, 7, 1 << 20)))
+@given(row_lists(), st.sampled_from(_PLACES))
 @example(_cycled({"lhs": float("nan"), "rhs": float("inf"), "residual": -float("inf"),
-                  "s": "},\n    {"}, {"s": "}, {", "t": "\n"}), _PLACES[1], 7)
-@example(_cycled({0.5: "},\n      {", 2: None, True: -0.0}, {None: float("nan")}), _PLACES[2], 1)
-@example(_cycled({"a": 1}, {"a": 2})[:-1] + [Row(a=3)], _PLACES[0], 1 << 20)
-def test_row_lists_give_the_same_bytes_as_json_dumps(rows, place, write_chars):
+                  "s": "},\n    {"}, {"s": "}, {", "t": "\n"}), _PLACES[1])
+@example(_cycled({0.5: "},\n      {", 2: None, True: -0.0}, {None: float("nan")}), _PLACES[2])
+@example(_cycled({"a": 1}, {"a": 2})[:-1] + [Row(a=3)], _PLACES[0])
+def test_row_lists_give_the_same_bytes_as_json_dumps(rows, place):
     doc = place(rows)
     writes = []
-    with mock.patch.object(cli, "_WRITE_CHARS", write_chars), \
-            mock.patch.object(cli, "_slabs", wraps=cli._slabs) as slabs:
+    with mock.patch.object(cli, "_slabs", wraps=cli._slabs) as slabs:
         emit_json(doc, SimpleNamespace(write=writes.append))
     assert "".join(writes) == dumps(doc)
-    assert all(len(w) == write_chars for w in writes[:-1])
     assert any(call.args[0] is rows for call in slabs.call_args_list) == _takes_slabs(rows)
 
 
 @settings(max_examples=40, deadline=None)
-@given(row_lists(spoilers=False), st.sampled_from((set, Fraction)), st.integers(1, 3),
-       st.sampled_from((1, 7, 1 << 20)))
-def test_unencodable_value_in_the_last_row_of_a_slab(rows, kind, slab, write_chars):
+@given(row_lists(spoilers=False), st.sampled_from((set, Fraction)), st.integers(1, 3))
+def test_unencodable_value_in_the_last_row_of_a_slab(rows, kind, slab):
     """The C encoder's TypeError for a whole slab is json.dumps's."""
     at = min(slab * cli._SLAB_ROWS, len(rows)) - 1
     rows[at] = {**rows[at], next(iter(rows[at])): kind((1, 2)) if kind is set else kind(1, 3)}
     doc = {"violations": rows}
     with pytest.raises(TypeError) as want:
         dumps(doc)
-    with mock.patch.object(cli, "_WRITE_CHARS", write_chars), pytest.raises(TypeError) as got:
+    with pytest.raises(TypeError) as got:
         emit_json(doc, io.StringIO())
     assert str(got.value) == str(want.value)
 
@@ -199,12 +193,11 @@ def decimal_report(tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "decimal.json"
     dump_theory(random_arbitrary_model(np.random.default_rng(11), 3, 3, 256), path)
     args = build_parser().parse_args(["report", str(path), "--format", "json"])
-    return run_pipeline(str(path), args).to_dict()
+    return run_pipeline(str(path), args)
 
 
 def test_report_is_written_in_bounded_chunks(decimal_report):
     want = dumps(decimal_report)
-    assert len(want) > 4 * cli._WRITE_CHARS
     stream = Recorder()
     tracemalloc.start()
     try:
@@ -214,13 +207,10 @@ def test_report_is_written_in_bounded_chunks(decimal_report):
         tracemalloc.stop()
     assert stream.digest.hexdigest() == hashlib.sha256(want.encode("ascii")).hexdigest()
     assert sum(stream.lengths) == len(want)
-    *full, last = stream.lengths
-    assert len(full) >= 4
-    # each write is one chunk of at most a row past the threshold
-    assert all(cli._WRITE_CHARS <= n < cli._WRITE_CHARS + 4096 for n in full)
-    assert last < cli._WRITE_CHARS + 4096
-    # the text is never held whole: a few writes' worth at most
-    assert peak < 4 * cli._WRITE_CHARS < len(want)
+    # each write is one encoded piece, at most a slab of rows
+    assert max(stream.lengths) < 128 << 10
+    # the text is never held whole: a few pieces' worth at most
+    assert peak < 1 << 20 < len(want) // 4
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +296,35 @@ def test_full_stdout_is_an_unwritable_output(unbuffered):
                               timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == b"bell-lab: error: [Errno 28] No space left on device\n"
+
+
+@pytest.fixture(scope="module")
+def accented_specs(tmp_path_factory) -> dict[str, Path]:
+    """The two-state spec named "modèle", and the failing spec with its
+    setting id n1 renamed "aé"."""
+    root = tmp_path_factory.mktemp("accented")
+    texts = {
+        "named": (FIXTURES / "two_state.json").read_text(encoding="utf-8")
+        .replace('"two-state anticorrelated"', '"modèle"'),
+        "renamed": Path(FAILING).read_text(encoding="utf-8").replace("n1", "aé"),
+    }
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text, encoding="utf-8")
+    return {name: root / f"{name}.json" for name in texts}
+
+
+@pytest.mark.parametrize("command, spec, code, line", [
+    ("report", "named", 0, b"model: mod\\xe8le\n"),
+    ("check-locality", "renamed", 1, b" a=a\\xe9 "),
+], ids=["report", "check-locality"])
+def test_text_stdout_cannot_encode_is_escaped(accented_specs, command, spec, code, line):
+    """A character the stdout encoding lacks is written as a backslash
+    escape: the exit code stays the check's own, with nothing on stderr."""
+    proc = subprocess.run([*CHILD, command, str(accented_specs[spec])], capture_output=True,
+                          env={**child_env(False), "PYTHONIOENCODING": "ascii"}, check=False,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert line in proc.stdout
 
 
 def test_files_named_on_the_command_line_are_still_bad_input(tmp_path, capsys):

@@ -228,9 +228,8 @@ class TestReorderedExactKernels:
         parsed = parse_theory(text)
         assert parsed.kernel.is_exact
         got = [(v.location, v.message) for v in validate_theory(parsed)]
-        assert "_positions" not in vars(parsed.kernel)
-        if not got:  # checked on the ratios: no Fraction built
-            assert "rows" not in vars(parsed.kernel)
+        # checked on the ratios, a flagged row built on its own: no kernel-wide Fractions
+        assert "_positions" not in vars(parsed.kernel) and "rows" not in vars(parsed.kernel)
         assert got == [(v.location, v.message) for v in ref.validate_theory(parsed)]
 
     def test_a_shuffled_valid_kernel_builds_no_fraction(self):
