@@ -24,18 +24,19 @@ audit compares the slices at `[:, a, b, +, +]` and `[:, a, b, -, -]` with
 the per-state bound `at_most(t)`.  Fractions are built only for the
 values a report lists.  The signal audit reads the behavior table.
 
-A locality violation is a tuple-backed row (`LocalityViolation`, a
-NamedTuple), zipped from the index lists of the failing cells without a
-Python call per row.
+The locality report keeps its failing checks as columns.  Its rows
+(`LocalityViolation`, a NamedTuple) are zipped from them on first read,
+without a Python call per row; the CLI writes JSON from the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from functools import cached_property
+from itertools import compress, islice, repeat
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -100,50 +101,70 @@ class LocalityViolation(NamedTuple):
 
 @dataclass(frozen=True)
 class LocalityReport:
-    """Outcome of the Bell Locality audit.
+    """Outcome of the Bell Locality audit, its failing checks as columns:
+    the state, a, b and `SLOTS` index lists (`failing`) of the `ids`, and
+    the lhs, rhs and residual lists (`values`).  `violations` is built on
+    first read, and `rows(n)` zips only the first n.
 
     `worst_residual` is the maximum residual among factorization-form
     violations only (0 when there are none); conditional-form entries are
     listed but scored separately, so the scalar always means the same thing.
     """
 
-    violations: tuple[LocalityViolation, ...]
+    ids: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+    failing: tuple[list[int], list[int], list[int], list[int]]
+    values: tuple[list[Prob], list[Prob], list[Prob]]
     worst_residual: Prob
     tolerance: float
 
     @property
     def bell_local(self) -> bool:
-        return not self.violations
+        return not self.failing[0]
 
     @property
     def verdict(self) -> str:
         return "BellLocal" if self.bell_local else "NotBellLocal"
 
-    def to_dict(self) -> dict:
+    def rows(self, stop: int | None = None) -> Iterator[LocalityViolation]:
+        (states, a_ids, b_ids), (s, a, b, k) = self.ids, self.failing
+        columns = (map(_FORMS.__getitem__, k), map(states.__getitem__, s),
+                   map(a_ids.__getitem__, a), map(b_ids.__getitem__, b),
+                   map(_OUTCOMES_A.__getitem__, k), map(_OUTCOMES_B.__getitem__, k), *self.values)
+        # tuple.__new__ is what LocalityViolation._make calls, without a
+        # Python frame per row
+        return islice(map(tuple.__new__, repeat(LocalityViolation), zip(*columns)), stop)
+
+    @cached_property
+    def violations(self) -> tuple[LocalityViolation, ...]:
+        return tuple(self.rows())
+
+    def to_dict(self, as_columns: bool = False) -> dict:
+        """With `as_columns`, the report itself stands for its rows, which
+        `cli.emit_json` writes from the columns."""
         return {
             "verdict": self.verdict,
             "worst_residual": format_probability(self.worst_residual),
             "residual_metric": RESIDUAL_METRIC,
             "tolerance": self.tolerance,
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": self if as_columns else [v.to_dict() for v in self.violations],
         }
 
 
 #: (form, A, B) of the 16 checks on one (state, a, b) cell, in report
 #: order: the far-setting forms, the far-outcome forms per joint outcome,
 #: then factorization
-_SLOTS = (
+SLOTS = (
     [("conditional-alice", A, None) for A in OUTCOMES]
     + [("conditional-bob", None, B) for B in OUTCOMES]
     + [(form, A, B) for A, B in JOINT_OUTCOMES for form in ("conditional-alice", "conditional-bob")]
     + [("factorization", A, B) for A, B in JOINT_OUTCOMES]
 )
-_FORMS, _OUTCOMES_A, _OUTCOMES_B = zip(*_SLOTS)
+_FORMS, _OUTCOMES_A, _OUTCOMES_B = zip(*SLOTS)
 _FACTORIZATION = tuple(form == "factorization" for form in _FORMS)
 
 
 def _by_slot(setting_a, setting_b, outcome_a, outcome_b, joint) -> np.ndarray:
-    """Stack one array per form on a last axis in `_SLOTS` order: the
+    """Stack one array per form on a last axis in `SLOTS` order: the
     far-setting forms at [state, a, b, outcome], the far-outcome forms and
     factorization at [state, a, b, A, B]."""
     cells = joint.shape[:3]
@@ -204,23 +225,15 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
     is skipped (the factorized form still covers those cells).  Each form
     is one array expression over the kernel tensor, on its integer form
     for an exact model; the 16 checks of a cell sit on its last axis, so
-    violations come out in the order state, a, b, form.  The rows are
-    zipped from the index lists of the failing cells, one column per
-    field.
+    violations come out in the order state, a, b, form.
     """
     t = require_valid(model, tol)
     bad, lhs, rhs, resid = _checks(model.tensor, t)
-    s, a, b, k = (i.tolist() for i in np.nonzero(bad))
-    states, a_ids, b_ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
-    columns = (map(_FORMS.__getitem__, k), map(states.__getitem__, s),
-               map(a_ids.__getitem__, a), map(b_ids.__getitem__, b),
-               map(_OUTCOMES_A.__getitem__, k), map(_OUTCOMES_B.__getitem__, k), lhs, rhs, resid)
-    # tuple.__new__ is what LocalityViolation._make calls, without a
-    # Python frame per row
-    violations = tuple(map(tuple.__new__, repeat(LocalityViolation), zip(*columns)))
+    failing = tuple(i.tolist() for i in np.nonzero(bad))
+    ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
     # every residual listed exceeds t >= 0, and max keeps the first of equals
-    worst = max(compress(resid, map(_FACTORIZATION.__getitem__, k)), default=Fraction(0))
-    return LocalityReport(violations=violations, worst_residual=worst, tolerance=t)
+    worst = max(compress(resid, map(_FACTORIZATION.__getitem__, failing[3])), default=Fraction(0))
+    return LocalityReport(ids, failing, (lhs, rhs, resid), worst_residual=worst, tolerance=t)
 
 
 @dataclass(frozen=True)
@@ -383,13 +396,7 @@ def check_anticorrelation(
     ok_rows = ((pp <= bound) & (mm <= bound)).tolist()
     shown, states = np.frompyfunc(kt.unscaled, 2, 1), np.arange(len(X))[:, None]
     pp_rows, mm_rows = shown(pp, states).tolist(), shown(mm, states).tolist()
-    checks = [
-        AxisCheck(state, a_id, b_id, pp, mm, ok)
-        for state, pp_row, mm_row, ok_row in zip(
-            model.ensemble.state_ids(), pp_rows, mm_rows, ok_rows
-        )
-        for (a_id, b_id), pp, mm, ok in zip(equal_axis_pairs, pp_row, mm_row, ok_row)
-    ]
-    return AntiCorrelationReport(
-        axes_checked=tuple(equal_axis_pairs), checks=tuple(checks), tolerance=t
-    )
+    checks = tuple(AxisCheck(state, a_id, b_id, pp, mm, ok)
+                   for state, *rows in zip(model.ensemble.state_ids(), pp_rows, mm_rows, ok_rows)
+                   for (a_id, b_id), pp, mm, ok in zip(equal_axis_pairs, *rows))
+    return AntiCorrelationReport(axes_checked=tuple(equal_axis_pairs), checks=checks, tolerance=t)

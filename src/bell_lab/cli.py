@@ -18,10 +18,11 @@ newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
 `emit_json` writes each piece of those bytes as soon as it is encoded,
 so a large report is never held as one string.  json's C encoder writes
 each container that holds no container in one call, and a list of flat
-rows, such as the locality violations, in one call per slab of
-`_SLAB_ROWS` rows.  Text output writes a character stdout cannot encode
-as a backslash escape.  A closed stdout (`| head`, `>&-`) does not
-change the exit code: it stays the check's own 0 or 1.
+rows in one call per slab of `_SLAB_ROWS` rows; `_listing` writes the
+locality violations per slab from the audit's columns.  Text output
+writes a character stdout cannot encode as a backslash escape.  A closed
+stdout (`| head`, `>&-`) does not change the exit code: it stays the
+check's own 0 or 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ from typing import Any, Iterator
 
 from . import __version__
 from .audit import (
+    SLOTS,
     EqualAxisError,
+    LocalityReport,
+    LocalityViolation,
     check_anticorrelation,
     check_bell_locality,
     check_signal_locality,
@@ -67,7 +71,8 @@ PROG = "bell-lab"
 
 #: a list of flat rows is encoded this many rows per C encoder call
 _SLAB_ROWS = 256
-_CONTAINERS = (dict, list, tuple)
+#: what `emit_json` walks, a locality report being its own list of rows
+_CONTAINERS = (dict, list, tuple, LocalityReport)
 
 
 @cache
@@ -84,6 +89,8 @@ def _at_once(obj: Any, level: int) -> str | None:
     can write it: a scalar, or a container that holds no container.  That
     call puts the items at their indent; only the brackets need theirs
     put back.  Else None."""
+    if isinstance(obj, LocalityReport):
+        return None if obj.failing[0] else "[]"
     if not isinstance(obj, _CONTAINERS):
         return _encoder(level).encode(obj)
     if any(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat(_CONTAINERS))):
@@ -123,16 +130,44 @@ def _slabs(rows, level: int) -> Iterator[str]:
     yield row[:-2] + "]"
 
 
+def _listing(report: LocalityReport, level: int) -> Iterator[str]:
+    """The `indent=2` text of `report.to_dict()["violations"]`, `level`
+    deep, one piece per `_SLAB_ROWS` rows: per row, one `%` on its slot's
+    template, a row encoded with "%s" (unquoted) for the other fields."""
+    row = "\n" + "  " * (level + 1)
+    blank = lambda form, A, B: LocalityViolation(form, *["%s"] * 3, A, B, *["%s"] * 3)
+    templates = ["," + row + _at_once(blank(*slot).to_dict(), level + 1).replace('"%s"', "%s")
+                 for slot in SLOTS]
+    states, a_ids, b_ids = (list(map(json.dumps, ids)) for ids in report.ids)
+    (s, a, b, k), (lhs, rhs, resid) = report.failing, report.values
+    # each value's json text as `to_dict` lists it: one encoder call, and no text holds ", "
+    texts = lambda values: json.dumps(values if set(map(type, values)) == {float} else
+                                      list(map(format_probability, values)))[1:-1].split(", ")
+    sep = "["
+    for start in range(0, len(k), _SLAB_ROWS):
+        part = slice(start, start + _SLAB_ROWS)
+        # the fields in key order: a, b, lhs, residual, rhs, state
+        fields = zip(map(a_ids.__getitem__, a[part]), map(b_ids.__getitem__, b[part]),
+                     texts(lhs[part]), texts(resid[part]), texts(rhs[part]),
+                     map(states.__getitem__, s[part]))
+        yield sep + "".join(map(str.__mod__, map(templates.__getitem__, k[part]), fields))[1:]
+        sep = ","
+    yield row[:-2] + "]"
+
+
 def _chunks(obj: Any, level: int) -> Iterator[str]:
     """The `indent=2` text of a container `level` deep that holds a
-    container, in pieces: a list of flat rows goes by slabs, each other
-    value the C encoder can write at once is one piece, and the rest are
-    walked."""
+    container, in pieces: a list of flat rows or a locality report's
+    listing goes by slabs, each other value the C encoder can write at
+    once is one piece, and the rest are walked."""
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
         # '"key": ' cut from {key: 0}, so json converts or refuses the key
         items = ((_encoder(0).encode({key: 0})[1:-2], value) for key, value in sorted(obj.items()))
         brackets = "{}"
+    elif isinstance(obj, LocalityReport):
+        yield from _listing(obj, level)
+        return
     elif _flat_rows(obj):
         yield from _slabs(obj, level)
         return
@@ -155,8 +190,8 @@ def emit_json(obj: Any, out=None) -> None:
     `out` (default stdout), byte for byte, each piece as soon as it is
     encoded, so the whole text is never held at once.  Each container
     without a container inside is one piece, written by json's C encoder
-    in one call, and a list of non-empty flat dicts, such as the
-    locality violations, is one piece per `_SLAB_ROWS` rows.  A value
+    in one call, and a list of non-empty flat dicts, or the rows of a
+    `LocalityReport`, is one piece per `_SLAB_ROWS` rows.  A value
     `json` cannot encode raises its TypeError, perhaps after some
     writes; a document that contains itself raises RecursionError where
     `json` raises ValueError."""
@@ -271,7 +306,7 @@ def render_locality(report, out) -> None:
     out.write(f"  worst factorization residual: {_fmt(report.worst_residual)}\n")
     out.write(f"  residual metric (this tool's choice): max |joint - product|\n")
     out.write(f"  tolerance: {report.tolerance!r}\n")
-    for v in report.violations[:20]:
+    for v in report.rows(20):
         slot_a = "." if v.outcome_a is None else ("+" if v.outcome_a > 0 else "-")
         slot_b = "." if v.outcome_b is None else ("+" if v.outcome_b > 0 else "-")
         out.write(
@@ -279,8 +314,8 @@ def render_locality(report, out) -> None:
             f"outcomes={slot_a}{slot_b} lhs={_fmt(v.lhs)} rhs={_fmt(v.rhs)} "
             f"residual={_fmt(v.residual)}\n"
         )
-    if len(report.violations) > 20:
-        out.write(f"  ... {len(report.violations) - 20} more violation(s)\n")
+    if len(report.failing[0]) > 20:
+        out.write(f"  ... {len(report.failing[0]) - 20} more violation(s)\n")
 
 
 def render_signal(report, out) -> None:
@@ -418,7 +453,7 @@ def _validate(model: TheoryModel, args):
 
 def _locality(model: TheoryModel, args):
     report = check_bell_locality(model, args.tol)
-    return report.to_dict, partial(render_locality, report), report.bell_local
+    return partial(report.to_dict, as_columns=True), partial(render_locality, report), report.bell_local
 
 
 def _signal(model: TheoryModel, args):
@@ -588,7 +623,7 @@ def run_pipeline(spec_path: str, args) -> dict:
     # the model remembers that it is valid at t: no check below validates again
     t = resolve_tolerance(model, args.tol)
     table = behavior(model, t)
-    sections["bell_locality"] = check_bell_locality(model, t).to_dict()
+    sections["bell_locality"] = check_bell_locality(model, t).to_dict(as_columns=True)
     sections["signal_locality"] = signal_deltas(table, t).to_dict()
 
     axes = _parse_axes_arg(model, args.axes)

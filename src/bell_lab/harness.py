@@ -88,18 +88,6 @@ class DeterministicStrategy:
     def bob_map(self) -> dict[str, int]:
         return dict(self.bob)
 
-    def outcome_a(self, a_id: str) -> int:
-        for sid, val in self.alice:
-            if sid == a_id:
-                return val
-        raise BellLabError(f"strategy fixes no outcome for Alice setting {a_id!r}")
-
-    def outcome_b(self, b_id: str) -> int:
-        for sid, val in self.bob:
-            if sid == b_id:
-                return val
-        raise BellLabError(f"strategy fixes no outcome for Bob setting {b_id!r}")
-
     def label(self) -> str:
         fmt = lambda pairs: ",".join(f"{sid}:{'+' if v > 0 else '-'}" for sid, v in pairs)
         return f"A[{fmt(self.alice)}] B[{fmt(self.bob)}]"
@@ -113,17 +101,10 @@ def enumerate_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
             f"enumeration limit: {na}x{nb} settings exceeds "
             f"{_MAX_SETTINGS_PER_SIDE} per side"
         )
-    a_ids = scenario.alice_ids()
-    b_ids = scenario.bob_ids()
-    out = []
-    for a_signs in itertools.product((+1, -1), repeat=na):
-        for b_signs in itertools.product((+1, -1), repeat=nb):
-            out.append(
-                DeterministicStrategy(
-                    alice=tuple(zip(a_ids, a_signs)), bob=tuple(zip(b_ids, b_signs))
-                )
-            )
-    return out
+    a_ids, b_ids = scenario.alice_ids(), scenario.bob_ids()
+    return [DeterministicStrategy(alice=tuple(zip(a_ids, a_signs)), bob=tuple(zip(b_ids, b_signs)))
+            for a_signs in itertools.product((+1, -1), repeat=na)
+            for b_signs in itertools.product((+1, -1), repeat=nb)]
 
 
 def _chsh_form(signs: tuple[int, int, int, int], e, a, a2, b, b2):
@@ -280,12 +261,6 @@ class SeparatingFunctional:
     @property
     def margin(self) -> Prob:
         return self.value - self.bound
-
-    def evaluate(self, table: BehaviorTable) -> Prob:
-        total: Prob = Fraction(0)
-        for (a_id, b_id, A, B), coeff in self.coefficients.items():
-            total = total + coeff * table.cell(a_id, b_id).prob(A, B)
-        return total
 
     def to_dict(self) -> dict:
         return {
@@ -462,14 +437,9 @@ def local_polytope_membership(
         for a_id, b_id in scenario.pairs()
         for A, B in JOINT_OUTCOMES
     ]
-    columns = []
-    for strat in strategies:
-        am, bm = strat.alice_map, strat.bob_map
-        col = [int(am[a] == A and bm[b] == B) for (a, b, A, B) in row_keys]
-        col.append(1)
-        columns.append(col)
-    probs = [_exact(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys]
-    probs.append(Fraction(1))
+    columns = [[int(am[a] == A and bm[b] == B) for (a, b, A, B) in row_keys] + [1]
+               for am, bm in ((strat.alice_map, strat.bob_map) for strat in strategies)]
+    probs = [_exact(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys] + [Fraction(1)]
     scale = math.lcm(*(p.denominator for p in probs))
     rhs = [p.numerator * (scale // p.denominator) for p in probs]
 

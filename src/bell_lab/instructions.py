@@ -14,7 +14,8 @@ marginals of the kernel tensor's `scaled` values with the per-state
 bounds `at_most` gives the tolerance (for an exact kernel, integer counts
 over one denominator per state), and returns a structured
 `DerivationFailure` naming the first blocking marginal instead of raising,
-because a failed derivation is a finding, not a crash.  `realize_model`
+because a failed derivation is a finding, not a crash; a derived set is
+first rebuilt into the axis cells and held to the kernel.  `realize_model`
 validates the model it builds, so weights that do not sum to 1 raise.
 """
 
@@ -24,12 +25,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .audit import EqualAxisError, auto_equal_axes
 from .model import (
     BellLabError,
     EnsembleEntry,
     EnumerationLimitError,
     HiddenStateEnsemble,
+    KernelTensor,
     OutcomeDistribution,
     Prob,
     ResponseKernel,
@@ -73,15 +77,12 @@ class InstructionSet:
                     f"state {state_id!r} must assign every axis exactly once"
                 )
             for axis, (a_val, b_val) in per_axis.items():
+                where = f"state {state_id!r}, axis {axis}"
                 if a_val not in (+1, -1) or b_val not in (+1, -1):
-                    raise InstructionSetError(
-                        f"state {state_id!r}, axis {axis}: outcomes must be +1 or -1"
-                    )
+                    raise InstructionSetError(f"{where}: outcomes must be +1 or -1")
                 if b_val != -a_val:
                     raise InstructionSetError(
-                        f"state {state_id!r}, axis {axis}: anti-correlation requires "
-                        f"bob = -alice, got ({a_val}, {b_val})"
-                    )
+                        f"{where}: anti-correlation requires bob = -alice, got ({a_val}, {b_val})")
 
     def state_ids(self) -> tuple[str, ...]:
         return tuple(self.assignments)
@@ -139,6 +140,22 @@ def _resolve_sign(value: Prob, low: Prob, high: Prob) -> int | None:
     if value <= low:
         return -1
     return None
+
+
+def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: list, t: float) -> None:
+    """Raise BellLabError unless each state's axis cells (a_i, b_j) are
+    within 4t of the point (s_i, -s_j) of its `signs`, as the derivation's
+    bounds (2t on each wing's marginal) imply; a decimal kernel's entries
+    may reach -t and sum to 1 within t, in rounded floats: 6t + 1e-12."""
+    X, D = kt.scaled
+    sign = np.array(signs)[..., None]
+    # one-hot over the outcomes (+1, -1) of s_i and of -s_j, per state and axis
+    at_a, at_b = (sign == [1, -1]).astype(int), (sign == [-1, 1]).astype(int)
+    point = at_a[:, :, None, :, None] * at_b[:, None, :, None, :]
+    unit = 1 if D is None else D[:, None, None, None, None]
+    bound = kt.at_most(6 * t + 1e-12 if D is None else 4 * t)[:, None, None, None, None]
+    if (abs(X[:, alice][:, :, bob] - np.where(point, unit, 0)) > bound).any():
+        raise BellLabError("derived instructions do not rebuild the axis cells; derivation bug")
 
 
 def derive_instruction_sets(
@@ -209,6 +226,7 @@ def derive_instruction_sets(
             per_axis[axis] = (a_val, b_val)
         assignments[state] = per_axis
         weights[state] = entry.weight
+    _check_rebuild(kt, alice, bob, [[a for a, _ in row.values()] for row in assignments.values()], t)
     return InstructionSet(axes=tuple(axes), assignments=assignments, weights=weights)
 
 
@@ -247,12 +265,6 @@ class ClassPartition:
     axes: tuple[Axis, ...]
     classes: tuple[PatternClass, ...]
 
-    def class_for(self, pattern: tuple[int, ...]) -> PatternClass:
-        for cls in self.classes:
-            if cls.pattern == pattern:
-                return cls
-        raise KeyError(f"no class for pattern {pattern}")
-
     def nonempty_classes(self) -> tuple[PatternClass, ...]:
         return tuple(c for c in self.classes if c.nonempty)
 
@@ -289,9 +301,7 @@ def classify_states(
     classes = []
     for pattern in itertools.product((+1, -1), repeat=len(use)):
         members = tuple(by_pattern.get(pattern, ()))
-        weight: Prob = Fraction(0)
-        for m in members:
-            weight = weight + instructions.weights[m]
+        weight = sum((instructions.weights[m] for m in members), Fraction(0))
         classes.append(PatternClass(pattern=pattern, members=members, weight=weight))
     return ClassPartition(axes=use, classes=tuple(classes))
 
@@ -317,29 +327,16 @@ def realize_model(
             raise InstructionSetError(f"Bob setting {b_id!r} appears in two axes")
         alice_axis[a_id] = axis
         bob_axis[b_id] = axis
-    for s in scenario.alice_settings:
-        if s.id not in alice_axis:
-            raise InstructionSetError(f"no instruction covers Alice setting {s.id!r}")
-    for s in scenario.bob_settings:
-        if s.id not in bob_axis:
-            raise InstructionSetError(f"no instruction covers Bob setting {s.id!r}")
+    for side, ids, covered in (("Alice", scenario.alice_ids(), alice_axis),
+                               ("Bob", scenario.bob_ids(), bob_axis)):
+        missing = [i for i in ids if i not in covered]
+        if missing:
+            raise InstructionSetError(f"no instruction covers {side} setting {missing[0]!r}")
 
-    cells: dict[tuple[str, str, str], OutcomeDistribution] = {}
-    for state_id in instructions.state_ids():
-        per_axis = instructions.assignments[state_id]
-        for a in scenario.alice_settings:
-            for b in scenario.bob_settings:
-                a_val = per_axis[alice_axis[a.id]][0]
-                b_val = per_axis[bob_axis[b.id]][1]
-                cells[(state_id, a.id, b.id)] = OutcomeDistribution.point(a_val, b_val)
-    ensemble = HiddenStateEnsemble(
-        entries=tuple(
-            EnsembleEntry(state_id=s, weight=instructions.weights[s])
-            for s in instructions.state_ids()
-        )
-    )
-    model = TheoryModel(
-        name=name, scenario=scenario, ensemble=ensemble, kernel=ResponseKernel(cells)
-    )
+    states, plays = instructions.state_ids(), instructions.assignments
+    cells = {(s, a, b): OutcomeDistribution.point(plays[s][alice_axis[a]][0], plays[s][bob_axis[b]][1])
+             for s in states for a in scenario.alice_ids() for b in scenario.bob_ids()}
+    ensemble = HiddenStateEnsemble(tuple(EnsembleEntry(s, instructions.weights[s]) for s in states))
+    model = TheoryModel(name, scenario, ensemble, ResponseKernel(cells))
     require_valid(model)
     return model

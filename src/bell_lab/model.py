@@ -267,15 +267,6 @@ class OutcomeDistribution:
     def values(self) -> tuple[Prob, Prob, Prob, Prob]:
         return (self.pp, self.pm, self.mp, self.mm)
 
-    def as_dict(self) -> dict[str, Prob]:
-        return {"++": self.pp, "+-": self.pm, "-+": self.mp, "--": self.mm}
-
-    @staticmethod
-    def from_mapping(cells: Mapping[str, Prob]) -> OutcomeDistribution:
-        return OutcomeDistribution(
-            pp=cells["++"], pm=cells["+-"], mp=cells["-+"], mm=cells["--"]
-        )
-
     @staticmethod
     def point(outcome_a: int, outcome_b: int) -> OutcomeDistribution:
         """Deterministic cell: all mass on one joint outcome, exact."""
@@ -323,6 +314,11 @@ class ResponseKernel:
     @cached_property
     def is_exact(self) -> bool:
         return all(map(is_exact, self.rows.flat))
+
+    @cached_property
+    def row_lcm(self) -> np.ndarray:
+        """An exact kernel's lcm of each row's denominators, in row order."""
+        return _read_only(np.lcm.reduce(self.ratios[1], axis=1))
 
     @cached_property
     def cells(self) -> Mapping[tuple[str, str, str], OutcomeDistribution]:
@@ -376,9 +372,10 @@ class KernelTensor:
     @cached_property
     def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
         """An exact kernel as read-only arrays of Python ints `(N, D)`: `D[state]`
-        the lcm of the state's cell denominators and `N` = K * D[state]."""
+        the lcm of the state's row lcms and `N` = K * D[state]."""
         num, den = map(self._arranged, self._kernel.ratios)
-        D = np.lcm.reduce(den.reshape(len(den), math.prod(self._shape[1:])), axis=1)
+        L = self._kernel.row_lcm if self._order is None else self._kernel.row_lcm[self._order]
+        D = np.lcm.reduce(L.reshape(len(den), math.prod(self._shape[1:3])), axis=1)
         return _read_only(num * (D[:, None, None, None, None] // den)), _read_only(D)
 
     @cached_property
@@ -549,7 +546,7 @@ def _suspect_rows(kernel: ResponseKernel, t: float) -> Iterable[int]:
     denominators, num * (L / den) summing to L) or all float."""
     if kernel.is_exact:
         num, den = kernel.ratios
-        L = np.lcm.reduce(den, axis=1)
+        L = kernel.row_lcm
         bad = ((num < 0) | (num > den)).any(axis=1) | ((num * (L[:, None] // den)).sum(axis=1) != L)
         return np.flatnonzero(bad).tolist()
     if set(map(type, kernel.rows.flat)) <= {float}:

@@ -7,24 +7,29 @@ function) as bell_lab shipped them before the kernel became
 one cached tensor: nested loops over `model.kernel.cell(state, a, b)`,
 one `OutcomeDistribution` method call per probability.  Property tests
 hold the tensor versions to these, value for value and type for type.
+`check_bell_locality` returns the report of rows that bell_lab shipped
+before the audit kept its failing checks as columns, and `class_for` is
+the `ClassPartition` method that only tests called.
 Nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from bell_lab.audit import (
+    RESIDUAL_METRIC,
     AntiCorrelationReport,
     AxisCheck,
     EqualAxisError,
-    LocalityReport,
     LocalityViolation,
     auto_equal_axes,
 )
-from bell_lab.instructions import Axis, DerivationFailure, InstructionSet
+from bell_lab.instructions import (Axis, ClassPartition, DerivationFailure, InstructionSet,
+                                    PatternClass)
 from bell_lab.model import (
     OUTCOMES,
     BehaviorTable,
@@ -32,6 +37,7 @@ from bell_lab.model import (
     Prob,
     TheoryModel,
     UnknownIdError,
+    format_probability,
     require_valid,
     resolve_tolerance,
 )
@@ -105,6 +111,39 @@ def conditional_marginal(
     if denom <= t:
         return None
     return joint / denom
+
+
+class LocalityReport(NamedTuple):
+    """The rows of every failing check, the worst factorization residual
+    and the tolerance, serialized as `bell_lab.audit.LocalityReport` is."""
+
+    violations: tuple[LocalityViolation, ...]
+    worst_residual: Prob
+    tolerance: float
+
+    @property
+    def bell_local(self) -> bool:
+        return not self.violations
+
+    @property
+    def verdict(self) -> str:
+        return "BellLocal" if self.bell_local else "NotBellLocal"
+
+    def to_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "worst_residual": format_probability(self.worst_residual),
+            "residual_metric": RESIDUAL_METRIC,
+            "tolerance": self.tolerance,
+            "violations": [v.to_dict() for v in self.violations],
+        }
+
+
+def class_for(partition: ClassPartition, pattern: tuple[int, ...]) -> PatternClass:
+    for cls in partition.classes:
+        if cls.pattern == pattern:
+            return cls
+    raise KeyError(f"no class for pattern {pattern}")
 
 
 def check_bell_locality(model: TheoryModel, tol: float | None = None) -> LocalityReport:

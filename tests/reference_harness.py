@@ -2,8 +2,9 @@
 and the exhaustive CHSH maximum over the 16 strategies of a 2x2 scenario.
 
 These were public in `bell_lab.harness` while only tests and the
-acceptance gate called them; they are kept here unchanged.  Nothing in
-the package calls them.
+acceptance gate called them; they are kept here unchanged, as is
+`SeparatingFunctional.evaluate` (here a function).  Nothing in the
+package calls them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from bell_lab.harness import (
     CHSH_SIGNS,
     DeterministicStrategy,
     ScenarioShapeError,
+    SeparatingFunctional,
     _chsh_form,
     enumerate_strategies,
 )
@@ -24,13 +26,18 @@ from bell_lab.model import BehaviorTable, OutcomeDistribution, Prob, Scenario, f
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> BehaviorTable:
     cells = {
-        (a.id, b.id): OutcomeDistribution.point(
-            strategy.outcome_a(a.id), strategy.outcome_b(b.id)
-        )
+        (a.id, b.id): OutcomeDistribution.point(strategy.alice_map[a.id], strategy.bob_map[b.id])
         for a in scenario.alice_settings
         for b in scenario.bob_settings
     }
     return BehaviorTable(scenario=scenario, cells=cells)
+
+
+def evaluate(functional: SeparatingFunctional, table: BehaviorTable) -> Prob:
+    total: Prob = Fraction(0)
+    for (a_id, b_id, A, B), coeff in functional.coefficients.items():
+        total = total + coeff * table.cell(a_id, b_id).prob(A, B)
+    return total
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ in the kernel's own order, with a Fraction or float comparison per entry
 and an `OutcomeDistribution.total` per cell.  Property tests hold the
 array rules to it, violation for violation and in the same order.
 Nothing in the package calls it, and it never marks a model valid.
+`as_dict` and `from_mapping` are the cell helpers that
+`OutcomeDistribution` shipped as methods for tests alone.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from bell_lab.model import (
+    OutcomeDistribution,
     Prob,
     TheoryModel,
     Violation,
@@ -24,6 +27,14 @@ from bell_lab.model import (
 )
 
 _FLOAT_MAX = int(sys.float_info.max)
+
+
+def as_dict(dist: OutcomeDistribution) -> dict[str, Prob]:
+    return {"++": dist.pp, "+-": dist.pm, "-+": dist.mp, "--": dist.mm}
+
+
+def from_mapping(cells: dict[str, Prob]) -> OutcomeDistribution:
+    return OutcomeDistribution(pp=cells["++"], pm=cells["+-"], mp=cells["-+"], mm=cells["--"])
 
 
 def _sum_fault(total: Prob, t: float, what: str) -> str | None:
@@ -101,7 +112,7 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
                                  "cell references ids outside the scenario or ensemble"))
             continue
         summable = True
-        for label, p in dist.as_dict().items():
+        for label, p in as_dict(dist).items():
             if isinstance(p, Fraction):
                 if p < 0 or p > 1:
                     huge = _beyond_float(p)

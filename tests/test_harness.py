@@ -29,7 +29,7 @@ from bell_lab.harness import (
 from bell_lab.model import BellLabError, Scenario, Setting, UnknownIdError, behavior
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
-from reference_harness import max_local_chsh, strategy_behavior
+from reference_harness import evaluate, max_local_chsh, strategy_behavior
 from reference_simplex import _phase1_simplex as reference_phase1
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -46,7 +46,7 @@ class TestStrategies:
         table = strategy_behavior(strat, singlet_chsh.scenario)
         for (a_id, b_id), dist in table.cells.items():
             assert sorted(dist.values()) == [0, 0, 0, 1]
-            assert dist.prob(strat.outcome_a(a_id), strat.outcome_b(b_id)) == 1
+            assert dist.prob(strat.alice_map[a_id], strat.bob_map[b_id]) == 1
 
     def test_enumeration_limit(self):
         scen = Scenario(
@@ -217,13 +217,13 @@ class TestMembership:
     def test_functional_reevaluates_to_its_claimed_value(self, singlet_chsh):
         table = behavior(singlet_chsh)
         f = local_polytope_membership(table).functional
-        assert f.evaluate(table) == pytest.approx(float(f.value), abs=1e-12)
+        assert evaluate(f, table) == pytest.approx(float(f.value), abs=1e-12)
 
     def test_functional_bounds_every_deterministic_strategy(self, singlet_chsh):
         table = behavior(singlet_chsh)
         f = local_polytope_membership(table).functional
         for strat in enumerate_strategies(singlet_chsh.scenario):
-            v = f.evaluate(strategy_behavior(strat, singlet_chsh.scenario))
+            v = evaluate(f, strategy_behavior(strat, singlet_chsh.scenario))
             assert v <= f.bound
 
     def test_realized_mixture_is_inside_with_exact_weights(self, fixtures_dir):
@@ -254,7 +254,7 @@ class TestMembership:
         assert f is not None and f.kind == "affine"
         assert f.margin > 0
         for strat in enumerate_strategies(singlet_three_axes.scenario):
-            assert f.evaluate(strategy_behavior(strat, singlet_three_axes.scenario)) <= f.bound
+            assert evaluate(f, strategy_behavior(strat, singlet_three_axes.scenario)) <= f.bound
 
     def test_random_local_mixtures_are_inside(self):
         rng = np.random.default_rng(47)
@@ -347,7 +347,7 @@ def assert_weights_reproduce(cert, table, scenario):
         for A, B in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             recon = sum(
                 w for s, w in cert.weights.items()
-                if s.outcome_a(a_id) == A and s.outcome_b(b_id) == B
+                if s.alice_map[a_id] == A and s.bob_map[b_id] == B
             )
             assert abs(recon - Fraction(table.cell(a_id, b_id).prob(A, B))) <= t
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 
 import genmodels
+from reference_audit import class_for
+from bell_lab import instructions
 from bell_lab.audit import EqualAxisError
+from bell_lab.harness import all_correlators
 from bell_lab.instructions import (
     ClassPartition,
     DerivationFailure,
@@ -19,7 +25,16 @@ from bell_lab.instructions import (
     derive_instruction_sets,
     realize_model,
 )
-from bell_lab.model import UnknownIdError
+from bell_lab.model import (
+    BellLabError,
+    EnsembleEntry,
+    HiddenStateEnsemble,
+    OutcomeDistribution,
+    ResponseKernel,
+    TheoryModel,
+    UnknownIdError,
+    behavior,
+)
 from bell_lab.specio import load_theory
 
 
@@ -159,6 +174,83 @@ class TestDerivation:
         assert again.ensemble == model.ensemble
 
 
+def one_state_model(cells: dict, unit=Fraction(1, 100)) -> TheoryModel:
+    """One state of weight 1 on the shared axes n1, n2, with the cells
+    {(a, b): (++, +-, -+, --)} given in `unit`s: exact for a Fraction
+    unit, else decimal."""
+    return TheoryModel(
+        name="one state",
+        scenario=genmodels.shared_axis_scenario(2),
+        ensemble=HiddenStateEnsemble((EnsembleEntry("s1", unit * 0 + 1),)),
+        kernel=ResponseKernel({("s1", a, b): OutcomeDistribution(*(p * unit for p in row))
+                               for (a, b), row in cells.items()}),
+    )
+
+
+def _without_transpose(monkeypatch):
+    """`derive_instruction_sets` from a copy of the module that reads
+    Bob's far-setting marginals untransposed: per axis, the row of one
+    Alice setting instead of the column of the axis's Bob setting."""
+    source = inspect.getsource(instructions)
+    assert source.count(".transpose(0, 2, 1)") == 1
+    module = types.ModuleType("bell_lab._untransposed")
+    module.__package__ = "bell_lab"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
+    exec(compile(source.replace(".transpose(0, 2, 1)", ""), "<untransposed>", "exec"), vars(module))
+    return module.derive_instruction_sets
+
+
+class TestRebuildCheck:
+    """Each derived instruction set is rebuilt into the axis cells and
+    held to the kernel before it leaves `derive_instruction_sets`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(genmodels.anticorr_mixtures())
+    def test_class_weights_reproduce_every_axis_correlator(self, model):
+        derived = derive_instruction_sets(model)
+        assert isinstance(derived, InstructionSet)
+        classes = classify_states(derived).classes
+        correlators = all_correlators(behavior(model))
+        for i, (a, _) in enumerate(derived.axes):
+            for j, (_, b) in enumerate(derived.axes):
+                want = sum((c.weight * c.pattern[i] * -c.pattern[j] for c in classes), Fraction(0))
+                assert correlators[(a, b)] == want
+
+    def test_cross_cells_may_sit_4t_from_the_point(self):
+        """At t = 1/100 the derivation admits Alice's + marginal at 99
+        (own setting) and 98 (far setting n2) hundredths, and Bob's at 1
+        and 2: the cell (n1, n2) is then 4 hundredths from (+, -)."""
+        cross = {(a, b): (0, 99, 1, 0) for a in ("n1", "n2") for b in ("n1", "n2")}
+        model = one_state_model({**cross, ("n1", "n2"): (2, 96, 0, 2)})
+        derived = derive_instruction_sets(model, tol=0.01)
+        assert isinstance(derived, InstructionSet)
+        assert derived.pattern("s1") == (+1, +1)
+
+    def test_decimal_cells_may_sit_5t_from_the_point(self):
+        """At t = 2/128 a decimal cell may hold -1/128 and sum to 127/128:
+        with Alice's and Bob's + marginals at t on their own settings and
+        2t at (n1, n2), that cell is 5t from (-, -).  Every value is
+        dyadic, so each float sum is exact."""
+        cells = {("n1", "n1"): (2, 0, 126, 0), ("n1", "n2"): (-1, 5, 5, 118),
+                 ("n2", "n1"): (128, 0, 0, 0), ("n2", "n2"): (2, 126, 0, 0)}
+        derived = derive_instruction_sets(one_state_model(cells, 1 / 128), tol=2 / 128)
+        assert isinstance(derived, InstructionSet)
+        assert derived.pattern("s1") == (-1, +1)
+
+    def test_a_slip_in_the_index_work_raises(self, monkeypatch):
+        """Bob's outcome follows Alice's setting, + at n1 and - at n2,
+        which the far-setting check must catch.  Read untransposed, each
+        row it checks is constant, and the signs it derives do not
+        rebuild the cells (n1, n2) and (n2, n1)."""
+        model = one_state_model({("n1", "n1"): (0, 0, 100, 0), ("n1", "n2"): (0, 0, 100, 0),
+                                 ("n2", "n1"): (0, 100, 0, 0), ("n2", "n2"): (0, 100, 0, 0)})
+        failure = derive_instruction_sets(model)
+        assert isinstance(failure, DerivationFailure)
+        assert (failure.axis, failure.side) == (("n1", "n1"), "bob")
+        with pytest.raises(BellLabError, match="derivation bug"):
+            _without_transpose(monkeypatch)(model)
+
+
 class TestPartition:
     def test_eight_pattern_fixture_fills_all_classes(self, fixtures_dir):
         model = load_theory(fixtures_dir / "eight_pattern.json")
@@ -175,10 +267,10 @@ class TestPartition:
         part = classify_states(instr)
         assert len(part.classes) == 4
         assert len(part.nonempty_classes()) == 2
-        assert part.class_for((+1, +1)).weight == Fraction(1, 4)
-        assert part.class_for((-1, +1)).weight == Fraction(3, 4)
-        assert part.class_for((-1, -1)).members == ()
-        assert part.class_for((-1, -1)).weight == Fraction(0)
+        assert class_for(part, (+1, +1)).weight == Fraction(1, 4)
+        assert class_for(part, (-1, +1)).weight == Fraction(3, 4)
+        assert class_for(part, (-1, -1)).members == ()
+        assert class_for(part, (-1, -1)).weight == Fraction(0)
 
     def test_labels_spell_signs(self):
         part = classify_states(two_axis_instructions())
@@ -187,7 +279,7 @@ class TestPartition:
     def test_subset_axes_partition(self):
         part = classify_states(two_axis_instructions(), axes=(("n2", "n2"),))
         assert len(part.classes) == 2
-        assert part.class_for((+1,)).weight == Fraction(1)
+        assert class_for(part, (+1,)).weight == Fraction(1)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(InstructionSetError):
@@ -208,7 +300,7 @@ class TestPartition:
         homes = [c for c in part.classes for _ in c.members]
         assert len(homes) == len(instr.state_ids())
         for state_id in instr.state_ids():
-            cls = part.class_for(instr.pattern(state_id))
+            cls = class_for(part, instr.pattern(state_id))
             assert state_id in cls.members
 
 

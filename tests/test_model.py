@@ -43,6 +43,7 @@ from bell_lab.specio import dump_theory, parse_theory, theory_to_dict
 import genmodels
 from genmodels import random_anticorr_mixture, random_product_model
 from reference_audit import conditional_marginal
+from reference_model import as_dict, from_mapping
 
 
 class TestParseProbability:
@@ -109,7 +110,7 @@ class TestOutcomeDistribution:
 
     def test_dict_round_trip(self):
         d = OutcomeDistribution(pp=Fraction(1, 2), pm=0.0, mp=0.5, mm=Fraction(0))
-        assert OutcomeDistribution.from_mapping(d.as_dict()) == d
+        assert from_mapping(as_dict(d)) == d
 
 
 def tiny_model(**overrides) -> TheoryModel:
@@ -271,7 +272,7 @@ class TestValidation:
             key = keys[pick % len(keys)]
             label = ["++", "+-", "-+", "--"][pick // len(keys) % 4]
             cells = dict(model.kernel.cells)
-            cells[key] = OutcomeDistribution.from_mapping({**cells[key].as_dict(), label: bad})
+            cells[key] = from_mapping({**as_dict(cells[key]), label: bad})
             model = replace(model, kernel=ResponseKernel(cells))
             where = f"kernel[{key[0]},{key[1]},{key[2]}].{label}"
         else:

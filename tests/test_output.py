@@ -1,7 +1,8 @@
 """The output boundary: `emit_json` writes the bytes of
 `json.dumps(obj, indent=2, sort_keys=True)` one encoded piece at a time,
-text output escapes what stdout cannot encode, and a closed stdout keeps
-the check's exit code.
+the locality listing straight from the audit's columns, text output
+escapes what stdout cannot encode, and a closed stdout keeps the check's
+exit code.
 
 The closed-pipe tests run the CLI as a child process under `-X dev -W
 error`, so a warning at interpreter exit (an unclosed file, a failed last
@@ -28,17 +29,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bell_lab
+import genmodels
 from bell_lab import cli
+from bell_lab.audit import LocalityReport, check_bell_locality
 from bell_lab.cli import build_parser, emit_json, main, run_pipeline
+from bell_lab.model import (BellLabError, EnsembleEntry, HiddenStateEnsemble, OutcomeDistribution,
+                            ResponseKernel, Scenario, Setting, TheoryModel)
 from bell_lab.specio import dump_theory
 from genmodels import random_arbitrary_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(bell_lab.__file__).resolve().parents[1])
+#: a spec whose `check-locality` fails: exit 1
+FAILING = str(FIXTURES / "golden" / "decimal_nonlocal_3x3.json")
 
 
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def with_rows(obj):
+    """`obj` with each locality report in it, which `emit_json` writes
+    from the report's columns, replaced by its list of row dicts."""
+    if isinstance(obj, LocalityReport):
+        return obj.to_dict()["violations"]
+    if isinstance(obj, dict):
+        return {key: with_rows(value) for key, value in obj.items()}
+    return obj
 
 
 class Recorder:
@@ -183,6 +200,86 @@ def test_unencodable_value_in_the_last_row_of_a_slab(rows, kind, slab):
 
 
 # ---------------------------------------------------------------------------
+# the locality listing, written from the audit's columns
+
+#: ids holding quotes, backslashes, control characters, '%' and non-ASCII text
+_ODD_IDS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n/%sé中\U0001f600'), max_size=3)
+
+
+@st.composite
+def audited_models(draw) -> TheoryModel:
+    """An exact or decimal model under odd ids, or a mixed one: an exact
+    model with one cell's entries turned to floats."""
+    model = draw(genmodels.relabelled_models(_ODD_IDS))
+    if model.kernel.is_exact and draw(st.booleans()):
+        cells = dict(model.kernel.cells)
+        key = draw(st.sampled_from(sorted(cells)))
+        cells[key] = OutcomeDistribution(*map(float, cells[key].values()))
+        model = TheoryModel(model.name, model.scenario, model.ensemble, ResponseKernel(cells))
+    return model
+
+
+def _flip_model() -> TheoryModel:
+    """One deterministic state whose outcome at a1 flips with Bob's
+    setting: every listed lhs and rhs is the Fraction 0 or 1."""
+    a, b = (Setting('a"\\'),), (Setting("b\x01"), Setting("bé"))
+    cells = {("s\n中", "a\"\\", "b\x01"): OutcomeDistribution.point(+1, +1),
+             ("s\n中", "a\"\\", "bé"): OutcomeDistribution.point(-1, +1)}
+    ensemble = HiddenStateEnsemble((EnsembleEntry("s\n中", Fraction(1)),))
+    return TheoryModel("flip", Scenario(a, b), ensemble, ResponseKernel(cells))
+
+
+#: the listing at the top, under a key, and two lists deep
+_LISTING_PLACES = (lambda doc: doc["violations"], lambda doc: doc, lambda doc: [[doc], 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(audited_models(), st.sampled_from([None, 0.0, 0.05]), st.integers(1, 4),
+       st.sampled_from(_LISTING_PLACES))
+@example(_flip_model(), None, 1, _LISTING_PLACES[1])
+def test_listing_gives_the_bytes_of_the_rows(model, tol, slab, place):
+    try:
+        report = check_bell_locality(model, tol)
+    except BellLabError:
+        return  # an id drawn twice
+    writes = []
+    with mock.patch.object(cli, "_SLAB_ROWS", slab):
+        emit_json(place(report.to_dict(as_columns=True)), SimpleNamespace(write=writes.append))
+    assert "violations" not in vars(report)
+    assert "".join(writes) == dumps(place(report.to_dict()))
+    if not report.bell_local:
+        assert len(writes) > len(report.violations) // slab
+
+
+def test_flip_model_lists_whole_fractions():
+    lhs, rhs, _ = check_bell_locality(_flip_model()).values
+    assert {type(v) for v in lhs + rhs} == {Fraction} and {v.denominator for v in lhs + rhs} == {1}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["report", "--format", "json"], 0),
+    (["report"], 0),
+    (["check-locality", "--format", "json"], 1),
+    (["check-locality"], 1),
+], ids=["report-json", "report-text", "check-locality-json", "check-locality-text"])
+def test_output_leaves_the_rows_unbuilt(argv, code, capsys):
+    """No command builds the audit's whole `violations` tuple: JSON is
+    written from the columns and text zips only the rows it prints."""
+    reports = []
+
+    def audit(*args):
+        reports.append(check_bell_locality(*args))
+        return reports[-1]
+
+    with mock.patch.object(cli, "check_bell_locality", audit):
+        assert main([argv[0], FAILING, *argv[1:]]) == code
+    assert capsys.readouterr().out
+    (report,) = reports
+    assert not report.bell_local
+    assert "violations" not in vars(report)
+
+
+# ---------------------------------------------------------------------------
 # bounded writes on a report the size of the benchmark's decimal one
 
 
@@ -197,7 +294,7 @@ def decimal_report(tmp_path_factory):
 
 
 def test_report_is_written_in_bounded_chunks(decimal_report):
-    want = dumps(decimal_report)
+    want = dumps(with_rows(decimal_report))
     stream = Recorder()
     tracemalloc.start()
     try:
@@ -227,8 +324,6 @@ def noisy_spec(tmp_path_factory) -> Path:
 
 #: the CLI as a child process, under the flags of the tier-1 CI job
 CHILD = [sys.executable, "-X", "dev", "-W", "error", "-m", "bell_lab"]
-#: a spec whose `check-locality` fails: exit 1
-FAILING = str(FIXTURES / "golden" / "decimal_nonlocal_3x3.json")
 
 
 def child_env(unbuffered: bool) -> dict[str, str]:

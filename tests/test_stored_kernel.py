@@ -104,14 +104,14 @@ def variants(draw) -> TheoryModel:
                 *draw(st.sampled_from([(0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)])))
         elif fault in ("value", "sum", "mixed") and keys:
             key, label = draw(st.sampled_from(keys)), draw(st.sampled_from(CELL_KEYS))
-            new = old = cells[key].as_dict()[label]
+            new = old = ref.as_dict(cells[key])[label]
             if fault == "value":
                 new = draw(st.sampled_from(ODD_VALUES))
             elif fault == "sum":
                 new = old + (Fraction(1, 8) if isinstance(old, Fraction) else 0.125)
             elif abs(old) < 2:  # the same value as the other kind, where it has one
                 new = float(old) if isinstance(old, Fraction) else Fraction(old)
-            cells[key] = OutcomeDistribution.from_mapping({**cells[key].as_dict(), label: new})
+            cells[key] = ref.from_mapping({**ref.as_dict(cells[key]), label: new})
         elif fault == "permute":
             random.Random(draw(st.integers(0, 2**16))).shuffle(keys)
             cells = {key: cells[key] for key in keys}
