@@ -140,7 +140,7 @@ class LocalityReport:
 
     def to_dict(self, as_columns: bool = False) -> dict:
         """With `as_columns`, the report itself stands for its rows, which
-        `cli.emit_json` writes from the columns."""
+        `cli.emit_json`'s encoder hook writes from the columns."""
         return {
             "verdict": self.verdict,
             "worst_residual": format_probability(self.worst_residual),

@@ -15,14 +15,13 @@ nothing, so it takes no `--tol` or `--format`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
-`emit_json` writes each piece of those bytes as soon as it is encoded,
-so a large report is never held as one string.  json's C encoder writes
-each container that holds no container in one call, and a list of flat
-rows in one call per slab of `_SLAB_ROWS` rows; `_listing` writes the
-locality violations per slab from the audit's columns.  Text output
-writes a character stdout cannot encode as a backslash escape.  A closed
-stdout (`| head`, `>&-`) does not change the exit code: it stays the
-check's own 0 or 1.
+`emit_json` writes the pieces json's own encoder makes, `_SLAB_ROWS` at
+a time, so a large report is never held as one string; where the encoder
+meets a locality report, `_listing` writes its violations from the
+audit's columns, per slab of `_SLAB_ROWS` rows.  Text output writes a
+character stdout cannot encode as a backslash escape.  A closed stdout
+(`| head`, `>&-`) does not change the exit code: it stays the check's
+own 0 or 1.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
-from itertools import chain, repeat
+from functools import partial
 from typing import Any, Iterator
 
 from . import __version__
@@ -69,137 +67,68 @@ from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 PROG = "bell-lab"
 
 
-#: a list of flat rows is encoded this many rows per C encoder call
+#: the locality listing is written this many rows per write, the rest of a
+#: document this many of json's encoded pieces
 _SLAB_ROWS = 256
-#: what `emit_json` walks, a locality report being its own list of rows
-_CONTAINERS = (dict, list, tuple, LocalityReport)
-
-
-@cache
-def _encoder(level: int) -> json.JSONEncoder:
-    """json's C encoder for a container `level` deep whose values are not
-    containers: its item separator is the newline and indent that
-    `indent=2` puts between the items."""
-    return json.JSONEncoder(sort_keys=True, check_circular=False,
-                            separators=(",\n" + "  " * (level + 1), ": "))
-
-
-def _at_once(obj: Any, level: int) -> str | None:
-    """The `indent=2` text of `obj`, `level` deep, when one C encoder call
-    can write it: a scalar, or a container that holds no container.  That
-    call puts the items at their indent; only the brackets need theirs
-    put back.  Else None."""
-    if isinstance(obj, LocalityReport):
-        return None if obj.failing[0] else "[]"
-    if not isinstance(obj, _CONTAINERS):
-        return _encoder(level).encode(obj)
-    if any(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat(_CONTAINERS))):
-        return None
-    text = _encoder(level).encode(obj)
-    if len(text) == 2:  # {} or []
-        return text
-    inner = "\n" + "  " * (level + 1)
-    return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
-
-
-def _flat_rows(items) -> bool:
-    """Whether every item of a list is a non-empty dict that holds no
-    container, checked in one pass over the set of the values' types."""
-    if set(map(type, items)) != {dict} or not all(items):
-        return False
-    types = set(map(type, chain.from_iterable(map(dict.values, items))))
-    return not any(issubclass(t, _CONTAINERS) for t in types)
-
-
-def _slabs(rows, level: int) -> Iterator[str]:
-    """The `indent=2` text of a list of flat rows `level` deep, one piece
-    per `_SLAB_ROWS` rows, each written by one C encoder call.  That call
-    separates rows as it separates a row's items, by a newline and the
-    items' indent; json escapes a newline inside a string, so a raw
-    newline is always a separator, and one replace gives each row's
-    brackets their own indent."""
-    row = "\n" + "  " * (level + 1)
-    item = row + "  "
-    encode = _encoder(level + 1).encode
-    between, rejoined = "}," + item + "{", row + "}," + row + "{" + item
-    sep = "["
-    for start in range(0, len(rows), _SLAB_ROWS):
-        text = encode(rows[start:start + _SLAB_ROWS])  # [{...},<item>{...}]
-        yield sep + row + "{" + item + text[2:-2].replace(between, rejoined) + row + "}"
-        sep = ","
-    yield row[:-2] + "]"
 
 
 def _listing(report: LocalityReport, level: int) -> Iterator[str]:
     """The `indent=2` text of `report.to_dict()["violations"]`, `level`
     deep, one piece per `_SLAB_ROWS` rows: per row, one `%` on its slot's
-    template, a row encoded with "%s" (unquoted) for the other fields."""
+    template, a row dumped with "%s" (unquoted) for the other fields."""
     row = "\n" + "  " * (level + 1)
     blank = lambda form, A, B: LocalityViolation(form, *["%s"] * 3, A, B, *["%s"] * 3)
-    templates = ["," + row + _at_once(blank(*slot).to_dict(), level + 1).replace('"%s"', "%s")
-                 for slot in SLOTS]
+    # json escapes a newline inside a string, so one replace indents a dumped row
+    templates = ["," + row + json.dumps(blank(*slot).to_dict(), indent=2, sort_keys=True)
+                 .replace("\n", row).replace('"%s"', "%s") for slot in SLOTS]
     states, a_ids, b_ids = (list(map(json.dumps, ids)) for ids in report.ids)
     (s, a, b, k), (lhs, rhs, resid) = report.failing, report.values
     # each value's json text as `to_dict` lists it: one encoder call, and no text holds ", "
     texts = lambda values: json.dumps(values if set(map(type, values)) == {float} else
                                       list(map(format_probability, values)))[1:-1].split(", ")
-    sep = "["
     for start in range(0, len(k), _SLAB_ROWS):
         part = slice(start, start + _SLAB_ROWS)
         # the fields in key order: a, b, lhs, residual, rhs, state
         fields = zip(map(a_ids.__getitem__, a[part]), map(b_ids.__getitem__, b[part]),
                      texts(lhs[part]), texts(resid[part]), texts(rhs[part]),
                      map(states.__getitem__, s[part]))
-        yield sep + "".join(map(str.__mod__, map(templates.__getitem__, k[part]), fields))[1:]
-        sep = ","
+        text = "".join(map(str.__mod__, map(templates.__getitem__, k[part]), fields))
+        yield text if start else "[" + text[1:]  # each template starts with ","
     yield row[:-2] + "]"
-
-
-def _chunks(obj: Any, level: int) -> Iterator[str]:
-    """The `indent=2` text of a container `level` deep that holds a
-    container, in pieces: a list of flat rows or a locality report's
-    listing goes by slabs, each other value the C encoder can write at
-    once is one piece, and the rest are walked."""
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
-        # '"key": ' cut from {key: 0}, so json converts or refuses the key
-        items = ((_encoder(0).encode({key: 0})[1:-2], value) for key, value in sorted(obj.items()))
-        brackets = "{}"
-    elif isinstance(obj, LocalityReport):
-        yield from _listing(obj, level)
-        return
-    elif _flat_rows(obj):
-        yield from _slabs(obj, level)
-        return
-    else:
-        items, brackets = zip(repeat(""), obj), "[]"
-    sep = brackets[0] + inner
-    for head, value in items:
-        text = _at_once(value, level + 1)
-        if text is None:
-            yield sep + head
-            yield from _chunks(value, level + 1)
-        else:
-            yield sep + head + text
-        sep = "," + inner
-    yield inner[:-2] + brackets[1]
 
 
 def emit_json(obj: Any, out=None) -> None:
     """Write `json.dumps(obj, indent=2, sort_keys=True)` and a newline to
-    `out` (default stdout), byte for byte, each piece as soon as it is
-    encoded, so the whole text is never held at once.  Each container
-    without a container inside is one piece, written by json's C encoder
-    in one call, and a list of non-empty flat dicts, or the rows of a
-    `LocalityReport`, is one piece per `_SLAB_ROWS` rows.  A value
-    `json` cannot encode raises its TypeError, perhaps after some
-    writes; a document that contains itself raises RecursionError where
-    `json` raises ValueError."""
+    `out` (default stdout), byte for byte, `_SLAB_ROWS` of json's encoded
+    pieces per write, so the whole text is never held at once.  The
+    encoder hands each `LocalityReport` to the `default` hook, which
+    notes it and returns []; `_listing` writes a report with failing
+    checks in place of that "[]", as deep as the indent after the last
+    newline says.  A value `json` cannot encode raises its TypeError, and
+    a document that contains itself its ValueError, perhaps after writes."""
     out = out or sys.stdout
-    text = _at_once(obj, 0)
-    for piece in (text,) if text is not None else _chunks(obj, 0):
-        out.write(piece)
-    out.write("\n")
+    reports = []
+
+    def note(value):
+        if not isinstance(value, LocalityReport):
+            return json.JSONEncoder.default(None, value)  # raises json's TypeError
+        reports.append(value)
+        return []
+
+    line, held = "", []  # the last piece that holds a newline; the pieces not yet written
+    for piece in json.JSONEncoder(indent=2, sort_keys=True, default=note).iterencode(obj):
+        if reports and (report := reports.pop()).failing[0]:
+            for text in _listing(report, (len(line) - line.rfind("\n") - 1) // 2):
+                out.write("".join(held) + text)
+                held.clear()
+            continue
+        if "\n" in piece:
+            line = piece
+        held.append(piece)
+        if len(held) == _SLAB_ROWS:
+            out.write("".join(held))
+            held.clear()
+    out.write("".join(held) + "\n")
 
 
 def _fields(text: str, seps: str = ",") -> Iterator[tuple[str, bool, str]]:

@@ -1,8 +1,9 @@
 """The output boundary: `emit_json` writes the bytes of
-`json.dumps(obj, indent=2, sort_keys=True)` one encoded piece at a time,
-the locality listing straight from the audit's columns, text output
-escapes what stdout cannot encode, and a closed stdout keeps the check's
-exit code.
+`json.dumps(obj, indent=2, sort_keys=True)` a batch of json's encoded
+pieces at a time, with the locality listing spliced in from the audit's
+columns at whatever depth the report sits; it raises what `json.dumps`
+raises; text output escapes what stdout cannot encode, and a closed
+stdout keeps the check's exit code.
 
 The closed-pipe tests run the CLI as a child process under `-X dev -W
 error`, so a warning at interpreter exit (an unclosed file, a failed last
@@ -126,39 +127,59 @@ def test_unencodable_values_raise_what_json_dumps_raises(doc):
     assert str(got.value) == str(want.value)
 
 
+def test_pieces_are_written_in_batches():
+    """Each write but the last holds `_SLAB_ROWS` of json's pieces, as an
+    unbuffered stdout makes each write a system call."""
+    doc = {"rows": [{"a": i, "b": [i, None]} for i in range(1000)]}
+    writes = []
+    emit_json(doc, SimpleNamespace(write=writes.append))
+    pieces = list(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+    assert len(writes) == len(pieces) // cli._SLAB_ROWS + 1
+    assert "".join(writes) == dumps(doc)
+
+
+@pytest.mark.parametrize("kind", [list, dict])
+def test_a_document_that_holds_itself_raises_what_json_dumps_raises(kind):
+    doc = kind()
+    if kind is list:
+        doc.append(doc)
+    else:
+        doc["x"] = [1, doc]
+    with pytest.raises(ValueError) as want:
+        dumps(doc)
+    with pytest.raises(ValueError) as got:
+        emit_json(doc, io.StringIO())
+    assert str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
-# lists of flat rows, encoded one slab of rows per C encoder call
+# lists of flat rows, the shape of a listing in more than two slabs
 
 
 class Row(dict):
-    """A dict subclass: the slab path takes plain dicts only."""
+    """A dict subclass, which json writes as it writes a dict."""
 
 
-#: texts that look like the separators the slab path rewrites
+#: texts that look like the separators between and inside indented rows
 _ROW_TEXT = st.one_of(_TEXT, st.sampled_from(("},\n    {", "}, {", "},\n  {", "}]", "\n  }")))
 _ROW_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _ROW_TEXT)
 _ROW_KEYS = (_ROW_TEXT, st.one_of(st.integers(), st.floats(), st.booleans()), st.none())
 _ROWS = st.one_of(*(st.dictionaries(keys, _ROW_VALUES, min_size=1, max_size=4)
                     for keys in _ROW_KEYS))
-#: rows that send the whole list to the walker
+#: rows that break the list's shape: a subclass, empty, or holding a container
 _SPOILERS = st.sampled_from((Row(x=1.5), {}, {"t": (1, "2")}, {"l": [1, None]}, [{"a": 1}]))
 
 
 @st.composite
 def row_lists(draw, spoilers: bool = True) -> list:
     """More than two slabs of rows cycled from a few drawn ones, with up
-    to two rows swapped for ones the slab path must not take."""
+    to two rows swapped for ones that are not flat dicts."""
     pool = draw(st.lists(_ROWS, min_size=1, max_size=5))
     n = draw(st.integers(2 * cli._SLAB_ROWS + 1, 3 * cli._SLAB_ROWS))
     rows = [dict(pool[i % len(pool)]) for i in range(n)]
     for _ in range(draw(st.integers(0, 2)) if spoilers else 0):
         rows[draw(st.integers(0, n - 1))] = draw(_SPOILERS)
     return rows
-
-
-def _takes_slabs(rows: list) -> bool:
-    return all(type(row) is dict and row and not any(
-        isinstance(v, (dict, list, tuple)) for v in row.values()) for row in rows)
 
 
 #: the row list at the top, under a key, and two lists deep
@@ -179,10 +200,8 @@ def _cycled(*rows) -> list:
 def test_row_lists_give_the_same_bytes_as_json_dumps(rows, place):
     doc = place(rows)
     writes = []
-    with mock.patch.object(cli, "_slabs", wraps=cli._slabs) as slabs:
-        emit_json(doc, SimpleNamespace(write=writes.append))
+    emit_json(doc, SimpleNamespace(write=writes.append))
     assert "".join(writes) == dumps(doc)
-    assert any(call.args[0] is rows for call in slabs.call_args_list) == _takes_slabs(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,14 +248,19 @@ def _flip_model() -> TheoryModel:
     return TheoryModel("flip", Scenario(a, b), ensemble, ResponseKernel(cells))
 
 
-#: the listing at the top, under a key, and two lists deep
-_LISTING_PLACES = (lambda doc: doc["violations"], lambda doc: doc, lambda doc: [[doc], 1])
+#: the listing at the top, under a key, two lists deep, as a list item, and
+#: the same report three times in one document, at two depths
+_LISTING_PLACES = (lambda doc: doc["violations"], lambda doc: doc, lambda doc: [[doc], 1],
+                   lambda doc: [1, doc["violations"]],
+                   lambda doc: {"a": doc, "b": [[doc["violations"]], doc]})
 
 
 @settings(max_examples=150, deadline=None)
 @given(audited_models(), st.sampled_from([None, 0.0, 0.05]), st.integers(1, 4),
        st.sampled_from(_LISTING_PLACES))
 @example(_flip_model(), None, 1, _LISTING_PLACES[1])
+@example(_flip_model(), None, 1, _LISTING_PLACES[3])
+@example(_flip_model(), None, 2, _LISTING_PLACES[4])
 def test_listing_gives_the_bytes_of_the_rows(model, tol, slab, place):
     try:
         report = check_bell_locality(model, tol)
