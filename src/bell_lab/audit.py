@@ -236,9 +236,9 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
     return LocalityReport(ids, failing, (lhs, rhs, resid), worst_residual=worst, tolerance=t)
 
 
-@dataclass(frozen=True)
-class SignalDelta:
-    """Shift of one wing's observable marginal across a far-setting pair."""
+class SignalDelta(NamedTuple):
+    """Shift of one wing's observable marginal across a far-setting pair;
+    equals and iterates as the plain tuple of its fields."""
 
     side: str
     outcome: int
@@ -256,8 +256,9 @@ class SignalDelta:
         }
 
 
-@dataclass(frozen=True)
-class SignalReport:
+class SignalReport(NamedTuple):
+    """The signal audit's deltas; equals and iterates as the plain tuple of its fields."""
+
     deltas: tuple[SignalDelta, ...]
     tolerance: float
 
@@ -325,8 +326,10 @@ def auto_equal_axes(scenario: Scenario) -> list[tuple[str, str]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class AxisCheck:
+class AxisCheck(NamedTuple):
+    """One state's same-outcome probabilities on one axis; equals and
+    iterates as the plain tuple of its fields."""
+
     state_id: str
     a_id: str
     b_id: str
@@ -345,8 +348,10 @@ class AxisCheck:
         }
 
 
-@dataclass(frozen=True)
-class AntiCorrelationReport:
+class AntiCorrelationReport(NamedTuple):
+    """The anti-correlation audit's checks; equals and iterates as the
+    plain tuple of its fields."""
+
     axes_checked: tuple[tuple[str, str], ...]
     checks: tuple[AxisCheck, ...]
     tolerance: float

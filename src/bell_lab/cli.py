@@ -11,7 +11,8 @@ The six check subcommands (`validate` to `bell-test`) are the rows of one
 table, `CHECKS`, which `build_parser` registers; `cmd_check` serves them
 all: load the spec, run the row's check, emit JSON or text, and return 0
 if the check passed, else 1.  `make-singlet` compares and renders
-nothing, so it takes no `--tol` or `--format`.
+nothing, so it takes no `--tol` or `--format`.  Only `simulate`,
+`make-singlet` and `report --simulate-trials` load `montecarlo` or `singlet`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
@@ -27,7 +28,6 @@ own 0 or 1.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -60,8 +60,6 @@ from .harness import (
 from .instructions import classify_states, derive_instruction_sets, DerivationFailure
 from .model import (BellLabError, TheoryModel, behavior, format_probability, resolve_tolerance,
                     validate_theory)
-from .montecarlo import FixedSequencePolicy, UniformSettingPolicy, simulate
-from .singlet import make_planar_singlet
 from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 
 PROG = "bell-lab"
@@ -233,7 +231,7 @@ def render_validation(violations, out) -> None:
 def render_locality(report, out) -> None:
     out.write(f"Bell locality: {report.verdict}\n")
     out.write(f"  worst factorization residual: {_fmt(report.worst_residual)}\n")
-    out.write(f"  residual metric (this tool's choice): max |joint - product|\n")
+    out.write("  residual metric (this tool's choice): max |joint - product|\n")
     out.write(f"  tolerance: {report.tolerance!r}\n")
     for v in report.rows(20):
         slot_a = "." if v.outcome_a is None else ("+" if v.outcome_a > 0 else "-")
@@ -356,7 +354,7 @@ def render_stats(stats, out) -> None:
 def validation_json(violations) -> dict:
     return {
         "valid": not violations,
-        "violations": [{"location": v.location, "message": v.message} for v in violations],
+        "violations": [v._asdict() for v in violations],
     }
 
 
@@ -478,6 +476,8 @@ def cmd_check(check, args) -> int:
 
 
 def _parse_policy(text: str):
+    from .montecarlo import FixedSequencePolicy, UniformSettingPolicy
+
     if text == "uniform":
         return UniformSettingPolicy()
     if text.startswith("sequence:"):
@@ -505,6 +505,8 @@ def _parse_policy(text: str):
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import simulate
+
     model, _ = _load(args.spec)
     policy = _parse_policy(args.policy)
     roles = _parse_roles(args.chsh_roles) if args.chsh_roles else None
@@ -522,6 +524,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_make_singlet(args) -> int:
+    from .singlet import make_planar_singlet
+
     model = make_planar_singlet(args.alice, args.bob, name=args.name)
     if not args.out:
         return _output("json", partial(theory_to_dict, model), None)
@@ -533,6 +537,8 @@ def cmd_make_singlet(args) -> int:
 def run_pipeline(spec_path: str, args) -> dict:
     """The report on one spec file: the tool, the input and its digest,
     the model's name and one section per stage of the pipeline."""
+    import hashlib  # only `report` digests its input
+
     if args.simulate_trials < 0:
         raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
     model, raw = _load(spec_path)
@@ -590,6 +596,8 @@ def run_pipeline(spec_path: str, args) -> dict:
     sections["bell_tests"] = bell
 
     if args.simulate_trials > 0:
+        from .montecarlo import simulate
+
         sections["simulation"] = simulate(model, args.simulate_trials, args.seed, tol=t).to_dict()
     else:
         sections["simulation"] = {"skipped": "not requested (--simulate-trials)"}

@@ -34,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     BehaviorTable,
@@ -73,9 +73,9 @@ def correlator(table: BehaviorTable, a_id: str, b_id: str) -> Prob:
     return dist.pp - dist.pm - dist.mp + dist.mm
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """One local deterministic response: a fixed sign per setting per wing."""
+class DeterministicStrategy(NamedTuple):
+    """One local deterministic response: a fixed sign per setting per wing;
+    equals and iterates as the plain tuple of its fields."""
 
     alice: tuple[tuple[str, int], ...]
     bob: tuple[tuple[str, int], ...]
@@ -128,9 +128,9 @@ _BELL1964_BOUND = max(abs(s1 * s3 - s1 * s2) + s2 * s3
                       for s1, s2, s3 in itertools.product((+1, -1), repeat=3))
 
 
-@dataclass(frozen=True)
-class CHSHResult:
-    """CHSH evaluation under the fixed convention, with a brute-forced bound."""
+class CHSHResult(NamedTuple):
+    """CHSH evaluation under the fixed convention, with a brute-forced
+    bound; equals and iterates as the plain tuple of its fields."""
 
     roles: tuple[str, str, str, str]
     correlators: dict[tuple[str, str], Prob]
@@ -180,9 +180,9 @@ def chsh(
     )
 
 
-@dataclass(frozen=True)
-class Bell1964Result:
-    """|E(1,2) - E(1,3)| <= 1 + E(2,3) over three anti-correlated axes."""
+class Bell1964Result(NamedTuple):
+    """|E(1,2) - E(1,3)| <= 1 + E(2,3) over three anti-correlated axes;
+    equals and iterates as the plain tuple of its fields."""
 
     axes: tuple[Axis, Axis, Axis]
     correlators: dict[str, Prob]
@@ -247,10 +247,10 @@ def bell1964(
 # Local-polytope membership via exact phase-1 simplex
 
 
-@dataclass(frozen=True)
-class SeparatingFunctional:
+class SeparatingFunctional(NamedTuple):
     """Affine functional with f(v) <= bound on every deterministic strategy
-    but f(behavior) = value > bound."""
+    but f(behavior) = value > bound; equals and iterates as the plain
+    tuple of its fields."""
 
     kind: str
     description: str
@@ -276,9 +276,9 @@ class SeparatingFunctional:
         }
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Verdict plus evidence: convex weights inside, a functional outside."""
+class MembershipCertificate(NamedTuple):
+    """Verdict plus evidence: convex weights inside, a functional outside;
+    equals and iterates as the plain tuple of its fields."""
 
     inside: bool
     weights: dict[DeterministicStrategy, Prob] | None
@@ -490,9 +490,9 @@ def local_polytope_membership(
     )
 
 
-@dataclass(frozen=True)
-class BellTestResult:
-    """Aggregate of the harness tests actually run on one behavior."""
+class BellTestResult(NamedTuple):
+    """Aggregate of the harness tests actually run on one behavior; equals
+    and iterates as the plain tuple of its fields."""
 
     correlators: dict[tuple[str, str], Prob]
     chsh: CHSHResult | None

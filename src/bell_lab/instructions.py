@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,13 +109,13 @@ class InstructionSet:
         }
 
 
-@dataclass(frozen=True)
-class DerivationFailure:
+class DerivationFailure(NamedTuple):
     """First obstruction found while deriving instruction sets.
 
     `marginal` is the offending own-outcome probability: a value strictly
     between 0 and 1 (determinism fails), or one that moves with the far
-    setting, or one contradicting anti-correlation across the axis.
+    setting, or one contradicting anti-correlation across the axis.  The
+    record equals and iterates as the plain tuple of its fields.
     """
 
     state_id: str
@@ -230,9 +231,9 @@ def derive_instruction_sets(
     return InstructionSet(axes=tuple(axes), assignments=assignments, weights=weights)
 
 
-@dataclass(frozen=True)
-class PatternClass:
-    """All states sharing one Alice sign pattern across the axes."""
+class PatternClass(NamedTuple):
+    """All states sharing one Alice sign pattern across the axes; equals
+    and iterates as the plain tuple of its fields."""
 
     pattern: tuple[int, ...]
     members: tuple[str, ...]
@@ -254,12 +255,12 @@ class PatternClass:
         }
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(NamedTuple):
     """The full 2^n split of the ensemble by instruction pattern.
 
     Every pattern is listed, zero-weight classes included, so the count is
-    always exactly 2^len(axes).
+    always exactly 2^len(axes).  Equals and iterates as the plain tuple of
+    its fields.
     """
 
     axes: tuple[Axis, ...]

@@ -12,16 +12,17 @@ Probabilities come in two flavors and the distinction is load-bearing:
 * decimal floats, on which checks apply a tolerance (default 1e-9).
 
 A model is *exact* when every weight and every kernel entry is a Fraction.
-Mixed models are treated as decimal.  All containers are frozen: settings
-and ensemble entries are tuples, and the kernel keeps its values in
-read-only arrays, so a model cannot change after it is built.  That lets
-a model remember the tolerances at which `validate_theory` found it
-valid: `require_valid` validates once per tolerance, however many checks
-a model passes through.  `resolve_tolerance` is the one tolerance rule,
-for models and behavior tables alike.  `validate_theory` states each
-invariant once, and every builder in the package (`make_quantum_theory`,
-`realize_model`) ends with `require_valid`, so no model it returns fails
-validation.  Functions here are pure and never mutate their inputs.
+Mixed models are treated as decimal.  All containers are frozen: the
+model is a frozen dataclass, its parts are NamedTuples, and the kernel
+keeps its values in read-only arrays, so a model cannot change after it
+is built.  That lets a model remember the tolerances at which
+`validate_theory` found it valid: `require_valid` validates once per
+tolerance, however many checks a model passes through.
+`resolve_tolerance` is the one tolerance rule, for models and behavior
+tables alike.  `validate_theory` states each invariant once, and every
+builder in the package (`make_quantum_theory`, `realize_model`) ends
+with `require_valid`, so no model it returns fails validation.
+Functions here are pure and never mutate their inputs.
 
 The kernel is stored once, as flat rows of four values per cell
 (`ResponseKernel`); the `cells` mapping and `TheoryModel.tensor`, a
@@ -47,7 +48,7 @@ from functools import cached_property
 from itertools import starmap
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -150,21 +151,21 @@ def is_exact(value: Prob) -> bool:
     return isinstance(value, Fraction)
 
 
-@dataclass(frozen=True)
-class Setting:
-    """One detector setting on one wing; `direction` is an optional unit vector."""
+class Setting(NamedTuple):
+    """One detector setting on one wing; `direction` is an optional unit
+    vector.  Equals the plain tuple of its fields and iterates over them."""
 
     id: str
     direction: tuple[float, float, float] | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Measurement scenario: the settings available to each wing.
 
     Outcomes are fixed at {+1, -1} per wing.  Setting ids must be unique
     within their wing; the same id may appear on both wings (handy for
-    shared-axis scenarios).
+    shared-axis scenarios).  Equals the plain tuple of its fields and
+    iterates over them.
     """
 
     alice_settings: tuple[Setting, ...]
@@ -221,15 +222,17 @@ class Scenario:
                             yield side, own, outcome, far, later
 
 
-@dataclass(frozen=True)
-class EnsembleEntry:
+class EnsembleEntry(NamedTuple):
+    """One hidden state and its weight; equals and iterates as the plain
+    tuple of its fields, (state_id, weight)."""
+
     state_id: str
     weight: Prob
 
 
-@dataclass(frozen=True)
-class HiddenStateEnsemble:
-    """Finite collection of hidden states with strictly positive weights."""
+class HiddenStateEnsemble(NamedTuple):
+    """Finite collection of hidden states with strictly positive weights;
+    equals the plain tuple of its fields and iterates over them."""
 
     entries: tuple[EnsembleEntry, ...]
 
@@ -237,11 +240,11 @@ class HiddenStateEnsemble:
         return tuple(e.state_id for e in self.entries)
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(NamedTuple):
     """Distribution over the four joint outcomes of one (state, a, b) cell.
 
-    Field names spell the outcome pair: `pm` is P(A=+1, B=-1), etc.
+    Field names spell the outcome pair: `pm` is P(A=+1, B=-1), etc.  It
+    equals the plain tuple of its fields and iterates over them.
     """
 
     pp: Prob
@@ -440,9 +443,9 @@ class TheoryModel:
         return {k: v for k, v in self.__dict__.items() if k != "tensor"}
 
 
-@dataclass(frozen=True)
-class BehaviorTable:
-    """Observable behavior: ensemble-averaged joint distributions per setting pair."""
+class BehaviorTable(NamedTuple):
+    """Observable behavior: ensemble-averaged joint distributions per setting
+    pair; equals the plain tuple of its fields and iterates over them."""
 
     scenario: Scenario
     cells: Mapping[tuple[str, str], OutcomeDistribution]
@@ -459,9 +462,9 @@ class BehaviorTable:
         return all(is_exact(p) for dist in self.cells.values() for p in dist.values())
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One validation failure, located by a dotted path into the model."""
+class Violation(NamedTuple):
+    """One validation failure, located by a dotted path into the model;
+    equals and iterates as the plain tuple of its fields."""
 
     location: str
     message: str

@@ -34,7 +34,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -148,8 +148,10 @@ class _Sampler:
         return state, a, b, np.minimum(joint, len(JOINT_OUTCOMES) - 1)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
+    """A value and its standard error; equals the tuple (value, std_error)
+    and iterates over it."""
+
     value: float
     std_error: float
 
@@ -157,8 +159,10 @@ class Estimate:
         return {"value": self.value, "std_error": self.std_error}
 
 
-@dataclass(frozen=True)
-class NoSignalingDelta:
+class NoSignalingDelta(NamedTuple):
+    """Observed shift of one wing's marginal across a far-setting pair;
+    equals and iterates as the plain tuple of its fields."""
+
     side: str
     outcome: int
     own_setting: str
@@ -177,13 +181,13 @@ class NoSignalingDelta:
         }
 
 
-@dataclass(frozen=True)
-class ExperimentStats:
+class ExperimentStats(NamedTuple):
     """Observable summary of a simulated run.
 
     Correlator standard errors use the plug-in binomial form
     sqrt((1 - E^2)/n); the CHSH error adds the four in quadrature.  Setting
-    pairs never observed are simply absent.
+    pairs never observed are simply absent.  Equals and iterates as the
+    plain tuple of its fields.
     """
 
     trials: int

@@ -17,8 +17,8 @@ one holding '|' raises instead of yielding a spec `validate` refuses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,9 +118,9 @@ def parse_planar_settings(text: str) -> list[Setting]:
     return settings
 
 
-@dataclass(frozen=True)
-class SingletSpec:
-    """Measurement directions for a singlet model, one list per wing."""
+class SingletSpec(NamedTuple):
+    """Measurement directions for a singlet model, one list per wing;
+    equals and iterates as the plain tuple of its fields."""
 
     alice: tuple[Setting, ...]
     bob: tuple[Setting, ...]

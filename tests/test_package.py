@@ -1,0 +1,160 @@
+"""The package's public names and what each command loads.
+
+`bell_lab.__all__` is pinned as a literal, and each name must be the very
+object its home module defines, although `import bell_lab` imports no
+submodule: names are looked up on first access.  The load tests run the
+CLI as `python -m bell_lab` in a fresh `python -X dev -W error` and list
+the `bell_lab` modules it loaded, with `dataclasses.dataclass` wrapped to
+count the classes the package decorates while it runs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import bell_lab
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = str(Path(bell_lab.__file__).resolve().parents[1])
+
+ALL = [
+    "__version__",
+    "BehaviorTable", "BellLabError", "EnsembleEntry", "HiddenStateEnsemble",
+    "InvalidModelError", "OutcomeDistribution", "ResponseKernel", "Scenario",
+    "Setting", "TheoryModel", "UnknownIdError", "Violation",
+    "behavior", "validate_theory",
+    "SpecFormatError", "dump_theory", "load_theory", "parse_theory", "theory_to_dict",
+    "SingletSpec", "make_planar_singlet", "make_quantum_theory", "singlet_joint_prob",
+    "AntiCorrelationReport", "LocalityReport", "SignalReport",
+    "check_anticorrelation", "check_bell_locality", "check_signal_locality",
+    "ClassPartition", "DerivationFailure", "InstructionSet",
+    "classify_states", "derive_instruction_sets", "realize_model",
+    "Bell1964Result", "BellTestResult", "CHSHResult", "DeterministicStrategy",
+    "MembershipCertificate", "bell1964", "chsh", "correlator",
+    "enumerate_strategies", "local_polytope_membership",
+    "ExperimentStats", "FixedSequencePolicy", "UniformSettingPolicy", "simulate",
+]
+
+#: the module that defines each public name
+HOMES = {
+    "model": "BehaviorTable BellLabError EnsembleEntry HiddenStateEnsemble InvalidModelError "
+             "OutcomeDistribution ResponseKernel Scenario Setting TheoryModel UnknownIdError "
+             "Violation behavior validate_theory",
+    "specio": "SpecFormatError dump_theory load_theory parse_theory theory_to_dict",
+    "singlet": "SingletSpec make_planar_singlet make_quantum_theory singlet_joint_prob",
+    "audit": "AntiCorrelationReport LocalityReport SignalReport check_anticorrelation "
+             "check_bell_locality check_signal_locality",
+    "instructions": "ClassPartition DerivationFailure InstructionSet classify_states "
+                    "derive_instruction_sets realize_model",
+    "harness": "Bell1964Result BellTestResult CHSHResult DeterministicStrategy "
+               "MembershipCertificate bell1964 chsh correlator enumerate_strategies "
+               "local_polytope_membership",
+    "montecarlo": "ExperimentStats FixedSequencePolicy UniformSettingPolicy simulate",
+}
+
+
+class TestPublicNames:
+    def test_all_is_pinned(self):
+        assert bell_lab.__all__ == ALL
+        assert sorted(name for names in HOMES.values() for name in names.split()) == sorted(ALL[1:])
+
+    def test_each_name_is_its_home_modules_object(self):
+        for module, names in HOMES.items():
+            home = import_module(f"bell_lab.{module}")
+            for name in names.split():
+                assert getattr(bell_lab, name) is getattr(home, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from bell_lab import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(ALL)
+        assert all(namespace[name] is getattr(bell_lab, name) for name in ALL)
+
+    def test_dir_lists_every_name(self):
+        assert set(ALL) <= set(dir(bell_lab))
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'bell_lab' has no attribute 'x'$"):
+            bell_lab.x  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from bell_lab import x", {})
+
+
+#: runs `python -m bell_lab <argv>` (argv from sys.argv[2:]; none: only
+#: `import bell_lab`) and writes to the file sys.argv[1] its exit code, the
+#: `bell_lab` modules it loaded and the package classes `@dataclass` made
+CHILD = """
+import dataclasses, json, runpy, sys
+
+made, real = [], dataclasses.dataclass
+
+def counted(cls=None, /, **options):
+    def wrap(c):
+        if c.__module__.startswith("bell_lab"):
+            made.append(c.__qualname__)
+        return real(**options)(c)
+    return wrap if cls is None else wrap(cls)
+
+dataclasses.dataclass = counted
+result, argv = sys.argv[1], sys.argv[2:]
+code = None
+if argv:
+    sys.argv = ["bell_lab", *argv]
+    try:
+        runpy.run_module("bell_lab", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import bell_lab
+with open(result, "w", encoding="utf-8") as fh:
+    json.dump({"code": code, "made": made,
+               "modules": sorted(m for m in sys.modules if m.split(".")[0] == "bell_lab")}, fh)
+"""
+
+
+def run_child(tmp_path: Path, *argv: str) -> dict:
+    result = tmp_path / "result.json"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", CHILD, str(result),
+                           *argv], env=env, cwd=tmp_path, capture_output=True, check=False)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr.decode("utf-8", "replace")
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+class TestWhatEachCommandLoads:
+    def test_import_loads_no_submodule(self, tmp_path):
+        run = run_child(tmp_path)
+        assert run["modules"] == ["bell_lab"] and run["made"] == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["report", str(FIXTURES / "two_state.json"), "--format", "json"], 0),
+        (["report", str(FIXTURES / "golden" / "decimal_nonlocal_3x3.json")], 0),
+        (["check-locality", str(FIXTURES / "golden" / "decimal_nonlocal_3x3.json")], 1),
+        (["check-locality", str(FIXTURES / "two_state.json"), "--format", "json"], 0),
+    ])
+    def test_report_and_checks_skip_montecarlo_and_singlet(self, tmp_path, argv, code):
+        run = run_child(tmp_path, *argv)
+        assert run["code"] == code
+        assert "bell_lab.cli" in run["modules"]
+        assert "bell_lab.montecarlo" not in run["modules"]
+        assert "bell_lab.singlet" not in run["modules"]
+        assert len(run["made"]) <= 3, run["made"]
+
+    @pytest.mark.parametrize("argv, module", [
+        (["simulate", str(FIXTURES / "two_state.json"), "--trials", "10", "--out", "records.csv"],
+         "bell_lab.montecarlo"),
+        (["make-singlet", "--alice", "a1=0,a2=90", "--bob", "b1=45,b2=135", "--out", "s.json"],
+         "bell_lab.singlet"),
+        (["report", str(FIXTURES / "two_state.json"), "--simulate-trials", "10"],
+         "bell_lab.montecarlo"),
+    ])
+    def test_simulate_and_make_singlet_load_their_module(self, tmp_path, argv, module):
+        run = run_child(tmp_path, *argv)
+        assert run["code"] == 0 and module in run["modules"]
