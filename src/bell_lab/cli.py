@@ -358,13 +358,18 @@ def validation_json(violations) -> dict:
     }
 
 
+def _or_skipped(section, error: type[BellLabError]) -> dict:
+    """`section()`, or {"skipped": why} if it raises `error`, that class only."""
+    try:
+        return section()
+    except error as exc:
+        return {"skipped": str(exc)}
+
+
 def derivation_json(result) -> dict:
     if isinstance(result, DerivationFailure):
         return {"derived": False, "failure": result.to_dict()}
-    try:
-        partition = classify_states(result).to_dict()
-    except EnumerationLimitError as exc:  # past 16 axes
-        partition = {"skipped": str(exc)}
+    partition = _or_skipped(lambda: classify_states(result).to_dict(), EnumerationLimitError)  # past 16 axes
     return {"derived": True, "instructions": result.to_dict(), "partition": partition}
 
 
@@ -562,15 +567,10 @@ def run_pipeline(spec_path: str, args) -> dict:
     sections["signal_locality"] = signal_deltas(table, t).to_dict()
 
     axes = _parse_axes_arg(model, args.axes)
-    try:
-        sections["anticorrelation"] = check_anticorrelation(model, axes, t).to_dict()
-    except EqualAxisError as exc:
-        sections["anticorrelation"] = {"skipped": str(exc)}
-
-    try:
-        sections["instructions"] = derivation_json(derive_instruction_sets(model, axes, t))
-    except EqualAxisError as exc:
-        sections["instructions"] = {"skipped": str(exc)}
+    sections["anticorrelation"] = _or_skipped(
+        lambda: check_anticorrelation(model, axes, t).to_dict(), EqualAxisError)
+    sections["instructions"] = _or_skipped(
+        lambda: derivation_json(derive_instruction_sets(model, axes, t)), EqualAxisError)
 
     bell: dict[str, Any] = {
         "correlators": {
@@ -583,16 +583,12 @@ def run_pipeline(spec_path: str, args) -> dict:
     else:
         bell["chsh"] = {"skipped": "no roles given and scenario is not two-by-two"}
     if args.bell1964:
-        try:
-            bell["bell1964"] = bell1964(table, _parse_bell1964(model, args.bell1964), tol=t).to_dict()
-        except BellLabError as exc:
-            bell["bell1964"] = {"skipped": str(exc)}
+        bell["bell1964"] = _or_skipped(
+            lambda: bell1964(table, _parse_bell1964(model, args.bell1964), tol=t).to_dict(), BellLabError)
     else:
         bell["bell1964"] = {"skipped": "no axes given (--bell1964)"}
-    try:
-        bell["membership"] = local_polytope_membership(table, tol=t).to_dict()
-    except EnumerationLimitError as exc:
-        bell["membership"] = {"skipped": str(exc)}
+    bell["membership"] = _or_skipped(
+        lambda: local_polytope_membership(table, tol=t).to_dict(), EnumerationLimitError)
     sections["bell_tests"] = bell
 
     if args.simulate_trials > 0:

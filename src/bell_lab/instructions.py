@@ -9,14 +9,14 @@ therefore carries an instruction set: a sign per axis for Alice, with Bob's
 sign the negation.  Over n axes there are exactly 2^n possible sign
 patterns, so the ensemble splits into 2^n classes (some possibly empty).
 
-`derive_instruction_sets` mechanizes exactly that step, comparing the
-marginals of the kernel tensor's `scaled` values with the per-state
+`derive_instruction_sets` mechanizes exactly that step in one array pass:
+it compares the kernel tensor's `scaled` marginals with the per-state
 bounds `at_most` gives the tolerance (for an exact kernel, integer counts
-over one denominator per state), and returns a structured
-`DerivationFailure` naming the first blocking marginal instead of raising,
-because a failed derivation is a finding, not a crash; a derived set is
-first rebuilt into the axis cells and held to the kernel.  `realize_model`
-validates the model it builds, so weights that do not sum to 1 raise.
+over one denominator per state) in one boolean array over [state, axis,
+check].  Its first breach by index is returned as a `DerivationFailure`,
+not raised, as a failed derivation is a finding, not a crash; a derived
+set is first rebuilt into the axis cells and held to the kernel.
+`realize_model` validates its model, so weights not summing to 1 raise.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class InstructionSetError(BellLabError):
 class InstructionSet:
     """Per-state deterministic outcomes on shared axes.
 
-    `assignments` maps state_id -> axis -> (alice_value, bob_value); the
-    bob value must be the negation of the alice value on every axis, and
-    every state must cover every axis.  Settings outside the listed axes
+    `assignments` maps state_id -> axis -> (alice_value, bob_value), each
+    the int +1 or -1 with bob's the negation of alice's; every state covers
+    every axis and has a finite weight.  Settings outside the listed axes
     are simply absent: nothing constrains them.
     """
 
@@ -73,14 +73,16 @@ class InstructionSet:
         if set(self.assignments) != set(self.weights):
             raise InstructionSetError("assignments and weights must cover the same states")
         for state_id, per_axis in self.assignments.items():
+            if isinstance(weight := self.weights[state_id], bool) or not abs(weight) < float("inf"):
+                raise InstructionSetError(f"state {state_id!r}: weight {weight!r} is not a finite number")
             if set(per_axis) != set(self.axes):
                 raise InstructionSetError(
                     f"state {state_id!r} must assign every axis exactly once"
                 )
             for axis, (a_val, b_val) in per_axis.items():
                 where = f"state {state_id!r}, axis {axis}"
-                if a_val not in (+1, -1) or b_val not in (+1, -1):
-                    raise InstructionSetError(f"{where}: outcomes must be +1 or -1")
+                if not all(type(v) is int and v in (1, -1) for v in (a_val, b_val)):
+                    raise InstructionSetError(f"{where}: outcomes must be the ints +1 or -1")
                 if b_val != -a_val:
                     raise InstructionSetError(
                         f"{where}: anti-correlation requires bob = -alice, got ({a_val}, {b_val})")
@@ -134,22 +136,23 @@ class DerivationFailure(NamedTuple):
         }
 
 
-def _resolve_sign(value: Prob, low: Prob, high: Prob) -> int | None:
-    """+1 / -1 when `value` is at least `high` / at most `low`, else None."""
-    if value >= high:
-        return +1
-    if value <= low:
-        return -1
-    return None
+_BREACHES = (
+    ("alice", "own-outcome marginal moves with the far setting"),
+    ("bob", "own-outcome marginal moves with the far setting"),
+    ("alice", "marginal strictly between 0 and 1: outcome not deterministic"),
+    ("bob", "marginal strictly between 0 and 1: outcome not deterministic"),
+    ("bob", "anti-correlation fails: both wings fixed to the same sign"),
+)
 
 
-def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: list, t: float) -> None:
+def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: np.ndarray, t: float) -> None:
     """Raise BellLabError unless each state's axis cells (a_i, b_j) are
-    within 4t of the point (s_i, -s_j) of its `signs`, as the derivation's
-    bounds (2t on each wing's marginal) imply; a decimal kernel's entries
-    may reach -t and sum to 1 within t, in rounded floats: 6t + 1e-12."""
+    within 4t of the point (s_i, -s_j) of its `signs[state, axis]`, as the
+    derivation's bounds (2t on each wing's marginal) imply; a decimal
+    kernel's entries may reach -t and sum to 1 within t, in rounded floats:
+    6t + 1e-12."""
     X, D = kt.scaled
-    sign = np.array(signs)[..., None]
+    sign = signs[..., None]
     # one-hot over the outcomes (+1, -1) of s_i and of -s_j, per state and axis
     at_a, at_b = (sign == [1, -1]).astype(int), (sign == [-1, 1]).astype(int)
     point = at_a[:, :, None, :, None] * at_b[:, None, :, None, :]
@@ -168,9 +171,10 @@ def derive_instruction_sets(
 
     For each state and axis the own-outcome marginal on each wing must be
     independent of the far setting, within tolerance of 0 or 1, and the two
-    wings must disagree in sign.  The first breach is returned as a
-    DerivationFailure; otherwise the full instruction set with ensemble
-    weights attached.
+    wings must disagree in sign.  The checks form one boolean array over
+    [state, axis, check], in that order, and its first True by index is
+    returned as a DerivationFailure; otherwise the full instruction set
+    with ensemble weights attached.
     """
     t = require_valid(model, tol)
     if axes is None:
@@ -180,55 +184,31 @@ def derive_instruction_sets(
             "no axes to derive on: declare equal-axis pairs or give settings matching vectors"
         )
     alice, bob = model.scenario.pair_indices(axes)
-    kt = model.tensor
+    kt, entries = model.tensor, model.ensemble.entries
     # P(+1 | a, b, state) on each wing as `scaled` values, per state and
     # axis: against every far setting, then on the axis itself.  A value
     # stands for more than t exactly when it exceeds at_most(t), and for at
     # least 1 - t when it reaches -at_most(-(1 - t)).
     X = kt.scaled[0]
     plus_a, plus_b = X[..., 0, 0] + X[..., 0, 1], X[..., 0, 0] + X[..., 1, 0]
-    low, high = kt.at_most(t).tolist(), (-kt.at_most(-(1 - t))).tolist()
-    alice_rows = plus_a[:, alice, :].tolist()
-    bob_rows = plus_b[:, :, bob].transpose(0, 2, 1).tolist()
-    alice_own = plus_a[:, alice, bob].tolist()
-    bob_own = plus_b[:, alice, bob].tolist()
-
-    assignments: dict[str, dict[Axis, tuple[int, int]]] = {}
-    weights: dict[str, Prob] = {}
-    for s, entry in enumerate(model.ensemble.entries):
-        state = entry.state_id
-        per_axis: dict[Axis, tuple[int, int]] = {}
-        for i, axis in enumerate(axes):
-            for side, margs in (("alice", alice_rows[s][i]), ("bob", bob_rows[s][i])):
-                if max(margs) - min(margs) > low[s]:
-                    return DerivationFailure(
-                        state, axis, side, kt.unscaled(max(margs), s),
-                        "own-outcome marginal moves with the far setting",
-                    )
-            alice_marg = alice_own[s][i]
-            a_val = _resolve_sign(alice_marg, low[s], high[s])
-            if a_val is None:
-                return DerivationFailure(
-                    state, axis, "alice", kt.unscaled(alice_marg, s),
-                    "marginal strictly between 0 and 1: outcome not deterministic",
-                )
-            bob_marg = bob_own[s][i]
-            b_val = _resolve_sign(bob_marg, low[s], high[s])
-            if b_val is None:
-                return DerivationFailure(
-                    state, axis, "bob", kt.unscaled(bob_marg, s),
-                    "marginal strictly between 0 and 1: outcome not deterministic",
-                )
-            if b_val != -a_val:
-                return DerivationFailure(
-                    state, axis, "bob", kt.unscaled(bob_marg, s),
-                    "anti-correlation fails: both wings fixed to the same sign",
-                )
-            per_axis[axis] = (a_val, b_val)
-        assignments[state] = per_axis
-        weights[state] = entry.weight
-    _check_rebuild(kt, alice, bob, [[a for a, _ in row.values()] for row in assignments.values()], t)
-    return InstructionSet(axes=tuple(axes), assignments=assignments, weights=weights)
+    low, high = kt.at_most(t)[:, None], -kt.at_most(-(1 - t))[:, None]
+    far_a, far_b = plus_a[:, alice, :], plus_b[:, :, bob].transpose(0, 2, 1)
+    own_a, own_b = plus_a[:, alice, bob], plus_b[:, alice, bob]
+    up_a, up_b = own_a >= high, own_b >= high
+    # breach[state, axis, check], the checks in the order of _BREACHES
+    breach = np.stack([far_a.max(axis=2) - far_a.min(axis=2) > low,
+                       far_b.max(axis=2) - far_b.min(axis=2) > low,
+                       ~up_a & (own_a > low), ~up_b & (own_b > low), up_a == up_b], axis=-1)
+    if breach.any():
+        s, i, check = np.unravel_index(np.argmax(breach), breach.shape)
+        marginal = (far_a.max(axis=2), far_b.max(axis=2), own_a, own_b, own_b)[check][s, i]
+        side, reason = _BREACHES[check]
+        return DerivationFailure(entries[s].state_id, axes[i], side, kt.unscaled(marginal, s), reason)
+    signs = np.where(up_a, 1, -1)
+    _check_rebuild(kt, alice, bob, signs, t)
+    assignments = {e.state_id: {axis: (a, -a) for axis, a in zip(axes, row)}
+                   for e, row in zip(entries, signs.tolist())}
+    return InstructionSet(tuple(axes), assignments, {e.state_id: e.weight for e in entries})
 
 
 class PatternClass(NamedTuple):

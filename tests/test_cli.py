@@ -19,8 +19,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bell_lab
+from bell_lab import cli
+from bell_lab.audit import EqualAxisError
 from bell_lab.cli import (_axis_names, _fields, _parse_axes_arg, _parse_bell1964, _parse_policy,
                           _parse_roles, build_parser, main)
+from bell_lab.harness import EnumerationLimitError
 from bell_lab.instructions import InstructionSet, realize_model
 from bell_lab.model import BellLabError, Scenario, Setting
 from bell_lab.specio import dump_theory, load_theory
@@ -520,6 +523,35 @@ class TestReport:
         assert len(instructions["instructions"]["axes"]) == 17
         assert instructions["partition"] == {
             "skipped": "refusing to enumerate 2^17 classes (limit 2^16)"}
+
+    @pytest.mark.parametrize("stage, path, error, skipped", [
+        ("check_anticorrelation", ("anticorrelation",), EqualAxisError("no axes"), True),
+        ("check_anticorrelation", ("anticorrelation",), BellLabError("audit bug"), False),
+        ("derive_instruction_sets", ("instructions",), EqualAxisError("no axes"), True),
+        ("derive_instruction_sets", ("instructions",), BellLabError("derivation bug"), False),
+        ("classify_states", ("instructions", "partition"), EnumerationLimitError("2^17"), True),
+        ("classify_states", ("instructions", "partition"), BellLabError("partition bug"), False),
+        ("bell1964", ("bell_tests", "bell1964"), BellLabError("not three axes"), True),
+        ("local_polytope_membership", ("bell_tests", "membership"),
+         EnumerationLimitError("too many strategies"), True),
+        ("local_polytope_membership", ("bell_tests", "membership"),
+         BellLabError("outside certificate failed verification; simplex bug"), False),
+    ])
+    def test_a_section_skips_only_its_own_error(self, capsys, monkeypatch, fixtures_dir,
+                                                stage, path, error, skipped):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, stage, fail)
+        code, out, err = run_cli(capsys, "report", str(fixtures_dir / "eight_pattern.json"),
+                                 "--bell1964", "n1,n2,n3", "--format", "json")
+        if skipped:
+            section = json.loads(out)["sections"]
+            for key in path:
+                section = section[key]
+            assert (code, section) == (0, {"skipped": str(error)})
+        else:
+            assert (code, out, err) == (2, "", f"bell-lab: error: {error}\n")
 
     def test_text_report_renders(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "report", str(fixtures_dir / "two_state.json"))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import genmodels
+import reference_audit as ref
 from reference_audit import class_for
 from bell_lab import instructions
 from bell_lab.audit import EqualAxisError
@@ -92,6 +93,22 @@ class TestInstructionSet:
                 assignments={"s1": {axes[0]: (2, -2)}},
                 weights={"s1": Fraction(1)},
             )
+
+    @pytest.mark.parametrize("outcomes, weight", [
+        ((True, -1), Fraction(1)),  # json writes [true, -1]
+        ((1.0, -1.0), Fraction(1)),  # json writes [1.0, -1.0]
+        ((np.int64(1), np.int64(-1)), Fraction(1)),  # json cannot write it
+        ((1, -1), float("nan")),  # json writes NaN
+        ((1, -1), float("inf")),
+        ((1, -1), True),
+    ], ids=["bool-sign", "float-sign", "int64-sign", "nan-weight", "inf-weight", "bool-weight"])
+    def test_rejects_what_json_would_not_read_back(self, outcomes, weight):
+        """Signs are the ints +1 and -1 and weights finite numbers, so
+        `to_dict` writes only values the spec parser reads."""
+        axes = (("n1", "n1"),)
+        with pytest.raises(InstructionSetError, match=r"ints \+1 or -1|not a finite number"):
+            InstructionSet(axes=axes, assignments={"s1": {axes[0]: outcomes}},
+                           weights={"s1": weight})
 
     def test_to_dict_shape(self):
         doc = two_axis_instructions().to_dict()
@@ -198,6 +215,59 @@ def _without_transpose(monkeypatch):
     monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
     exec(compile(source.replace(".transpose(0, 2, 1)", ""), "<untransposed>", "exec"), vars(module))
     return module.derive_instruction_sets
+
+
+def states_model(*states: dict) -> TheoryModel:
+    """States s1, s2, ... of equal weight on the shared axes n1, n2, the
+    cells of each as in `one_state_model`, in hundredths."""
+    return TheoryModel(
+        name="states",
+        scenario=genmodels.shared_axis_scenario(2),
+        ensemble=HiddenStateEnsemble(tuple(EnsembleEntry(f"s{k}", Fraction(1, len(states)))
+                                           for k in range(1, len(states) + 1))),
+        kernel=ResponseKernel({(f"s{k}", a, b): OutcomeDistribution(*(Fraction(p, 100) for p in row))
+                               for k, cells in enumerate(states, 1) for (a, b), row in cells.items()}),
+    )
+
+
+def uniform(row: tuple, **cells: tuple) -> dict:
+    """`row` in every cell but those named `a_b`, e.g. n1_n2."""
+    return {(a, b): cells.get(f"{a}_{b}", row) for a in ("n1", "n2") for b in ("n1", "n2")}
+
+
+MOVES = "own-outcome marginal moves with the far setting"
+UNDETERMINED = "marginal strictly between 0 and 1: outcome not deterministic"
+SAME_SIGN = "anti-correlation fails: both wings fixed to the same sign"
+N1, N2 = ("n1", "n1"), ("n2", "n2")
+
+
+class TestFirstBreach:
+    """When several checks fail, the derivation reports the first in
+    state, axis, check order: Alice's and then Bob's far-setting check,
+    Alice's and then Bob's determinism, then the sign check."""
+
+    @pytest.mark.parametrize("states, want", [
+        # Alice's n1 marginal is 1/2 against n1 and 1 against n2: it moves
+        # and is not determined
+        ((uniform((0, 100, 0, 0), n1_n1=(0, 50, 0, 50)),), ("s1", N1, "alice", 1, MOVES)),
+        # Bob's n1 marginal is 1/2 against n1 and 0 against n2: it moves
+        # and is not determined
+        ((uniform((0, 100, 0, 0), n1_n1=(50, 50, 0, 0)),), ("s1", N1, "bob", Fraction(1, 2), MOVES)),
+        # Alice's n1 marginal is 1/2 throughout, Bob's 0: not determined,
+        # and both wings read as the same sign
+        ((uniform((0, 100, 0, 0), n1_n1=(0, 50, 0, 50), n1_n2=(0, 50, 0, 50)),),
+         ("s1", N1, "alice", Fraction(1, 2), UNDETERMINED)),
+        # s1 has both wings + on n2, the last check on its second axis; s2's
+        # Alice marginal on n1 moves, the first check on its first axis
+        ((uniform((0, 100, 0, 0), n1_n2=(100, 0, 0, 0), n2_n2=(100, 0, 0, 0)),
+          uniform((0, 100, 0, 0), n1_n2=(0, 0, 0, 100))),
+         ("s1", N2, "bob", 1, SAME_SIGN)),
+    ], ids=["alice-moves-and-undetermined", "bob-moves-and-undetermined",
+            "undetermined-and-same-sign", "state-before-axis"])
+    def test_the_first_breach_in_state_axis_check_order(self, states, want):
+        model = states_model(*states)
+        assert derive_instruction_sets(model) == DerivationFailure(*want)
+        assert derive_instruction_sets(model) == ref.derive_instruction_sets(model)
 
 
 class TestRebuildCheck:
