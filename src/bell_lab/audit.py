@@ -22,7 +22,8 @@ inequality between cross-multiplied Python ints, which decides as the
 Fraction comparison with the float tolerance does.  The anti-correlation
 audit compares the slices at `[:, a, b, +, +]` and `[:, a, b, -, -]` with
 the per-state bound `at_most(t)`.  Fractions are built only for the
-values a report lists.  The signal audit reads the behavior table.
+values a report lists.  The signal audit reads the behavior table.  The
+axes come from `model.equal_axes`, as for the derivation.
 
 The locality report keeps its failing checks as columns.  Its rows
 (`LocalityViolation`, a NamedTuple) are zipped from them on first read,
@@ -42,27 +43,19 @@ import numpy as np
 
 from .model import (
     BehaviorTable,
-    BellLabError,
     JOINT_OUTCOMES,
     KernelTensor,
     OUTCOMES,
     Prob,
-    Scenario,
     TheoryModel,
     behavior,
+    equal_axes,
     format_probability,
     require_valid,
     resolve_tolerance,
 )
 
 RESIDUAL_METRIC = "max absolute difference between joint cells and products of marginals"
-
-_AXIS_MATCH_TOL = 1e-12
-
-
-class EqualAxisError(BellLabError):
-    """No equal-axis pairs were declared and none could be auto-detected."""
-
 
 class LocalityViolation(NamedTuple):
     """One cell where a locality equation fails.
@@ -307,25 +300,6 @@ def check_signal_locality(model: TheoryModel, tol: float | None = None) -> Signa
     return signal_deltas(behavior(model, t), t)
 
 
-def auto_equal_axes(scenario: Scenario) -> list[tuple[str, str]]:
-    """Setting pairs that name one shared axis.
-
-    A pair qualifies when both direction vectors agree within 1e-12 per
-    component, or when the ids match and no vectors contradict; a shared
-    id with two different vectors does not qualify.
-    """
-    pairs = []
-    for a in scenario.alice_settings:
-        for b in scenario.bob_settings:
-            both = a.direction is not None and b.direction is not None
-            vec_match = both and all(
-                abs(x - y) <= _AXIS_MATCH_TOL for x, y in zip(a.direction, b.direction)
-            )
-            if vec_match or (a.id == b.id and not both):
-                pairs.append((a.id, b.id))
-    return pairs
-
-
 class AxisCheck(NamedTuple):
     """One state's same-outcome probabilities on one axis; equals and
     iterates as the plain tuple of its fields."""
@@ -388,12 +362,8 @@ def check_anticorrelation(
     the axes are auto-detected from matching direction vectors.
     """
     t = require_valid(model, tol)
-    if equal_axis_pairs is None:
-        equal_axis_pairs = auto_equal_axes(model.scenario)
-    if not equal_axis_pairs:
-        raise EqualAxisError(
-            "no equal-axis pairs: declare them explicitly or give both wings matching vectors"
-        )
+    equal_axis_pairs = equal_axes(model.scenario, equal_axis_pairs, "no equal-axis pairs: "
+                                  "declare them explicitly or give both wings matching vectors")
     alice, bob = model.scenario.pair_indices(equal_axis_pairs)
     kt = model.tensor
     X = kt.scaled[0]

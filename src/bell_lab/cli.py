@@ -39,7 +39,6 @@ from typing import Any, Iterator
 from . import __version__
 from .audit import (
     SLOTS,
-    EqualAxisError,
     LocalityReport,
     LocalityViolation,
     check_anticorrelation,
@@ -47,19 +46,10 @@ from .audit import (
     check_signal_locality,
     signal_deltas,
 )
-from .harness import (
-    Axis,
-    BellTestResult,
-    EnumerationLimitError,
-    all_correlators,
-    bell1964,
-    chsh,
-    local_polytope_membership,
-    resolve_axes,
-)
+from .harness import BellTestResult, all_correlators, bell1964, chsh, local_polytope_membership
 from .instructions import classify_states, derive_instruction_sets, DerivationFailure
-from .model import (BellLabError, TheoryModel, behavior, format_probability, resolve_tolerance,
-                    validate_theory)
+from .model import (Axis, BellLabError, EnumerationLimitError, EqualAxisError, TheoryModel, behavior,
+                    format_probability, resolve_axes, resolve_tolerance, validate_theory)
 from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
 
 PROG = "bell-lab"

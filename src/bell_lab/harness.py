@@ -4,15 +4,17 @@ exact local-polytope membership.
 Conventions, stated once and printed in reports:
 
 * Correlator: E(a, b) = P(+,+) - P(+,-) - P(-,+) + P(-,-).
-* CHSH: S = E(a,b) + E(a,b') + E(a',b) - E(a',b'), for named roles
-  (a, a', b, b').  The local bound is brute-forced over all 16
-  deterministic sign assignments, once per sign pattern at import, never
-  assumed; the value, the bound and the facet certificates all evaluate
-  one signed form.
+* CHSH: `model.CHSH_CONVENTION`, S = E(a,b) + E(a,b') + E(a',b) -
+  E(a',b'), for named roles (a, a', b, b'), evaluated by `model`'s one
+  signed form (`CHSH_SIGNS`), which the Monte Carlo estimate shares.  The
+  local bound is brute-forced over all 16 deterministic sign
+  assignments, once per sign pattern at import, never assumed; the value,
+  the bound and the facet certificates all evaluate that form.
 * Tolerance: `model.resolve_tolerance`, the rule models follow too: an
   explicit `tol`, else 0 for an exact table and 1e-9 for a decimal one.
-* Three-axis inequality over axes (1, 2, 3), each axis an
-  (alice_id, bob_id) pair: |E(1,2) - E(1,3)| <= 1 + E(2,3), valid for
+* Three-axis inequality over axes (1, 2, 3), each a `model.Axis`, an
+  (alice_id, bob_id) pair that `model.resolve_axes` resolves from names:
+  |E(1,2) - E(1,3)| <= 1 + E(2,3), valid for
   local models that are perfectly anti-correlated on each axis; the
   anti-correlation precondition is enforced before evaluating.
 
@@ -38,22 +40,19 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .model import (
+    Axis,
     BehaviorTable,
     BellLabError,
+    CHSH_CONVENTION,
+    CHSH_SIGNS,
     EnumerationLimitError,
     JOINT_OUTCOMES,
     Prob,
     Scenario,
+    _chsh_form,
     format_probability,
     resolve_tolerance,
 )
-
-Axis = tuple[str, str]
-
-CHSH_CONVENTION = "S = E(a,b) + E(a,b') + E(a',b) - E(a',b')"
-
-#: the signs of E(a,b), E(a,b'), E(a',b), E(a',b') in CHSH_CONVENTION
-CHSH_SIGNS = (+1, +1, +1, -1)
 
 _MAX_SETTINGS_PER_SIDE = 4
 
@@ -105,12 +104,6 @@ def enumerate_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
     return [DeterministicStrategy(alice=tuple(zip(a_ids, a_signs)), bob=tuple(zip(b_ids, b_signs)))
             for a_signs in itertools.product((+1, -1), repeat=na)
             for b_signs in itertools.product((+1, -1), repeat=nb)]
-
-
-def _chsh_form(signs: tuple[int, int, int, int], e, a, a2, b, b2):
-    """s1*E(a,b) + s2*E(a,b') + s3*E(a',b) + s4*E(a',b') for a pairing `e`:
-    correlators of named settings, or the product of two +-1 outcomes."""
-    return signs[0] * e(a, b) + signs[1] * e(a, b2) + signs[2] * e(a2, b) + signs[3] * e(a2, b2)
 
 
 #: Each sign pattern's bound: the max of its form over the 16 outcome
@@ -510,36 +503,3 @@ class BellTestResult(NamedTuple):
 
 def all_correlators(table: BehaviorTable) -> dict[tuple[str, str], Prob]:
     return {pair: correlator(table, *pair) for pair in table.scenario.pairs()}
-
-
-def resolve_axes(scenario: Scenario, names: list[str | tuple[str, str | None]]) -> list[Axis]:
-    """Resolve axis names to (alice_id, bob_id) pairs.
-
-    A name is an 'aId=bId' pair, split at its first '=', or a bare id; a
-    tuple names its ids verbatim, (aId, bId) a pair and (id, None) a bare
-    id, so an id holding '=' can be named.  A bare id matches a Bob
-    setting of the same id, else a Bob setting with an equal direction
-    vector.
-    """
-    from .audit import auto_equal_axes
-
-    vector_pairs = dict(auto_equal_axes(scenario))
-    out: list[Axis] = []
-    for name in names:
-        if isinstance(name, str):
-            a_id, pair, b_id = name.partition("=")
-            name = (a_id, b_id if pair else None)
-        a_id, b_id = name
-        scenario.alice_setting(a_id)
-        if b_id is not None:
-            scenario.bob_setting(b_id)
-            out.append((a_id, b_id))
-        elif any(s.id == a_id for s in scenario.bob_settings):
-            out.append((a_id, a_id))
-        elif a_id in vector_pairs:
-            out.append((a_id, vector_pairs[a_id]))
-        else:
-            raise BellLabError(
-                f"cannot resolve axis {a_id!r}: no same-id or same-vector Bob setting"
-            )
-    return out

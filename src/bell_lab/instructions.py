@@ -15,7 +15,9 @@ bounds `at_most` gives the tolerance (for an exact kernel, integer counts
 over one denominator per state) in one boolean array over [state, axis,
 check].  Its first breach by index is returned as a `DerivationFailure`,
 not raised, as a failed derivation is a finding, not a crash; a derived
-set is first rebuilt into the axis cells and held to the kernel.
+set is first rebuilt into the axis cells and held to the kernel.  An
+`Axis` and the default axes (`model.equal_axes`) are `model`'s, as for
+the anti-correlation audit.
 `realize_model` validates its model, so weights not summing to 1 raise.
 """
 
@@ -28,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audit import EqualAxisError, auto_equal_axes
 from .model import (
+    Axis,
     BellLabError,
     EnsembleEntry,
     EnumerationLimitError,
@@ -40,11 +42,10 @@ from .model import (
     ResponseKernel,
     Scenario,
     TheoryModel,
+    equal_axes,
     format_probability,
     require_valid,
 )
-
-Axis = tuple[str, str]
 
 _MAX_AXES = 16
 
@@ -177,12 +178,8 @@ def derive_instruction_sets(
     with ensemble weights attached.
     """
     t = require_valid(model, tol)
-    if axes is None:
-        axes = auto_equal_axes(model.scenario)
-    if not axes:
-        raise EqualAxisError(
-            "no axes to derive on: declare equal-axis pairs or give settings matching vectors"
-        )
+    axes = equal_axes(model.scenario, axes, "no axes to derive on: "
+                      "declare equal-axis pairs or give settings matching vectors")
     alice, bob = model.scenario.pair_indices(axes)
     kt, entries = model.tensor, model.ensemble.entries
     # P(+1 | a, b, state) on each wing as `scaled` values, per state and

@@ -36,6 +36,11 @@ and Python-int numerators `N = K * D[state]`, else `(K, None)`.  The
 audits and the derivation compare `scaled` values with `at_most` bounds
 and build a Fraction only for a value they report, whatever the weights.
 `validate_theory` checks the stored rows in their own order.
+
+The engines (`specio`, `audit`, `instructions`, `harness`, `montecarlo`,
+`singlet`) import only this module, so the vocabulary they share is here:
+an `Axis` (alice_id, bob_id), found by `auto_equal_axes`, `resolve_axes`
+and `equal_axes`, and `CHSH_CONVENTION` with its one signed form.
 """
 
 from __future__ import annotations
@@ -82,6 +87,10 @@ class UnknownIdError(BellLabError):
 
 class EnumerationLimitError(BellLabError):
     """Too many settings or axes to enumerate every strategy or class."""
+
+
+class EqualAxisError(BellLabError):
+    """No equal-axis pairs were declared and none could be auto-detected."""
 
 
 class InvalidModelError(BellLabError):
@@ -159,6 +168,12 @@ class Setting(NamedTuple):
     direction: tuple[float, float, float] | None = None
 
 
+#: One shared axis: an (alice_id, bob_id) pair of settings.
+Axis = tuple[str, str]
+
+_AXIS_MATCH_TOL = 1e-12
+
+
 class Scenario(NamedTuple):
     """Measurement scenario: the settings available to each wing.
 
@@ -220,6 +235,67 @@ class Scenario(NamedTuple):
                     for i, far in enumerate(far_ids):
                         for later in far_ids[i + 1:]:
                             yield side, own, outcome, far, later
+
+
+CHSH_CONVENTION = "S = E(a,b) + E(a,b') + E(a',b) - E(a',b')"
+
+#: the signs of E(a,b), E(a,b'), E(a',b), E(a',b') in CHSH_CONVENTION
+CHSH_SIGNS = (+1, +1, +1, -1)
+
+
+def _chsh_form(signs: tuple[int, int, int, int], e, a, a2, b, b2):
+    """s1*E(a,b) + s2*E(a,b') + s3*E(a',b) + s4*E(a',b') for a pairing `e`:
+    correlators of named settings, or the product of two +-1 outcomes."""
+    return signs[0] * e(a, b) + signs[1] * e(a, b2) + signs[2] * e(a2, b) + signs[3] * e(a2, b2)
+
+
+def auto_equal_axes(scenario: Scenario) -> list[Axis]:
+    """Setting pairs that name one shared axis.
+
+    A pair qualifies when both direction vectors agree within 1e-12 per
+    component, or when the ids match and no vectors contradict; a shared
+    id with two different vectors does not qualify.
+    """
+    return [(a.id, b.id) for a in scenario.alice_settings for b in scenario.bob_settings
+            if (a.id == b.id if a.direction is None or b.direction is None else
+                all(abs(x - y) <= _AXIS_MATCH_TOL for x, y in zip(a.direction, b.direction)))]
+
+
+def equal_axes(scenario: Scenario, axes: list[Axis] | None, message: str) -> list[Axis]:
+    """`axes`, or when None the auto-detected ones; EqualAxisError with
+    the caller's `message` when that leaves none."""
+    if not (axes := auto_equal_axes(scenario) if axes is None else axes):
+        raise EqualAxisError(message)
+    return axes
+
+
+def resolve_axes(scenario: Scenario, names: list[str | tuple[str, str | None]]) -> list[Axis]:
+    """Resolve axis names to (alice_id, bob_id) pairs.
+
+    A name is an 'aId=bId' pair, split at its first '=', or a bare id; a
+    tuple names its ids verbatim, (aId, bId) a pair and (id, None) a bare
+    id, so an id holding '=' can be named.  A bare id matches a Bob
+    setting of the same id, else a Bob setting with an equal direction
+    vector.
+    """
+    vector_pairs = dict(auto_equal_axes(scenario))
+    out: list[Axis] = []
+    for name in names:
+        if isinstance(name, str):
+            a_id, pair, b_id = name.partition("=")
+            name = (a_id, b_id if pair else None)
+        a_id, b_id = name
+        scenario.alice_setting(a_id)
+        if b_id is not None:
+            scenario.bob_setting(b_id)
+            out.append((a_id, b_id))
+        elif any(s.id == a_id for s in scenario.bob_settings):
+            out.append((a_id, a_id))
+        elif a_id in vector_pairs:
+            out.append((a_id, vector_pairs[a_id]))
+        else:
+            raise BellLabError(f"cannot resolve axis {a_id!r}: no same-id or same-vector Bob setting")
+    return out
 
 
 class EnsembleEntry(NamedTuple):
@@ -474,9 +550,11 @@ def resolve_tolerance(subject: TheoryModel | BehaviorTable | bool, tol: float | 
     """The tolerance every check compares with: an explicit `tol` wins,
     else 0 for an exact model or table (or `True`) and DEFAULT_TOL for a
     decimal one.  A negative, NaN or infinite `tol` would turn failing
-    comparisons into passes, so it raises BellLabError."""
+    comparisons into passes, and a bool or a non-number (not an int or a
+    float) is no tolerance a report could carry, so each raises
+    BellLabError."""
     if tol is not None:
-        if not 0 <= tol < math.inf:
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
             raise BellLabError(f"tolerance must be a finite number >= 0, got {tol!r}")
         return tol
     exact = subject if isinstance(subject, bool) else subject.is_exact

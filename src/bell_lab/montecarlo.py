@@ -3,22 +3,23 @@
 Every random draw is a pure function of (seed, trial, slot): the stream is
 the SplitMix64 sequence evaluated at position trial*4 + slot, so trial i
 can be generated without generating trials 0..i-1.  `simulate` is the one
-engine: it evaluates the stream in numpy uint64 over fixed-size chunks of
-trials, tallies each chunk into counts, and optionally writes each chunk's
-rows to CSV.  The CSV rows are the run's records; they depend only on
-(seed, trial, slot), never on the chunking, and only one chunk is alive at
-a time, so memory is flat in the trial count.
+engine function over the model: it checks every argument, then evaluates
+the stream in numpy uint64 over fixed-size chunks of trials, tallies each
+chunk into counts, and optionally writes each chunk's rows to CSV.  The
+CSV rows are the run's records; they depend only on (seed, trial, slot),
+never on the chunking, and only one chunk is alive at a time, so memory
+is flat in the trial count.
 
-The sampler's tables are running sums over the model's kernel tensor
-(`TheoryModel.tensor`), as floats: one over the weights, one over each
-cell's four outcomes.
+The draws pick from running sums over the model's kernel tensor
+(`TheoryModel.tensor`), as floats (`_tables`): one over the weights, one
+over each cell's four outcomes.
 
 Slots: 0 = hidden state, 1 = Alice setting, 2 = Bob setting, 3 = outcome
 pair.  Fixed-sequence setting policies leave slots 1 and 2 unused but
 reserved, so switching policy never shifts the other draws.
 
 The summary reads the run's count tensor C[a, b, A, B] with integer sums.
-Its CHSH estimate is the one CHSH form of `harness`; the roles default to
+Its CHSH estimate is the one CHSH form of `model`; the roles default to
 declaration order on a two-by-two scenario, and an unknown role id is
 refused before any record is written.
 
@@ -33,18 +34,20 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .harness import CHSH_SIGNS, _chsh_form
 from .model import (
     BellLabError,
+    CHSH_SIGNS,
     JOINT_OUTCOMES,
     OUTCOMES,
     Scenario,
     TheoryModel,
+    _chsh_form,
     require_valid,
 )
 
@@ -96,56 +99,22 @@ class FixedSequencePolicy:
 SettingPolicy = UniformSettingPolicy | FixedSequencePolicy
 
 
-class _Sampler:
-    """One model's cumulative tables as arrays; generates trials in chunks."""
+def _tables(model: TheoryModel) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative tables, as floats: `state_cum[state]` over the
+    weights and `outcome_cum[state, a, b]` over one kernel cell's four
+    outcomes.  A decimal cell may dip below 0 within the tolerance and
+    counts as 0."""
+    kt = model.tensor
+    cells = np.maximum(kt.as_float(), 0.0)
+    return np.cumsum(kt.w.astype(float)), np.cumsum(cells.reshape(*cells.shape[:3], 4), axis=-1)
 
-    def __init__(self, model: TheoryModel, trials: int, policy: SettingPolicy | None,
-                 tol: float | None):
-        if trials <= 0:
-            raise BellLabError(f"trial count must be positive, got {trials}")
-        require_valid(model, tol)
-        self.trials = trials
-        self.scenario = scen = model.scenario
-        self.state_ids = model.ensemble.state_ids()
-        self.alice_ids = scen.alice_ids()
-        self.bob_ids = scen.bob_ids()
-        # running sums in order; a decimal cell may dip below 0 within the
-        # tolerance and counts as 0.  outcome_cum[state, a, b] is the
-        # cumulative table of one kernel cell
-        kt = model.tensor
-        self.state_cum = np.cumsum(kt.w.astype(float))
-        cells = kt.as_float().reshape(len(kt.w), len(self.alice_ids), len(self.bob_ids), 4)
-        self.outcome_cum = np.cumsum(np.maximum(cells, 0.0), axis=-1)
-        self.sequence = None
-        if isinstance(policy, FixedSequencePolicy):
-            self.sequence = tuple(map(np.array, scen.pair_indices(policy.pairs)))
 
-    def chunks(self, seed: int) -> Iterator[tuple]:
-        """Per chunk of at most `_CHUNK` trials: the first trial, then the
-        state, Alice setting, Bob setting and joint outcome index arrays."""
-        for start in range(0, self.trials, _CHUNK):
-            yield (start, *self._chunk(seed, start, min(start + _CHUNK, self.trials)))
-
-    def _chunk(self, seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        t = np.arange(start, stop, dtype=np.uint64)
-        base = t * np.uint64(DRAWS_PER_TRIAL)
-
-        def draw(slot: int) -> np.ndarray:
-            return _stream_uniforms(seed, base + np.uint64(slot))
-
-        # each pick is bisect_right on a cumulative table, clamped to the
-        # last index (a draw of 1.0, or a table summing to less than 1)
-        state = np.searchsorted(self.state_cum, draw(SLOT_STATE), side="right")
-        state = np.minimum(state, len(self.state_ids) - 1)
-        if self.sequence is None:
-            n_a, n_b = len(self.alice_ids), len(self.bob_ids)
-            a = np.minimum((draw(SLOT_ALICE) * n_a).astype(np.int64), n_a - 1)
-            b = np.minimum((draw(SLOT_BOB) * n_b).astype(np.int64), n_b - 1)
-        else:
-            k = (t % np.uint64(len(self.sequence[0]))).astype(np.intp)
-            a, b = self.sequence[0][k], self.sequence[1][k]
-        joint = (self.outcome_cum[state, a, b] <= draw(SLOT_OUTCOME)[:, None]).sum(axis=1)
-        return state, a, b, np.minimum(joint, len(JOINT_OUTCOMES) - 1)
+def _integer(value: object, what: str) -> int:
+    """`value` as a Python int: an int or a numpy integer, never a bool."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise BellLabError(f"{what} must be an int, got {value!r}")
 
 
 class Estimate(NamedTuple):
@@ -296,25 +265,52 @@ def simulate(
     Returns the observable statistics.  With `csv_path`, also writes the
     run's records, one row `trial,a,b,A,B` per trial; `reveal_hidden` adds
     the hidden-state column `lambda`.  The model must be valid at `tol`
-    (default: exact for rational models, 1e-9 otherwise).  Only one chunk
-    of trials is alive at a time.
+    (default: exact for rational models, 1e-9 otherwise).  `trials` and
+    `seed` are ints (a numpy integer is taken, a bool refused), `policy`
+    is None or one of the two policies, and `chsh_roles` names four
+    settings; a bad argument raises BellLabError before the CSV is
+    opened.  Only one chunk of trials is alive at a time.
     """
-    sampler = _Sampler(model, trials, policy, tol)
-    if chsh_roles is not None:  # an unknown role id fails before the CSV is opened
-        sampler.scenario.pair_indices(zip(chsh_roles[:2], chsh_roles[2:]))
-    keys = itertools.product(sampler.alice_ids, sampler.bob_ids, JOINT_OUTCOMES)
+    if (trials := _integer(trials, "trial count")) <= 0:
+        raise BellLabError(f"trial count must be positive, got {trials}")
+    seed = _integer(seed, "seed")
+    require_valid(model, tol)
+    scen = model.scenario
+    if not isinstance(policy, (type(None), UniformSettingPolicy, FixedSequencePolicy)):
+        raise BellLabError(f"policy must be None or a setting policy, got {policy!r}")
+    fixed = isinstance(policy, FixedSequencePolicy)
+    sequence = tuple(map(np.array, scen.pair_indices(policy.pairs))) if fixed else None
+    if chsh_roles is not None:  # a bad role fails before the CSV is opened
+        if not isinstance(chsh_roles, (tuple, list)) or len(chsh_roles) != 4:
+            raise BellLabError(f"chsh_roles must name four settings (a, a', b, b'), got {chsh_roles!r}")
+        scen.pair_indices(zip(chsh_roles[:2], chsh_roles[2:]))
+    state_cum, outcome_cum = _tables(model)
+    n_s, n_a, n_b = outcome_cum.shape[:3]
+    keys = itertools.product(scen.alice_ids(), scen.bob_ids(), JOINT_OUTCOMES)
     tails = np.array([_csv_cells(a, b, *ab) for a, b, ab in keys], dtype=object)
-    lambdas = np.array([_csv_cells(s) + "\r\n" for s in sampler.state_ids], dtype=object)
-    counts = np.zeros((len(sampler.alice_ids), len(sampler.bob_ids), 2, 2), dtype=np.int64)
+    lambdas = np.array([_csv_cells(s) + "\r\n" for s in model.ensemble.state_ids()], dtype=object)
+    counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     with (open(csv_path, "w", newline="", encoding="utf-8") if csv_path is not None
           else contextlib.nullcontext()) as sink:
         if sink is not None:
             sink.write("trial,a,b,A,B,lambda\r\n" if reveal_hidden else "trial,a,b,A,B\r\n")
-        for start, state, a, b, joint in sampler.chunks(seed):
-            code = (a * len(sampler.bob_ids) + b) * len(JOINT_OUTCOMES) + joint
+        for start in range(0, trials, _CHUNK):
+            # no index array outlives the draws: only the picks stay alive while a chunk is written
+            trial = lambda: np.arange(start, min(start + _CHUNK, trials), dtype=np.uint64)
+            draw = lambda slot: _stream_uniforms(seed, trial() * np.uint64(DRAWS_PER_TRIAL) + np.uint64(slot))
+            # each pick is bisect_right on a cumulative table, clamped to the
+            # last index (a draw of 1.0, or a table summing to less than 1)
+            state = np.minimum(np.searchsorted(state_cum, draw(SLOT_STATE), side="right"), n_s - 1)
+            if sequence is None:
+                a = np.minimum((draw(SLOT_ALICE) * n_a).astype(np.int64), n_a - 1)
+                b = np.minimum((draw(SLOT_BOB) * n_b).astype(np.int64), n_b - 1)
+            else:
+                a, b = (pick[(trial() % np.uint64(len(pick))).astype(np.intp)] for pick in sequence)
+            joint = (outcome_cum[state, a, b] <= draw(SLOT_OUTCOME)[:, None]).sum(axis=1)
+            code = (a * n_b + b) * len(JOINT_OUTCOMES) + np.minimum(joint, len(JOINT_OUTCOMES) - 1)
             counts += np.bincount(code, minlength=counts.size).reshape(counts.shape)
             if sink is not None:
                 ends = lambdas[state].tolist() if reveal_hidden else itertools.repeat("\r\n")
                 trial_ids = map(str, range(start, start + len(code)))
                 sink.write("".join(map("".join, zip(trial_ids, tails[code].tolist(), ends))))
-    return _summarize_counts(counts, trials, sampler.scenario, chsh_roles, seed)
+    return _summarize_counts(counts, trials, scen, chsh_roles, seed)

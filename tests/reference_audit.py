@@ -24,19 +24,19 @@ from bell_lab.audit import (
     RESIDUAL_METRIC,
     AntiCorrelationReport,
     AxisCheck,
-    EqualAxisError,
     LocalityViolation,
-    auto_equal_axes,
 )
 from bell_lab.instructions import (Axis, ClassPartition, DerivationFailure, InstructionSet,
                                     PatternClass)
 from bell_lab.model import (
     OUTCOMES,
     BehaviorTable,
+    EqualAxisError,
     OutcomeDistribution,
     Prob,
     TheoryModel,
     UnknownIdError,
+    auto_equal_axes,
     format_probability,
     require_valid,
     resolve_tolerance,

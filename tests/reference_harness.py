@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bell_lab.harness import (
-    CHSH_CONVENTION,
-    CHSH_SIGNS,
     DeterministicStrategy,
     ScenarioShapeError,
     SeparatingFunctional,
-    _chsh_form,
     enumerate_strategies,
 )
-from bell_lab.model import BehaviorTable, OutcomeDistribution, Prob, Scenario, format_probability
+from bell_lab.model import (CHSH_CONVENTION, CHSH_SIGNS, BehaviorTable, OutcomeDistribution, Prob, Scenario,
+                            _chsh_form, format_probability)
 
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> BehaviorTable:

@@ -21,7 +21,6 @@ from bell_lab.harness import (
     chsh,
     enumerate_strategies,
     local_polytope_membership,
-    resolve_axes,
 )
 from bell_lab.instructions import (
     DerivationFailure,
@@ -30,7 +29,7 @@ from bell_lab.instructions import (
     derive_instruction_sets,
     realize_model,
 )
-from bell_lab.model import JOINT_OUTCOMES, behavior, resolve_tolerance
+from bell_lab.model import JOINT_OUTCOMES, behavior, resolve_axes, resolve_tolerance
 from reference_harness import max_local_chsh, strategy_behavior
 from bell_lab.montecarlo import FixedSequencePolicy, simulate
 from bell_lab.singlet import make_planar_singlet

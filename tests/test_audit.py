@@ -17,9 +17,7 @@ from hypothesis import given, settings
 
 import genmodels
 from bell_lab.audit import (
-    EqualAxisError,
     LocalityViolation,
-    auto_equal_axes,
     check_anticorrelation,
     check_bell_locality,
     check_signal_locality,
@@ -29,12 +27,14 @@ from bell_lab.model import (
     DEFAULT_TOL,
     BellLabError,
     EnsembleEntry,
+    EqualAxisError,
     HiddenStateEnsemble,
     OutcomeDistribution,
     ResponseKernel,
     Scenario,
     Setting,
     TheoryModel,
+    auto_equal_axes,
     behavior,
 )
 from bell_lab.singlet import make_planar_singlet
@@ -81,6 +81,12 @@ class TestBellLocality:
         model = load_theory(fixtures_dir / "signalling.json")
         report = check_bell_locality(model)
         assert not report.bell_local
+
+    def test_a_bool_tolerance_is_refused_and_a_numpy_float_taken(self, singlet_equal_axes):
+        with pytest.raises(BellLabError, match="tolerance"):
+            check_bell_locality(singlet_equal_axes, True)
+        report = check_bell_locality(singlet_equal_axes, np.float64(0.25))
+        assert json.loads(json.dumps(report.to_dict()))["tolerance"] == 0.25
 
     def test_report_serializes(self, singlet_equal_axes):
         doc = check_bell_locality(singlet_equal_axes).to_dict()
@@ -200,7 +206,7 @@ class TestSignalLocality:
         exact = signal_deltas(behavior(load_theory(fixtures_dir / "signalling.json")))
         assert (exact.tolerance, exact.verdict) == (0.0, "Signalling")
 
-    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, True, "0.1", Fraction(1, 10)])
     def test_signal_deltas_rejects_bad_tolerances(self, singlet_chsh, tol):
         with pytest.raises(BellLabError, match="tolerance"):
             signal_deltas(behavior(singlet_chsh), tol)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import bell_lab
 from bell_lab import cli
-from bell_lab.audit import EqualAxisError
+from bell_lab.model import EqualAxisError
 from bell_lab.cli import (_axis_names, _fields, _parse_axes_arg, _parse_bell1964, _parse_policy,
                           _parse_roles, build_parser, main)
 from bell_lab.harness import EnumerationLimitError

@@ -15,7 +15,6 @@ import genmodels
 from bell_lab import harness
 from bell_lab.harness import (
     AntiCorrelationPreconditionError,
-    CHSH_CONVENTION,
     EnumerationLimitError,
     ScenarioShapeError,
     all_correlators,
@@ -24,9 +23,9 @@ from bell_lab.harness import (
     correlator,
     enumerate_strategies,
     local_polytope_membership,
-    resolve_axes,
 )
-from bell_lab.model import BellLabError, Scenario, Setting, UnknownIdError, behavior
+from bell_lab.model import (CHSH_CONVENTION, BellLabError, Scenario, Setting, UnknownIdError, behavior,
+                            resolve_axes)
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
 from reference_harness import evaluate, max_local_chsh, strategy_behavior

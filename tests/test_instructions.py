@@ -15,7 +15,7 @@ import genmodels
 import reference_audit as ref
 from reference_audit import class_for
 from bell_lab import instructions
-from bell_lab.audit import EqualAxisError
+from bell_lab.model import EqualAxisError
 from bell_lab.harness import all_correlators
 from bell_lab.instructions import (
     ClassPartition,

@@ -37,7 +37,7 @@ from bell_lab.model import (
     UnknownIdError,
     require_valid,
 )
-from bell_lab.montecarlo import _Sampler
+from bell_lab.montecarlo import _tables
 
 models = st.one_of(
     genmodels.arbitrary_models(),
@@ -129,12 +129,11 @@ class TestAgainstTheDictWalks:
             assert got == want
             if isinstance(want, instructions.DerivationFailure):
                 assert typed(got.marginal) == typed(want.marginal)
-        sampler = outcome(_Sampler, model, 1, None, tol)
-        if type(sampler) is not tuple:
-            state_cum, outcome_cum = ref.sampler_tables(model)
-            assert sampler.state_cum.tobytes() == state_cum.tobytes()
-            assert sampler.outcome_cum.shape == outcome_cum.shape
-            assert sampler.outcome_cum.tobytes() == outcome_cum.tobytes()
+        if type(outcome(require_valid, model, tol)) is not tuple:
+            (got_state, got_outcome), (state_cum, outcome_cum) = _tables(model), ref.sampler_tables(model)
+            assert got_state.tobytes() == state_cum.tobytes()
+            assert got_outcome.shape == outcome_cum.shape
+            assert got_outcome.tobytes() == outcome_cum.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(model=models, tol=tolerances)

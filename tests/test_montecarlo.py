@@ -140,6 +140,23 @@ class TestRunExperiment:
             with pytest.raises(BellLabError, match="trial count must be positive"):
                 simulate(singlet_chsh, trials, seed=1)
 
+    @pytest.mark.parametrize("bad", [
+        {"trials": True}, {"trials": 10.0}, {"trials": "10"},
+        {"seed": True}, {"seed": 1.5}, {"seed": None},
+        {"policy": [("a1", "b1")]}, {"policy": "uniform"},
+        {"chsh_roles": ("a1", "a2", "b1")}, {"chsh_roles": ("a1", "a2", "b1", "b2", "b1")},
+    ])
+    def test_a_bad_argument_raises_before_the_csv_is_opened(self, singlet_chsh, tmp_path, bad):
+        out = tmp_path / "records.csv"
+        with pytest.raises(BellLabError):
+            simulate(singlet_chsh, **{"trials": 10, "seed": 1, **bad}, csv_path=out)
+        assert not out.exists()
+
+    def test_numpy_integers_are_taken_as_ints(self, singlet_chsh):
+        stats = simulate(singlet_chsh, np.int64(50), seed=np.uint8(7))
+        assert (type(stats.trials), type(stats.seed)) == (int, int)
+        assert json.dumps(stats.to_dict()) == json.dumps(simulate(singlet_chsh, 50, seed=7).to_dict())
+
     def test_invalid_model_rejected(self, fixtures_dir):
         model = load_theory(fixtures_dir / "bad_sum.json")
         with pytest.raises(InvalidModelError):

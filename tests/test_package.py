@@ -5,11 +5,14 @@ object its home module defines, although `import bell_lab` imports no
 submodule: names are looked up on first access.  The load tests run the
 CLI as `python -m bell_lab` in a fresh `python -X dev -W error` and list
 the `bell_lab` modules it loaded, with `dataclasses.dataclass` wrapped to
-count the classes the package decorates while it runs.
+count the classes the package decorates while it runs.  The layering
+tests hold each engine module to relative imports from `.model` alone,
+both in its source and in what importing it loads.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -158,3 +161,36 @@ class TestWhatEachCommandLoads:
     def test_simulate_and_make_singlet_load_their_module(self, tmp_path, argv, module):
         run = run_child(tmp_path, *argv)
         assert run["code"] == 0 and module in run["modules"]
+
+
+#: the engines, each of which builds on `model` alone
+ENGINES = ["specio", "audit", "instructions", "harness", "montecarlo", "singlet"]
+
+
+class TestLayering:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_an_engine_imports_only_model(self, engine):
+        source = Path(SRC, "bell_lab", f"{engine}.py").read_text(encoding="utf-8")
+        relative = [(node.level, node.module) for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.ImportFrom) and node.level]
+        assert relative and set(relative) == {(1, "model")}, relative
+
+    @pytest.mark.parametrize("engine, loads", [
+        ("montecarlo", ["bell_lab", "bell_lab.model", "bell_lab.montecarlo"]),
+        ("instructions", ["bell_lab", "bell_lab.instructions", "bell_lab.model"]),
+        ("harness", ["bell_lab", "bell_lab.harness", "bell_lab.model"]),
+    ])
+    def test_an_engine_loads_only_model(self, engine, loads):
+        code = f"import sys, bell_lab.{engine}; print(*sorted(m for m in sys.modules if m.startswith('bell_lab')))"
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                              encoding="utf-8", check=False)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        assert proc.stdout.split() == loads
+
+    def test_the_chsh_convention_has_one_home(self):
+        from bell_lab import harness, model, montecarlo
+
+        assert harness.CHSH_SIGNS is model.CHSH_SIGNS is montecarlo.CHSH_SIGNS
+        assert harness._chsh_form is model._chsh_form
+        assert harness.CHSH_CONVENTION is model.CHSH_CONVENTION
