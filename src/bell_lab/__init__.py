@@ -4,7 +4,7 @@ Model a candidate theory as a finite weighted ensemble of hidden states
 with per-state outcome kernels, then: audit Bell and signal locality,
 check perfect anti-correlation, derive the deterministic instruction sets
 those properties force, run CHSH and three-axis inequality tests against
-brute-forced local bounds, decide local-polytope membership with exact
+exactly computed local bounds, decide local-polytope membership with exact
 certificates, and simulate EPRB runs reproducibly.
 
 `import bell_lab` loads no submodule: each public name is looked up in its
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-#: each public name's home module, in `__all__` order
+#: each public name's home module; `__all__` lists them in this order
 _HOME = {name: module for module, names in (
     ("model", "BehaviorTable BellLabError EnsembleEntry HiddenStateEnsemble InvalidModelError "
               "OutcomeDistribution ResponseKernel Scenario Setting TheoryModel UnknownIdError "
@@ -33,23 +33,7 @@ _HOME = {name: module for module, names in (
     ("montecarlo", "ExperimentStats FixedSequencePolicy UniformSettingPolicy simulate"),
 ) for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "BehaviorTable", "BellLabError", "EnsembleEntry", "HiddenStateEnsemble",
-    "InvalidModelError", "OutcomeDistribution", "ResponseKernel", "Scenario",
-    "Setting", "TheoryModel", "UnknownIdError", "Violation",
-    "behavior", "validate_theory",
-    "SpecFormatError", "dump_theory", "load_theory", "parse_theory", "theory_to_dict",
-    "SingletSpec", "make_planar_singlet", "make_quantum_theory", "singlet_joint_prob",
-    "AntiCorrelationReport", "LocalityReport", "SignalReport",
-    "check_anticorrelation", "check_bell_locality", "check_signal_locality",
-    "ClassPartition", "DerivationFailure", "InstructionSet",
-    "classify_states", "derive_instruction_sets", "realize_model",
-    "Bell1964Result", "BellTestResult", "CHSHResult", "DeterministicStrategy",
-    "MembershipCertificate", "bell1964", "chsh", "correlator",
-    "enumerate_strategies", "local_polytope_membership",
-    "ExperimentStats", "FixedSequencePolicy", "UniformSettingPolicy", "simulate",
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

@@ -6,10 +6,8 @@ Conventions, stated once and printed in reports:
 * Correlator: E(a, b) = P(+,+) - P(+,-) - P(-,+) + P(-,-).
 * CHSH: `model.CHSH_CONVENTION`, S = E(a,b) + E(a,b') + E(a',b) -
   E(a',b'), for named roles (a, a', b, b'), evaluated by `model`'s one
-  signed form (`CHSH_SIGNS`), which the Monte Carlo estimate shares.  The
-  local bound is brute-forced over all 16 deterministic sign
-  assignments, once per sign pattern at import, never assumed; the value,
-  the bound and the facet certificates all evaluate that form.
+  signed form (`CHSH_SIGNS`), which the Monte Carlo estimate shares.  Its
+  local bound is computed from the form's coefficients, never assumed.
 * Tolerance: `model.resolve_tolerance`, the rule models follow too: an
   explicit `tol`, else 0 for an exact table and 1e-9 for a decimal one.
 * Three-axis inequality over axes (1, 2, 3), each a `model.Axis`, an
@@ -25,17 +23,16 @@ phase-1 simplex with Bland's rule over an integer-preserving
 (Edmonds-Bareiss) tableau either returns convex weights (inside) or a
 separating affine functional read off the simplex multipliers (outside).
 Both kinds of certificate are checked exactly before they are returned:
-the weights must rebuild every cell, the functional must bound every
-deterministic strategy.  For two-setting scenarios an outside verdict is
-first matched against the eight CHSH sign variants so the certificate is
-recognizable.
+the weights must rebuild every cell; the functional, affine or a CHSH facet
+(tried first on two-setting scenarios, so it is recognizable), must exceed
+its maximum over the deterministic strategies, which the best-response
+oracle `_local_max` computes, as it computes every local bound here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -106,13 +103,20 @@ def enumerate_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
             for b_signs in itertools.product((+1, -1), repeat=nb)]
 
 
-#: Each sign pattern's bound: the max of its form over the 16 outcome
-#: assignments in {+-1}^4, brute-forced once at import
-_CHSH_SIGN_BOUNDS = {
-    signs: max(_chsh_form(signs, operator.mul, *outcomes)
-               for outcomes in itertools.product((+1, -1), repeat=4))
-    for signs in itertools.product((+1, -1), repeat=4)
-}
+def _local_max(coeffs: dict[tuple[str, str, int, int], int]) -> int:
+    """Exact max of sum c[a,b,A,B] * P(A,B|a,b) over the deterministic strategies, by best
+    response: for each sign map of the Alice settings named, each named Bob setting takes its best sign."""
+    a_ids = list(dict.fromkeys(a for a, *_ in coeffs))
+    b_ids = dict.fromkeys(b for _, b, *_ in coeffs)
+    best = lambda signs, b: max(sum(coeffs.get((a, b, A, B), 0) for a, A in zip(a_ids, signs)) for B in (+1, -1))
+    return max(sum(best(signs, b) for b in b_ids) for signs in itertools.product((+1, -1), repeat=len(a_ids)))
+
+
+def _chsh_coefficients(signs: tuple[int, int, int, int], pairs: list[Axis]) -> dict[tuple[str, str, int, int], int]:
+    """A signed CHSH form's cell coefficients s * A * B, its signs summed where its pairs repeat."""
+    totals = {pair: sum(s for s, p in zip(signs, pairs) if p == pair) for pair in pairs}
+    return {(a, b, A, B): A * B * s for (a, b), s in totals.items() for A, B in JOINT_OUTCOMES}
+
 
 #: The bound of |E(1,2) - E(1,3)| - E(2,3): its max over the 8
 #: anti-correlated sign patterns, E(i, j) = -s_i s_j, brute-forced once at
@@ -122,8 +126,8 @@ _BELL1964_BOUND = max(abs(s1 * s3 - s1 * s2) + s2 * s3
 
 
 class CHSHResult(NamedTuple):
-    """CHSH evaluation under the fixed convention, with a brute-forced
-    bound; equals and iterates as the plain tuple of its fields."""
+    """CHSH evaluation under the fixed convention, with its local bound;
+    equals and iterates as the plain tuple of its fields."""
 
     roles: tuple[str, str, str, str]
     correlators: dict[tuple[str, str], Prob]
@@ -155,14 +159,14 @@ def chsh(
 ) -> CHSHResult:
     """Evaluate S for the given roles and compare against the local bound.
 
-    The bound is the maximum over all 16 deterministic sign assignments
-    to the four role settings, exhausted once at import.
+    The bound is S's maximum over the deterministic strategies, from
+    `_local_max`; flipping Alice's signs negates S, so it bounds |S|.
     """
     t = resolve_tolerance(table, tol)
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     corr = {pair: correlator(table, *pair) for pair in pairs}
     value = _chsh_form(CHSH_SIGNS, lambda x, y: corr[(x, y)], a, a_prime, b, b_prime)
-    bound = Fraction(_CHSH_SIGN_BOUNDS[CHSH_SIGNS])
+    bound = Fraction(_local_max(_chsh_coefficients(CHSH_SIGNS, pairs)))
     return CHSHResult(
         roles=(a, a_prime, b, b_prime),
         correlators=corr,
@@ -379,7 +383,8 @@ def _eliminate(row: list[int], prow: list[int], enter: int, pivot: int, det: int
 
 def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctional | None:
     """Search the eight CHSH sign variants of a 2x2 scenario for one the
-    behavior exceeds; each variant's bound is brute-forced."""
+    behavior exceeds, bounded by `_local_max`, and recompute that one's
+    value exactly from its coefficients and the cells before returning it."""
     roles = table.scenario.default_chsh_roles()
     if roles is None:
         return None
@@ -390,20 +395,16 @@ def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctio
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
         value = _chsh_form(signs, lambda x, y: corrs[(x, y)], a, a2, b, b2)
-        bound = Fraction(_CHSH_SIGN_BOUNDS[signs])
+        coeffs = _chsh_coefficients(signs, pairs)
+        bound = Fraction(_local_max(coeffs))
         if value > bound + t:
-            terms = " ".join(
-                f"{'+' if s > 0 else '-'}E({p[0]},{p[1]})" for s, p in zip(signs, pairs)
-            )
-            coeffs = {
-                (p[0], p[1], A, B): Fraction(s * A * B)
-                for s, p in zip(signs, pairs)
-                for A, B in JOINT_OUTCOMES
-            }
+            if not sum(c * _exact(table.cell(x, y).prob(A, B)) for (x, y, A, B), c in coeffs.items()) - bound > t:
+                raise BellLabError("facet certificate failed verification; facet search bug")
+            terms = " ".join(f"{'+' if s > 0 else '-'}E({p[0]},{p[1]})" for s, p in zip(signs, pairs))
             return SeparatingFunctional(
                 kind="chsh",
                 description=f"{terms} <= {bound} for every local behavior",
-                coefficients=coeffs,
+                coefficients={key: Fraction(c) for key, c in coeffs.items()},
                 bound=bound,
                 value=value,
             )
@@ -419,7 +420,7 @@ def local_polytope_membership(
     to Fractions, scaled by one common denominator to integers, and the
     phase-1 infeasibility (the `residual`) is compared against the
     tolerance (0 for exact tables, else 1e-9).  Both kinds of certificate
-    are checked on those integers before they are returned.
+    are checked exactly before they are returned.
     """
     scenario = table.scenario
     t = resolve_tolerance(table, tol)
@@ -458,9 +459,10 @@ def local_polytope_membership(
             inside=True, weights=weights, functional=None, residual=residual, tolerance=t
         )
 
-    # y . rhs > t holds here; y must also be <= 0 at every vertex
-    vertex_values = [sum(y_i for y_i, c in zip(y, col) if c) for col in columns]
-    if max(vertex_values) > 0:
+    # y . rhs > t holds here; y must also be <= 0 at every vertex, whose
+    # best value is the cells' best response plus the normalization's y[-1]
+    cells = {key: y_i for key, y_i in zip(row_keys, y) if y_i != 0}
+    if (bound := _local_max(cells)) + y[-1] > 0:
         raise BellLabError("outside certificate failed verification; simplex bug")
 
     facet = _chsh_facet_certificate(table, t)
@@ -474,8 +476,8 @@ def local_polytope_membership(
     functional = SeparatingFunctional(
         kind="affine",
         description="affine separating functional from phase-1 simplex multipliers",
-        coefficients={key: Fraction(y[i], det) for i, key in enumerate(row_keys) if y[i] != 0},
-        bound=Fraction(max(vertex_values) - y[-1], det),
+        coefficients={key: Fraction(y_i, det) for key, y_i in cells.items()},
+        bound=Fraction(bound, det),
         value=residual - Fraction(y[-1], det),
     )
     return MembershipCertificate(

@@ -284,6 +284,9 @@ def resolve_axes(scenario: Scenario, names: list[str | tuple[str, str | None]]) 
         if isinstance(name, str):
             a_id, pair, b_id = name.partition("=")
             name = (a_id, b_id if pair else None)
+        elif not (isinstance(name, tuple) and len(name) == 2 and isinstance(name[0], str)
+                  and isinstance(name[1], (str, type(None)))):
+            raise BellLabError(f"axis name must be a string or an (aId, bId or None) tuple, got {name!r}")
         a_id, b_id = name
         scenario.alice_setting(a_id)
         if b_id is not None:

@@ -94,6 +94,9 @@ class FixedSequencePolicy:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise BellLabError("fixed-sequence policy needs at least one pair")
+        for pair in self.pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(i, str) for i in pair)):
+                raise BellLabError(f"fixed-sequence pair must be two setting ids, got {pair!r}")
 
 
 SettingPolicy = UniformSettingPolicy | FixedSequencePolicy

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bell_lab.instructions import InstructionSet, realize_model
 from bell_lab.model import (
+    JOINT_OUTCOMES,
     EnsembleEntry,
     HiddenStateEnsemble,
     OutcomeDistribution,
@@ -248,6 +249,17 @@ def zero_one_systems(draw, max_rows: int = 9, max_cols: int = 16):
         rhs.append(rhs[i] if draw(st.booleans()) else draw(rationals))
     columns = [[row[j] for row in rows] for j in range(n)]
     return columns, rhs
+
+
+@st.composite
+def int_functionals(draw) -> tuple[Scenario, dict[tuple[str, str, int, int], int]]:
+    """(scenario, coefficients): a 2x2 to 4x4 scenario and small int
+    coefficients on some of its cells, so that a draw often names only some
+    of the settings on a side."""
+    na, nb = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    scenario = Scenario(tuple(Setting(f"a{i}") for i in range(na)), tuple(Setting(f"b{j}") for j in range(nb)))
+    keys = [(a, b, A, B) for a, b in scenario.pairs() for A, B in JOINT_OUTCOMES]
+    return scenario, draw(st.dictionaries(st.sampled_from(keys), st.integers(-4, 4), max_size=len(keys)))
 
 
 @st.composite

@@ -225,6 +225,15 @@ class TestAntiCorrelation:
         with pytest.raises(EqualAxisError):
             check_anticorrelation(singlet_chsh)
 
+    def test_auto_detection_tolerates_rounding_not_a_nearby_axis(self):
+        # planar unit vectors 1e-13 apart name one axis, 1e-9 apart two
+        def scenario(gap):
+            unit = lambda theta: (math.cos(theta), math.sin(theta), 0.0)
+            return Scenario((Setting("a", unit(0.7)),), (Setting("b", unit(0.7 + gap)),))
+
+        assert auto_equal_axes(scenario(1e-13)) == [("a", "b")]
+        assert auto_equal_axes(scenario(1e-9)) == []
+
     def test_explicit_pairs_override_detection(self, singlet_chsh):
         report = check_anticorrelation(singlet_chsh, equal_axis_pairs=[("a1", "b1")])
         # 0 vs 45 degrees is not an equal axis, so same outcomes do occur

@@ -3,6 +3,7 @@ local bounds, and exact local-polytope membership."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -24,8 +25,8 @@ from bell_lab.harness import (
     enumerate_strategies,
     local_polytope_membership,
 )
-from bell_lab.model import (CHSH_CONVENTION, BellLabError, Scenario, Setting, UnknownIdError, behavior,
-                            resolve_axes)
+from bell_lab.model import (CHSH_CONVENTION, BehaviorTable, BellLabError, OutcomeDistribution, Scenario, Setting,
+                            UnknownIdError, _chsh_form, behavior, resolve_axes)
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
 from reference_harness import evaluate, max_local_chsh, strategy_behavior
@@ -117,12 +118,23 @@ class TestLocalBound:
         with pytest.raises(ScenarioShapeError):
             max_local_chsh(singlet_three_axes.scenario)
 
-    def test_sign_bound_table_is_the_strategy_maximum(self, singlet_chsh):
-        # the table chsh and the facet search read, brute-forced at import
-        assert harness._CHSH_SIGN_BOUNDS[harness.CHSH_SIGNS] == max_local_chsh(singlet_chsh.scenario).bound
-        for signs, bound in harness._CHSH_SIGN_BOUNDS.items():
+    def test_oracle_gives_every_chsh_sign_pattern_its_strategy_maximum(self, singlet_chsh):
+        # the bound chsh and the facet search read, from the best-response oracle
+        a, a2, b, b2 = singlet_chsh.scenario.default_chsh_roles()
+        pairs = [(a, b), (a, b2), (a2, b), (a2, b2)]
+        bound = harness._local_max(harness._chsh_coefficients(harness.CHSH_SIGNS, pairs))
+        assert bound == max_local_chsh(singlet_chsh.scenario).bound
+        for signs in itertools.product((+1, -1), repeat=4):
             odd = signs[0] * signs[1] * signs[2] * signs[3] == -1
-            assert bound == (2 if odd else 4)
+            assert harness._local_max(harness._chsh_coefficients(signs, pairs)) == (2 if odd else 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(genmodels.int_functionals())
+    def test_oracle_is_the_brute_force_maximum(self, functional):
+        scenario, coeffs = functional
+        brute = max(sum(c for (a, b, A, B), c in coeffs.items() if s.alice_map[a] == A and s.bob_map[b] == B)
+                    for s in enumerate_strategies(scenario))
+        assert harness._local_max(coeffs) == brute
 
 
 class TestBell1964:
@@ -191,6 +203,11 @@ class TestResolveAxes:
     def test_unresolvable_name_raises(self, singlet_chsh):
         with pytest.raises(BellLabError, match="cannot resolve axis"):
             resolve_axes(singlet_chsh.scenario, ["a1"])
+
+    def test_a_name_of_the_wrong_shape_raises_bell_lab_error(self, singlet_chsh):
+        for name in (("a1", "b1", "x"), ("a1",), 5):
+            with pytest.raises(BellLabError, match="axis name must be"):
+                resolve_axes(singlet_chsh.scenario, [name])
 
     def test_tuples_name_ids_holding_equals_verbatim(self):
         settings_ = (Setting("x=1"), Setting("x"), Setting("1"))
@@ -323,6 +340,19 @@ class TestMembership:
         with pytest.raises(BellLabError, match="outside certificate failed verification"):
             local_polytope_membership(behavior(singlet_three_axes))
 
+    def test_signalling_behavior_at_the_chsh_bound_is_outside_by_an_affine_functional(self):
+        # every CHSH variant is exactly 2, its bound, so no facet separates it
+        table = signalling_table()
+        cert = local_polytope_membership(table)
+        assert not cert.inside
+        assert cert.functional.kind == "affine" and cert.functional.margin > 0
+
+    def test_corrupted_facet_certificate_is_refused(self, monkeypatch):
+        # the facet search now picks a variant the behavior only meets
+        monkeypatch.setattr(harness, "_chsh_form", lambda *args: _chsh_form(*args) + 1)
+        with pytest.raises(BellLabError, match="facet certificate failed verification"):
+            local_polytope_membership(signalling_table())
+
     def test_corrupted_inside_certificate_is_refused(self, fixtures_dir, monkeypatch):
         solve = harness._phase1_simplex
 
@@ -335,6 +365,13 @@ class TestMembership:
         table = behavior(load_theory(fixtures_dir / "eight_pattern.json"))
         with pytest.raises(BellLabError, match="inside certificate failed verification"):
             local_polytope_membership(table)
+
+
+def signalling_table() -> BehaviorTable:
+    """The exact 2x2 behavior with a1b1 ++, a1b2 --, a2b1 ++ and a2b2 ++."""
+    scenario = Scenario(tuple(map(Setting, ("a1", "a2"))), tuple(map(Setting, ("b1", "b2"))))
+    signs = {("a1", "b1"): 1, ("a1", "b2"): -1, ("a2", "b1"): 1, ("a2", "b2"): 1}
+    return BehaviorTable(scenario, {pair: OutcomeDistribution.point(s, s) for pair, s in signs.items()})
 
 
 def assert_weights_reproduce(cert, table, scenario):

@@ -179,6 +179,11 @@ class TestRunExperiment:
         with pytest.raises(BellLabError):
             FixedSequencePolicy(pairs=())
 
+    def test_fixed_sequence_rejects_a_pair_that_is_not_two_ids(self):
+        for pairs in ((("a1",),), (("a1", "b1", "x"),), ("a1b1",)):
+            with pytest.raises(BellLabError, match="two setting ids"):
+                FixedSequencePolicy(pairs=pairs)
+
     def test_policy_change_keeps_state_draws(self, singlet_chsh):
         uniform = records_of(singlet_chsh, 100, seed=11)
         fixed = records_of(
