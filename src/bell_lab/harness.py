@@ -19,21 +19,25 @@ Conventions, stated once and printed in reports:
 Membership in the local polytope is decided by exact rational feasibility
 over the enumerated deterministic strategies: floats are converted to
 Fractions exactly and scaled by one common denominator to integers, and a
-phase-1 simplex with Bland's rule over an integer-preserving
-(Edmonds-Bareiss) tableau either returns convex weights (inside) or a
-separating affine functional read off the simplex multipliers (outside).
-Both kinds of certificate are checked exactly before they are returned:
-the weights must rebuild every cell; the functional, affine or a CHSH facet
-(tried first on two-setting scenarios, so it is recognizable), must exceed
-its maximum over the deterministic strategies, which the best-response
-oracle `_local_max` computes, as it computes every local bound here.
+revised phase-1 simplex with Bland's rule, which stores only the integer
+(Edmonds-Bareiss) block [det * B^-1 | basic values] and prices each
+strategy's 0/1 column on demand from its support, either returns convex
+weights (inside) or a separating affine functional read off the simplex
+multipliers (outside).  Both kinds of certificate are checked exactly
+before they are returned: the weights must rebuild every cell; the
+functional, affine or a CHSH facet (tried first on two-setting scenarios,
+so it is recognizable), must exceed its maximum over the deterministic
+strategies, which the best-response oracle `_local_max` computes, as it
+computes every local bound here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (
@@ -118,6 +122,15 @@ def _chsh_coefficients(signs: tuple[int, int, int, int], pairs: list[Axis]) -> d
     return {(a, b, A, B): A * B * s for (a, b), s in totals.items() for A, B in JOINT_OUTCOMES}
 
 
+@functools.cache
+def _chsh_bound(signs: tuple[int, int, int, int], same_a: bool, same_b: bool) -> Fraction:
+    """`_local_max` of a signed CHSH form, cached by what it depends on:
+    its signs and which roles coincide (a = a', b = b'), not the ids."""
+    a2, b2 = "a" if same_a else "a'", "b" if same_b else "b'"
+    pairs = [("a", "b"), ("a", b2), (a2, "b"), (a2, b2)]
+    return Fraction(_local_max(_chsh_coefficients(signs, pairs)))
+
+
 #: The bound of |E(1,2) - E(1,3)| - E(2,3): its max over the 8
 #: anti-correlated sign patterns, E(i, j) = -s_i s_j, brute-forced once at
 #: import (Bell 1964)
@@ -160,13 +173,14 @@ def chsh(
     """Evaluate S for the given roles and compare against the local bound.
 
     The bound is S's maximum over the deterministic strategies, from
-    `_local_max`; flipping Alice's signs negates S, so it bounds |S|.
+    `_local_max` through `_chsh_bound`'s cache; flipping Alice's signs
+    negates S, so it bounds |S|.
     """
     t = resolve_tolerance(table, tol)
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     corr = {pair: correlator(table, *pair) for pair in pairs}
     value = _chsh_form(CHSH_SIGNS, lambda x, y: corr[(x, y)], a, a_prime, b, b_prime)
-    bound = Fraction(_local_max(_chsh_coefficients(CHSH_SIGNS, pairs)))
+    bound = _chsh_bound(CHSH_SIGNS, a == a_prime, b == b_prime)
     return CHSHResult(
         roles=(a, a_prime, b, b_prime),
         correlators=corr,
@@ -303,18 +317,23 @@ def _exact(p: Prob) -> Fraction:
 
 
 def _phase1_simplex(
-    columns: list[list[int]], rhs: list[int]
+    supports: list[tuple[int, ...]], rhs: list[int]
 ) -> tuple[list[int], list[int] | None, int]:
-    """Exact feasibility of {Vw = rhs, w >= 0} for integer V and rhs >= 0.
+    """Exact feasibility of {Vw = rhs, w >= 0} for integer rhs >= 0 and a
+    0/1 matrix V whose column j holds its 1s in the rows supports[j].
 
-    Integer-preserving (Edmonds-Bareiss) pivoting: the tableau holds
-    integers whose true values are entry / det, det being the last pivot
-    (1 at the start).  A pivot on p = T[r][s] keeps row r and maps every
-    other entry x to (x*p - T[i][s]*T[r][j]) // det, a division that is
-    always exact because each entry is a minor of the starting matrix.
-    det stays positive, so signs read the same and ratios compare by
-    cross-multiplying: Bland's rule walks the pivot path of the rational
-    tableau and keeps it finite despite the degeneracy of redundant
+    A revised simplex on the full tableau's pivot path.  It stores the
+    block [det * B^-1 | basic values] and the phase-1 objective over the
+    artificials and rhs: integers whose true values are entry / det, det
+    being the last pivot (1 at the start).  Column j's reduced cost is
+    priced when needed, -sum(det - obj[i] for i in supports[j]), in index
+    order up to the first negative one (Bland's entering rule); the
+    entering column sums the block's columns on its support.  A pivot on p
+    keeps its row and maps every other entry x to
+    (x*p - column[i]*prow[k]) // det (Edmonds-Bareiss), exact because each
+    entry is a minor of the starting matrix.  det stays positive, so signs
+    read the same and ratios compare by cross-multiplying: Bland's rule
+    keeps the pivoting finite despite the degeneracy of redundant
     probability rows.
 
     Returns (w, y, det).  w / det is the final basic solution on the
@@ -322,58 +341,66 @@ def _phase1_simplex(
     then solves it); otherwise y / det is a Farkas vector:
     y . column_j <= 0 for every j but y . rhs > 0.
     """
-    m, n = len(rhs), len(columns)
-    tableau = []
-    for i in range(m):
-        row = [col[i] for col in columns]
-        row += [1 if k == i else 0 for k in range(m)]
-        row.append(rhs[i])
-        tableau.append(row)
+    m, n = len(rhs), len(supports)
+    # itemgetter gives a bare item for one index, so a short support reads a slice
+    picks = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1) if s else slice(0))
+             for s in supports]
+    block = [[int(k == i) for k in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    # reduced costs for phase-1 objective (cost 1 on artificials), priced
-    # out; the row pivots like the others, so it shares their divisor
-    obj = [-sum(col) for col in columns] + [0] * m + [-sum(rhs)]
+    # phase-1 reduced costs (cost 1 on the artificials), priced out; the
+    # row pivots like the others, so it shares their divisor
+    obj = [0] * m + [-sum(rhs)]
     det = 1
 
     while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            break
+        # det times the simplex multipliers; the rhs entry is never picked
+        dual = [det - x for x in obj]
+        enter = next((j for j, pick in enumerate(picks) if sum(pick(dual)) > 0), None)
+        if enter is not None:
+            pick = picks[enter]
+            factor = -sum(pick(dual))
+            column = [sum(pick(row)) for row in block]
+        else:
+            enter = next((n + k for k in range(m) if obj[k] < 0), None)
+            if enter is None:
+                break
+            factor = obj[enter - n]
+            column = [row[enter - n] for row in block]
         leave = None
         for i in range(m):
-            coeff = tableau[i][enter]
+            coeff = column[i]
             if coeff > 0:
                 if leave is None:
                     leave = i
                     continue
                 # ratio_i < ratio_leave, both coefficients positive
-                here = tableau[i][-1] * tableau[leave][enter]
-                best = tableau[leave][-1] * coeff
+                here = block[i][-1] * column[leave]
+                best = block[leave][-1] * coeff
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise BellLabError("phase-1 objective unbounded; this cannot happen")
-        prow = tableau[leave]
-        pivot = prow[enter]
+        prow = block[leave]
+        pivot = column[leave]
         for i in range(m):
             if i != leave:
-                tableau[i] = _eliminate(tableau[i], prow, enter, pivot, det)
-        obj = _eliminate(obj, prow, enter, pivot, det)
+                block[i] = _eliminate(block[i], prow, column[i], pivot, det)
+        obj = _eliminate(obj, prow, factor, pivot, det)
         det = pivot
         basis[leave] = enter
 
     w = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            w[var] = tableau[i][-1]
+            w[var] = block[i][-1]
     if obj[-1] == 0:
         return w, None, det
-    return w, [det - obj[n + i] for i in range(m)], det
+    return w, dual[:m], det
 
 
-def _eliminate(row: list[int], prow: list[int], enter: int, pivot: int, det: int) -> list[int]:
-    """One non-pivot row after an integer-preserving pivot."""
-    factor = row[enter]
+def _eliminate(row: list[int], prow: list[int], factor: int, pivot: int, det: int) -> list[int]:
+    """One non-pivot row after an integer-preserving pivot; `factor` is
+    its entry in the entering column."""
     if factor == 0:
         if pivot == det:
             return row
@@ -383,7 +410,7 @@ def _eliminate(row: list[int], prow: list[int], enter: int, pivot: int, det: int
 
 def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctional | None:
     """Search the eight CHSH sign variants of a 2x2 scenario for one the
-    behavior exceeds, bounded by `_local_max`, and recompute that one's
+    behavior exceeds, bounded by `_chsh_bound`, and recompute that one's
     value exactly from its coefficients and the cells before returning it."""
     roles = table.scenario.default_chsh_roles()
     if roles is None:
@@ -395,9 +422,9 @@ def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctio
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
         value = _chsh_form(signs, lambda x, y: corrs[(x, y)], a, a2, b, b2)
-        coeffs = _chsh_coefficients(signs, pairs)
-        bound = Fraction(_local_max(coeffs))
+        bound = _chsh_bound(signs, a == a2, b == b2)
         if value > bound + t:
+            coeffs = _chsh_coefficients(signs, pairs)
             if not sum(c * _exact(table.cell(x, y).prob(A, B)) for (x, y, A, B), c in coeffs.items()) - bound > t:
                 raise BellLabError("facet certificate failed verification; facet search bug")
             terms = " ".join(f"{'+' if s > 0 else '-'}E({p[0]},{p[1]})" for s, p in zip(signs, pairs))
@@ -431,14 +458,16 @@ def local_polytope_membership(
         for a_id, b_id in scenario.pairs()
         for A, B in JOINT_OUTCOMES
     ]
-    columns = [[int(am[a] == A and bm[b] == B) for (a, b, A, B) in row_keys] + [1]
-               for am, bm in ((strat.alice_map, strat.bob_map) for strat in strategies)]
+    # a strategy's column: its joint outcome's row per pair, then normalization
+    row = {key: i for i, key in enumerate(row_keys)}
+    supports = [(*(row[a, b, A, B] for a, A in strat.alice for b, B in strat.bob), len(row_keys))
+                for strat in strategies]
     probs = [_exact(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys] + [Fraction(1)]
     scale = math.lcm(*(p.denominator for p in probs))
     rhs = [p.numerator * (scale // p.denominator) for p in probs]
 
     # true weights are w / (det * scale), true multipliers y / det
-    w, y, det = _phase1_simplex(columns, rhs)
+    w, y, det = _phase1_simplex(supports, rhs)
     denom = det * scale
     # phase-1 optimum: the artificial mass left in the basis, which doubles
     # as an infeasibility residual when y is a Farkas certificate
@@ -447,14 +476,15 @@ def local_polytope_membership(
     if y is None or residual <= t:
         # the basic solution misses each row by that row's artificial,
         # so by at most the residual (exactly nothing when feasible)
-        support = {j: w_j for j, w_j in enumerate(w) if w_j != 0}
-        misses = (
-            abs(sum(w_j * columns[j][i] for j, w_j in support.items()) - r * det)
-            for i, r in enumerate(rhs)
-        )
-        if min(support.values(), default=0) < 0 or max(misses) > residual_num:
+        used = {j: w_j for j, w_j in enumerate(w) if w_j != 0}
+        rebuilt = [0] * len(rhs)
+        for j, w_j in used.items():
+            for i in supports[j]:
+                rebuilt[i] += w_j
+        misses = (abs(x - r * det) for x, r in zip(rebuilt, rhs))
+        if min(used.values(), default=0) < 0 or max(misses) > residual_num:
             raise BellLabError("inside certificate failed verification; simplex bug")
-        weights = {strategies[j]: Fraction(w_j, denom) for j, w_j in support.items()}
+        weights = {strategies[j]: Fraction(w_j, denom) for j, w_j in used.items()}
         return MembershipCertificate(
             inside=True, weights=weights, functional=None, residual=residual, tolerance=t
         )

@@ -278,6 +278,8 @@ def resolve_axes(scenario: Scenario, names: list[str | tuple[str, str | None]]) 
     setting of the same id, else a Bob setting with an equal direction
     vector.
     """
+    if not isinstance(names, (list, tuple)):
+        raise BellLabError(f"axis names must be a list or tuple of names, got {names!r}")
     vector_pairs = dict(auto_equal_axes(scenario))
     out: list[Axis] = []
     for name in names:

@@ -92,6 +92,8 @@ class FixedSequencePolicy:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pairs, (tuple, list)):
+            raise BellLabError(f"fixed-sequence pairs must be a tuple of setting-id pairs, got {self.pairs!r}")
         if not self.pairs:
             raise BellLabError("fixed-sequence policy needs at least one pair")
         for pair in self.pairs:

@@ -30,6 +30,8 @@ from bell_lab.model import (CHSH_CONVENTION, BehaviorTable, BellLabError, Outcom
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
 from reference_harness import evaluate, max_local_chsh, strategy_behavior
+import reference_simplex
+from reference_simplex import _integer_phase1_simplex as integer_phase1
 from reference_simplex import _phase1_simplex as reference_phase1
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -128,6 +130,14 @@ class TestLocalBound:
             odd = signs[0] * signs[1] * signs[2] * signs[3] == -1
             assert harness._local_max(harness._chsh_coefficients(signs, pairs)) == (2 if odd else 4)
 
+    def test_cached_chsh_bound_is_the_oracle_bound_for_every_sign_and_repeat_pattern(self):
+        for signs in itertools.product((+1, -1), repeat=4):
+            for a2, b2 in (("a2", "b2"), ("a1", "b2"), ("a2", "b1"), ("a1", "b1")):
+                pairs = [("a1", "b1"), ("a1", b2), (a2, "b1"), (a2, b2)]
+                bound = harness._chsh_bound(signs, a2 == "a1", b2 == "b1")
+                assert bound == harness._local_max(harness._chsh_coefficients(signs, pairs))
+                assert isinstance(bound, Fraction)
+
     @settings(max_examples=150, deadline=None)
     @given(genmodels.int_functionals())
     def test_oracle_is_the_brute_force_maximum(self, functional):
@@ -208,6 +218,11 @@ class TestResolveAxes:
         for name in (("a1", "b1", "x"), ("a1",), 5):
             with pytest.raises(BellLabError, match="axis name must be"):
                 resolve_axes(singlet_chsh.scenario, [name])
+
+    @pytest.mark.parametrize("names", [None, 5, "a1=b1"], ids=["none", "int", "bare-string"])
+    def test_names_that_are_not_a_list_raise_bell_lab_error(self, singlet_chsh, names):
+        with pytest.raises(BellLabError, match="axis names must be a list or tuple"):
+            resolve_axes(singlet_chsh.scenario, names)
 
     def test_tuples_name_ids_holding_equals_verbatim(self):
         settings_ = (Setting("x=1"), Setting("x"), Setting("1"))
@@ -388,15 +403,32 @@ def assert_weights_reproduce(cert, table, scenario):
             assert abs(recon - Fraction(table.cell(a_id, b_id).prob(A, B))) <= t
 
 
+def supports_of(columns: list[list[int]]) -> list[tuple[int, ...]]:
+    """The rows where each dense 0/1 column holds a 1."""
+    return [tuple(i for i, v in enumerate(col) if v) for col in columns]
+
+
+def dense(supports: list[tuple[int, ...]], m: int) -> list[list[int]]:
+    return [[int(i in s) for i in range(m)] for s in supports]
+
+
 class TestPhase1Simplex:
-    """The integer tableau against the Fraction tableau it replaced."""
+    """The revised simplex against the full tableaux it replaced: the same
+    (w, y, det) as the integer tableau, so the same final basis, and the
+    same verdict and vector as the Fraction tableau."""
+
+    @staticmethod
+    def solve(columns: list[list[int]], rhs: list[int]) -> tuple[list[int], list[int] | None, int]:
+        result = harness._phase1_simplex(supports_of(columns), rhs)
+        assert result == integer_phase1(columns, rhs)
+        return result
 
     @settings(max_examples=300, deadline=None)
     @given(genmodels.zero_one_systems())
     def test_same_verdict_and_vector_as_the_fraction_tableau(self, system):
         columns, rhs = system
         scale = math.lcm(*(r.denominator for r in rhs))
-        w, y, det = harness._phase1_simplex(columns, [int(r * scale) for r in rhs])
+        w, y, det = self.solve(columns, [int(r * scale) for r in rhs])
         feasible, vec = reference_phase1(
             [[Fraction(v) for v in col] for col in columns], rhs
         )
@@ -407,6 +439,55 @@ class TestPhase1Simplex:
         else:
             assert [Fraction(x, det) for x in y] == vec
         assert all(x >= 0 for x in w)
+
+    @settings(max_examples=15, deadline=None)
+    @given(genmodels.zero_one_systems(max_rows=20, max_cols=40))
+    def test_same_path_as_the_integer_tableau_on_larger_systems(self, system):
+        columns, rhs = system
+        scale = math.lcm(*(r.denominator for r in rhs))
+        self.solve(columns, [int(r * scale) for r in rhs])
+
+    def test_same_path_on_four_by_four_singlets_and_exact_mixtures(self, monkeypatch):
+        solve, verdicts = harness._phase1_simplex, []
+
+        def checked(supports, rhs):
+            result = solve(supports, rhs)
+            assert result == integer_phase1(dense(supports, len(rhs)), rhs)
+            verdicts.append(result[1] is None)
+            return result
+
+        monkeypatch.setattr(harness, "_phase1_simplex", checked)
+        rng = np.random.default_rng(53)
+        for offset in (0.0, 10.0):
+            alice = ",".join(f"a{i}={offset + 45 * i}" for i in range(4))
+            bob = ",".join(f"b{i}={offset + 22.5 + 45 * i}" for i in range(4))
+            local_polytope_membership(behavior(make_planar_singlet(alice, bob)))
+            local_polytope_membership(behavior(genmodels.random_anticorr_mixture(rng, 4, 12)))
+        assert verdicts == [False, True, False, True]
+
+    def test_an_artificial_column_reenters_the_basis(self, monkeypatch):
+        # column 0 is all zeros; artificial 3 (index n + 3 = 7) re-enters
+        columns = [[0, 0, 0, 0], [1, 0, 0, 1], [1, 1, 1, 0], [1, 0, 1, 0]]
+        entered, eliminate = [], reference_simplex._eliminate
+
+        def record(row, prow, enter, pivot, det):
+            entered.append(enter)
+            return eliminate(row, prow, enter, pivot, det)
+
+        monkeypatch.setattr(reference_simplex, "_eliminate", record)
+        assert self.solve(columns, [2, 1, 3, 1]) == ([0, 1, 1, 0], [-1, 0, 1, 1], 1)
+        assert 7 in entered
+
+    def test_supports_of_no_row_and_of_one_row(self):
+        # an itemgetter of one index returns a bare item, of none raises
+        for columns, rhs, feasible in (
+            ([[0, 0], [1, 0], [0, 1], [1, 1]], [1, 2], True),
+            ([[0, 0], [0, 1]], [0, 2], True),
+            ([[0, 0], [0, 1]], [1, 2], False),
+            ([[1, 0], [0, 1]], [3, 0], True),
+        ):
+            assert [len(s) for s in supports_of(columns)][:2] in ([0, 1], [1, 1])
+            assert (self.solve(columns, rhs)[1] is None) == feasible
 
 
 class TestCorrelators:

@@ -184,6 +184,10 @@ class TestRunExperiment:
             with pytest.raises(BellLabError, match="two setting ids"):
                 FixedSequencePolicy(pairs=pairs)
 
+    def test_fixed_sequence_rejects_pairs_that_are_not_a_sequence(self):
+        with pytest.raises(BellLabError, match="must be a tuple of setting-id pairs"):
+            FixedSequencePolicy(pairs=5)
+
     def test_policy_change_keeps_state_draws(self, singlet_chsh):
         uniform = records_of(singlet_chsh, 100, seed=11)
         fixed = records_of(
