@@ -19,7 +19,8 @@ newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
 `emit_json` writes the pieces json's own encoder makes, `_SLAB_ROWS` at
 a time, so a large report is never held as one string; where the encoder
 meets a locality report, `_listing` writes its violations from the
-audit's columns, per slab of `_SLAB_ROWS` rows.  Text output writes a
+audit's columns, one join per slab of `_SLAB_ROWS` rows, each distinct
+float of a slab encoded once.  Text output writes a
 character stdout cannot encode as a backslash escape.  A closed stdout
 (`| head`, `>&-`) does not change the exit code: it stays the check's
 own 0 or 1.
@@ -31,10 +32,12 @@ import argparse
 import json
 import os
 import re
+import struct
 import sys
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Iterator
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .audit import (
@@ -60,27 +63,37 @@ PROG = "bell-lab"
 _SLAB_ROWS = 256
 
 
+def _texts(values: list) -> Iterable[str]:
+    """Each value's json text as `to_dict` lists it, none holding ", "; floats
+    are encoded once per distinct bit pattern, so -0.0 and 0.0 stay apart."""
+    if set(map(type, values)) != {float}:
+        return json.dumps(list(map(format_probability, values)))[1:-1].split(", ")
+    # struct: a numpy view cost the largest report about 0.2 MB of peak RSS
+    bits = struct.unpack(f"{len(values)}q", struct.pack(f"{len(values)}d", *values))
+    distinct = dict(zip(bits, values))
+    return map(dict(zip(distinct, json.dumps([*distinct.values()])[1:-1].split(", "))).__getitem__, bits)
+
+
 def _listing(report: LocalityReport, level: int) -> Iterator[str]:
     """The `indent=2` text of `report.to_dict()["violations"]`, `level`
-    deep, one piece per `_SLAB_ROWS` rows: per row, one `%` on its slot's
-    template, a row dumped with "%s" (unquoted) for the other fields."""
+    deep, one join per `_SLAB_ROWS` rows of the pieces of each slot's row,
+    dumped with "%s" for the six other fields, and those fields' texts."""
     row = "\n" + "  " * (level + 1)
     blank = lambda form, A, B: LocalityViolation(form, *["%s"] * 3, A, B, *["%s"] * 3)
-    # json escapes a newline inside a string, so one replace indents a dumped row
-    templates = ["," + row + json.dumps(blank(*slot).to_dict(), indent=2, sort_keys=True)
-                 .replace("\n", row).replace('"%s"', "%s") for slot in SLOTS]
+    # json escapes a newline inside a string, so one replace indents a dumped row;
+    # pieces[i][k]: slot k's text before field i (for i = 6, after the last)
+    pieces = list(zip(*(("," + row + json.dumps(blank(*slot).to_dict(), indent=2, sort_keys=True)
+                         .replace("\n", row)).split('"%s"') for slot in SLOTS)))
     states, a_ids, b_ids = (list(map(json.dumps, ids)) for ids in report.ids)
     (s, a, b, k), (lhs, rhs, resid) = report.failing, report.values
-    # each value's json text as `to_dict` lists it: one encoder call, and no text holds ", "
-    texts = lambda values: json.dumps(values if set(map(type, values)) == {float} else
-                                      list(map(format_probability, values)))[1:-1].split(", ")
     for start in range(0, len(k), _SLAB_ROWS):
         part = slice(start, start + _SLAB_ROWS)
         # the fields in key order: a, b, lhs, residual, rhs, state
-        fields = zip(map(a_ids.__getitem__, a[part]), map(b_ids.__getitem__, b[part]),
-                     texts(lhs[part]), texts(resid[part]), texts(rhs[part]),
-                     map(states.__getitem__, s[part]))
-        text = "".join(map(str.__mod__, map(templates.__getitem__, k[part]), fields))
+        fields = (map(a_ids.__getitem__, a[part]), map(b_ids.__getitem__, b[part]), _texts(lhs[part]),
+                  _texts(resid[part]), _texts(rhs[part]), map(states.__getitem__, s[part]))
+        # only the pieces around "form" and the outcomes vary
+        *before, after = (repeat(p[0]) if len(set(p)) == 1 else map(p.__getitem__, k[part]) for p in pieces)
+        text = "".join(chain.from_iterable(zip(*chain.from_iterable(zip(before, fields)), after)))
         yield text if start else "[" + text[1:]  # each template starts with ","
     yield row[:-2] + "]"
 
@@ -196,8 +209,7 @@ def _load(path: str) -> tuple[TheoryModel, bytes]:
             raw = fh.read()
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-    model = parse_theory(raw, source=path)
-    return model, raw
+    return parse_theory(raw, source=path), raw
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +238,8 @@ def render_locality(report, out) -> None:
     for v in report.rows(20):
         slot_a = "." if v.outcome_a is None else ("+" if v.outcome_a > 0 else "-")
         slot_b = "." if v.outcome_b is None else ("+" if v.outcome_b > 0 else "-")
-        out.write(
-            f"  [{v.form}] state={v.state_id} a={v.a_id} b={v.b_id} "
-            f"outcomes={slot_a}{slot_b} lhs={_fmt(v.lhs)} rhs={_fmt(v.rhs)} "
-            f"residual={_fmt(v.residual)}\n"
-        )
+        out.write(f"  [{v.form}] state={v.state_id} a={v.a_id} b={v.b_id} outcomes={slot_a}{slot_b} "
+                  f"lhs={_fmt(v.lhs)} rhs={_fmt(v.rhs)} residual={_fmt(v.residual)}\n")
     if len(report.failing[0]) > 20:
         out.write(f"  ... {len(report.failing[0]) - 20} more violation(s)\n")
 
@@ -250,10 +259,8 @@ def render_anticorr(report, out) -> None:
     out.write(f"Anti-correlation: {report.verdict}\n")
     out.write(f"  axes: {', '.join(f'{a}={b}' for a, b in report.axes_checked)}\n")
     for c in report.offending():
-        out.write(
-            f"  state={c.state_id} axis {c.a_id}={c.b_id}: "
-            f"P(+,+)={_fmt(c.same_plus)} P(-,-)={_fmt(c.same_minus)}\n"
-        )
+        out.write(f"  state={c.state_id} axis {c.a_id}={c.b_id}: "
+                  f"P(+,+)={_fmt(c.same_plus)} P(-,-)={_fmt(c.same_minus)}\n")
 
 
 def render_instructions(result, partition, out) -> None:
@@ -270,10 +277,7 @@ def render_instructions(result, partition, out) -> None:
     out.write(f"  axes: {axes_text}\n")
     for state_id in result.state_ids():
         pattern = "".join("+" if s > 0 else "-" for s in result.pattern(state_id))
-        out.write(
-            f"  state {state_id}: pattern {pattern} "
-            f"(weight {_fmt(result.weights[state_id])})\n"
-        )
+        out.write(f"  state {state_id}: pattern {pattern} (weight {_fmt(result.weights[state_id])})\n")
     if "skipped" in partition:
         out.write(f"  classes skipped: {partition['skipped']}\n")
         return
@@ -290,19 +294,14 @@ def render_bell_tests(result: BellTestResult, out) -> None:
     if result.chsh is not None:
         r = result.chsh
         out.write(f"CHSH ({r.convention}):\n")
-        out.write(
-            f"  roles a={r.roles[0]} a'={r.roles[1]} b={r.roles[2]} b'={r.roles[3]}\n"
-        )
+        out.write(f"  roles a={r.roles[0]} a'={r.roles[1]} b={r.roles[2]} b'={r.roles[3]}\n")
         out.write(f"  S = {_fmt(r.chsh_value)}, local bound {_fmt(r.local_bound)} "
                   f"(brute-forced), violated: {r.violated}\n")
     if result.bell1964 is not None:
         r = result.bell1964
         axes_text = ", ".join(f"{a}={b}" for a, b in r.axes)
         out.write(f"Three-axis inequality on {axes_text}:\n")
-        out.write(
-            f"  lhs {_fmt(r.lhs)} vs rhs {_fmt(r.rhs)}: "
-            f"{'satisfied' if r.satisfied else 'VIOLATED'}\n"
-        )
+        out.write(f"  lhs {_fmt(r.lhs)} vs rhs {_fmt(r.rhs)}: {'satisfied' if r.satisfied else 'VIOLATED'}\n")
     if result.membership is not None:
         m = result.membership
         out.write(f"Local polytope: {'inside' if m.inside else 'OUTSIDE'}\n")
@@ -342,10 +341,7 @@ def render_stats(stats, out) -> None:
 
 
 def validation_json(violations) -> dict:
-    return {
-        "valid": not violations,
-        "violations": [v._asdict() for v in violations],
-    }
+    return {"valid": not violations, "violations": [v._asdict() for v in violations]}
 
 
 def _or_skipped(section, error: type[BellLabError]) -> dict:
@@ -489,13 +485,11 @@ def _parse_policy(text: str):
                 continue
             parts = [field for field, *_ in _fields(line)]
             if len(parts) != 2:
-                raise BellLabError(
-                    f"{path}:{line_no}: expected 'aId,bId', got {line!r}"
-                )
-            pairs.append((parts[0], parts[1]))
+                raise BellLabError(f"{path}:{line_no}: expected 'aId,bId', got {line!r}")
+            pairs.append(tuple(parts))
         if not pairs:
             raise BellLabError(f"{path}: empty setting sequence")
-        return FixedSequencePolicy(pairs=tuple(pairs))
+        return FixedSequencePolicy(pairs=pairs)
     raise BellLabError(f"policy must be 'uniform' or 'sequence:<file>', got {text!r}")
 
 

@@ -94,6 +94,8 @@ class FixedSequencePolicy:
     def __post_init__(self) -> None:
         if not isinstance(self.pairs, (tuple, list)):
             raise BellLabError(f"fixed-sequence pairs must be a tuple of setting-id pairs, got {self.pairs!r}")
+        # a list is stored as a tuple: hashable, and equal to the tuple-built policy
+        object.__setattr__(self, "pairs", tuple(self.pairs))
         if not self.pairs:
             raise BellLabError("fixed-sequence policy needs at least one pair")
         for pair in self.pairs:

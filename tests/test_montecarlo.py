@@ -188,6 +188,12 @@ class TestRunExperiment:
         with pytest.raises(BellLabError, match="must be a tuple of setting-id pairs"):
             FixedSequencePolicy(pairs=5)
 
+    def test_fixed_sequence_from_a_list_is_the_tuple_built_policy(self):
+        pairs = [("a1", "b1"), ("a2", "b2")]
+        from_list, from_tuple = FixedSequencePolicy(pairs=pairs), FixedSequencePolicy(pairs=tuple(pairs))
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert from_list.pairs == tuple(pairs) and len({from_list, from_tuple}) == 1
+
     def test_policy_change_keeps_state_draws(self, singlet_chsh):
         uniform = records_of(singlet_chsh, 100, seed=11)
         fixed = records_of(

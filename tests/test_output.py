@@ -35,8 +35,9 @@ from bell_lab import cli
 from bell_lab.audit import LocalityReport, check_bell_locality
 from bell_lab.cli import build_parser, emit_json, main, run_pipeline
 from bell_lab.model import (BellLabError, EnsembleEntry, HiddenStateEnsemble, OutcomeDistribution,
-                            ResponseKernel, Scenario, Setting, TheoryModel)
-from bell_lab.specio import dump_theory
+                            ResponseKernel, Scenario, Setting, TheoryModel, format_probability)
+from bell_lab.singlet import make_planar_singlet
+from bell_lab.specio import dump_theory, parse_theory
 from genmodels import random_arbitrary_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -280,6 +281,50 @@ def test_flip_model_lists_whole_fractions():
     assert {type(v) for v in lhs + rhs} == {Fraction} and {v.denominator for v in lhs + rhs} == {1}
 
 
+def _zero_sign_spec(mixed: bool) -> dict:
+    """Alice a1, Bob b1 and b2, and one float state whose a1|b2 cell has a
+    -0.0 next to a 0.0: its listing holds both zeros in one slab.  With
+    `mixed`, a second, exact state of equal weight adds rows of '1/2', 0
+    and 1 to the same columns."""
+    cell = lambda pp, pm, mp, mm: {"++": pp, "+-": pm, "-+": mp, "--": mm}
+    ensemble = [{"id": "s", "weight": 0.5 if mixed else 1.0}]
+    kernel = {"s": {"a1|b1": cell(1.0, 0.0, 0.0, 0.0), "a1|b2": cell(-0.0, 0.5, 0.5, 0.0)}}
+    if mixed:
+        ensemble.append({"id": "t", "weight": 0.5})
+        kernel["t"] = {pair: cell("1/2", 0, 0, "1/2") for pair in ("a1|b1", "a1|b2")}
+    scenario = {"alice_settings": [{"id": "a1"}], "bob_settings": [{"id": "b1"}, {"id": "b2"}]}
+    return {"name": "signed zeros", "scenario": scenario, "ensemble": ensemble, "kernel": kernel}
+
+
+def test_listing_keeps_the_sign_of_zero_in_one_slab(tmp_path, capsys):
+    """-0.0 and 0.0 are equal floats with two texts: a listing that
+    encodes each distinct float once must tell them apart by their bits."""
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(_zero_sign_spec(mixed=False)), encoding="utf-8")
+    args = build_parser().parse_args(["report", str(path), "--format", "json"])
+    lhs = run_pipeline(str(path), args)["sections"]["bell_locality"]["violations"].values[0]
+    assert len(lhs) < cli._SLAB_ROWS and {type(v) for v in lhs} == {float}
+    assert main(["report", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == dumps(with_rows(run_pipeline(str(path), args)))
+    assert '"lhs": -0.0,' in out and '"lhs": 0.0,' in out
+
+
+@pytest.mark.parametrize("slab", [1, 4, 10, 256])
+def test_listing_of_columns_that_mix_floats_and_fractions(slab):
+    """A decimal model with an exact state lists floats, 'p/q' strings and
+    ints in one column; a slab of floats only and a mixed slab both give
+    `to_dict`'s rows."""
+    report = check_bell_locality(parse_theory(json.dumps(_zero_sign_spec(mixed=True))))
+    lhs = report.values[0]
+    assert {json.dumps(format_probability(v)) for v in lhs} == {
+        '"1/2"', "0", "1", "0.5", "-0.0", "0.0", "1.0"}
+    writes = []
+    with mock.patch.object(cli, "_SLAB_ROWS", slab):
+        emit_json(report.to_dict(as_columns=True), SimpleNamespace(write=writes.append))
+    assert "".join(writes) == dumps(report.to_dict())
+
+
 @pytest.mark.parametrize("argv, code", [
     (["report", "--format", "json"], 0),
     (["report"], 0),
@@ -317,12 +362,30 @@ def decimal_report(tmp_path_factory):
     return run_pipeline(str(path), args)
 
 
-def test_report_is_written_in_bounded_chunks(decimal_report):
-    want = dumps(with_rows(decimal_report))
+@pytest.fixture(scope="module")
+def repeating_report(tmp_path_factory):
+    """`report --format json`'s document on 256 noisy singlet states at
+    3x3 that share four visibilities, so that each slab of its listing
+    repeats a few lhs, rhs and residual values."""
+    singlet = make_planar_singlet("a1=0,a2=60,a3=120", "b1=0,b2=60,b3=120")
+    rng = np.random.default_rng(3)
+    visibilities = rng.choice([1.0, 0.95, 0.9, 0.85], size=256)
+    cells = {(f"q{i + 1}", a, b): OutcomeDistribution(*(v * float(p) + (1 - v) / 4 for p in dist.values()))
+             for i, v in enumerate(visibilities) for (_, a, b), dist in singlet.kernel.cells.items()}
+    ensemble = HiddenStateEnsemble(tuple(EnsembleEntry(f"q{i + 1}", float(w))
+                                         for i, w in enumerate(rng.dirichlet(np.ones(256)))))
+    path = tmp_path_factory.mktemp("report") / "repeating.json"
+    dump_theory(TheoryModel("noisy singlets", singlet.scenario, ensemble, ResponseKernel(cells)), path)
+    args = build_parser().parse_args(["report", str(path), "--format", "json"])
+    return run_pipeline(str(path), args)
+
+
+def assert_written_in_bounded_chunks(doc) -> None:
+    want = dumps(with_rows(doc))
     stream = Recorder()
     tracemalloc.start()
     try:
-        emit_json(decimal_report, stream)
+        emit_json(doc, stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -332,6 +395,18 @@ def test_report_is_written_in_bounded_chunks(decimal_report):
     assert max(stream.lengths) < 128 << 10
     # the text is never held whole: a few pieces' worth at most
     assert peak < 1 << 20 < len(want) // 4
+
+
+def test_report_is_written_in_bounded_chunks(decimal_report):
+    assert_written_in_bounded_chunks(decimal_report)
+
+
+def test_report_that_repeats_values_across_slabs_is_written_in_bounded_chunks(repeating_report):
+    lhs, rhs, resid = repeating_report["sections"]["bell_locality"]["violations"].values
+    assert len(lhs) > 3 * cli._SLAB_ROWS
+    # fewer than 100 distinct values a column in more than 27,000 rows
+    assert all(len(set(column)) < 100 for column in (lhs, rhs, resid))
+    assert_written_in_bounded_chunks(repeating_report)
 
 
 # ---------------------------------------------------------------------------
