@@ -15,15 +15,16 @@ strictly positive kernels the two forms agree on the verdict.
 
 The hidden-state audits read the kernel tensor's `scaled` values: the
 integer form `N = K * D[state]` of an exact kernel, else the model's own
-`K[state, a, b, A, B]`.  Each locality form is one array expression over
-them and their marginals, and only the decide step differs: with the
-tolerance written as its exact ratio p / q, an integer check is an
-inequality between cross-multiplied Python ints, which decides as the
-Fraction comparison with the float tolerance does.  The anti-correlation
-audit compares the slices at `[:, a, b, +, +]` and `[:, a, b, -, -]` with
-the per-state bound `at_most(t)`.  Fractions are built only for the
-values a report lists.  The signal audit reads the behavior table.  The
-axes come from `model.equal_axes`, as for the derivation.
+rows `K[cell]`.  Each of the 16 locality checks of a cell is one pass of
+Python's operators over columns of the cells, the rows' entries and their
+marginals, and only the decide step differs: with the tolerance written
+as its exact ratio p / q, an integer check is an inequality between
+cross-multiplied Python ints, which decides as the Fraction comparison
+with the float tolerance does.  The anti-correlation audit compares the
+++ and -- entries of each state's axis cells with the per-state bound
+`at_most(t)`.  Fractions are built only for the values a report lists.
+The signal audit reads the behavior table.  The axes come from
+`model.equal_axes`, as for the derivation.
 
 The locality report keeps its failing checks as columns.  Its rows
 (`LocalityViolation`, a NamedTuple) are zipped from them on first read,
@@ -35,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import sub
+from itertools import chain, compress, cycle, islice, repeat
+from operator import add, and_, getitem, gt, mul, sub, truediv
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from .model import (
     BehaviorTable,
@@ -156,57 +155,65 @@ _FORMS, _OUTCOMES_A, _OUTCOMES_B = zip(*SLOTS)
 _FACTORIZATION = tuple(form == "factorization" for form in _FORMS)
 
 
-def _by_slot(setting_a, setting_b, outcome_a, outcome_b, joint) -> np.ndarray:
-    """Stack one array per form on a last axis in `SLOTS` order: the
-    far-setting forms at [state, a, b, outcome], the far-outcome forms and
-    factorization at [state, a, b, A, B]."""
-    cells = joint.shape[:3]
-    pairs = np.stack([outcome_a, outcome_b], axis=-1).reshape(*cells, 8)
-    return np.concatenate([setting_a, setting_b, pairs, joint.reshape(*cells, 4)], -1)
-
-
-def _setting_live(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """A far-setting form skips the reference far setting."""
-    S, na, nb = shape
-    return (np.broadcast_to((np.arange(nb) > 0)[:, None], (S, na, nb, 2)),
-            np.broadcast_to((np.arange(na) > 0)[:, None, None], (S, na, nb, 2)))
-
-
 def _checks(kt: KernelTensor, t: float):
-    """The 16 checks of every cell on the kernel's `scaled` values: `bad`
-    at [state, a, b, slot] and the lhs, rhs and residual lists of the bad
-    cells.  Only deciding depends on D: without one, Python's operators
-    divide and subtract the model's own values; with one, each side is a
-    ratio of ints, lhs = Ln / Ld and rhs = Rn / Rd, which with t = p / q
-    fails when |Ln Rd - Rn Ld| q > p Ld Rd, and a Fraction is built only
-    for a cell that fails."""
+    """The 16 checks of every cell on the kernel's `scaled` values, each
+    slot one pass over the columns of the cells in declaration order: the
+    state, a, b and slot index lists of the failing checks, in that
+    order, and their lhs, rhs and residual lists.  Only deciding depends
+    on D: without one, Python's operators divide and subtract the model's
+    own values; with one, each side is a ratio of ints, lhs = Ln / Ld and
+    rhs = Rn / Rd, which with t = p / q fails when |Ln Rd - Rn Ld| q >
+    p Ld Rd, and a Fraction is built only for a check that fails."""
     X, D = kt.scaled
-    Ma = X[..., 0] + X[..., 1]        # P(A | a, b) at [state, a, b, A]
-    Mb = X[..., 0, :] + X[..., 1, :]  # P(B | a, b) at [state, a, b, B]
-    own_a = np.broadcast_to(Ma[:, :, :1, :, None], X.shape)  # P(A | a, first b)
-    own_b = np.broadcast_to(Mb[:, :1, :, None, :], X.shape)  # P(B | first a, b)
-    given_b = np.broadcast_to(Mb[..., None, :], X.shape)     # P(B | a, b)
-    given_a = np.broadcast_to(Ma[..., :, None], X.shape)     # P(A | a, b)
-    bound = kt.at_most(t)[:, None, None, None, None]
-    alice_live, bob_live = given_b > bound, given_a > bound
-    live = _by_slot(*_setting_live(X.shape[:3]), alice_live, bob_live, np.ones(X.shape, dtype=bool))
-    Rn = _by_slot(own_a[..., 0], own_b[..., 0, :], own_a, own_b, own_a * own_b)
+    S, na, nb = kt.shape
+    per = na * nb
+    x = tuple(zip(*X))  # x[2A + B][cell], outcome index 0 for +1 and 1 for -1
+    Ma = [list(map(add, x[0], x[1])), list(map(add, x[2], x[3]))]  # P(A | a, b)
+    Mb = [list(map(add, x[0], x[2])), list(map(add, x[1], x[3]))]  # P(B | a, b)
+    # P(A | a, first b) and P(B | first a, b)
+    own_a = [list(chain.from_iterable(map(repeat, m[::nb], repeat(nb)))) for m in Ma]
+    own_b = [list(chain.from_iterable(m[s * per:s * per + nb] * na for s in range(S))) for m in Mb]
+    bound = kt.per_cell(kt.at_most(t))
+    alive_a, alive_b = ([list(map(gt, m, bound)) for m in M] for M in (Ma, Mb))
+    # a far-setting form skips the reference far setting
+    far_b, far_a = ([False] + [True] * (nb - 1)) * (S * na), ([False] * nb + [True] * (per - nb)) * S
+    # per slot: lhs (over `given` when one is named), rhs (times `factor`), and the cells it checks
+    slots = ([(Ma[A], None, own_a[A], None, far_b) for A in (0, 1)]
+             + [(Mb[B], None, own_b[B], None, far_a) for B in (0, 1)]
+             + [check for A in (0, 1) for B in (0, 1) for check in (
+                 (x[2 * A + B], Mb[B], own_a[A], None, alive_b[B]),
+                 (x[2 * A + B], Ma[A], own_b[B], None, alive_a[A]))]
+             + [(x[2 * A + B], None, own_a[A], own_b[B], None) for A in (0, 1) for B in (0, 1)])
+    if D is not None:
+        p, q = Fraction(t).as_integer_ratio()
+        D = kt.per_cell(D)
+        DD = list(map(mul, D, D))
+    columns = []  # per slot: whether each cell fails, then lhs, rhs and residual, or Ln, Ld, Rn and Rd
+    for num, given, r, factor, live in slots:
+        rhs = r if factor is None else list(map(mul, r, factor))
+        if D is None:
+            # divide by 1 in a cell the form skips
+            lhs = num if given is None else list(map(truediv, num, map(getitem, zip(repeat(1), given), live)))
+            res = list(map(abs, map(sub, lhs, rhs)))
+            bad, sides = map(gt, res, repeat(t)), (lhs, rhs, res)
+        else:
+            Ld, Rd = (D if given is None else given), (D if factor is None else DD)
+            cross = map(abs, map(sub, map(mul, num, Rd), map(mul, rhs, Ld)))
+            bad = map(gt, map(mul, cross, repeat(q)), map(mul, map(mul, repeat(p), Ld), Rd))
+            sides = (num, Ld, rhs, Rd)
+        columns.append((list(bad if live is None else map(and_, live, bad)), *sides))
+    # each column in the order state, a, b, slot, and the failing checks' indices and values
+    flat = lambda column: chain.from_iterable(zip(*column))
+    bads, *sides = zip(*columns)
+    bad = list(flat(bads)) if any(map(any, bads)) else []
+    digit = lambda n, inner: cycle(chain.from_iterable(map(repeat, range(n), repeat(inner))))
+    failing = [list(compress(digit(n, inner), bad))
+               for n, inner in ((S, 16 * per), (na, 16 * nb), (nb, 16), (16, 1))]
+    sides = [list(compress(flat(side), bad)) for side in sides]
     if D is None:
-        quotient = lambda given, alive: np.divide(X, given, out=np.empty(X.shape, dtype=object), where=alive)
-        lhs = _by_slot(Ma, Mb, quotient(given_b, alice_live), quotient(given_a, bob_live), X)
-        resid = np.subtract(lhs, Rn, out=np.empty(lhs.shape, dtype=object), where=live)
-        np.abs(resid, out=resid, where=live)
-        bad = np.greater(resid, t, out=np.zeros(live.shape, dtype=bool), where=live)
-        return bad, lhs[bad].tolist(), Rn[bad].tolist(), resid[bad].tolist()
-    p, q = Fraction(t).as_integer_ratio()
-    D = np.broadcast_to(D[:, None, None, None, None], X.shape)
-    Ln = _by_slot(Ma, Mb, X, X, X)
-    Ld = _by_slot(D[..., 0], D[..., 0, :], given_b, given_a, D)
-    Rd = _by_slot(D[..., 0], D[..., 0, :], D, D, D * D)
-    bad = live & (np.abs(Ln * Rd - Rn * Ld) * q > p * Ld * Rd)
-    lhs = list(map(Fraction, Ln[bad].tolist(), Ld[bad].tolist()))
-    rhs = list(map(Fraction, Rn[bad].tolist(), Rd[bad].tolist()))
-    return bad, lhs, rhs, list(map(abs, map(sub, lhs, rhs)))
+        return failing, sides
+    lhs, rhs = (list(map(Fraction, n, d)) for n, d in (sides[:2], sides[2:]))
+    return failing, [lhs, rhs, list(map(abs, map(sub, lhs, rhs)))]
 
 
 def check_bell_locality(model: TheoryModel, tol: float | None = None) -> LocalityReport:
@@ -215,14 +222,13 @@ def check_bell_locality(model: TheoryModel, tol: float | None = None) -> Localit
     Reference marginals are taken against the first far setting in
     declaration order; far-setting dependence then surfaces as a violation
     on the cell that moved.  Conditioning on zero-probability far outcomes
-    is skipped (the factorized form still covers those cells).  Each form
-    is one array expression over the kernel tensor, on its integer form
-    for an exact model; the 16 checks of a cell sit on its last axis, so
-    violations come out in the order state, a, b, form.
+    is skipped (the factorized form still covers those cells).  Each of
+    the 16 checks of a cell is one pass over the kernel tensor's columns,
+    on its integer form for an exact model, and violations come out in
+    the order state, a, b, form.
     """
     t = require_valid(model, tol)
-    bad, lhs, rhs, resid = _checks(model.tensor, t)
-    failing = tuple(i.tolist() for i in np.nonzero(bad))
+    failing, (lhs, rhs, resid) = _checks(model.tensor, t)
     ids = model.ensemble.state_ids(), model.scenario.alice_ids(), model.scenario.bob_ids()
     # every residual listed exceeds t >= 0, and max keeps the first of equals
     worst = max(compress(resid, map(_FACTORIZATION.__getitem__, failing[3])), default=Fraction(0))
@@ -366,12 +372,11 @@ def check_anticorrelation(
                                   "declare them explicitly or give both wings matching vectors")
     alice, bob = model.scenario.pair_indices(equal_axis_pairs)
     kt = model.tensor
-    X = kt.scaled[0]
-    pp, mm, bound = X[:, alice, bob, 0, 0], X[:, alice, bob, 1, 1], kt.at_most(t)[:, None]
-    ok_rows = ((pp <= bound) & (mm <= bound)).tolist()
-    shown, states = np.frompyfunc(kt.unscaled, 2, 1), np.arange(len(X))[:, None]
-    pp_rows, mm_rows = shown(pp, states).tolist(), shown(mm, states).tolist()
-    checks = tuple(AxisCheck(state, a_id, b_id, pp, mm, ok)
-                   for state, *rows in zip(model.ensemble.state_ids(), pp_rows, mm_rows, ok_rows)
-                   for (a_id, b_id), pp, mm, ok in zip(equal_axis_pairs, *rows))
-    return AntiCorrelationReport(axes_checked=tuple(equal_axis_pairs), checks=checks, tolerance=t)
+    X, (_, na, nb), bound = kt.scaled[0], kt.shape, kt.at_most(t)
+    checks = []
+    for s, state in enumerate(model.ensemble.state_ids()):
+        for (a_id, b_id), i, j in zip(equal_axis_pairs, alice, bob):
+            pp, _, _, mm = X[(s * na + i) * nb + j]
+            checks.append(AxisCheck(state, a_id, b_id, kt.unscaled(pp, s), kt.unscaled(mm, s),
+                                    pp <= bound[s] and mm <= bound[s]))
+    return AntiCorrelationReport(axes_checked=tuple(equal_axis_pairs), checks=tuple(checks), tolerance=t)

@@ -9,13 +9,13 @@ therefore carries an instruction set: a sign per axis for Alice, with Bob's
 sign the negation.  Over n axes there are exactly 2^n possible sign
 patterns, so the ensemble splits into 2^n classes (some possibly empty).
 
-`derive_instruction_sets` mechanizes exactly that step in one array pass:
-it compares the kernel tensor's `scaled` marginals with the per-state
-bounds `at_most` gives the tolerance (for an exact kernel, integer counts
-over one denominator per state) in one boolean array over [state, axis,
-check].  Its first breach by index is returned as a `DerivationFailure`,
-not raised, as a failed derivation is a finding, not a crash; a derived
-set is first rebuilt into the axis cells and held to the kernel.  An
+`derive_instruction_sets` mechanizes exactly that step in one pass over
+the states and axes: it compares the kernel tensor's `scaled` marginals
+with the per-state bounds `at_most` gives the tolerance (for an exact
+kernel, integer counts over one denominator per state), check by check.
+Its first breach is returned as a `DerivationFailure`, not raised, as a
+failed derivation is a finding, not a crash; a derived set is first
+rebuilt into the axis cells and held to the kernel.  An
 `Axis` and the default axes (`model.equal_axes`) are `model`'s, as for
 the anti-correlation audit.
 `realize_model` validates its model, so weights not summing to 1 raise.
@@ -23,12 +23,11 @@ the anti-correlation audit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, repeat
+from operator import add, gt, sub
 from typing import NamedTuple
-
-import numpy as np
 
 from .model import (
     Axis,
@@ -146,21 +145,23 @@ _BREACHES = (
 )
 
 
-def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: np.ndarray, t: float) -> None:
+def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: list[list[int]], t: float) -> None:
     """Raise BellLabError unless each state's axis cells (a_i, b_j) are
-    within 4t of the point (s_i, -s_j) of its `signs[state, axis]`, as the
+    within 4t of the point (s_i, -s_j) of its `signs[state][axis]`, as the
     derivation's bounds (2t on each wing's marginal) imply; a decimal
     kernel's entries may reach -t and sum to 1 within t, in rounded floats:
     6t + 1e-12."""
     X, D = kt.scaled
-    sign = signs[..., None]
-    # one-hot over the outcomes (+1, -1) of s_i and of -s_j, per state and axis
-    at_a, at_b = (sign == [1, -1]).astype(int), (sign == [-1, 1]).astype(int)
-    point = at_a[:, :, None, :, None] * at_b[:, None, :, None, :]
-    unit = 1 if D is None else D[:, None, None, None, None]
-    bound = kt.at_most(6 * t + 1e-12 if D is None else 4 * t)[:, None, None, None, None]
-    if (abs(X[:, alice][:, :, bob] - np.where(point, unit, 0)) > bound).any():
-        raise BellLabError("derived instructions do not rebuild the axis cells; derivation bug")
+    _, na, nb = kt.shape
+    bound = kt.at_most(6 * t + 1e-12 if D is None else 4 * t)
+    for s, row in enumerate(signs):
+        for a, sign_a in zip(alice, row):
+            for b, sign_b in zip(bob, row):
+                # all mass on A = s_i and B = -s_j; outcome index 0 is +1 and 1 is -1
+                point = [0] * 4
+                point[2 * (sign_a < 0) + (sign_b > 0)] = 1 if D is None else D[s]
+                if any(map(gt, map(abs, map(sub, X[(s * na + a) * nb + b], point)), repeat(bound[s]))):
+                    raise BellLabError("derived instructions do not rebuild the axis cells; derivation bug")
 
 
 def derive_instruction_sets(
@@ -172,39 +173,44 @@ def derive_instruction_sets(
 
     For each state and axis the own-outcome marginal on each wing must be
     independent of the far setting, within tolerance of 0 or 1, and the two
-    wings must disagree in sign.  The checks form one boolean array over
-    [state, axis, check], in that order, and its first True by index is
-    returned as a DerivationFailure; otherwise the full instruction set
-    with ensemble weights attached.
+    wings must disagree in sign.  The checks run state by state, axis by
+    axis, in the order of `_BREACHES`, and the first breach is returned as
+    a DerivationFailure; otherwise the full instruction set with ensemble
+    weights attached.
     """
     t = require_valid(model, tol)
     axes = equal_axes(model.scenario, axes, "no axes to derive on: "
                       "declare equal-axis pairs or give settings matching vectors")
     alice, bob = model.scenario.pair_indices(axes)
     kt, entries = model.tensor, model.ensemble.entries
-    # P(+1 | a, b, state) on each wing as `scaled` values, per state and
-    # axis: against every far setting, then on the axis itself.  A value
-    # stands for more than t exactly when it exceeds at_most(t), and for at
-    # least 1 - t when it reaches -at_most(-(1 - t)).
-    X = kt.scaled[0]
-    plus_a, plus_b = X[..., 0, 0] + X[..., 0, 1], X[..., 0, 0] + X[..., 1, 0]
-    low, high = kt.at_most(t)[:, None], -kt.at_most(-(1 - t))[:, None]
-    far_a, far_b = plus_a[:, alice, :], plus_b[:, :, bob].transpose(0, 2, 1)
-    own_a, own_b = plus_a[:, alice, bob], plus_b[:, alice, bob]
-    up_a, up_b = own_a >= high, own_b >= high
-    # breach[state, axis, check], the checks in the order of _BREACHES
-    breach = np.stack([far_a.max(axis=2) - far_a.min(axis=2) > low,
-                       far_b.max(axis=2) - far_b.min(axis=2) > low,
-                       ~up_a & (own_a > low), ~up_b & (own_b > low), up_a == up_b], axis=-1)
-    if breach.any():
-        s, i, check = np.unravel_index(np.argmax(breach), breach.shape)
-        marginal = (far_a.max(axis=2), far_b.max(axis=2), own_a, own_b, own_b)[check][s, i]
-        side, reason = _BREACHES[check]
-        return DerivationFailure(entries[s].state_id, axes[i], side, kt.unscaled(marginal, s), reason)
-    signs = np.where(up_a, 1, -1)
+    _, na, nb = kt.shape
+    # P(+1 | a, b, state) on each wing as `scaled` values, per cell.  A
+    # value stands for more than t exactly when it exceeds at_most(t), and
+    # for at least 1 - t when it reaches -at_most(-(1 - t)).
+    pp, pm, mp, _ = zip(*kt.scaled[0])
+    plus_a, plus_b = list(map(add, pp, pm)), list(map(add, pp, mp))
+    low, high = kt.at_most(t), [-v for v in kt.at_most(-(1 - t))]
+    signs = []
+    for s, entry in enumerate(entries):
+        first, signs_s = s * na * nb, []
+        for axis, a, b in zip(axes, alice, bob):
+            # against every far setting, then on the axis itself
+            far_a = plus_a[first + a * nb:first + (a + 1) * nb]
+            far_b = plus_b[first + b:first + na * nb:nb]
+            own_a, own_b = plus_a[first + a * nb + b], plus_b[first + a * nb + b]
+            up_a, up_b = own_a >= high[s], own_b >= high[s]
+            breach = (max(far_a) - min(far_a) > low[s], max(far_b) - min(far_b) > low[s],
+                      not up_a and own_a > low[s], not up_b and own_b > low[s], up_a == up_b)
+            if any(breach):
+                check = breach.index(True)
+                marginal = (max(far_a), max(far_b), own_a, own_b, own_b)[check]
+                side, reason = _BREACHES[check]
+                return DerivationFailure(entry.state_id, axis, side, kt.unscaled(marginal, s), reason)
+            signs_s.append(1 if up_a else -1)
+        signs.append(signs_s)
     _check_rebuild(kt, alice, bob, signs, t)
     assignments = {e.state_id: {axis: (a, -a) for axis, a in zip(axes, row)}
-                   for e, row in zip(entries, signs.tolist())}
+                   for e, row in zip(entries, signs)}
     return InstructionSet(tuple(axes), assignments, {e.state_id: e.weight for e in entries})
 
 
@@ -277,7 +283,7 @@ def classify_states(
     for state_id in instructions.state_ids():
         by_pattern.setdefault(instructions.pattern(state_id, use), []).append(state_id)
     classes = []
-    for pattern in itertools.product((+1, -1), repeat=len(use)):
+    for pattern in product((+1, -1), repeat=len(use)):
         members = tuple(by_pattern.get(pattern, ()))
         weight = sum((instructions.weights[m] for m in members), Fraction(0))
         classes.append(PatternClass(pattern=pattern, members=members, weight=weight))

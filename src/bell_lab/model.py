@@ -14,25 +14,26 @@ Probabilities come in two flavors and the distinction is load-bearing:
 A model is *exact* when every weight and every kernel entry is a Fraction.
 Mixed models are treated as decimal.  All containers are frozen: the
 model is a frozen dataclass, its parts are NamedTuples, and the kernel
-keeps its values in read-only arrays, so a model cannot change after it
-is built.  That lets a model remember the tolerances at which
-`validate_theory` found it valid: `require_valid` validates once per
-tolerance, however many checks a model passes through.
+keeps its values in tuples, so a model cannot change after it is built,
+and equal models hash alike.  That lets a model remember the tolerances
+at which `validate_theory` found it valid: `require_valid` validates once
+per tolerance, however many checks a model passes through.
 `resolve_tolerance` is the one tolerance rule, for models and behavior
 tables alike.  `validate_theory` states each invariant once, and every
 builder in the package (`make_quantum_theory`, `realize_model`) ends
 with `require_valid`, so no model it returns fails validation.
 Functions here are pure and never mutate their inputs.
 
-The kernel is stored once, as flat rows of four values per cell
+The kernel is stored once, as rows of four values per cell
 (`ResponseKernel`); the `cells` mapping and `TheoryModel.tensor`, a
-read-only `KernelTensor` of numpy object arrays `K[state, a, b, A, B]` and
-`w[state]` of the model's own values in declaration order, are built from
-it on first read.  Object arrays apply the same Python operators as a loop
-would, so every value keeps its type and its bits.  `KernelTensor.scaled`
-decides once, by the kernel alone, how the per-state checks count: an
-exact kernel's integer form `(N, D)`, one denominator `D[state]` per state
-and Python-int numerators `N = K * D[state]`, else `(K, None)`.  The
+`KernelTensor` of the rows `K[cell]` and weights `w[state]` of the
+model's own values in declaration order, are built from it on first
+read.  The checks apply Python's operators to those values, one column
+of cells at a time through `map`, so every value keeps its type and its
+bits; numpy is not imported.  `KernelTensor.scaled` decides once, by
+the kernel alone, how the per-state checks count: an exact kernel's
+integer form `(N, D)`, one denominator `D[state]` per state and
+Python-int numerators `N = K * D[state]`, else `(K, None)`.  The
 audits and the derivation compare `scaled` values with `at_most` bounds
 and build a Fraction only for a value they report, whatever the weights.
 `validate_theory` checks the stored rows in their own order.
@@ -49,13 +50,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import starmap
-from operator import attrgetter
+from functools import cached_property, reduce
+from itertools import chain, count, repeat, starmap
+from operator import add, attrgetter, floordiv, gt, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
-
-import numpy as np
 
 Prob = Fraction | float
 
@@ -359,54 +358,45 @@ class OutcomeDistribution(NamedTuple):
         )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def fraction_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.frompyfunc(Fraction, 2, 1)(num, den)
-
-
 class ResponseKernel:
     """Per-state conditional outcome distributions, keyed (state_id, a_id, b_id):
     `keys` in the order given and one row (++, +-, -+, --) per key, as
-    read-only (cells, 4) object arrays of the values (`rows`) or of an exact
-    kernel's reduced numerators and denominators (`ratios`), each built
-    from the other on first read, as is the `cells` view."""
+    tuples of the values (`rows`) or of an exact kernel's reduced numerators
+    and denominators (`ratios`, a numerator and a denominator tuple of
+    rows), each built from the other on first read, as is the `cells` view.
+    Equal kernels hold equal cells, in any order, and hash alike."""
 
     def __init__(self, cells: Mapping[tuple[str, str, str], OutcomeDistribution] | None = None, *,
-                 keys: tuple = (), rows: np.ndarray | None = None, ratios: tuple | None = None):
+                 keys: tuple = (), rows: tuple | None = None, ratios: tuple | None = None):
         if cells is not None:
-            keys = tuple(cells)
-            rows = np.array([dist.values() for dist in cells.values()], dtype=object).reshape(-1, 4)
+            keys, rows = tuple(cells), tuple(dist.values() for dist in cells.values())
         self.keys = keys
         if rows is not None:
-            self.rows = _read_only(rows)
+            self.rows = rows
         if ratios is not None:
-            self.ratios, self.is_exact = tuple(map(_read_only, ratios)), True
+            self.ratios, self.is_exact = ratios, True
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        return _read_only(fraction_array(*self.ratios))
+    def rows(self) -> tuple[tuple[Prob, ...], ...]:
+        return tuple(tuple(map(Fraction, n, d)) for n, d in zip(*self.ratios))
 
     @cached_property
-    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(_read_only(np.frompyfunc(attrgetter(part), 1, 1)(self.rows))
+    def ratios(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        return tuple(tuple(tuple(map(attrgetter(part), row)) for row in self.rows)
                      for part in ("numerator", "denominator"))
 
     @cached_property
     def is_exact(self) -> bool:
-        return all(map(is_exact, self.rows.flat))
+        return all(map(is_exact, chain.from_iterable(self.rows)))
 
     @cached_property
-    def row_lcm(self) -> np.ndarray:
+    def row_lcm(self) -> tuple[int, ...]:
         """An exact kernel's lcm of each row's denominators, in row order."""
-        return _read_only(np.lcm.reduce(self.ratios[1], axis=1))
+        return tuple(starmap(math.lcm, self.ratios[1]))
 
     @cached_property
     def cells(self) -> Mapping[tuple[str, str, str], OutcomeDistribution]:
-        return MappingProxyType(dict(zip(self.keys, starmap(OutcomeDistribution, self.rows.tolist()))))
+        return MappingProxyType(dict(zip(self.keys, starmap(OutcomeDistribution, self.rows))))
 
     @cached_property
     def _positions(self) -> dict[tuple[str, str, str], int]:
@@ -425,66 +415,76 @@ class ResponseKernel:
     def __eq__(self, other: object) -> bool:
         return self.cells == other.cells if isinstance(other, ResponseKernel) else NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.cells.items()))
+
     def __repr__(self) -> str:
         return f"ResponseKernel({dict(self.cells)!r})"
 
-    def __reduce__(self):
-        # a copied array would be writable: a copy rebuilds its own rows
-        return ResponseKernel, (dict(self.cells),)
+    def __getstate__(self) -> dict:
+        # the cells view is a mappingproxy, which cannot be pickled
+        return {k: v for k, v in vars(self).items() if k != "cells"}
 
 
 class KernelTensor:
-    """A model's kernel as read-only numpy object arrays.
+    """A model's kernel in declaration order, as tuples.
 
-    `K[state, a, b, A, B]` is P(A, B | a, b, state) and `w[state]` the
-    state's weight, both the model's own Fraction or float values, indexed
-    in declaration order; outcome index 0 is +1 and 1 is -1.  Each is
-    arranged from the kernel's rows on first read.
+    `K[cell]` is the row (++, +-, -+, --) of P(A, B | a, b, state), with
+    `cell` = (state * na + a) * nb + b over the `shape` (states, na, nb),
+    and `w[state]` the state's weight, both the model's own Fraction or
+    float values; each is arranged from the kernel's rows on first read.
     """
 
-    def __init__(self, w: np.ndarray, kernel: ResponseKernel, order: list | None, shape: tuple):
-        self.w = w
-        self._kernel, self._order, self._shape = kernel, order, shape
+    def __init__(self, w: tuple, kernel: ResponseKernel, order: list | None, shape: tuple[int, int, int]):
+        self.w, self.shape = w, shape
+        self._kernel, self._order = kernel, order
 
-    def _arranged(self, rows: np.ndarray) -> np.ndarray:
-        return _read_only((rows if self._order is None else rows[self._order]).reshape(self._shape))
+    def _arranged(self, rows: tuple) -> tuple:
+        return rows if self._order is None else tuple(map(rows.__getitem__, self._order))
+
+    def per_cell(self, values: Iterable) -> list:
+        """A per-state sequence repeated over each state's cells."""
+        return list(chain.from_iterable(map(repeat, values, repeat(self.shape[1] * self.shape[2]))))
 
     @cached_property
-    def K(self) -> np.ndarray:
+    def K(self) -> tuple[tuple[Prob, ...], ...]:
         return self._arranged(self._kernel.rows)
 
     @cached_property
-    def integer_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """An exact kernel as read-only arrays of Python ints `(N, D)`: `D[state]`
-        the lcm of the state's row lcms and `N` = K * D[state]."""
-        num, den = map(self._arranged, self._kernel.ratios)
-        L = self._kernel.row_lcm if self._order is None else self._kernel.row_lcm[self._order]
-        D = np.lcm.reduce(L.reshape(len(den), math.prod(self._shape[1:3])), axis=1)
-        return _read_only(num * (D[:, None, None, None, None] // den)), _read_only(D)
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """An exact kernel as Python ints `(N, D)`: `D[state]` the lcm of the
+        state's row lcms and `N[cell]` = K[cell] * D[state]."""
+        num, den, L = map(self._arranged, (*self._kernel.ratios, self._kernel.row_lcm))
+        per = self.shape[1] * self.shape[2]
+        D = tuple(math.lcm(*L[s * per:(s + 1) * per]) for s in range(self.shape[0]))
+        N = tuple(tuple(map(mul, n, map(floordiv, repeat(d), q))) for n, q, d in zip(num, den, self.per_cell(D)))
+        return N, D
 
     @cached_property
-    def scaled(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def scaled(self) -> tuple[tuple, tuple[int, ...] | None]:
         """The kernel as the audits and the derivation compare it, `(X, D)`:
         the integer form `(N, D)` of an exact kernel, else `(K, None)`.  A
         value x of state s stands for x / D[s], or for x itself."""
         return self.integer_form if self._kernel.is_exact else (self.K, None)
 
-    def at_most(self, value: float) -> np.ndarray:
+    def at_most(self, value: float) -> tuple:
         """Per state, the bound b with x <= b exactly when a `scaled` value x
         stands for at most `value`: floor(value * D[state]), or `value`."""
         p, q = Fraction(value).as_integer_ratio()
         D = self.scaled[1]
-        return np.full(len(self.w), value, dtype=object) if D is None else p * D // q
+        return (value,) * len(self.w) if D is None else tuple(p * d // q for d in D)
 
     def unscaled(self, x: int | Prob, state: int) -> Prob:
         """What a `scaled` value x of `state` stands for: x / D[state], or x."""
         D = self.scaled[1]
         return x if D is None else Fraction(x, D[state])
 
-    def as_float(self) -> np.ndarray:
-        """K as float64, correctly rounded: N / D for an exact kernel."""
+    def as_float(self) -> list[float]:
+        """K as floats, row after row, correctly rounded: N / D for an exact kernel."""
         X, D = self.scaled
-        return (X if D is None else X / D[:, None, None, None, None]).astype(float)
+        if D is None:
+            return list(map(float, chain.from_iterable(X)))
+        return [n / d for row, d in zip(X, self.per_cell(D)) for n in row]
 
 
 @dataclass(frozen=True)
@@ -515,13 +515,9 @@ class TheoryModel:
         """The kernel as one tensor; UnknownIdError for a missing cell."""
         declared = self._declared_cells
         order = None if self.kernel.keys == declared else list(map(self.kernel._position, declared))
-        w = _read_only(np.array([e.weight for e in self.ensemble.entries], dtype=object))
-        shape = (len(w), len(self.scenario.alice_settings), len(self.scenario.bob_settings), 2, 2)
+        w = tuple(e.weight for e in self.ensemble.entries)
+        shape = (len(w), len(self.scenario.alice_settings), len(self.scenario.bob_settings))
         return KernelTensor(w, self.kernel, order, shape)
-
-    def __getstate__(self) -> dict:
-        # a copied array would be writable: a copy rebuilds its own tensor
-        return {k: v for k, v in self.__dict__.items() if k != "tensor"}
 
 
 class BehaviorTable(NamedTuple):
@@ -557,11 +553,12 @@ def resolve_tolerance(subject: TheoryModel | BehaviorTable | bool, tol: float | 
     decimal one.  A negative, NaN or infinite `tol` would turn failing
     comparisons into passes, and a bool or a non-number (not an int or a
     float) is no tolerance a report could carry, so each raises
-    BellLabError."""
+    BellLabError.  A float subclass, such as numpy's float64, is returned
+    as the plain float it equals."""
     if tol is not None:
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
             raise BellLabError(f"tolerance must be a finite number >= 0, got {tol!r}")
-        return tol
+        return float(tol) if isinstance(tol, float) else tol
     exact = subject if isinstance(subject, bool) else subject.is_exact
     return 0.0 if exact else DEFAULT_TOL
 
@@ -607,7 +604,7 @@ def _beyond_float(value: Prob) -> bool:
 _CELL, _ENTRY = "kernel[{},{},{}]", "kernel[{},{},{}].{}"
 
 
-def _cell_faults(key: tuple[str, str, str], values: np.ndarray, t: float) -> list[Violation]:
+def _cell_faults(key: tuple[str, str, str], values: tuple, t: float) -> list[Violation]:
     """One declared cell's violations: its entries in order, then its sum."""
     out, summable = [], True
     for label, p in zip(CELL_KEYS, values):
@@ -629,18 +626,16 @@ def _cell_faults(key: tuple[str, str, str], values: np.ndarray, t: float) -> lis
 def _suspect_rows(kernel: ResponseKernel, t: float) -> Iterable[int]:
     """The rows, in the kernel's order, that `_cell_faults` may flag: every
     row unless all exact (0 <= num <= den, and over the lcm L of the row's
-    denominators, num * (L / den) summing to L) or all float."""
+    denominators, num * (L / den) summing to L) or all float (each entry in
+    [-t, 1 + t], and the sum in `OutcomeDistribution.total`'s order within
+    t of 1, which no NaN or infinite entry leaves it)."""
     if kernel.is_exact:
         num, den = kernel.ratios
-        L = kernel.row_lcm
-        bad = ((num < 0) | (num > den)).any(axis=1) | ((num * (L[:, None] // den)).sum(axis=1) != L)
-        return np.flatnonzero(bad).tolist()
-    if set(map(type, kernel.rows.flat)) <= {float}:
-        V = kernel.rows.astype(float)
-        with np.errstate(all="ignore"):  # as Python floats: inf - inf is nan, nan > t is False
-            total = ((V[:, 0] + V[:, 1]) + V[:, 2]) + V[:, 3]  # OutcomeDistribution.total's order
-            bad = (~np.isfinite(V) | (V < -t) | (V > 1 + t)).any(axis=1) | (np.abs(total - 1.0) > t)
-        return np.flatnonzero(bad).tolist()
+        return [i for i, n, d, L in zip(count(), num, den, kernel.row_lcm)
+                if min(n) < 0 or any(map(gt, n, d)) or sum(map(mul, n, map(floordiv, repeat(L), d))) != L]
+    if set(map(type, chain.from_iterable(kernel.rows))) <= {float}:
+        return [i for i, row in enumerate(kernel.rows)
+                if min(row) < -t or max(row) > 1 + t or not abs(reduce(add, row) - 1.0) <= t]
     return range(len(kernel.keys))
 
 
@@ -705,8 +700,8 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     for i in sorted({*_suspect_rows(kernel, t), *foreign}):
         key = kernel.keys[i]
         if key in expected:
-            # an exact row is built from its own ratios, not the whole `rows` array
-            row = fraction_array(*(part[i] for part in kernel.ratios)) if kernel.is_exact else kernel.rows[i]
+            # an exact row is built from its own ratios, not the whole `rows` tuple
+            row = tuple(map(Fraction, *(part[i] for part in kernel.ratios))) if kernel.is_exact else kernel.rows[i]
             out.extend(_cell_faults(key, row, t))
         else:
             out.append(Violation(_loc(_CELL, *key), "cell references ids outside the scenario or ensemble"))
@@ -738,21 +733,17 @@ def behavior(model: TheoryModel, tol: float | None = None) -> BehaviorTable:
     """
     require_valid(model, tol)
     kt = model.tensor
+    per = kt.shape[1] * kt.shape[2]
     if model.is_exact:
         N, D = kt.integer_form
-        weights = kt.w.tolist()
-        scale = [w.denominator * d for w, d in zip(weights, D.tolist())]
+        scale = [w.denominator * d for w, d in zip(kt.w, D)]
         common = math.lcm(*scale)
-        factor = np.array([w.numerator * (common // d) for w, d in zip(weights, scale)],
-                          dtype=object)
-        mean = np.frompyfunc(lambda n: Fraction(n, common), 1, 1)(np.tensordot(factor, N, axes=1))
+        factor = [w.numerator * (common // d) for w, d in zip(kt.w, scale)]
+        by_state = [chain.from_iterable(N[s * per:(s + 1) * per]) for s in range(len(D))]
+        mean = [Fraction(sum(map(mul, factor, column)), common) for column in zip(*by_state)]
     else:
-        mean = np.add.reduce(kt.w[:, None, None, None, None] * kt.K, axis=0, initial=Fraction(0))
-    rows = mean.reshape(*mean.shape[:2], 4).tolist()
-    cells = {
-        (a, b): OutcomeDistribution(*rows[i][j])
-        for i, a in enumerate(model.scenario.alice_ids())
-        for j, b in enumerate(model.scenario.bob_ids())
-    }
+        by_state = [map(mul, repeat(w), chain.from_iterable(kt.K[s * per:(s + 1) * per]))
+                    for s, w in enumerate(kt.w)]
+        mean = [sum(column, Fraction(0)) for column in zip(*by_state)]
+    cells = dict(zip(model.scenario.pairs(), starmap(OutcomeDistribution, zip(*[iter(mean)] * 4))))
     return BehaviorTable(scenario=model.scenario, cells=cells)
-

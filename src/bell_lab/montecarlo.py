@@ -112,8 +112,8 @@ def _tables(model: TheoryModel) -> tuple[np.ndarray, np.ndarray]:
     outcomes.  A decimal cell may dip below 0 within the tolerance and
     counts as 0."""
     kt = model.tensor
-    cells = np.maximum(kt.as_float(), 0.0)
-    return np.cumsum(kt.w.astype(float)), np.cumsum(cells.reshape(*cells.shape[:3], 4), axis=-1)
+    cells = np.maximum(np.array(kt.as_float()).reshape(*kt.shape, 4), 0.0)
+    return np.cumsum(list(map(float, kt.w))), np.cumsum(cells, axis=-1)
 
 
 def _integer(value: object, what: str) -> int:

@@ -22,9 +22,10 @@ Every input that is not a spec (bytes that are not UTF-8, nesting too deep
 for the parser) raises SpecFormatError.
 
 `parse_theory` walks the kernel once into its stored form
-(`ResponseKernel`): ints and "p/q" strings become int numerators and
-denominators with no Fraction built, and a path is formatted only for the
-error that names it, the first in document order.
+(`ResponseKernel`, tuples of rows): ints and "p/q" strings become int
+numerators and denominators with no Fraction built, each distinct text
+read once, and a path is formatted only for the error that names it,
+the first in document order.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ import math
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Any
-
-import numpy as np
+from typing import Any, Iterable
 
 from .model import (
     CELL_KEYS,
@@ -127,10 +126,10 @@ def _columns(flat: list[Any], keys: list[tuple[str, str, str]]) -> dict[str, Any
     try:
         if kinds <= {int, str}:
             distinct = dict.fromkeys(flat)  # each distinct value is read once
-            pq = np.array(list(map(_ratio, distinct)), dtype=object).reshape(-1, 2)
-            if max(map(abs, pq[:, 0].tolist()), default=0) <= sys.float_info.max:
-                at = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, flat))
-                return {"ratios": (pq[at, 0].reshape(-1, 4), pq[at, 1].reshape(-1, 4))}
+            ratio = dict(zip(distinct, map(_ratio, distinct)))
+            if max(map(abs, map(itemgetter(0), ratio.values())), default=0) <= sys.float_info.max:
+                at = list(map(ratio.__getitem__, flat))
+                return {"ratios": (_rows(map(itemgetter(0), at)), _rows(map(itemgetter(1), at)))}
         elif kinds <= {float} and all(map(math.isfinite, flat)):
             return {"rows": _rows(flat)}
     except ValueError:
@@ -139,8 +138,9 @@ def _columns(flat: list[Any], keys: list[tuple[str, str, str]]) -> dict[str, Any
                            for i, value in enumerate(flat)])}
 
 
-def _rows(values: list[Any]) -> np.ndarray:
-    return np.array(values, dtype=object).reshape(-1, 4)
+def _rows(values: Iterable[Any]) -> tuple[tuple[Any, ...], ...]:
+    """`values` four to a row."""
+    return tuple(zip(*[iter(values)] * 4))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -237,7 +237,7 @@ def theory_to_dict(model: TheoryModel) -> dict[str, Any]:
         return {"id": s.id} if s.direction is None else {"id": s.id, "vector": list(s.direction)}
 
     pair_keys = [f"{a}|{b}" for a, b in model.scenario.pairs()]
-    rows = model.tensor.K.reshape(len(model.ensemble.entries), len(pair_keys), 4).tolist()
+    K, per = model.tensor.K, len(pair_keys)
     return {
         "name": model.name,
         "scenario": {
@@ -249,8 +249,8 @@ def theory_to_dict(model: TheoryModel) -> dict[str, Any]:
             for e in model.ensemble.entries
         ],
         "kernel": {e.state_id: {key: dict(zip(CELL_KEYS, map(format_probability, row)))
-                                for key, row in zip(pair_keys, state_rows)}
-                   for e, state_rows in zip(model.ensemble.entries, rows)},
+                                for key, row in zip(pair_keys, K[s * per:(s + 1) * per])}
+                   for s, e in enumerate(model.ensemble.entries)},
     }
 
 

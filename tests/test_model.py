@@ -528,6 +528,15 @@ class TestValidateOnce:
             with pytest.raises(TypeError):
                 twin.kernel.cells[("s1", "a1", "b1")] = None
 
+    def test_equal_models_hash_alike_in_any_cell_order(self, fixtures_dir):
+        # the parsed kernel holds ratios in document order, the twin's the
+        # cells reversed: equal, so one hash and one member of a set
+        model = parse_theory((fixtures_dir / "two_state.json").read_bytes())
+        twin = replace(model, kernel=ResponseKernel(dict(reversed(model.kernel.cells.items()))))
+        assert twin.kernel.keys == model.kernel.keys[::-1] != model.kernel.keys
+        assert twin == model and hash(twin) == hash(model)
+        assert len({model, twin}) == 1
+
     def test_report_validates_once(self, validate_calls, tmp_path, capsys):
         spec = tmp_path / "three_axes.json"
         dump_theory(make_planar_singlet("n1=0,n2=60,n3=120", "n1=0,n2=60,n3=120"), spec)

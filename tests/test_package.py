@@ -4,10 +4,13 @@
 object its home module defines, although `import bell_lab` imports no
 submodule: names are looked up on first access.  The load tests run the
 CLI as `python -m bell_lab` in a fresh `python -X dev -W error` and list
-the `bell_lab` modules it loaded, with `dataclasses.dataclass` wrapped to
-count the classes the package decorates while it runs.  The layering
-tests hold each engine module to relative imports from `.model` alone,
-both in its source and in what importing it loads.
+the `bell_lab` modules it loaded, and whether numpy was, with
+`dataclasses.dataclass` wrapped to count the classes the package
+decorates while it runs.  Only `simulate`, `make-singlet` and `report
+--simulate-trials` load numpy: every other command gives the same exit
+code, stdout and stderr with `import numpy` blocked.  The layering tests
+hold each engine module to relative imports from `.model` alone, both in
+its source and in what importing it loads.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ if argv:
 else:
     import bell_lab
 with open(result, "w", encoding="utf-8") as fh:
-    json.dump({"code": code, "made": made,
+    json.dump({"code": code, "made": made, "numpy": "numpy" in sys.modules,
                "modules": sorted(m for m in sys.modules if m.split(".")[0] == "bell_lab")}, fh)
 """
 
@@ -134,7 +137,7 @@ def run_child(tmp_path: Path, *argv: str) -> dict:
 class TestWhatEachCommandLoads:
     def test_import_loads_no_submodule(self, tmp_path):
         run = run_child(tmp_path)
-        assert run["modules"] == ["bell_lab"] and run["made"] == []
+        assert run["modules"] == ["bell_lab"] and run["made"] == [] and not run["numpy"]
 
     @pytest.mark.parametrize("argv, code", [
         (["report", str(FIXTURES / "two_state.json"), "--format", "json"], 0),
@@ -148,6 +151,7 @@ class TestWhatEachCommandLoads:
         assert "bell_lab.cli" in run["modules"]
         assert "bell_lab.montecarlo" not in run["modules"]
         assert "bell_lab.singlet" not in run["modules"]
+        assert not run["numpy"]
         assert len(run["made"]) <= 3, run["made"]
 
     @pytest.mark.parametrize("argv, module", [
@@ -160,7 +164,72 @@ class TestWhatEachCommandLoads:
     ])
     def test_simulate_and_make_singlet_load_their_module(self, tmp_path, argv, module):
         run = run_child(tmp_path, *argv)
-        assert run["code"] == 0 and module in run["modules"]
+        assert run["code"] == 0 and module in run["modules"] and run["numpy"]
+
+
+#: runs each argv of the JSON list in the file sys.argv[1] as `python -m
+#: bell_lab` in this one process, with `import numpy` blocked when
+#: sys.argv[2] is "blocked", and writes to the file sys.argv[3] each run's
+#: exit code, stdout and stderr, and whether numpy was loaded at the end
+SEQUENCE = """
+import contextlib, io, json, runpy, sys
+
+listing, mode, result = sys.argv[1:]
+with open(listing, encoding="utf-8") as fh:
+    commands = json.load(fh)
+if mode == "blocked":
+    sys.modules["numpy"] = None  # `import numpy` raises ImportError
+runs = []
+for argv in commands:
+    out, err, code = io.StringIO(), io.StringIO(), None
+    sys.argv = ["bell_lab", *argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("bell_lab", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([argv, code, out.getvalue(), err.getvalue()])
+with open(result, "w", encoding="utf-8") as fh:
+    json.dump({"runs": runs, "numpy": sys.modules.get("numpy") is not None}, fh)
+"""
+
+
+def _report_path_commands() -> list[list[str]]:
+    """`report`, the five other checks and `bell-test` with CHSH and
+    membership, each as JSON and as text, on every golden and certificate
+    fixture."""
+    commands = [["--version"]]
+    for path in sorted([*FIXTURES.glob("golden/*.json"), *FIXTURES.glob("certificates/*.json")]):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        alice, bob = ([s["id"] for s in doc["scenario"][f"{side}_settings"][:2]] for side in ("alice", "bob"))
+        spec = str(path)
+        chsh = ["--chsh", f"{','.join(alice)}:{','.join(bob)}", "--membership"]
+        for argv in (["report", spec], ["validate", spec], ["check-locality", spec], ["check-signal", spec],
+                     ["check-anticorrelation", spec], ["derive-instructions", spec], ["bell-test", spec, *chsh]):
+            commands += [[*argv, "--format", "json"], argv]
+    return commands
+
+
+def run_sequence(tmp_path: Path, commands: list[list[str]], mode: str) -> dict:
+    listing, result = tmp_path / "commands.json", tmp_path / f"{mode}.json"
+    listing.write_text(json.dumps(commands), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", SEQUENCE, str(listing), mode,
+                           str(result)], env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path,
+                          capture_output=True, check=False)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr.decode("utf-8", "replace")
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+class TestWithoutNumpy:
+    def test_the_report_path_runs_the_same_with_numpy_blocked(self, tmp_path):
+        commands = _report_path_commands()
+        plain, blocked = (run_sequence(tmp_path, commands, mode) for mode in ("plain", "blocked"))
+        assert not plain["numpy"] and not blocked["numpy"]
+        assert [argv for argv, *_ in plain["runs"]] == commands
+        codes = {code for _, code, *_ in plain["runs"]}
+        assert codes == {0, 1, 2}, codes  # passed and failed checks, and refused inputs
+        for want, got in zip(plain["runs"], blocked["runs"], strict=True):
+            assert got == want, want[0]
 
 
 #: the engines, each of which builds on `model` alone
@@ -179,14 +248,20 @@ class TestLayering:
         ("montecarlo", ["bell_lab", "bell_lab.model", "bell_lab.montecarlo"]),
         ("instructions", ["bell_lab", "bell_lab.instructions", "bell_lab.model"]),
         ("harness", ["bell_lab", "bell_lab.harness", "bell_lab.model"]),
+        ("singlet", ["bell_lab", "bell_lab.model", "bell_lab.singlet"]),
+        ("audit", ["bell_lab", "bell_lab.audit", "bell_lab.model"]),
+        ("specio", ["bell_lab", "bell_lab.model", "bell_lab.specio"]),
     ])
     def test_an_engine_loads_only_model(self, engine, loads):
-        code = f"import sys, bell_lab.{engine}; print(*sorted(m for m in sys.modules if m.startswith('bell_lab')))"
+        # and numpy only for the Monte Carlo engine and the singlet builder
+        code = (f"import sys, bell_lab.{engine}; "
+                "print(*sorted(m for m in sys.modules if m.startswith('bell_lab')), 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
                               env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
                               encoding="utf-8", check=False)
         assert proc.returncode == 0 and not proc.stderr, proc.stderr
-        assert proc.stdout.split() == loads
+        *modules, numpy = proc.stdout.split()
+        assert modules == loads and numpy == str(engine in ("montecarlo", "singlet"))
 
     def test_the_chsh_convention_has_one_home(self):
         from bell_lab import harness, model, montecarlo
