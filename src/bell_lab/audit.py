@@ -164,12 +164,11 @@ def _checks(kt: KernelTensor, t: float):
     own values; with one, each side is a ratio of ints, lhs = Ln / Ld and
     rhs = Rn / Rd, which with t = p / q fails when |Ln Rd - Rn Ld| q >
     p Ld Rd, and a Fraction is built only for a check that fails."""
-    X, D = kt.scaled
+    X, D = kt.scaled  # X[2A + B][cell], outcome index 0 for +1 and 1 for -1
     S, na, nb = kt.shape
     per = na * nb
-    x = tuple(zip(*X))  # x[2A + B][cell], outcome index 0 for +1 and 1 for -1
-    Ma = [list(map(add, x[0], x[1])), list(map(add, x[2], x[3]))]  # P(A | a, b)
-    Mb = [list(map(add, x[0], x[2])), list(map(add, x[1], x[3]))]  # P(B | a, b)
+    Ma = [list(map(add, X[0], X[1])), list(map(add, X[2], X[3]))]  # P(A | a, b)
+    Mb = [list(map(add, X[0], X[2])), list(map(add, X[1], X[3]))]  # P(B | a, b)
     # P(A | a, first b) and P(B | first a, b)
     own_a = [list(chain.from_iterable(map(repeat, m[::nb], repeat(nb)))) for m in Ma]
     own_b = [list(chain.from_iterable(m[s * per:s * per + nb] * na for s in range(S))) for m in Mb]
@@ -181,9 +180,9 @@ def _checks(kt: KernelTensor, t: float):
     slots = ([(Ma[A], None, own_a[A], None, far_b) for A in (0, 1)]
              + [(Mb[B], None, own_b[B], None, far_a) for B in (0, 1)]
              + [check for A in (0, 1) for B in (0, 1) for check in (
-                 (x[2 * A + B], Mb[B], own_a[A], None, alive_b[B]),
-                 (x[2 * A + B], Ma[A], own_b[B], None, alive_a[A]))]
-             + [(x[2 * A + B], None, own_a[A], own_b[B], None) for A in (0, 1) for B in (0, 1)])
+                 (X[2 * A + B], Mb[B], own_a[A], None, alive_b[B]),
+                 (X[2 * A + B], Ma[A], own_b[B], None, alive_a[A]))]
+             + [(X[2 * A + B], None, own_a[A], own_b[B], None) for A in (0, 1) for B in (0, 1)])
     if D is not None:
         p, q = Fraction(t).as_integer_ratio()
         D = kt.per_cell(D)
@@ -376,7 +375,7 @@ def check_anticorrelation(
     checks = []
     for s, state in enumerate(model.ensemble.state_ids()):
         for (a_id, b_id), i, j in zip(equal_axis_pairs, alice, bob):
-            pp, _, _, mm = X[(s * na + i) * nb + j]
+            pp, mm = X[0][(s * na + i) * nb + j], X[3][(s * na + i) * nb + j]
             checks.append(AxisCheck(state, a_id, b_id, kt.unscaled(pp, s), kt.unscaled(mm, s),
                                     pp <= bound[s] and mm <= bound[s]))
     return AntiCorrelationReport(axes_checked=tuple(equal_axis_pairs), checks=tuple(checks), tolerance=t)

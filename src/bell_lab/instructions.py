@@ -160,7 +160,8 @@ def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: li
                 # all mass on A = s_i and B = -s_j; outcome index 0 is +1 and 1 is -1
                 point = [0] * 4
                 point[2 * (sign_a < 0) + (sign_b > 0)] = 1 if D is None else D[s]
-                if any(map(gt, map(abs, map(sub, X[(s * na + a) * nb + b], point)), repeat(bound[s]))):
+                cell = [column[(s * na + a) * nb + b] for column in X]
+                if any(map(gt, map(abs, map(sub, cell, point)), repeat(bound[s]))):
                     raise BellLabError("derived instructions do not rebuild the axis cells; derivation bug")
 
 
@@ -187,7 +188,7 @@ def derive_instruction_sets(
     # P(+1 | a, b, state) on each wing as `scaled` values, per cell.  A
     # value stands for more than t exactly when it exceeds at_most(t), and
     # for at least 1 - t when it reaches -at_most(-(1 - t)).
-    pp, pm, mp, _ = zip(*kt.scaled[0])
+    pp, pm, mp, _ = kt.scaled[0]
     plus_a, plus_b = list(map(add, pp, pm)), list(map(add, pp, mp))
     low, high = kt.at_most(t), [-v for v in kt.at_most(-(1 - t))]
     signs = []

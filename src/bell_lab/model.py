@@ -26,9 +26,9 @@ Functions here are pure and never mutate their inputs.
 
 The kernel is stored once, as rows of four values per cell
 (`ResponseKernel`); the `cells` mapping and `TheoryModel.tensor`, a
-`KernelTensor` of the rows `K[cell]` and weights `w[state]` of the
-model's own values in declaration order, are built from it on first
-read.  The checks apply Python's operators to those values, one column
+`KernelTensor` of one column `K[j][cell]` per joint outcome and the
+weights `w[state]`, the model's own values in declaration order, are
+built from it on first read.  The checks apply Python's operators to those values, one column
 of cells at a time through `map`, so every value keeps its type and its
 bits; numpy is not imported.  `KernelTensor.scaled` decides once, by
 the kernel alone, how the per-state checks count: an exact kernel's
@@ -51,8 +51,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, count, repeat, starmap
-from operator import add, attrgetter, floordiv, gt, mul
+from itertools import chain, repeat, starmap
+from operator import add, attrgetter, floordiv, gt, mul, truediv
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -390,11 +390,6 @@ class ResponseKernel:
         return all(map(is_exact, chain.from_iterable(self.rows)))
 
     @cached_property
-    def row_lcm(self) -> tuple[int, ...]:
-        """An exact kernel's lcm of each row's denominators, in row order."""
-        return tuple(starmap(math.lcm, self.ratios[1]))
-
-    @cached_property
     def cells(self) -> Mapping[tuple[str, str, str], OutcomeDistribution]:
         return MappingProxyType(dict(zip(self.keys, starmap(OutcomeDistribution, self.rows))))
 
@@ -427,12 +422,13 @@ class ResponseKernel:
 
 
 class KernelTensor:
-    """A model's kernel in declaration order, as tuples.
+    """A model's kernel in declaration order, one column per joint outcome.
 
-    `K[cell]` is the row (++, +-, -+, --) of P(A, B | a, b, state), with
-    `cell` = (state * na + a) * nb + b over the `shape` (states, na, nb),
-    and `w[state]` the state's weight, both the model's own Fraction or
-    float values; each is arranged from the kernel's rows on first read.
+    `K[j][cell]` is P(A, B | a, b, state) for the outcome pair j = 2A + B
+    (index 0 for +1, as in a kernel row), cell = (state * na + a) * nb + b
+    over the `shape` (states, na, nb), and `w[state]` the state's weight:
+    the model's own Fraction or float values in tuples, arranged from the
+    kernel's rows on first read.
     """
 
     def __init__(self, w: tuple, kernel: ResponseKernel, order: list | None, shape: tuple[int, int, int]):
@@ -442,23 +438,26 @@ class KernelTensor:
     def _arranged(self, rows: tuple) -> tuple:
         return rows if self._order is None else tuple(map(rows.__getitem__, self._order))
 
+    def _columns(self, rows: tuple) -> tuple[tuple, ...]:
+        flat = list(chain.from_iterable(self._arranged(rows)))
+        return tuple(tuple(flat[j::4]) for j in range(4))
+
     def per_cell(self, values: Iterable) -> list:
         """A per-state sequence repeated over each state's cells."""
         return list(chain.from_iterable(map(repeat, values, repeat(self.shape[1] * self.shape[2]))))
 
     @cached_property
     def K(self) -> tuple[tuple[Prob, ...], ...]:
-        return self._arranged(self._kernel.rows)
+        return self._columns(self._kernel.rows)
 
     @cached_property
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """An exact kernel as Python ints `(N, D)`: `D[state]` the lcm of the
-        state's row lcms and `N[cell]` = K[cell] * D[state]."""
-        num, den, L = map(self._arranged, (*self._kernel.ratios, self._kernel.row_lcm))
-        per = self.shape[1] * self.shape[2]
-        D = tuple(math.lcm(*L[s * per:(s + 1) * per]) for s in range(self.shape[0]))
-        N = tuple(tuple(map(mul, n, map(floordiv, repeat(d), q))) for n, q, d in zip(num, den, self.per_cell(D)))
-        return N, D
+        state's denominators and `N[j][cell]` = K[j][cell] * D[state]."""
+        den, per = self._arranged(self._kernel.ratios[1]), self.shape[1] * self.shape[2]
+        D = tuple(math.lcm(*chain.from_iterable(den[s * per:(s + 1) * per])) for s in range(self.shape[0]))
+        unit, (num, den) = self.per_cell(D), map(self._columns, self._kernel.ratios)
+        return tuple(tuple(map(mul, n, map(floordiv, unit, d))) for n, d in zip(num, den)), D
 
     @cached_property
     def scaled(self) -> tuple[tuple, tuple[int, ...] | None]:
@@ -479,12 +478,12 @@ class KernelTensor:
         D = self.scaled[1]
         return x if D is None else Fraction(x, D[state])
 
-    def as_float(self) -> list[float]:
-        """K as floats, row after row, correctly rounded: N / D for an exact kernel."""
-        X, D = self.scaled
-        if D is None:
-            return list(map(float, chain.from_iterable(X)))
-        return [n / d for row, d in zip(X, self.per_cell(D)) for n in row]
+    def as_float(self) -> list[list[float]]:
+        """K as floats, column by column, correctly rounded: an exact
+        kernel's reduced numerator over its denominator."""
+        if self._kernel.is_exact:
+            return [list(map(truediv, n, d)) for n, d in zip(*map(self._columns, self._kernel.ratios))]
+        return [list(map(float, column)) for column in self.K]
 
 
 @dataclass(frozen=True)
@@ -626,13 +625,15 @@ def _cell_faults(key: tuple[str, str, str], values: tuple, t: float) -> list[Vio
 def _suspect_rows(kernel: ResponseKernel, t: float) -> Iterable[int]:
     """The rows, in the kernel's order, that `_cell_faults` may flag: every
     row unless all exact (0 <= num <= den, and over the lcm L of the row's
-    denominators, num * (L / den) summing to L) or all float (each entry in
-    [-t, 1 + t], and the sum in `OutcomeDistribution.total`'s order within
-    t of 1, which no NaN or infinite entry leaves it)."""
+    denominators, num * (L / den) summing to L, each distinct row checked
+    once) or all float (each entry in [-t, 1 + t], and the sum in
+    `OutcomeDistribution.total`'s order within t of 1, which no NaN or
+    infinite entry leaves it)."""
     if kernel.is_exact:
-        num, den = kernel.ratios
-        return [i for i, n, d, L in zip(count(), num, den, kernel.row_lcm)
-                if min(n) < 0 or any(map(gt, n, d)) or sum(map(mul, n, map(floordiv, repeat(L), d))) != L]
+        rows = list(zip(*kernel.ratios))  # (numerators, denominators) per row
+        bad = {(n, d) for n, d, L in ((*row, math.lcm(*row[1])) for row in set(rows))
+               if min(n) < 0 or any(map(gt, n, d)) or sum(map(mul, n, map(floordiv, repeat(L), d))) != L}
+        return [i for i, row in enumerate(rows) if row in bad] if bad else []
     if set(map(type, chain.from_iterable(kernel.rows))) <= {float}:
         return [i for i, row in enumerate(kernel.rows)
                 if min(row) < -t or max(row) > 1 + t or not abs(reduce(add, row) - 1.0) <= t]
@@ -734,16 +735,14 @@ def behavior(model: TheoryModel, tol: float | None = None) -> BehaviorTable:
     require_valid(model, tol)
     kt = model.tensor
     per = kt.shape[1] * kt.shape[2]
+    # column[c::per] holds one cell of every state, in state order
     if model.is_exact:
         N, D = kt.integer_form
         scale = [w.denominator * d for w, d in zip(kt.w, D)]
         common = math.lcm(*scale)
         factor = [w.numerator * (common // d) for w, d in zip(kt.w, scale)]
-        by_state = [chain.from_iterable(N[s * per:(s + 1) * per]) for s in range(len(D))]
-        mean = [Fraction(sum(map(mul, factor, column)), common) for column in zip(*by_state)]
+        mean = [[Fraction(sum(map(mul, factor, column[c::per])), common) for c in range(per)] for column in N]
     else:
-        by_state = [map(mul, repeat(w), chain.from_iterable(kt.K[s * per:(s + 1) * per]))
-                    for s, w in enumerate(kt.w)]
-        mean = [sum(column, Fraction(0)) for column in zip(*by_state)]
-    cells = dict(zip(model.scenario.pairs(), starmap(OutcomeDistribution, zip(*[iter(mean)] * 4))))
+        mean = [[sum(map(mul, kt.w, column[c::per]), Fraction(0)) for c in range(per)] for column in kt.K]
+    cells = dict(zip(model.scenario.pairs(), starmap(OutcomeDistribution, zip(*mean))))
     return BehaviorTable(scenario=model.scenario, cells=cells)

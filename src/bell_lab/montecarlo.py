@@ -112,7 +112,7 @@ def _tables(model: TheoryModel) -> tuple[np.ndarray, np.ndarray]:
     outcomes.  A decimal cell may dip below 0 within the tolerance and
     counts as 0."""
     kt = model.tensor
-    cells = np.maximum(np.array(kt.as_float()).reshape(*kt.shape, 4), 0.0)
+    cells = np.maximum(np.array(kt.as_float()).T.reshape(*kt.shape, 4), 0.0)
     return np.cumsum(list(map(float, kt.w))), np.cumsum(cells, axis=-1)
 
 

@@ -237,7 +237,7 @@ def theory_to_dict(model: TheoryModel) -> dict[str, Any]:
         return {"id": s.id} if s.direction is None else {"id": s.id, "vector": list(s.direction)}
 
     pair_keys = [f"{a}|{b}" for a, b in model.scenario.pairs()]
-    K, per = model.tensor.K, len(pair_keys)
+    K, per = list(zip(*model.tensor.K)), len(pair_keys)
     return {
         "name": model.name,
         "scenario": {

@@ -210,7 +210,7 @@ class TestExactModels:
         N, D = model.tensor.integer_form
         assert min(D) > 2**63
         assert all(type(x) is int for x in [*D, *chain.from_iterable(N)])
-        assert list(map(sum, N)) == model.tensor.per_cell(D)
+        assert list(map(sum, zip(*N))) == model.tensor.per_cell(D)
 
     @pytest.mark.parametrize("tol", [0.1, 1e-9, 1 / 3])
     def test_residuals_on_the_tolerance_rational(self, tol):

@@ -167,20 +167,20 @@ class TestCachedTensor:
         model = self.valid_model()
         kt = model.tensor
         assert model.tensor is kt
-        assert kt.shape == (4, 2, 3) and len(kt.K) == 4 * 2 * 3 and len(kt.w) == 4
+        assert kt.shape == (4, 2, 3) and len(kt.K) == 4 and len(kt.K[0]) == 4 * 2 * 3 and len(kt.w) == 4
         assert kt.scaled is kt.scaled and kt.scaled[0] is kt.K and kt.scaled[1] is None
         for values in (kt.K, kt.K[0], kt.w, kt.scaled[0]):
             assert type(values) is tuple
             with pytest.raises(TypeError):
                 values[0] = Fraction(1)
-        # K[(state * na + a) * nb + b][2 * A + B], outcome index 0 for +1
-        assert kt.K[(1 * 2 + 0) * 3 + 2][1] == model.kernel.cells[("s2", "a1", "b3")].pm
+        # K[2 * A + B][(state * na + a) * nb + b], outcome index 0 for +1
+        assert kt.K[1][(1 * 2 + 0) * 3 + 2] == model.kernel.cells[("s2", "a1", "b3")].pm
 
     def test_read_before_validation(self):
         # the tensor is arranged from the kernel's stored rows, valid or not;
         # only a missing cell stops it
         model = genmodels.random_product_model(np.random.default_rng(3), 2, 2, 2)
-        assert model.tensor.K[(1 * 2 + 0) * 2 + 1][2] == model.kernel.cell("s2", "a1", "b2").mp
+        assert model.tensor.K[2][(1 * 2 + 0) * 2 + 1] == model.kernel.cell("s2", "a1", "b2").mp
         assert "_valid_at" not in vars(model) or not model._valid_at
         cells = dict(model.kernel.cells)
         del cells[("s2", "a2", "b1")]
@@ -194,6 +194,6 @@ class TestCachedTensor:
         kt = model.tensor
         twin = clone(model)
         assert twin == model
-        assert type(twin.tensor.K) is tuple and all(type(row) is tuple for row in twin.tensor.K)
+        assert type(twin.tensor.K) is tuple and all(type(column) is tuple for column in twin.tensor.K)
         assert twin.tensor.K == kt.K
         assert model_module.behavior(twin) == model_module.behavior(model)

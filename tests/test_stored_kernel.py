@@ -156,8 +156,8 @@ class TestValidationOracle:
 
 
 def _typed(values: tuple | list) -> list[tuple[str, str]]:
-    """Each value of a sequence, or of a sequence of rows, as its type and repr."""
-    return [typed(v) for row in values for v in (row if type(row) is tuple else (row,))]
+    """Each value of a sequence, or of a sequence of columns, as its type and repr."""
+    return [typed(v) for column in values for v in (column if type(column) in (tuple, list) else (column,))]
 
 
 class TestParsedTensor:
@@ -186,7 +186,7 @@ class TestParsedTensor:
         assert num == ((1, 1, 1, 0),) and den == ((4, 4, 2, 1),)
         assert validate_theory(model) == []
         N, D = model.tensor.integer_form
-        assert N == ((1, 1, 2, 0),) and D == (4,)
+        assert N == ((1,), (1,), (2,), (0,)) and D == (4,)
         assert "rows" not in vars(model.kernel)
         assert model.kernel.cell("s", "a", "b") == OutcomeDistribution(
             Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0))
@@ -275,7 +275,7 @@ class TestCompatibility:
         with pytest.raises(TypeError):
             cells[("s1", "a1", "b1")] = OutcomeDistribution.point(+1, +1)
         # the tensor is in declaration order, whatever the document's
-        assert model.tensor.K == ((0, Fraction(1, 2), 0.5, 0), (0, 1, 0, 0))
+        assert model.tensor.K == ((0, 0), (Fraction(1, 2), 1), (0.5, 0), (0, 0))
 
     def test_missing_cell_raises_unknown_id(self):
         model = parse_theory(_spec({"++": 0, "+-": 1, "-+": 0, "--": 0}).replace('"a2|b1"', '"a2|b2"'))
