@@ -28,14 +28,14 @@ The kernel is stored once, as rows of four values per cell
 (`ResponseKernel`); the `cells` mapping and `TheoryModel.tensor`, a
 `KernelTensor` of one column `K[j][cell]` per joint outcome and the
 weights `w[state]`, the model's own values in declaration order, are
-built from it on first read.  The checks apply Python's operators to those values, one column
-of cells at a time through `map`, so every value keeps its type and its
-bits; numpy is not imported.  `KernelTensor.scaled` decides once, by
-the kernel alone, how the per-state checks count: an exact kernel's
-integer form `(N, D)`, one denominator `D[state]` per state and
-Python-int numerators `N = K * D[state]`, else `(K, None)`.  The
-audits and the derivation compare `scaled` values with `at_most` bounds
-and build a Fraction only for a value they report, whatever the weights.
+built from it on first read.  The checks apply Python's operators to
+those values, a column at a time through `map`, so every value keeps its
+type and its bits; numpy is not imported.  `KernelTensor.scaled` decides
+once, by the kernel alone, how the per-state checks count: an exact
+kernel's integer form `(N, D)`, one denominator `D[state]` per state and
+Python-int numerators `N = K * D[state]`, else `(K, None)`.  The audits
+and the derivation compare `scaled` values with `at_most` bounds and
+build a Fraction only for a value they report, whatever the weights.
 `validate_theory` checks the stored rows in their own order.
 
 The engines (`specio`, `audit`, `instructions`, `harness`, `montecarlo`,
