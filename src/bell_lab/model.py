@@ -454,9 +454,9 @@ class KernelTensor:
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """An exact kernel as Python ints `(N, D)`: `D[state]` the lcm of the
         state's denominators and `N[j][cell]` = K[j][cell] * D[state]."""
-        den, per = self._arranged(self._kernel.ratios[1]), self.shape[1] * self.shape[2]
-        D = tuple(math.lcm(*chain.from_iterable(den[s * per:(s + 1) * per])) for s in range(self.shape[0]))
-        unit, (num, den) = self.per_cell(D), map(self._columns, self._kernel.ratios)
+        (num, den), (S, na, nb) = map(self._columns, self._kernel.ratios), self.shape
+        D = tuple(math.lcm(*chain.from_iterable(d[s * na * nb:(s + 1) * na * nb] for d in den)) for s in range(S))
+        unit = self.per_cell(D)
         return tuple(tuple(map(mul, n, map(floordiv, unit, d))) for n, d in zip(num, den)), D
 
     @cached_property
