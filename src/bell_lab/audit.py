@@ -15,9 +15,9 @@ strictly positive kernels the two forms agree on the verdict.
 
 The hidden-state audits read the kernel tensor's `scaled` values: the
 integer form `N = K * D[state]` of an exact kernel, else the model's own
-rows `K[cell]`.  Each of the 16 locality checks of a cell is one pass of
-Python's operators over columns of the cells, the rows' entries and their
-marginals, and only the decide step differs: with the tolerance written
+values `K[j][cell]`.  Each of the 16 locality checks of a cell is one
+pass of Python's operators over those columns and their marginals, and
+only the decide step differs: with the tolerance written
 as its exact ratio p / q, an integer check is an inequality between
 cross-multiplied Python ints, which decides as the Fraction comparison
 with the float tolerance does.  The anti-correlation audit compares the

@@ -9,15 +9,14 @@ therefore carries an instruction set: a sign per axis for Alice, with Bob's
 sign the negation.  Over n axes there are exactly 2^n possible sign
 patterns, so the ensemble splits into 2^n classes (some possibly empty).
 
-`derive_instruction_sets` mechanizes exactly that step in one pass over
-the states and axes: it compares the kernel tensor's `scaled` marginals
-with the per-state bounds `at_most` gives the tolerance (for an exact
-kernel, integer counts over one denominator per state), check by check.
-Its first breach is returned as a `DerivationFailure`, not raised, as a
-failed derivation is a finding, not a crash; a derived set is first
-rebuilt into the axis cells and held to the kernel.  An
-`Axis` and the default axes (`model.equal_axes`) are `model`'s, as for
-the anti-correlation audit.
+`derive_instruction_sets` mechanizes exactly that step axis by axis,
+over every state at once: it compares the kernel tensor's `scaled`
+marginals with the per-state bounds `at_most` gives the tolerance (for an
+exact kernel, integer counts over one denominator per state).  Its first
+breach is returned as a `DerivationFailure`, not raised, as a failed
+derivation is a finding, not a crash; a derived set is first rebuilt into
+the axis cells and held to the kernel.  An `Axis` and the default axes
+(`model.equal_axes`) are `model`'s, as for the anti-correlation audit.
 `realize_model` validates its model, so weights not summing to 1 raise.
 """
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
-from operator import add, gt, sub
+from operator import add, and_, eq, ge, gt, mul, not_, sub
 from typing import NamedTuple
 
 from .model import (
@@ -147,21 +146,21 @@ _BREACHES = (
 
 def _check_rebuild(kt: KernelTensor, alice: list[int], bob: list[int], signs: list[list[int]], t: float) -> None:
     """Raise BellLabError unless each state's axis cells (a_i, b_j) are
-    within 4t of the point (s_i, -s_j) of its `signs[state][axis]`, as the
+    within 4t of the point (s_i, -s_j) of its `signs[axis][state]`, as the
     derivation's bounds (2t on each wing's marginal) imply; a decimal
     kernel's entries may reach -t and sum to 1 within t, in rounded floats:
     6t + 1e-12."""
     X, D = kt.scaled
     _, na, nb = kt.shape
     bound = kt.at_most(6 * t + 1e-12 if D is None else 4 * t)
-    for s, row in enumerate(signs):
-        for a, sign_a in zip(alice, row):
-            for b, sign_b in zip(bob, row):
-                # all mass on A = s_i and B = -s_j; outcome index 0 is +1 and 1 is -1
-                point = [0] * 4
-                point[2 * (sign_a < 0) + (sign_b > 0)] = 1 if D is None else D[s]
-                cell = [column[(s * na + a) * nb + b] for column in X]
-                if any(map(gt, map(abs, map(sub, cell, point)), repeat(bound[s]))):
+    unit = [1] * len(bound) if D is None else D
+    for a, sign_a in zip(alice, signs):
+        for b, sign_b in zip(bob, signs):
+            # per state, the one entry of A = s_i and B = -s_j; outcome index 0 is +1 and 1 is -1
+            at = [2 * (i < 0) + (j > 0) for i, j in zip(sign_a, sign_b)]
+            for k, column in enumerate(X):
+                point = map(mul, unit, map(eq, at, repeat(k)))
+                if any(map(gt, map(abs, map(sub, column[a * nb + b::na * nb], point)), bound)):
                     raise BellLabError("derived instructions do not rebuild the axis cells; derivation bug")
 
 
@@ -174,10 +173,10 @@ def derive_instruction_sets(
 
     For each state and axis the own-outcome marginal on each wing must be
     independent of the far setting, within tolerance of 0 or 1, and the two
-    wings must disagree in sign.  The checks run state by state, axis by
-    axis, in the order of `_BREACHES`, and the first breach is returned as
-    a DerivationFailure; otherwise the full instruction set with ensemble
-    weights attached.
+    wings must disagree in sign.  The checks run axis by axis over every
+    state at once, in the order of `_BREACHES`, and the first breach in
+    state, axis, check order is returned as a DerivationFailure; otherwise
+    the full instruction set with ensemble weights attached.
     """
     t = require_valid(model, tol)
     axes = equal_axes(model.scenario, axes, "no axes to derive on: "
@@ -185,33 +184,37 @@ def derive_instruction_sets(
     alice, bob = model.scenario.pair_indices(axes)
     kt, entries = model.tensor, model.ensemble.entries
     _, na, nb = kt.shape
-    # P(+1 | a, b, state) on each wing as `scaled` values, per cell.  A
-    # value stands for more than t exactly when it exceeds at_most(t), and
-    # for at least 1 - t when it reaches -at_most(-(1 - t)).
+    per = na * nb
+    # P(+1 | a, b, state) on each wing as `scaled` values, per cell; a cell's
+    # column [a * nb + b::per] runs over the states.  A value stands for more
+    # than t exactly when it exceeds at_most(t), and for at least 1 - t when
+    # it reaches -at_most(-(1 - t)).
     pp, pm, mp, _ = kt.scaled[0]
     plus_a, plus_b = list(map(add, pp, pm)), list(map(add, pp, mp))
     low, high = kt.at_most(t), [-v for v in kt.at_most(-(1 - t))]
-    signs = []
-    for s, entry in enumerate(entries):
-        first, signs_s = s * na * nb, []
-        for axis, a, b in zip(axes, alice, bob):
-            # against every far setting, then on the axis itself
-            far_a = plus_a[first + a * nb:first + (a + 1) * nb]
-            far_b = plus_b[first + b:first + na * nb:nb]
-            own_a, own_b = plus_a[first + a * nb + b], plus_b[first + a * nb + b]
-            up_a, up_b = own_a >= high[s], own_b >= high[s]
-            breach = (max(far_a) - min(far_a) > low[s], max(far_b) - min(far_b) > low[s],
-                      not up_a and own_a > low[s], not up_b and own_b > low[s], up_a == up_b)
-            if any(breach):
-                check = breach.index(True)
-                marginal = (max(far_a), max(far_b), own_a, own_b, own_b)[check]
-                side, reason = _BREACHES[check]
-                return DerivationFailure(entry.state_id, axis, side, kt.unscaled(marginal, s), reason)
-            signs_s.append(1 if up_a else -1)
-        signs.append(signs_s)
+    found, signs = [], []  # per axis: its first breach, and each state's sign
+    for i, (a, b) in enumerate(zip(alice, bob)):
+        # against every far setting, then on the axis itself
+        far_a = list(zip(*(plus_a[a * nb + f::per] for f in range(nb))))
+        far_b = list(zip(*(plus_b[f * nb + b::per] for f in range(na))))
+        own_a, own_b = plus_a[a * nb + b::per], plus_b[a * nb + b::per]
+        up_a, up_b = list(map(ge, own_a, high)), list(map(ge, own_b, high))
+        top = list(map(max, far_a)), list(map(max, far_b))
+        breach = list(zip(map(gt, map(sub, top[0], map(min, far_a)), low),
+                          map(gt, map(sub, top[1], map(min, far_b)), low),
+                          map(and_, map(not_, up_a), map(gt, own_a, low)),
+                          map(and_, map(not_, up_b), map(gt, own_b, low)), map(eq, up_a, up_b)))
+        if True in (broken := list(map(any, breach))):
+            s = broken.index(True)
+            found.append((s, i, breach[s].index(True), (*top, own_a, own_b, own_b)))
+        signs.append([1 if up else -1 for up in up_a])
+    if found:
+        s, i, check, marginals = min(found)
+        side, reason = _BREACHES[check]
+        return DerivationFailure(entries[s].state_id, axes[i], side, kt.unscaled(marginals[check][s], s), reason)
     _check_rebuild(kt, alice, bob, signs, t)
     assignments = {e.state_id: {axis: (a, -a) for axis, a in zip(axes, row)}
-                   for e, row in zip(entries, signs)}
+                   for e, row in zip(entries, zip(*signs))}
     return InstructionSet(tuple(axes), assignments, {e.state_id: e.weight for e in entries})
 
 

@@ -208,12 +208,12 @@ def _without_transpose(monkeypatch):
     """`derive_instruction_sets` from a copy of the module that reads
     Bob's far-setting marginals untransposed: per axis, the row of one
     Alice setting instead of the column of the axis's Bob setting."""
-    source, column = inspect.getsource(instructions), "plus_b[first + b:first + na * nb:nb]"
+    source, column = inspect.getsource(instructions), "plus_b[f * nb + b::per] for f in range(na)"
     assert source.count(column) == 1
     module = types.ModuleType("bell_lab._untransposed")
     module.__package__ = "bell_lab"
     monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
-    row = "plus_b[first + b * nb:first + (b + 1) * nb]"  # the row of Alice's setting at Bob's index
+    row = "plus_b[b * nb + f::per] for f in range(nb)"  # the row of Alice's setting at Bob's index
     exec(compile(source.replace(column, row), "<untransposed>", "exec"), vars(module))
     return module.derive_instruction_sets
 
