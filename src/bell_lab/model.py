@@ -435,11 +435,9 @@ class KernelTensor:
         self.w, self.shape = w, shape
         self._kernel, self._order = kernel, order
 
-    def _arranged(self, rows: tuple) -> tuple:
-        return rows if self._order is None else tuple(map(rows.__getitem__, self._order))
-
     def _columns(self, rows: tuple) -> tuple[tuple, ...]:
-        flat = list(chain.from_iterable(self._arranged(rows)))
+        """Kernel `rows`, in declaration order, as one column per joint outcome."""
+        flat = list(chain.from_iterable(rows if self._order is None else map(rows.__getitem__, self._order)))
         return tuple(tuple(flat[j::4]) for j in range(4))
 
     def per_cell(self, values: Iterable) -> list:
