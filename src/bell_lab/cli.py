@@ -11,8 +11,10 @@ The six check subcommands (`validate` to `bell-test`) are the rows of one
 table, `CHECKS`, which `build_parser` registers; `cmd_check` serves them
 all: load the spec, run the row's check, emit JSON or text, and return 0
 if the check passed, else 1.  `make-singlet` compares and renders
-nothing, so it takes no `--tol` or `--format`.  Only `simulate`,
-`make-singlet` and `report --simulate-trials` load `montecarlo` or `singlet`.
+nothing, so it takes no `--tol` or `--format`.  Each engine loads where
+it is called: a check loads its own of `audit`, `harness` and
+`instructions`, `report` all three, `simulate` and `report
+--simulate-trials` `montecarlo`, and `make-singlet` `singlet`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
@@ -40,17 +42,6 @@ from itertools import chain, repeat
 from typing import Any, Iterable, Iterator
 
 from . import __version__
-from .audit import (
-    SLOTS,
-    LocalityReport,
-    LocalityViolation,
-    check_anticorrelation,
-    check_bell_locality,
-    check_signal_locality,
-    signal_deltas,
-)
-from .harness import BellTestResult, all_correlators, bell1964, chsh, local_polytope_membership
-from .instructions import classify_states, derive_instruction_sets, DerivationFailure
 from .model import (Axis, BellLabError, EnumerationLimitError, EqualAxisError, TheoryModel, behavior,
                     format_probability, resolve_axes, resolve_tolerance, validate_theory)
 from .specio import SpecFormatError, dump_theory, parse_theory, theory_to_dict
@@ -74,10 +65,12 @@ def _texts(values: list) -> Iterable[str]:
     return map(dict(zip(distinct, json.dumps([*distinct.values()])[1:-1].split(", "))).__getitem__, bits)
 
 
-def _listing(report: LocalityReport, level: int) -> Iterator[str]:
+def _listing(report, level: int) -> Iterator[str]:
     """The `indent=2` text of `report.to_dict()["violations"]`, `level`
     deep, one join per `_SLAB_ROWS` rows of the pieces of each slot's row,
     dumped with "%s" for the six other fields, and those fields' texts."""
+    from .audit import SLOTS, LocalityViolation
+
     row = "\n" + "  " * (level + 1)
     blank = lambda form, A, B: LocalityViolation(form, *["%s"] * 3, A, B, *["%s"] * 3)
     # json escapes a newline inside a string, so one replace indents a dumped row;
@@ -111,6 +104,8 @@ def emit_json(obj: Any, out=None) -> None:
     reports = []
 
     def note(value):
+        from .audit import LocalityReport
+
         if not isinstance(value, LocalityReport):
             return json.JSONEncoder.default(None, value)  # raises json's TypeError
         reports.append(value)
@@ -264,6 +259,8 @@ def render_anticorr(report, out) -> None:
 
 
 def render_instructions(result, partition, out) -> None:
+    from .instructions import DerivationFailure
+
     if isinstance(result, DerivationFailure):
         out.write("Instruction derivation: FAILED\n")
         out.write(
@@ -287,7 +284,7 @@ def render_instructions(result, partition, out) -> None:
         out.write(f"    {cls['pattern']}: weight {cls['weight']} members {members}\n")
 
 
-def render_bell_tests(result: BellTestResult, out) -> None:
+def render_bell_tests(result, out) -> None:
     out.write("Correlators:\n")
     for (a, b), e in result.correlators.items():
         out.write(f"  E({a},{b}) = {_fmt(e)}\n")
@@ -353,6 +350,8 @@ def _or_skipped(section, error: type[BellLabError]) -> dict:
 
 
 def derivation_json(result) -> dict:
+    from .instructions import DerivationFailure, classify_states
+
     if isinstance(result, DerivationFailure):
         return {"derived": False, "failure": result.to_dict()}
     partition = _or_skipped(lambda: classify_states(result).to_dict(), EnumerationLimitError)  # past 16 axes
@@ -370,27 +369,37 @@ def _validate(model: TheoryModel, args):
 
 
 def _locality(model: TheoryModel, args):
+    from .audit import check_bell_locality
+
     report = check_bell_locality(model, args.tol)
     return partial(report.to_dict, as_columns=True), partial(render_locality, report), report.bell_local
 
 
 def _signal(model: TheoryModel, args):
+    from .audit import check_signal_locality
+
     report = check_signal_locality(model, args.tol)
     return report.to_dict, partial(render_signal, report), report.signal_local
 
 
 def _anticorrelation(model: TheoryModel, args):
+    from .audit import check_anticorrelation
+
     report = check_anticorrelation(model, _parse_axes_arg(model, args.axes), args.tol)
     return report.to_dict, partial(render_anticorr, report), report.holds
 
 
 def _derivation(model: TheoryModel, args):
+    from .instructions import derive_instruction_sets
+
     result = derive_instruction_sets(model, _parse_axes_arg(model, args.axes), args.tol)
     doc = derivation_json(result)
     return lambda: doc, partial(render_instructions, result, doc.get("partition")), doc["derived"]
 
 
 def _bell_tests(model: TheoryModel, args):
+    from .harness import BellTestResult, all_correlators, bell1964, chsh, local_polytope_membership
+
     table = behavior(model, args.tol)
     result = BellTestResult(
         chsh=chsh(table, *_parse_roles(args.chsh), tol=args.tol) if args.chsh else None,
@@ -461,8 +470,7 @@ def _output(fmt: str, to_json, render, code: int = 0) -> int:
 
 
 def cmd_check(check, args) -> int:
-    model, _ = _load(args.spec)
-    to_json, render, passed = check(model, args)
+    to_json, render, passed = check(_load(args.spec)[0], args)
     return _output(args.fmt, to_json, render, 0 if passed else 1)
 
 
@@ -496,7 +504,7 @@ def _parse_policy(text: str):
 def cmd_simulate(args) -> int:
     from .montecarlo import simulate
 
-    model, _ = _load(args.spec)
+    model = _load(args.spec)[0]
     policy = _parse_policy(args.policy)
     roles = _parse_roles(args.chsh_roles) if args.chsh_roles else None
     with _named_file():
@@ -528,6 +536,10 @@ def run_pipeline(spec_path: str, args) -> dict:
     the model's name and one section per stage of the pipeline."""
     import hashlib  # only `report` digests its input
 
+    from .audit import check_anticorrelation, check_bell_locality, signal_deltas
+    from .harness import all_correlators, bell1964, chsh, local_polytope_membership
+    from .instructions import derive_instruction_sets
+
     if args.simulate_trials < 0:
         raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
     model, raw = _load(spec_path)
@@ -538,6 +550,7 @@ def run_pipeline(spec_path: str, args) -> dict:
         "model": model.name,
         "sections": sections,
     }
+    del raw  # hashed: the spec's bytes are not held through the pipeline
 
     violations = validate_theory(model, args.tol)
     sections["validation"] = validation_json(violations)

@@ -1,14 +1,17 @@
 """EPRB run simulation with counter-based, splittable random streams.
 
-Every random draw is a pure function of (seed, trial, slot): the stream is
-the SplitMix64 sequence evaluated at position trial*4 + slot, so trial i
-can be generated without generating trials 0..i-1.  `simulate` is the one
-engine function over the model: it checks every argument, then evaluates
-the stream in numpy uint64 over fixed-size chunks of trials, tallies each
-chunk into counts, and optionally writes each chunk's rows to CSV.  The
-CSV rows are the run's records; they depend only on (seed, trial, slot),
-never on the chunking, and only one chunk is alive at a time, so memory
-is flat in the trial count.
+Every random draw is a pure function of (seed, trial, slot), with the
+seed a 64-bit word: the stream is the SplitMix64 sequence evaluated at
+position trial*4 + slot, so trial i can be generated without generating
+trials 0..i-1.  `simulate` is the one engine function over the model: it
+checks every argument, then evaluates the stream in numpy uint64 over
+fixed-size chunks of trials, tallies each chunk into counts, and
+optionally writes each chunk's rows to CSV.  The CSV rows are the run's
+records; they depend only on (seed, trial, slot), never on the chunking,
+and only one chunk is alive at a time, so memory is flat in the trial
+count.  A chunk's rows are one join of one list of four pieces per
+trial, none made by a `str()` per trial: the id in two (`_trial_ids`),
+then the row's cells and its line end, both precomputed.
 
 The draws pick from running sums over the model's kernel tensor
 (`TheoryModel.tensor`), as floats (`_tables`): one over the weights, one
@@ -69,7 +72,7 @@ def _stream_words(seed: int, positions: np.ndarray) -> np.ndarray:
     scalar meeting a Python int promotes to float64."""
     u64 = np.uint64
     with np.errstate(over="ignore"):
-        z = u64(seed & _MASK64) + (positions + u64(1)) * u64(_GAMMA)
+        z = u64(seed) + (positions + u64(1)) * u64(_GAMMA)
         z = (z ^ (z >> u64(30))) * u64(_MUL1)
         z = (z ^ (z >> u64(27))) * u64(_MUL2)
         return z ^ (z >> u64(31))
@@ -257,6 +260,21 @@ def _csv_cells(*values: object) -> str:
     return buf.getvalue()[: -len("\r\n")]
 
 
+#: the last three digits of a trial id: as written below 1000, else zero-padded
+_DIGITS = (tuple(map(str, range(1000))), tuple(f"{i:03d}" for i in range(1000)))
+
+
+def _trial_ids(start: int, stop: int) -> tuple[list[str], list[str]]:
+    """The ids str(i) of trials start..stop-1 as two pieces each: str(i //
+    1000), made once per block of 1000 ("" below 1000), and the last three digits."""
+    heads, digits = [], []
+    for block in range(start // 1000, (stop - 1) // 1000 + 1):
+        lo, hi = max(start - 1000 * block, 0), min(stop - 1000 * block, 1000)
+        heads += [str(block) if block else ""] * (hi - lo)
+        digits += _DIGITS[block > 0][lo:hi]
+    return heads, digits
+
+
 def simulate(
     model: TheoryModel,
     trials: int,
@@ -280,7 +298,8 @@ def simulate(
     """
     if (trials := _integer(trials, "trial count")) <= 0:
         raise BellLabError(f"trial count must be positive, got {trials}")
-    seed = _integer(seed, "seed")
+    if not 0 <= (seed := _integer(seed, "seed")) <= _MASK64:
+        raise BellLabError(f"seed must be in [0, 2^64), got {seed}")
     require_valid(model, tol)
     scen = model.scenario
     if not isinstance(policy, (type(None), UniformSettingPolicy, FixedSequencePolicy)):
@@ -317,7 +336,9 @@ def simulate(
             code = (a * n_b + b) * len(JOINT_OUTCOMES) + np.minimum(joint, len(JOINT_OUTCOMES) - 1)
             counts += np.bincount(code, minlength=counts.size).reshape(counts.shape)
             if sink is not None:
-                ends = lambdas[state].tolist() if reveal_hidden else itertools.repeat("\r\n")
-                trial_ids = map(str, range(start, start + len(code)))
-                sink.write("".join(map("".join, zip(trial_ids, tails[code].tolist(), ends))))
+                rows = [""] * (4 * len(code))
+                rows[0::4], rows[1::4] = _trial_ids(start, start + len(code))
+                rows[2::4] = tails[code].tolist()
+                rows[3::4] = lambdas[state].tolist() if reveal_hidden else ["\r\n"] * len(code)
+                sink.write("".join(rows))
     return _summarize_counts(counts, trials, scen, chsh_roles, seed)

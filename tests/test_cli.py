@@ -424,6 +424,27 @@ class TestSimulate:
             assert "'zz'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, trials", [("simulate", "--trials"), ("report", "--simulate-trials")])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_a_seed_outside_64_bits_exits_two(self, capsys, singlet_chsh_path, tmp_path, command, trials,
+                                              seed):
+        out = tmp_path / "records.csv"
+        argv = [command, str(singlet_chsh_path), "--seed", seed]
+        argv += [trials, "10", "--out", str(out)] if command == "simulate" else [trials, "10"]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout, err) == (2, "", f"bell-lab: error: seed must be in [0, 2^64), got {seed}\n")
+        assert not out.exists()
+
+    def test_a_report_that_draws_nothing_takes_any_seed(self, capsys, singlet_chsh_path):
+        code, out, err = run_cli(capsys, "report", str(singlet_chsh_path), "--seed", "-1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert "skipped" in json.loads(out)["sections"]["simulation"]
+
+    def test_the_top_seed_is_taken(self, capsys, singlet_chsh_path):
+        code, out, _ = run_cli(capsys, "simulate", str(singlet_chsh_path), "--trials", "10",
+                               "--seed", str(2**64 - 1), "--format", "json")
+        assert (code, json.loads(out)["seed"]) == (0, 2**64 - 1)
+
     def test_unobserved_chsh_roles_give_null(self, capsys, singlet_chsh_path, tmp_path):
         seq = tmp_path / "seq.txt"
         seq.write_text("a1,b1\na2,b2\n", encoding="utf-8")
@@ -542,7 +563,8 @@ class TestReport:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, stage, fail)
+        # cli imports each stage from its home module when `report` runs
+        monkeypatch.setattr(f"{getattr(bell_lab, stage).__module__}.{stage}", fail)
         code, out, err = run_cli(capsys, "report", str(fixtures_dir / "eight_pattern.json"),
                                  "--bell1964", "n1,n2,n3", "--format", "json")
         if skipped:

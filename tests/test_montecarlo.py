@@ -157,6 +157,23 @@ class TestRunExperiment:
         assert (type(stats.trials), type(stats.seed)) == (int, int)
         assert json.dumps(stats.to_dict()) == json.dumps(simulate(singlet_chsh, 50, seed=7).to_dict())
 
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**70])
+    def test_a_seed_outside_64_bits_is_refused_before_the_csv(self, singlet_chsh, tmp_path, seed):
+        """A seed is a 64-bit word: -1 is not read as 2^64 - 1."""
+        out = tmp_path / "records.csv"
+        with pytest.raises(BellLabError, match=r"seed must be in \[0, 2\^64\)"):
+            simulate(singlet_chsh, 10, seed=seed, csv_path=out)
+        assert not out.exists()
+
+    def test_both_ends_of_the_seed_range_are_taken(self, singlet_chsh):
+        for seed in (0, 2**64 - 1):
+            stats, records = run_records(singlet_chsh, 20, seed)
+            assert stats.seed == seed
+            assert records == reference_run(singlet_chsh, 20, seed, UniformSettingPolicy())
+        top = simulate(singlet_chsh, 50, seed=np.uint64(2**64 - 1))
+        assert type(top.seed) is int
+        assert json.dumps(top.to_dict()) == json.dumps(simulate(singlet_chsh, 50, seed=2**64 - 1).to_dict())
+
     def test_invalid_model_rejected(self, fixtures_dir):
         model = load_theory(fixtures_dir / "bad_sum.json")
         with pytest.raises(InvalidModelError):
@@ -314,6 +331,30 @@ class TestCsvExport:
         assert len(rows) == len(records)
         for rec, row in zip(records, rows):
             assert row == [str(rec.trial), rec.a_id, rec.b_id, str(rec.outcome_a), str(rec.outcome_b)]
+
+
+    @pytest.mark.parametrize("reveal", [False, True])
+    @pytest.mark.parametrize("chunk", [777, 4096, montecarlo._CHUNK])
+    def test_trial_ids_past_999_and_9999_at_any_chunk_size(self, fixtures_dir, tmp_path, monkeypatch,
+                                                           chunk, reveal):
+        """12,345 trials cross 999 -> 1000 and 9999 -> 10000, in chunks that
+        do not end at multiples of 1000: the CSV is the reference writer's."""
+        model = load_theory(fixtures_dir / "eight_pattern.json")
+        out = tmp_path / "records.csv"
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        simulate(model, 12_345, seed=5, csv_path=out, reveal_hidden=reveal)
+        records = reference_run(model, 12_345, 5, UniformSettingPolicy())
+        assert out.read_bytes() == reference_csv(records, reveal_hidden=reveal)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.one_of(st.integers(0, 3000), st.integers(0, 10**15)), length=st.integers(1, 2500))
+    @example(start=0, length=1)
+    @example(start=990, length=20)
+    @example(start=9_990, length=1_020)
+    @example(start=999_999, length=1)
+    def test_trial_ids_are_the_str_of_each_index(self, start, length):
+        heads, digits = montecarlo._trial_ids(start, start + length)
+        assert list(map(str.__add__, heads, digits)) == list(map(str, range(start, start + length)))
 
 
 class TestPhysicsOfTheRun:

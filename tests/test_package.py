@@ -8,7 +8,9 @@ the `bell_lab` modules it loaded, and whether numpy was, with
 `dataclasses.dataclass` wrapped to count the classes the package
 decorates while it runs.  Only `simulate`, `make-singlet` and `report
 --simulate-trials` load numpy: every other command gives the same exit
-code, stdout and stderr with `import numpy` blocked.  The layering tests
+code, stdout and stderr with `import numpy` blocked.  `simulate` and
+`make-singlet` load none of `audit`, `harness` and `instructions`, and
+each check loads only the one it runs.  The layering tests
 hold each engine module to relative imports from `.model` alone, both in
 its source and in what importing it loads.
 """
@@ -165,6 +167,31 @@ class TestWhatEachCommandLoads:
     def test_simulate_and_make_singlet_load_their_module(self, tmp_path, argv, module):
         run = run_child(tmp_path, *argv)
         assert run["code"] == 0 and module in run["modules"] and run["numpy"]
+
+    @pytest.mark.parametrize("argv, engine", [
+        (["simulate", str(FIXTURES / "two_state.json"), "--trials", "10", "--format", "json"], "montecarlo"),
+        (["simulate", str(FIXTURES / "eight_pattern.json"), "--trials", "1200", "--out", "records.csv",
+          "--reveal-lambda", "--chsh-roles", "n1,n2:n1,n2"], "montecarlo"),
+        (["make-singlet", "--alice", "a1=0,a2=90", "--bob", "b1=45,b2=135", "--out", "s.json"], "singlet"),
+        (["make-singlet", "--alice", "a1=0", "--bob", "b1=45"], "singlet"),
+    ])
+    def test_simulate_and_make_singlet_skip_the_audit_chain(self, tmp_path, argv, engine):
+        """Neither loads `audit`, `harness` or `instructions`: `cli` imports
+        them only where a check or `report` calls them."""
+        run = run_child(tmp_path, *argv)
+        assert run["code"] == 0
+        loaded = ["bell_lab", *(f"bell_lab.{m}" for m in ("cli", engine, "model", "specio"))]
+        assert run["modules"] == sorted(loaded)
+
+    @pytest.mark.parametrize("check, engine", [
+        ("validate", None), ("check-locality", "audit"), ("check-signal", "audit"),
+        ("check-anticorrelation", "audit"), ("derive-instructions", "instructions"), ("bell-test", "harness"),
+    ])
+    def test_each_check_loads_only_its_own_engine(self, tmp_path, check, engine):
+        run = run_child(tmp_path, check, str(FIXTURES / "eight_pattern.json"))
+        assert run["code"] in (0, 1)
+        chain = {"bell_lab.audit", "bell_lab.harness", "bell_lab.instructions"}
+        assert chain.intersection(run["modules"]) == ({f"bell_lab.{engine}"} if engine else set())
 
 
 #: runs each argv of the JSON list in the file sys.argv[1] as `python -m
