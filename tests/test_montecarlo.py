@@ -332,7 +332,6 @@ class TestCsvExport:
         for rec, row in zip(records, rows):
             assert row == [str(rec.trial), rec.a_id, rec.b_id, str(rec.outcome_a), str(rec.outcome_b)]
 
-
     @pytest.mark.parametrize("reveal", [False, True])
     @pytest.mark.parametrize("chunk", [777, 4096, montecarlo._CHUNK])
     def test_trial_ids_past_999_and_9999_at_any_chunk_size(self, fixtures_dir, tmp_path, monkeypatch,
