@@ -33,7 +33,6 @@ without a Python call per row; the CLI writes JSON from the columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, cycle, islice, repeat
@@ -46,6 +45,7 @@ from .model import (
     KernelTensor,
     OUTCOMES,
     Prob,
+    Record,
     TheoryModel,
     behavior,
     equal_axes,
@@ -91,8 +91,7 @@ class LocalityViolation(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class LocalityReport:
+class LocalityReport(Record):
     """Outcome of the Bell Locality audit, its failing checks as columns:
     the state, a, b and `SLOTS` index lists (`failing`) of the `ids`, and
     the lhs, rhs and residual lists (`values`).  `violations` is built on
@@ -245,13 +244,7 @@ class SignalDelta(NamedTuple):
     delta: Prob
 
     def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "outcome": self.outcome,
-            "own_setting": self.own_setting,
-            "far_pair": list(self.far_pair),
-            "delta": format_probability(self.delta),
-        }
+        return {**self._asdict(), "far_pair": list(self.far_pair), "delta": format_probability(self.delta)}
 
 
 class SignalReport(NamedTuple):

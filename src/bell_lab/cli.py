@@ -13,7 +13,7 @@ all: load the spec, run the row's check, emit JSON or text, and return 0
 if the check passed, else 1.  `make-singlet` compares and renders
 nothing, so it takes no `--tol` or `--format`.  Each engine loads where
 it is called: a check loads its own of `audit`, `harness` and
-`instructions`, `report` all three, `simulate` and `report
+`instructions`, `report` all three once its spec parses, `simulate` and `report
 --simulate-trials` `montecarlo`, and `make-singlet` `singlet`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
@@ -536,13 +536,13 @@ def run_pipeline(spec_path: str, args) -> dict:
     the model's name and one section per stage of the pipeline."""
     import hashlib  # only `report` digests its input
 
+    if args.simulate_trials < 0:
+        raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
+    model, raw = _load(spec_path)
     from .audit import check_anticorrelation, check_bell_locality, signal_deltas
     from .harness import all_correlators, bell1964, chsh, local_polytope_membership
     from .instructions import derive_instruction_sets
 
-    if args.simulate_trials < 0:
-        raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
-    model, raw = _load(spec_path)
     sections: dict[str, Any] = {}
     report = {
         "tool": {"name": PROG, "version": __version__},

@@ -51,6 +51,7 @@ from .model import (
     Prob,
     Scenario,
     _chsh_form,
+    axis_pairs,
     format_probability,
     resolve_tolerance,
 )
@@ -207,14 +208,9 @@ class Bell1964Result(NamedTuple):
         return not self.satisfied
 
     def to_dict(self) -> dict:
-        return {
-            "axes": [list(axis) for axis in self.axes],
-            "correlators": {k: format_probability(v) for k, v in self.correlators.items()},
-            "lhs": format_probability(self.lhs),
-            "rhs": format_probability(self.rhs),
-            "satisfied": self.satisfied,
-            "tolerance": self.tolerance,
-        }
+        return {**self._asdict(), "axes": [list(axis) for axis in self.axes],
+                "correlators": {k: format_probability(v) for k, v in self.correlators.items()},
+                "lhs": format_probability(self.lhs), "rhs": format_probability(self.rhs)}
 
 
 def bell1964(
@@ -226,7 +222,7 @@ def bell1964(
     (same-outcome probability within tolerance of 0 on the diagonal cells).
     Without that the inequality does not apply and chsh is the right test.
     """
-    if len(axes) != 3:
+    if len(axis_pairs(axes)) != 3:
         raise ScenarioShapeError(f"three axes required, got {len(axes)}")
     t = resolve_tolerance(table, tol)
     for a_id, b_id in axes:
@@ -304,9 +300,7 @@ class MembershipCertificate(NamedTuple):
             "tolerance": self.tolerance,
         }
         if self.weights is not None:
-            out["weights"] = {
-                s.label(): format_probability(w) for s, w in self.weights.items()
-            }
+            out["weights"] = {s.label(): format_probability(w) for s, w in self.weights.items()}
         if self.functional is not None:
             out["functional"] = self.functional.to_dict()
         return out
@@ -453,11 +447,7 @@ def local_polytope_membership(
     t = resolve_tolerance(table, tol)
     strategies = enumerate_strategies(scenario)
 
-    row_keys = [
-        (a_id, b_id, A, B)
-        for a_id, b_id in scenario.pairs()
-        for A, B in JOINT_OUTCOMES
-    ]
+    row_keys = [(a_id, b_id, A, B) for a_id, b_id in scenario.pairs() for A, B in JOINT_OUTCOMES]
     # a strategy's column: its joint outcome's row per pair, then normalization
     row = {key: i for i, key in enumerate(row_keys)}
     supports = [(*(row[a, b, A, B] for a, A in strat.alice for b, B in strat.bob), len(row_keys))
@@ -485,9 +475,7 @@ def local_polytope_membership(
         if min(used.values(), default=0) < 0 or max(misses) > residual_num:
             raise BellLabError("inside certificate failed verification; simplex bug")
         weights = {strategies[j]: Fraction(w_j, denom) for j, w_j in used.items()}
-        return MembershipCertificate(
-            inside=True, weights=weights, functional=None, residual=residual, tolerance=t
-        )
+        return MembershipCertificate(inside=True, weights=weights, functional=None, residual=residual, tolerance=t)
 
     # y . rhs > t holds here; y must also be <= 0 at every vertex, whose
     # best value is the cells' best response plus the normalization's y[-1]
@@ -497,9 +485,7 @@ def local_polytope_membership(
 
     facet = _chsh_facet_certificate(table, t)
     if facet is not None:
-        return MembershipCertificate(
-            inside=False, weights=None, functional=facet, residual=residual, tolerance=t
-        )
+        return MembershipCertificate(inside=False, weights=None, functional=facet, residual=residual, tolerance=t)
 
     # fold the normalization-row multiplier into the bound so the reported
     # functional reads off cell probabilities only

@@ -22,7 +22,6 @@ the axis cells and held to the kernel.  An `Axis` and the default axes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, and_, eq, ge, gt, mul, not_, sub
@@ -37,6 +36,7 @@ from .model import (
     KernelTensor,
     OutcomeDistribution,
     Prob,
+    Record,
     ResponseKernel,
     Scenario,
     TheoryModel,
@@ -52,8 +52,7 @@ class InstructionSetError(BellLabError):
     """An instruction set is malformed or does not cover the scenario."""
 
 
-@dataclass(frozen=True)
-class InstructionSet:
+class InstructionSet(Record):
     """Per-state deterministic outcomes on shared axes.
 
     `assignments` maps state_id -> axis -> (alice_value, bob_value), each
@@ -257,10 +256,7 @@ class ClassPartition(NamedTuple):
         return tuple(c for c in self.classes if c.nonempty)
 
     def total_weight(self) -> Prob:
-        total: Prob = Fraction(0)
-        for c in self.classes:
-            total = total + c.weight
-        return total
+        return sum((c.weight for c in self.classes), Fraction(0))
 
     def to_dict(self) -> dict:
         return {
@@ -313,8 +309,7 @@ def realize_model(
             raise InstructionSetError(f"Alice setting {a_id!r} appears in two axes")
         if b_id in bob_axis:
             raise InstructionSetError(f"Bob setting {b_id!r} appears in two axes")
-        alice_axis[a_id] = axis
-        bob_axis[b_id] = axis
+        alice_axis[a_id] = bob_axis[b_id] = axis
     for side, ids, covered in (("Alice", scenario.alice_ids(), alice_axis),
                                ("Bob", scenario.bob_ids(), bob_axis)):
         missing = [i for i in ids if i not in covered]

@@ -13,9 +13,9 @@ Probabilities come in two flavors and the distinction is load-bearing:
 
 A model is *exact* when every weight and every kernel entry is a Fraction.
 Mixed models are treated as decimal.  All containers are frozen: the
-model is a frozen dataclass, its parts are NamedTuples, and the kernel
-keeps its values in tuples, so a model cannot change after it is built,
-and equal models hash alike.  That lets a model remember the tolerances
+model is a `Record`, its parts are NamedTuples, and the kernel keeps its
+values in tuples, so a model cannot change after it is built, and equal
+models hash alike.  That lets a model remember the tolerances
 at which `validate_theory` found it valid: `require_valid` validates once
 per tolerance, however many checks a model passes through.
 `resolve_tolerance` is the one tolerance rule, for models and behavior
@@ -41,20 +41,22 @@ build a Fraction only for a value they report, whatever the weights.
 The engines (`specio`, `audit`, `instructions`, `harness`, `montecarlo`,
 `singlet`) import only this module, so the vocabulary they share is here:
 an `Axis` (alice_id, bob_id), found by `auto_equal_axes`, `resolve_axes`
-and `equal_axes`, and `CHSH_CONVENTION` with its one signed form.
+and `equal_axes`, whose pairs `axis_pairs` checks, `CHSH_CONVENTION` with
+its one signed form, and `Record`, the frozen class of the records that
+are not NamedTuples.  No module of the package imports `dataclasses`,
+which would load `inspect` with it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, repeat, starmap
 from operator import add, attrgetter, floordiv, gt, mul, truediv
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 Prob = Fraction | float
 
@@ -260,10 +262,19 @@ def auto_equal_axes(scenario: Scenario) -> list[Axis]:
                 all(abs(x - y) <= _AXIS_MATCH_TOL for x, y in zip(a.direction, b.direction)))]
 
 
+def axis_pairs(axes: list[Axis]) -> list[Axis]:
+    """`axes` if it is a list or tuple of (alice_id, bob_id) tuples of two
+    str ids, else BellLabError."""
+    if not isinstance(axes, (list, tuple)) or not all(
+            isinstance(p, tuple) and len(p) == 2 and all(isinstance(i, str) for i in p) for p in axes):
+        raise BellLabError(f"axes must be a list or tuple of (alice_id, bob_id) pairs, got {axes!r}")
+    return axes
+
+
 def equal_axes(scenario: Scenario, axes: list[Axis] | None, message: str) -> list[Axis]:
-    """`axes`, or when None the auto-detected ones; EqualAxisError with
-    the caller's `message` when that leaves none."""
-    if not (axes := auto_equal_axes(scenario) if axes is None else axes):
+    """`axes`, checked by `axis_pairs`, or when None the auto-detected ones;
+    EqualAxisError with the caller's `message` when that leaves none."""
+    if not (axes := auto_equal_axes(scenario) if axes is None else axis_pairs(axes)):
         raise EqualAxisError(message)
     return axes
 
@@ -484,8 +495,42 @@ class KernelTensor:
         return [list(map(float, column)) for column in self.K]
 
 
-@dataclass(frozen=True)
-class TheoryModel:
+class Record:
+    """A frozen record of the fields its class annotates, made as a frozen
+    dataclass made it: fields by position or keyword, then the class's
+    `__post_init__`; equality and hash by the fields within one class, and
+    the dataclass repr.  Its `__dict__` also holds `cached_property` values."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = dict(zip(self._fields, args))
+        if len(args) > len(self._fields) or given.keys() & kwargs or {*given, *kwargs} != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(self._fields)}), each once")
+        given.update(kwargs)
+        self.__dict__.update((name, given[name]) for name in self._fields)
+        getattr(self, "__post_init__", lambda: None)()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+    def __setattr__(self, name: str, *value) -> NoReturn:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+
+class TheoryModel(Record):
     name: str
     scenario: Scenario
     ensemble: HiddenStateEnsemble

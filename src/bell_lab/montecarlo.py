@@ -38,7 +38,6 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +47,7 @@ from .model import (
     CHSH_SIGNS,
     JOINT_OUTCOMES,
     OUTCOMES,
+    Record,
     Scenario,
     TheoryModel,
     _chsh_form,
@@ -83,13 +83,11 @@ def _stream_uniforms(seed: int, positions: np.ndarray) -> np.ndarray:
     return _stream_words(seed, positions).astype(np.float64) / 2.0**64
 
 
-@dataclass(frozen=True)
-class UniformSettingPolicy:
+class UniformSettingPolicy(Record):
     """Each wing picks independently and uniformly among its settings."""
 
 
-@dataclass(frozen=True)
-class FixedSequencePolicy:
+class FixedSequencePolicy(Record):
     """Deterministic setting pairs, cycled over trials."""
 
     pairs: tuple[tuple[str, str], ...]
@@ -150,14 +148,7 @@ class NoSignalingDelta(NamedTuple):
     std_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "outcome": self.outcome,
-            "own_setting": self.own_setting,
-            "far_pair": list(self.far_pair),
-            "delta": self.delta,
-            "std_error": self.std_error,
-        }
+        return {**self._asdict(), "far_pair": list(self.far_pair)}
 
 
 class ExperimentStats(NamedTuple):

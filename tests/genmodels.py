@@ -7,7 +7,6 @@ the property tests.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -278,7 +277,7 @@ def float_weighted_models(draw, exact=None) -> TheoryModel:
     a decimal model."""
     model = draw(st.one_of(arbitrary_models(), anticorr_mixtures()) if exact is None else exact)
     entries = tuple(EnsembleEntry(e.state_id, float(e.weight)) for e in model.ensemble.entries)
-    return replace(model, ensemble=HiddenStateEnsemble(entries))
+    return TheoryModel(model.name, model.scenario, HiddenStateEnsemble(entries), model.kernel)
 
 
 #: Short ids that may repeat, be empty, or hold '|', ',', quotes and newlines.

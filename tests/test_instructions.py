@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import inspect
-import sys
 import types
 from fractions import Fraction
 
@@ -204,7 +203,7 @@ def one_state_model(cells: dict, unit=Fraction(1, 100)) -> TheoryModel:
     )
 
 
-def _without_transpose(monkeypatch):
+def _without_transpose():
     """`derive_instruction_sets` from a copy of the module that reads
     Bob's far-setting marginals untransposed: per axis, the row of one
     Alice setting instead of the column of the axis's Bob setting."""
@@ -212,7 +211,6 @@ def _without_transpose(monkeypatch):
     assert source.count(column) == 1
     module = types.ModuleType("bell_lab._untransposed")
     module.__package__ = "bell_lab"
-    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
     row = "plus_b[b * nb + f::per] for f in range(nb)"  # the row of Alice's setting at Bob's index
     exec(compile(source.replace(column, row), "<untransposed>", "exec"), vars(module))
     return module.derive_instruction_sets
@@ -308,7 +306,7 @@ class TestRebuildCheck:
         assert isinstance(derived, InstructionSet)
         assert derived.pattern("s1") == (-1, +1)
 
-    def test_a_slip_in_the_index_work_raises(self, monkeypatch):
+    def test_a_slip_in_the_index_work_raises(self):
         """Bob's outcome follows Alice's setting, + at n1 and - at n2,
         which the far-setting check must catch.  Read untransposed, each
         row it checks is constant, and the signs it derives do not
@@ -319,7 +317,7 @@ class TestRebuildCheck:
         assert isinstance(failure, DerivationFailure)
         assert (failure.axis, failure.side) == (("n1", "n1"), "bob")
         with pytest.raises(BellLabError, match="derivation bug"):
-            _without_transpose(monkeypatch)(model)
+            _without_transpose()(model)
 
 
 class TestPartition:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from bell_lab.audit import check_anticorrelation, check_bell_locality, check_signal_locality
 from bell_lab.cli import main
+from bell_lab.harness import bell1964
 from bell_lab.instructions import InstructionSet, derive_instruction_sets, realize_model
 from bell_lab.model import (
     DEFAULT_TOL,
@@ -265,7 +265,7 @@ class TestValidation:
             i = pick % len(model.ensemble.entries)
             entries = list(model.ensemble.entries)
             entries[i] = EnsembleEntry(entries[i].state_id, bad)
-            model = replace(model, ensemble=HiddenStateEnsemble(tuple(entries)))
+            model = TheoryModel(model.name, model.scenario, HiddenStateEnsemble(tuple(entries)), model.kernel)
             where = f"ensemble[{entries[i].state_id}].weight"
         elif target == "cell":
             keys = sorted(model.kernel.cells)
@@ -273,12 +273,12 @@ class TestValidation:
             label = ["++", "+-", "-+", "--"][pick // len(keys) % 4]
             cells = dict(model.kernel.cells)
             cells[key] = from_mapping({**as_dict(cells[key]), label: bad})
-            model = replace(model, kernel=ResponseKernel(cells))
+            model = TheoryModel(model.name, model.scenario, model.ensemble, ResponseKernel(cells))
             where = f"kernel[{key[0]},{key[1]},{key[2]}].{label}"
         else:
             first, *rest = model.scenario.alice_settings
             scen = Scenario((Setting(first.id, (0.0, bad, 1.0)), *rest), model.scenario.bob_settings)
-            model = replace(model, scenario=scen)
+            model = TheoryModel(model.name, scen, model.ensemble, model.kernel)
             where = f"scenario.alice_settings[{first.id}].direction"
         assert where in [v.location for v in validate_theory(model)]
         with pytest.raises(InvalidModelError):
@@ -365,6 +365,40 @@ class TestOneRule:
         str(InvalidModelError(violations)).encode("utf-8")
         for v in violations:
             f"{v.location}: {v.message}".encode("utf-8")
+
+
+class TestAxisPairs:
+    """Every function that takes axes holds them to one shape, a list or
+    tuple of (alice_id, bob_id) tuples of two str ids, with BellLabError."""
+
+    CALLS = {
+        "check_anticorrelation": lambda m, axes: check_anticorrelation(m, axes),
+        "derive_instruction_sets": lambda m, axes: derive_instruction_sets(m, axes=axes),
+        "bell1964": lambda m, axes: bell1964(behavior(m), axes),
+    }
+
+    @pytest.mark.parametrize("call, axes", [
+        ("check_anticorrelation", [("n1",)]),
+        ("check_anticorrelation", 5),
+        ("derive_instruction_sets", 5),
+        ("bell1964", 5),
+        ("bell1964", ["n1n1", "n2n2", "n3n3"]),
+        ("check_anticorrelation", [("n1", "n1", "n1")]),
+        ("check_anticorrelation", [("n1", 1)]),
+        ("check_anticorrelation", "n1=n1"),
+        ("derive_instruction_sets", [["n1", "n1"]]),
+        ("derive_instruction_sets", [("n1",)]),
+        ("bell1964", [("n1", "n1"), ("n2", "n2"), None]),
+        ("bell1964", {("n1", "n1"), ("n2", "n2"), ("n3", "n3")}),
+    ])
+    def test_a_malformed_axis_list_raises_bell_lab_error(self, singlet_three_axes, call, axes):
+        with pytest.raises(BellLabError, match=r"^axes must be a list or tuple of \(alice_id, bob_id\) pairs"):
+            self.CALLS[call](singlet_three_axes, axes)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_well_formed_axes_pass_the_check(self, singlet_three_axes, call):
+        axes = [("n1", "n1"), ("n2", "n2"), ("n3", "n3")]
+        assert self.CALLS[call](singlet_three_axes, axes) == self.CALLS[call](singlet_three_axes, tuple(axes))
 
 
 class TestExactness:
@@ -532,7 +566,8 @@ class TestValidateOnce:
         # the parsed kernel holds ratios in document order, the twin's the
         # cells reversed: equal, so one hash and one member of a set
         model = parse_theory((fixtures_dir / "two_state.json").read_bytes())
-        twin = replace(model, kernel=ResponseKernel(dict(reversed(model.kernel.cells.items()))))
+        twin = TheoryModel(model.name, model.scenario, model.ensemble,
+                           ResponseKernel(dict(reversed(model.kernel.cells.items()))))
         assert twin.kernel.keys == model.kernel.keys[::-1] != model.kernel.keys
         assert twin == model and hash(twin) == hash(model)
         assert len({model, twin}) == 1

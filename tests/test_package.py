@@ -4,15 +4,17 @@
 object its home module defines, although `import bell_lab` imports no
 submodule: names are looked up on first access.  The load tests run the
 CLI as `python -m bell_lab` in a fresh `python -X dev -W error` and list
-the `bell_lab` modules it loaded, and whether numpy was, with
-`dataclasses.dataclass` wrapped to count the classes the package
-decorates while it runs.  Only `simulate`, `make-singlet` and `report
+the `bell_lab` modules it loaded, and whether numpy, `dataclasses` and
+`inspect` were.  Only `simulate`, `make-singlet` and `report
 --simulate-trials` load numpy: every other command gives the same exit
-code, stdout and stderr with `import numpy` blocked.  `simulate` and
-`make-singlet` load none of `audit`, `harness` and `instructions`, and
-each check loads only the one it runs.  The layering tests
-hold each engine module to relative imports from `.model` alone, both in
-its source and in what importing it loads.
+code, stdout and stderr with `import numpy` blocked.  `report` and the
+checks load neither `dataclasses` nor `inspect` (numpy loads `inspect`,
+so the commands that load numpy are exempt).  `simulate` and
+`make-singlet` load none of `audit`, `harness` and `instructions`, each
+check loads only the one it runs, and `report` loads them only once its
+spec has parsed.  The layering tests hold each engine module to
+relative imports from `.model` alone, both in its source and in what
+importing it loads, and no module of the package to `dataclasses`.
 """
 
 from __future__ import annotations
@@ -97,20 +99,10 @@ class TestPublicNames:
 
 #: runs `python -m bell_lab <argv>` (argv from sys.argv[2:]; none: only
 #: `import bell_lab`) and writes to the file sys.argv[1] its exit code, the
-#: `bell_lab` modules it loaded and the package classes `@dataclass` made
+#: `bell_lab` modules it loaded and which of numpy, dataclasses and inspect
 CHILD = """
-import dataclasses, json, runpy, sys
+import json, runpy, sys
 
-made, real = [], dataclasses.dataclass
-
-def counted(cls=None, /, **options):
-    def wrap(c):
-        if c.__module__.startswith("bell_lab"):
-            made.append(c.__qualname__)
-        return real(**options)(c)
-    return wrap if cls is None else wrap(cls)
-
-dataclasses.dataclass = counted
 result, argv = sys.argv[1], sys.argv[2:]
 code = None
 if argv:
@@ -122,24 +114,30 @@ if argv:
 else:
     import bell_lab
 with open(result, "w", encoding="utf-8") as fh:
-    json.dump({"code": code, "made": made, "numpy": "numpy" in sys.modules,
+    json.dump({"code": code, "numpy": "numpy" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
+               "inspect": "inspect" in sys.modules,
                "modules": sorted(m for m in sys.modules if m.split(".")[0] == "bell_lab")}, fh)
 """
 
 
-def run_child(tmp_path: Path, *argv: str) -> dict:
+def run_child(tmp_path: Path, *argv: str, refused: bool = False) -> dict:
+    """The child's result; its stderr must be empty, or with `refused` one
+    line of the CLI's error message."""
     result = tmp_path / "result.json"
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", CHILD, str(result),
                            *argv], env=env, cwd=tmp_path, capture_output=True, check=False)
-    assert proc.returncode == 0 and not proc.stderr, proc.stderr.decode("utf-8", "replace")
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 0 and (err.startswith("bell-lab: error: ") and err.count("\n") == 1
+                                     if refused else not err), err
     return json.loads(result.read_text(encoding="utf-8"))
 
 
 class TestWhatEachCommandLoads:
     def test_import_loads_no_submodule(self, tmp_path):
         run = run_child(tmp_path)
-        assert run["modules"] == ["bell_lab"] and run["made"] == [] and not run["numpy"]
+        assert run["modules"] == ["bell_lab"] and not run["numpy"]
+        assert not run["dataclasses"] and not run["inspect"]
 
     @pytest.mark.parametrize("argv, code", [
         (["report", str(FIXTURES / "two_state.json"), "--format", "json"], 0),
@@ -154,7 +152,7 @@ class TestWhatEachCommandLoads:
         assert "bell_lab.montecarlo" not in run["modules"]
         assert "bell_lab.singlet" not in run["modules"]
         assert not run["numpy"]
-        assert len(run["made"]) <= 3, run["made"]
+        assert not run["dataclasses"] and not run["inspect"]
 
     @pytest.mark.parametrize("argv, module", [
         (["simulate", str(FIXTURES / "two_state.json"), "--trials", "10", "--out", "records.csv"],
@@ -192,6 +190,25 @@ class TestWhatEachCommandLoads:
         assert run["code"] in (0, 1)
         chain = {"bell_lab.audit", "bell_lab.harness", "bell_lab.instructions"}
         assert chain.intersection(run["modules"]) == ({f"bell_lab.{engine}"} if engine else set())
+        assert not run["dataclasses"] and not run["inspect"]
+
+    @pytest.mark.parametrize("data", [b'{"name": "x", "name": "y"}', b"\xff", b"[]"])
+    def test_report_on_a_spec_that_does_not_parse_loads_no_engine(self, tmp_path, data):
+        (tmp_path / "bad.json").write_bytes(data)
+        run = run_child(tmp_path, "report", "bad.json", refused=True)
+        assert run["code"] == 2
+        assert run["modules"] == ["bell_lab", "bell_lab.cli", "bell_lab.model", "bell_lab.specio"]
+
+    def test_report_imports_neither_dataclasses_nor_inspect(self):
+        """As `python -X importtime` lists the imports of a report."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bell_lab", "report",
+                               str(FIXTURES / "two_state.json")], env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, encoding="utf-8", check=False)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"bell_lab.audit", "bell_lab.harness", "bell_lab.instructions"} <= imported
+        assert not imported & {"dataclasses", "inspect"}
 
 
 #: runs each argv of the JSON list in the file sys.argv[1] as `python -m
@@ -289,6 +306,17 @@ class TestLayering:
         assert proc.returncode == 0 and not proc.stderr, proc.stderr
         *modules, numpy = proc.stdout.split()
         assert modules == loads and numpy == str(engine in ("montecarlo", "singlet"))
+
+    def test_no_module_imports_dataclasses(self):
+        """`dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`; the
+        records are `model.Record`s instead."""
+        for path in sorted(Path(SRC, "bell_lab").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+            names |= {node.module.split(".")[0] for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and not node.level}
+            assert "dataclasses" not in names and "inspect" not in names, path.name
 
     def test_the_chsh_convention_has_one_home(self):
         from bell_lab import harness, model, montecarlo

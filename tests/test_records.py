@@ -3,15 +3,20 @@ their fields, iterable, picklable, and printed as the frozen dataclasses
 they replace printed them (each `repr` below is that text, pinned).
 
 `TheoryModel`, `LocalityReport`, `InstructionSet` and the two setting
-policies stay classes of their own: the model and the locality report
+policies are `model.Record`s instead: the model and the locality report
 cache values on first read, `cli.emit_json` must meet the report through
 json's `default` hook (json writes a tuple as a list without calling it),
 `InstructionSet` and `FixedSequencePolicy` check their fields when built,
-and a policy with no fields would be an empty, falsy tuple.
+and a policy with no fields would be an empty, falsy tuple.  A `Record`
+behaves as the frozen dataclass it replaces: the same repr text (pinned
+below), equality and hash by its fields within its own class, no
+assignment or deletion, the dataclass's argument errors as TypeError,
+and pickling and deepcopy, cached values included.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 from fractions import Fraction
 from importlib import import_module
@@ -22,9 +27,11 @@ from bell_lab.audit import (AntiCorrelationReport, AxisCheck, LocalityReport, Lo
                             SignalDelta, SignalReport)
 from bell_lab.harness import (Bell1964Result, BellTestResult, CHSHResult, DeterministicStrategy,
                               MembershipCertificate, SeparatingFunctional)
-from bell_lab.instructions import ClassPartition, DerivationFailure, InstructionSet, PatternClass
-from bell_lab.model import (BehaviorTable, EnsembleEntry, HiddenStateEnsemble, OutcomeDistribution,
-                            Scenario, Setting, TheoryModel, Violation)
+from bell_lab.instructions import (ClassPartition, DerivationFailure, InstructionSet, InstructionSetError,
+                                   PatternClass)
+from bell_lab.model import (BehaviorTable, BellLabError, EnsembleEntry, HiddenStateEnsemble,
+                            OutcomeDistribution, Record, ResponseKernel, Scenario, Setting, TheoryModel,
+                            Violation, behavior)
 from bell_lab.montecarlo import (Estimate, ExperimentStats, FixedSequencePolicy, NoSignalingDelta,
                                  UniformSettingPolicy)
 from bell_lab.singlet import SingletSpec
@@ -188,3 +195,147 @@ def test_pickle_round_trip(record):
     copy = pickle.loads(pickle.dumps(rec))
     assert type(copy) is type(rec) and copy == rec and repr(copy) == text
 
+
+
+model = TheoryModel(name="one state", scenario=scenario,
+                    ensemble=HiddenStateEnsemble(entries=(EnsembleEntry(state_id="s1", weight=Fraction(1)),)),
+                    kernel=ResponseKernel({("s1", "a1", "b1"): cell}))
+
+#: one instance per `Record` class, the same fields built again, and the
+#: text its frozen dataclass printed
+RECORD_CLASSES = [
+    (model,
+     lambda: TheoryModel("one state", scenario, HiddenStateEnsemble((EnsembleEntry("s1", Fraction(1)),)),
+                         ResponseKernel({("s1", "a1", "b1"): cell})),
+     "TheoryModel(name='one state', scenario=Scenario(alice_settings=(Setting(id='a1', direction=(0.0, "
+     "0.0, 1.0)),), bob_settings=(Setting(id='b1', direction=None),)), ensemble=HiddenStateEnsemble("
+     "entries=(EnsembleEntry(state_id='s1', weight=Fraction(1, 1)),)), kernel=ResponseKernel({('s1', "
+     "'a1', 'b1'): OutcomeDistribution(pp=Fraction(0, 1), pm=Fraction(1, 2), mp=Fraction(1, 2), "
+     "mm=Fraction(0, 1))}))"),
+    (LocalityReport(ids=(("s1",), ("a1",), ("b1",)), failing=([0], [0], [0], [12]),
+                    values=([Fraction(0)], [Fraction(1, 4)], [Fraction(1, 4)]),
+                    worst_residual=Fraction(1, 4), tolerance=0.0),
+     lambda: LocalityReport((("s1",), ("a1",), ("b1",)), ([0], [0], [0], [12]),
+                            ([Fraction(0)], [Fraction(1, 4)], [Fraction(1, 4)]), Fraction(1, 4), 0.0),
+     "LocalityReport(ids=(('s1',), ('a1',), ('b1',)), failing=([0], [0], [0], [12]), "
+     "values=([Fraction(0, 1)], [Fraction(1, 4)], [Fraction(1, 4)]), worst_residual=Fraction(1, 4), "
+     "tolerance=0.0)"),
+    (InstructionSet(axes=(("a1", "b1"),), assignments={"s1": {("a1", "b1"): (1, -1)}}, weights={"s1": HALF}),
+     lambda: InstructionSet((("a1", "b1"),), {"s1": {("a1", "b1"): (1, -1)}}, {"s1": HALF}),
+     "InstructionSet(axes=(('a1', 'b1'),), assignments={'s1': {('a1', 'b1'): (1, -1)}}, "
+     "weights={'s1': Fraction(1, 2)})"),
+    (UniformSettingPolicy(), UniformSettingPolicy, "UniformSettingPolicy()"),
+    (FixedSequencePolicy(pairs=(("a1", "b1"),)), lambda: FixedSequencePolicy([("a1", "b1")]),
+     "FixedSequencePolicy(pairs=(('a1', 'b1'),))"),
+]
+
+#: a record of each class whose first field differs
+CHANGED = {
+    TheoryModel: lambda m: TheoryModel("another name", m.scenario, m.ensemble, m.kernel),
+    LocalityReport: lambda r: LocalityReport((("s2",), *r.ids[1:]), r.failing, r.values, r.worst_residual,
+                                             r.tolerance),
+    InstructionSet: lambda s: InstructionSet((("a1", "b1"),), s.assignments, {"s1": Fraction(1)}),
+    FixedSequencePolicy: lambda p: FixedSequencePolicy((("a1", "b1"), ("a1", "b1"))),
+}
+
+
+@pytest.fixture(params=RECORD_CLASSES, ids=lambda entry: type(entry[0]).__name__)
+def built(request):
+    return request.param
+
+
+def test_every_record_base_class_is_pinned():
+    modules = [import_module(f"bell_lab.{name}") for name in MODULES]
+    defined = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record}
+    assert defined == {type(rec) for rec, _, _ in RECORD_CLASSES}
+
+
+def test_record_repr_is_the_dataclass_text(built):
+    rec, again, text = built
+    assert repr(rec) == repr(again()) == text
+
+
+def test_record_equality_and_hash_follow_the_fields(built):
+    rec, again, _ = built
+    twin = again()
+    assert twin is not rec and twin == rec and not twin != rec
+    fields = tuple(getattr(rec, name) for name in type(rec)._fields)
+    assert rec != fields and fields != rec and rec != list(fields)
+    if type(rec) in CHANGED:
+        other = CHANGED[type(rec)](rec)
+        assert other != rec and rec != other
+    if type(rec) in (LocalityReport, InstructionSet):  # fields hold lists or dicts, as the dataclass did
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(twin) == hash(rec) == hash(fields) and len({rec, twin}) == 1
+
+
+def test_a_record_equals_only_its_own_class():
+    class Empty(Record):
+        pass
+
+    assert Empty() == Empty() and Empty() != UniformSettingPolicy() != Empty()
+    assert UniformSettingPolicy() and UniformSettingPolicy() != ()
+    assert UniformSettingPolicy() == UniformSettingPolicy() and not UniformSettingPolicy() != UniformSettingPolicy()
+
+
+def test_record_fields_cannot_be_assigned_or_deleted(built):
+    rec, _, text = built
+    for name in (*type(rec)._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert repr(rec) == text
+
+
+def test_record_arguments_are_checked(built):
+    rec, _, _ = built
+    cls, fields = type(rec), [getattr(rec, name) for name in type(rec)._fields]
+    names = cls._fields
+    with pytest.raises(TypeError):
+        cls(*fields, None)  # one too many
+    with pytest.raises(TypeError):
+        cls(*fields, extra=None)  # unknown
+    if names:
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])  # missing
+        with pytest.raises(TypeError):
+            cls(*fields, **{names[0]: fields[0]})  # repeated
+        assert cls(**dict(zip(names, fields))) == rec == cls(*fields[:1], **dict(zip(names[1:], fields[1:])))
+
+
+def test_records_check_their_fields_when_built():
+    with pytest.raises(InstructionSetError, match="duplicate axes"):
+        InstructionSet((("a1", "b1"), ("a1", "b1")), {}, {})
+    with pytest.raises(InstructionSetError, match="bob = -alice"):
+        InstructionSet((("a1", "b1"),), {"s1": {("a1", "b1"): (1, 1)}}, {"s1": HALF})
+    with pytest.raises(BellLabError, match="at least one pair"):
+        FixedSequencePolicy(pairs=[])
+    with pytest.raises(BellLabError, match="two setting ids"):
+        FixedSequencePolicy(pairs=(("a1",),))
+
+
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_a_model_round_trips_with_its_cached_values(clone):
+    fresh = RECORD_CLASSES[0][1]()
+    cached = RECORD_CLASSES[0][1]()
+    table = behavior(cached)
+    assert "tensor" in vars(cached) and "tensor" not in vars(fresh)
+    assert cached == fresh and hash(cached) == hash(fresh)  # cached values are no fields
+    twin = clone(cached)
+    assert type(twin) is TheoryModel and twin == cached == fresh and hash(twin) == hash(fresh)
+    assert repr(twin) == RECORD_CLASSES[0][2]
+    assert "tensor" in vars(twin) and twin.tensor.K == cached.tensor.K and twin._valid_at == {0.0}
+    assert behavior(twin) == table
+    with pytest.raises(AttributeError):
+        twin.name = "renamed"
+
+
+def test_a_policy_and_a_report_round_trip(built):
+    rec, _, text = built
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+        assert type(twin) is type(rec) and twin == rec and repr(twin) == text

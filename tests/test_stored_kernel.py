@@ -17,7 +17,6 @@ import copy
 import json
 import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -51,7 +50,7 @@ ODD_VALUES = (Fraction(3, 2), Fraction(-1, 4), Fraction(10**400), Fraction(-10**
 
 
 def _with_cells(model: TheoryModel, cells: dict) -> TheoryModel:
-    return replace(model, kernel=ResponseKernel(cells))
+    return TheoryModel(model.name, model.scenario, model.ensemble, ResponseKernel(cells))
 
 
 def _renamed(model: TheoryModel, side: str, old: str, new: str) -> TheoryModel:
@@ -118,7 +117,7 @@ def variants(draw) -> TheoryModel:
             entries = list(model.ensemble.entries)
             i = draw(st.integers(0, len(entries) - 1))
             entries[i] = EnsembleEntry(entries[i].state_id, draw(st.sampled_from([Fraction(0), 0.0])))
-            model = replace(model, ensemble=HiddenStateEnsemble(tuple(entries)))
+            model = TheoryModel(model.name, model.scenario, HiddenStateEnsemble(tuple(entries)), model.kernel)
         elif fault in ("duplicate", "surrogate"):
             side = draw(st.sampled_from(["state", "alice", "bob"]))
             ids = {"state": model.ensemble.state_ids(), "alice": model.scenario.alice_ids(),
