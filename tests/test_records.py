@@ -277,7 +277,6 @@ def test_a_record_equals_only_its_own_class():
         pass
 
     assert Empty() == Empty() and Empty() != UniformSettingPolicy() != Empty()
-    assert UniformSettingPolicy() and UniformSettingPolicy() != ()
     assert UniformSettingPolicy() == UniformSettingPolicy() and not UniformSettingPolicy() != UniformSettingPolicy()
 
 
