@@ -152,15 +152,10 @@ class CHSHResult(NamedTuple):
     convention: str = CHSH_CONVENTION
 
     def to_dict(self) -> dict:
-        return {
-            "convention": self.convention,
-            "roles": {"a": self.roles[0], "a_prime": self.roles[1], "b": self.roles[2], "b_prime": self.roles[3]},
-            "correlators": {f"{k[0]}|{k[1]}": format_probability(v) for k, v in self.correlators.items()},
-            "chsh_value": format_probability(self.chsh_value),
-            "local_bound": format_probability(self.local_bound),
-            "violated": self.violated,
-            "tolerance": self.tolerance,
-        }
+        return {**self._asdict(), "roles": dict(zip(("a", "a_prime", "b", "b_prime"), self.roles)),
+                "correlators": {f"{k[0]}|{k[1]}": format_probability(v) for k, v in self.correlators.items()},
+                "chsh_value": format_probability(self.chsh_value),
+                "local_bound": format_probability(self.local_bound)}
 
 
 def chsh(
@@ -270,17 +265,10 @@ class SeparatingFunctional(NamedTuple):
         return self.value - self.bound
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "description": self.description,
-            "bound": format_probability(self.bound),
-            "value": format_probability(self.value),
-            "margin": format_probability(self.margin),
-            "coefficients": {
-                f"{a}|{b}|{'+' if A > 0 else '-'}{'+' if B > 0 else '-'}": format_probability(c)
-                for (a, b, A, B), c in self.coefficients.items()
-            },
-        }
+        return {**self._asdict(), "bound": format_probability(self.bound),
+                "value": format_probability(self.value), "margin": format_probability(self.margin),
+                "coefficients": {f"{a}|{b}|{'+' if A > 0 else '-'}{'+' if B > 0 else '-'}": format_probability(c)
+                                 for (a, b, A, B), c in self.coefficients.items()}}
 
 
 class MembershipCertificate(NamedTuple):
@@ -304,10 +292,6 @@ class MembershipCertificate(NamedTuple):
         if self.functional is not None:
             out["functional"] = self.functional.to_dict()
         return out
-
-
-def _exact(p: Prob) -> Fraction:
-    return p if isinstance(p, Fraction) else Fraction(p)
 
 
 def _phase1_simplex(
@@ -419,7 +403,7 @@ def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctio
         bound = _chsh_bound(signs, a == a2, b == b2)
         if value > bound + t:
             coeffs = _chsh_coefficients(signs, pairs)
-            if not sum(c * _exact(table.cell(x, y).prob(A, B)) for (x, y, A, B), c in coeffs.items()) - bound > t:
+            if not sum(c * Fraction(table.cell(x, y).prob(A, B)) for (x, y, A, B), c in coeffs.items()) - bound > t:
                 raise BellLabError("facet certificate failed verification; facet search bug")
             terms = " ".join(f"{'+' if s > 0 else '-'}E({p[0]},{p[1]})" for s, p in zip(signs, pairs))
             return SeparatingFunctional(
@@ -452,7 +436,7 @@ def local_polytope_membership(
     row = {key: i for i, key in enumerate(row_keys)}
     supports = [(*(row[a, b, A, B] for a, A in strat.alice for b, B in strat.bob), len(row_keys))
                 for strat in strategies]
-    probs = [_exact(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys] + [Fraction(1)]
+    probs = [Fraction(table.cell(a, b).prob(A, B)) for (a, b, A, B) in row_keys] + [Fraction(1)]
     scale = math.lcm(*(p.denominator for p in probs))
     rhs = [p.numerator * (scale // p.denominator) for p in probs]
 

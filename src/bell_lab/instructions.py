@@ -40,6 +40,7 @@ from .model import (
     ResponseKernel,
     Scenario,
     TheoryModel,
+    axis_pairs,
     equal_axes,
     format_probability,
     require_valid,
@@ -66,7 +67,7 @@ class InstructionSet(Record):
     weights: dict[str, Prob]
 
     def __post_init__(self) -> None:
-        if len(set(self.axes)) != len(self.axes):
+        if len(set(axis_pairs(self.axes))) != len(self.axes):
             raise InstructionSetError("duplicate axes in instruction set")
         if set(self.assignments) != set(self.weights):
             raise InstructionSetError("assignments and weights must cover the same states")
@@ -271,7 +272,7 @@ def classify_states(
 ) -> ClassPartition:
     """Group states by Alice's sign pattern over `axes` (default: all axes);
     past 16 axes, raise EnumerationLimitError."""
-    use = instructions.axes if axes is None else tuple(axes)
+    use = instructions.axes if axes is None else tuple(axis_pairs(axes))
     for axis in use:
         if axis not in instructions.axes:
             raise InstructionSetError(f"axis {axis} is not part of the instruction set")

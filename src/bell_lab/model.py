@@ -267,7 +267,7 @@ def axis_pairs(axes: list[Axis]) -> list[Axis]:
     str ids, else BellLabError."""
     if not isinstance(axes, (list, tuple)) or not all(
             isinstance(p, tuple) and len(p) == 2 and all(isinstance(i, str) for i in p) for p in axes):
-        raise BellLabError(f"axes must be a list or tuple of (alice_id, bob_id) pairs, got {axes!r}")
+        raise BellLabError(f"setting pairs must be a list or tuple of (a_id, b_id), got {axes!r}")
     return axes
 
 

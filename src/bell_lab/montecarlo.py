@@ -51,6 +51,7 @@ from .model import (
     Scenario,
     TheoryModel,
     _chsh_form,
+    axis_pairs,
     require_valid,
 )
 
@@ -93,15 +94,10 @@ class FixedSequencePolicy(Record):
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pairs, (tuple, list)):
-            raise BellLabError(f"fixed-sequence pairs must be a tuple of setting-id pairs, got {self.pairs!r}")
         # a list is stored as a tuple: hashable, and equal to the tuple-built policy
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        object.__setattr__(self, "pairs", tuple(axis_pairs(self.pairs)))
         if not self.pairs:
             raise BellLabError("fixed-sequence policy needs at least one pair")
-        for pair in self.pairs:
-            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(i, str) for i in pair)):
-                raise BellLabError(f"fixed-sequence pair must be two setting ids, got {pair!r}")
 
 
 SettingPolicy = UniformSettingPolicy | FixedSequencePolicy
@@ -171,8 +167,7 @@ class ExperimentStats(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "trials": self.trials,
-            "seed": self.seed,
+            **self._asdict(),
             "counts": {
                 f"{a}|{b}|{'+' if A > 0 else '-'}{'+' if B > 0 else '-'}": n
                 for (a, b, A, B), n in self.counts.items()

@@ -26,6 +26,7 @@ from .model import (
     BellLabError,
     EnsembleEntry,
     HiddenStateEnsemble,
+    JOINT_OUTCOMES,
     OutcomeDistribution,
     ResponseKernel,
     Scenario,
@@ -82,12 +83,7 @@ def singlet_joint_prob(
 
 
 def singlet_cell(a_direction: Direction, b_direction: Direction) -> OutcomeDistribution:
-    return OutcomeDistribution(
-        pp=singlet_joint_prob(a_direction, b_direction, +1, +1),
-        pm=singlet_joint_prob(a_direction, b_direction, +1, -1),
-        mp=singlet_joint_prob(a_direction, b_direction, -1, +1),
-        mm=singlet_joint_prob(a_direction, b_direction, -1, -1),
-    )
+    return OutcomeDistribution(*(singlet_joint_prob(a_direction, b_direction, A, B) for A, B in JOINT_OUTCOMES))
 
 
 def planar_direction(angle_degrees: float) -> Direction:
@@ -98,6 +94,8 @@ def planar_direction(angle_degrees: float) -> Direction:
 
 def parse_planar_settings(text: str) -> list[Setting]:
     """Parse 'a1=0,a2=90' into settings with x-z plane unit vectors."""
+    if not isinstance(text, str):
+        raise DirectionError(f"planar settings must be a str of 'id=degrees' pairs, got {text!r}")
     settings = []
     for chunk in text.split(","):
         if "=" not in chunk:

@@ -18,21 +18,21 @@ Weights and probabilities accept numbers or "p/q" strings; ints and "p/q"
 parse as exact rationals, other numbers as decimals.  Unknown and duplicate
 keys are rejected so typos fail loudly instead of being silently ignored.
 Parse errors carry line/column; schema errors carry the offending path.
-Every input that is not a spec (bytes that are not UTF-8, nesting too deep
-for the parser) raises SpecFormatError.
+Every input that is not a spec (an argument that is not text, bytes or a
+bytearray, bytes that are not UTF-8, nesting too deep for the parser)
+raises SpecFormatError.
 
 `parse_theory` walks the kernel once into its stored form
-(`ResponseKernel`, tuples of rows): ints and "p/q" strings become int
-numerators and denominators with no Fraction built, each distinct text
-read once, and a path is formatted only for the error that names it,
-the first in document order.
+(`ResponseKernel`, tuples of rows): ints and "p/q" strings become the
+reduced int numerators and denominators of `parse_probability`, each
+distinct value read once, and a path is formatted only for the error
+that names it, the first in document order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable
@@ -108,28 +108,16 @@ def _parse_setting(obj: Any, side: str, i: int) -> Setting:
     return Setting(id=sid, direction=direction)
 
 
-def _ratio(value: int | str) -> tuple[int, int]:
-    """An int or 'p/q' text in lowest terms; ValueError where parse_probability refuses it."""
-    if type(value) is int:
-        return value, 1
-    num, den = map(int, value.split("/"))
-    if den <= 0:
-        raise ValueError(value)
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 def _columns(flat: list[Any], keys: list[tuple[str, str, str]]) -> dict[str, Any]:
     """Kernel values, four per cell of `keys`, as ints-only `ratios` or as
     `rows`; the first value parse_probability refuses raises."""
     kinds = set(map(type, flat))
     try:
         if kinds <= {int, str}:
-            distinct = dict.fromkeys(flat)  # each distinct value is read once
-            ratio = dict(zip(distinct, map(_ratio, distinct)))
-            if max(map(abs, map(itemgetter(0), ratio.values())), default=0) <= sys.float_info.max:
-                at = list(map(ratio.__getitem__, flat))
-                return {"ratios": (_rows(map(itemgetter(0), at)), _rows(map(itemgetter(1), at)))}
+            # each distinct value is read once
+            ratio = {value: parse_probability(value).as_integer_ratio() for value in set(flat)}
+            at = list(map(ratio.__getitem__, flat))
+            return {"ratios": (_rows(map(itemgetter(0), at)), _rows(map(itemgetter(1), at)))}
         elif kinds <= {float} and all(map(math.isfinite, flat)):
             return {"rows": _rows(flat)}
     except ValueError:
@@ -155,15 +143,18 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def parse_theory(text: str | bytes, source: str = "<string>") -> TheoryModel:
-    """Parse theory-spec JSON (text, or UTF-8 bytes) into a TheoryModel.
+def parse_theory(text: str | bytes | bytearray, source: str = "<string>") -> TheoryModel:
+    """Parse theory-spec JSON (text, or UTF-8 bytes or bytearray) into a
+    TheoryModel; any other argument raises SpecFormatError.
 
     Only the shape is enforced here; numeric invariants (normalization,
     ranges, completeness of the kernel) are the job of validate_theory.
     """
     try:
-        if isinstance(text, bytes):
+        if isinstance(text, (bytes, bytearray)):
             text = text.decode("utf-8")
+        elif not isinstance(text, str):
+            raise SpecFormatError(f"{source}: expected text or UTF-8 bytes, got {type(text).__name__}")
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(
@@ -224,11 +215,11 @@ def parse_theory(text: str | bytes, source: str = "<string>") -> TheoryModel:
 
 
 def load_theory(path: str | Path) -> TheoryModel:
-    p = Path(path)
     try:
+        p = Path(path)
         raw = p.read_bytes()
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {p}: {exc}") from exc
+    except (OSError, TypeError) as exc:
+        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     return parse_theory(raw, source=str(p))
 
 

@@ -6,6 +6,7 @@ import copy
 import json
 import pickle
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from bell_lab.audit import check_anticorrelation, check_bell_locality, check_signal_locality
 from bell_lab.cli import main
 from bell_lab.harness import bell1964
-from bell_lab.instructions import InstructionSet, derive_instruction_sets, realize_model
+from bell_lab.instructions import InstructionSet, classify_states, derive_instruction_sets, realize_model
 from bell_lab.model import (
     DEFAULT_TOL,
     BellLabError,
@@ -36,8 +37,15 @@ from bell_lab.model import (
     resolve_tolerance,
     validate_theory,
 )
-from bell_lab.montecarlo import simulate
-from bell_lab.singlet import SingletSpec, make_planar_singlet, make_quantum_theory, planar_direction
+from bell_lab.montecarlo import FixedSequencePolicy, simulate
+from bell_lab.singlet import (
+    SingletSpec,
+    make_planar_singlet,
+    make_quantum_theory,
+    planar_direction,
+    singlet_joint_prob,
+    spin_projector,
+)
 from bell_lab.specio import dump_theory, parse_theory, theory_to_dict
 
 import genmodels
@@ -368,14 +376,24 @@ class TestOneRule:
 
 
 class TestAxisPairs:
-    """Every function that takes axes holds them to one shape, a list or
-    tuple of (alice_id, bob_id) tuples of two str ids, with BellLabError."""
+    """Every function and record that takes setting pairs holds them to one
+    shape, a list or tuple of (alice_id, bob_id) tuples of two str ids,
+    with one BellLabError message."""
 
     CALLS = {
         "check_anticorrelation": lambda m, axes: check_anticorrelation(m, axes),
         "derive_instruction_sets": lambda m, axes: derive_instruction_sets(m, axes=axes),
         "bell1964": lambda m, axes: bell1964(behavior(m), axes),
     }
+    #: the other takers of setting pairs, given the same values
+    TAKERS = {
+        "FixedSequencePolicy": lambda m, axes: FixedSequencePolicy(pairs=axes),
+        "classify_states": lambda m, axes: classify_states(
+            InstructionSet((("n1", "n1"),), {"s": {("n1", "n1"): (1, -1)}}, {"s": Fraction(1)}), axes),
+        "InstructionSet": lambda m, axes: InstructionSet(axes, {}, {}),
+    }
+    MALFORMED = [5, "n1=n1", [("n1",)], ["n1n1", "n2n2", "n3n3"], [("n1", "n1", "n1")], [("n1", 1)],
+                 [["n1", "n1"]], [("n1", "n1"), ("n2", "n2"), None], {("n1", "n1"), ("n2", "n2"), ("n3", "n3")}]
 
     @pytest.mark.parametrize("call, axes", [
         ("check_anticorrelation", [("n1",)]),
@@ -390,15 +408,41 @@ class TestAxisPairs:
         ("derive_instruction_sets", [("n1",)]),
         ("bell1964", [("n1", "n1"), ("n2", "n2"), None]),
         ("bell1964", {("n1", "n1"), ("n2", "n2"), ("n3", "n3")}),
+        *product(TAKERS, MALFORMED),
     ])
     def test_a_malformed_axis_list_raises_bell_lab_error(self, singlet_three_axes, call, axes):
-        with pytest.raises(BellLabError, match=r"^axes must be a list or tuple of \(alice_id, bob_id\) pairs"):
-            self.CALLS[call](singlet_three_axes, axes)
+        with pytest.raises(BellLabError) as info:
+            {**self.CALLS, **self.TAKERS}[call](singlet_three_axes, axes)
+        assert str(info.value) == f"setting pairs must be a list or tuple of (a_id, b_id), got {axes!r}"
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_well_formed_axes_pass_the_check(self, singlet_three_axes, call):
         axes = [("n1", "n1"), ("n2", "n2"), ("n3", "n3")]
         assert self.CALLS[call](singlet_three_axes, axes) == self.CALLS[call](singlet_three_axes, tuple(axes))
+
+
+class TestErrorContract:
+    """The errors other than BellLabError that the library's contract
+    names: ValueError for an outcome that is not +1 or -1, and OSError for
+    a CSV path `simulate` cannot write, which the CLI turns into exit 2."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: OutcomeDistribution(*(Fraction(1, 4),) * 4).prob(2, 1),
+        lambda: singlet_joint_prob((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 2, 1),
+        lambda: spin_projector((0.0, 0.0, 1.0), 0),
+    ], ids=["prob", "singlet_joint_prob", "spin_projector"])
+    def test_an_outcome_that_is_not_plus_or_minus_one_raises_value_error(self, call):
+        with pytest.raises(ValueError, match=r"must be \+1 or -1") as info:
+            call()
+        assert type(info.value) is ValueError
+
+    def test_a_csv_path_simulate_cannot_write_raises_os_error_and_exits_2(self, tmp_path, capsys):
+        model = make_planar_singlet("a1=0", "b1=0")
+        with pytest.raises(OSError):
+            simulate(model, 5, seed=1, csv_path=tmp_path)
+        dump_theory(model, tmp_path / "spec.json")
+        assert main(["simulate", str(tmp_path / "spec.json"), "--trials", "5", "--out", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestExactness:

@@ -198,11 +198,11 @@ class TestRunExperiment:
 
     def test_fixed_sequence_rejects_a_pair_that_is_not_two_ids(self):
         for pairs in ((("a1",),), (("a1", "b1", "x"),), ("a1b1",)):
-            with pytest.raises(BellLabError, match="two setting ids"):
+            with pytest.raises(BellLabError, match=r"^setting pairs must be a list or tuple of \(a_id, b_id\)"):
                 FixedSequencePolicy(pairs=pairs)
 
     def test_fixed_sequence_rejects_pairs_that_are_not_a_sequence(self):
-        with pytest.raises(BellLabError, match="must be a tuple of setting-id pairs"):
+        with pytest.raises(BellLabError, match=r"^setting pairs must be a list or tuple of \(a_id, b_id\)"):
             FixedSequencePolicy(pairs=5)
 
     def test_fixed_sequence_from_a_list_is_the_tuple_built_policy(self):

@@ -313,7 +313,7 @@ def test_records_check_their_fields_when_built():
         InstructionSet((("a1", "b1"),), {"s1": {("a1", "b1"): (1, 1)}}, {"s1": HALF})
     with pytest.raises(BellLabError, match="at least one pair"):
         FixedSequencePolicy(pairs=[])
-    with pytest.raises(BellLabError, match="two setting ids"):
+    with pytest.raises(BellLabError, match=r"^setting pairs must be a list or tuple of \(a_id, b_id\)"):
         FixedSequencePolicy(pairs=(("a1",),))
 
 

@@ -191,6 +191,13 @@ class TestSingletModel:
         with pytest.raises(BellLabError, match="lone surrogate"):
             make_planar_singlet("a1=0", "b1=0", name="n\udcff")
 
+    @pytest.mark.parametrize("alice, bob", [(None, "b1=0"), ("a1=0", 5), (b"a1=0", "b1=0"), (["a1=0"], "b1=0")])
+    def test_settings_that_are_not_text_are_refused(self, alice, bob):
+        bad = bob if isinstance(alice, str) else alice
+        with pytest.raises(DirectionError) as info:
+            make_planar_singlet(alice, bob)
+        assert str(info.value) == f"planar settings must be a str of 'id=degrees' pairs, got {bad!r}"
+
     def test_quantum_theory_requires_directions(self):
         from bell_lab.model import Setting
 

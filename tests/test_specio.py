@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genmodels
-from bell_lab.model import validate_theory
+from bell_lab.model import CELL_KEYS, parse_probability, validate_theory
 from bell_lab.specio import (
     SpecFormatError,
     dump_theory,
@@ -117,6 +118,25 @@ class TestParse:
     def test_utf8_bytes_parse_like_text(self):
         text = json.dumps(minimal_doc())
         assert parse_theory(text.encode("utf-8")) == parse_theory(text)
+
+    def test_a_bytearray_is_read_as_utf8_as_bytes_are(self):
+        text = json.dumps(minimal_doc())
+        assert parse_theory(bytearray(text.encode("utf-8"))) == parse_theory(text)
+        utf16 = text.encode("utf-16")  # json.loads alone would guess this encoding
+        for raw in (utf16, bytearray(utf16)):
+            with pytest.raises(SpecFormatError, match="^<string>: not UTF-8 text"):
+                parse_theory(raw)
+
+    @pytest.mark.parametrize("arg", [5, None, memoryview(b"{}"), ["{}"]])
+    def test_an_argument_that_is_not_text_or_bytes_is_refused(self, arg):
+        with pytest.raises(SpecFormatError) as info:
+            parse_theory(arg, source="arg")
+        assert str(info.value) == f"arg: expected text or UTF-8 bytes, got {type(arg).__name__}"
+
+    @pytest.mark.parametrize("arg", [5, None, b"spec.json"])
+    def test_load_theory_refuses_what_is_not_a_path(self, arg):
+        with pytest.raises(SpecFormatError, match=f"^cannot read {arg}: "):
+            load_theory(arg)
 
     def test_duplicate_key_in_a_cell_is_rejected(self):
         text = json.dumps(minimal_doc()).replace('"++": 0', '"++": 0, "++": 1')
@@ -322,3 +342,44 @@ class TestErrorTexts:
         pm = model.kernel.cell("s1", "a1", "b1").pm
         assert type(pm) is Fraction and pm == Fraction(1, 2)
         assert validate_theory(model) == []
+
+
+#: Kernel values of the int and "p/q" kind: zero, negative and unreduced
+#: values, terms beyond the float range whose value is at most 1, values
+#: beyond it, and text parse_probability refuses.
+_HUGE = 10**400
+KERNEL_VALUES = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([_HUGE, -_HUGE]),
+    st.builds("{}/{}".format, st.integers(-6, 12), st.integers(-2, 12)),
+    st.builds(lambda k, d, sign: f"{sign * k}/{k + d}", st.sampled_from([_HUGE, 3 * _HUGE + 1, 2**1100]),
+              st.integers(0, 3), st.sampled_from([1, -1])),
+    st.builds(lambda p, q, k: f"{p * k}/{q * k}", st.integers(-1, 4), st.integers(1, 4),
+              st.sampled_from([_HUGE, 2**1100])),
+    st.sampled_from([f"{_HUGE}/1", "1/2/3", "a/b", " 1/2", "1.5/2"]),
+)
+
+
+class TestExactKernelText:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(KERNEL_VALUES, min_size=4, max_size=16))
+    def test_each_value_is_stored_as_parse_probability_reads_it(self, values):
+        values = values[:len(values) // 4 * 4]
+        cells = [dict(zip(CELL_KEYS, values[i:i + 4])) for i in range(0, len(values), 4)]
+        doc = {**minimal_doc(), "kernel": {"s1": {f"a{i}|b1": cell for i, cell in enumerate(cells)}}}
+        refusals = []
+        for i, value in enumerate(values):
+            try:
+                parse_probability(value, "")
+            except ValueError as exc:
+                refusals.append(f"$.kernel.s1.a{i // 4}|b1.{CELL_KEYS[i % 4]}{exc}")
+        if refusals:
+            with pytest.raises(SpecFormatError) as info:
+                parse_theory(json.dumps(doc))
+            assert str(info.value) == refusals[0]
+            return
+        kernel = parse_theory(json.dumps(doc)).kernel
+        assert "rows" not in vars(kernel)  # stored as ratios, no Fraction row built
+        ratios = [parse_probability(value).as_integer_ratio() for value in values]
+        num, den = ([r[part] for r in ratios] for part in (0, 1))
+        assert kernel.ratios == (tuple(zip(*[iter(num)] * 4)), tuple(zip(*[iter(den)] * 4)))
