@@ -272,8 +272,8 @@ def render_instructions(result, partition, out) -> None:
     out.write("Instruction derivation: OK\n")
     axes_text = ", ".join(f"{a}={b}" for a, b in result.axes)
     out.write(f"  axes: {axes_text}\n")
-    for state_id in result.state_ids():
-        pattern = "".join("+" if s > 0 else "-" for s in result.pattern(state_id))
+    for state_id, signs in result.signs.items():
+        pattern = "".join("+" if s > 0 else "-" for s in signs)
         out.write(f"  state {state_id}: pattern {pattern} (weight {_fmt(result.weights[state_id])})\n")
     if "skipped" in partition:
         out.write(f"  classes skipped: {partition['skipped']}\n")

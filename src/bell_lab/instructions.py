@@ -6,8 +6,8 @@ wing's outcome on each axis must already be fixed: a marginal strictly
 between 0 and 1 on either wing would put nonzero probability on a
 same-outcome event through the factorized joint.  Each hidden state
 therefore carries an instruction set: a sign per axis for Alice, with Bob's
-sign the negation.  Over n axes there are exactly 2^n possible sign
-patterns, so the ensemble splits into 2^n classes (some possibly empty).
+the negation; an `InstructionSet` stores Alice's signs alone.  There are
+2^n sign patterns on n axes, so 2^n classes, some possibly empty.
 
 `derive_instruction_sets` mechanizes exactly that step axis by axis,
 over every state at once: it compares the kernel tensor's `scaled`
@@ -56,44 +56,29 @@ class InstructionSetError(BellLabError):
 class InstructionSet(Record):
     """Per-state deterministic outcomes on shared axes.
 
-    `assignments` maps state_id -> axis -> (alice_value, bob_value), each
-    the int +1 or -1 with bob's the negation of alice's; every state covers
-    every axis and has a finite weight.  Settings outside the listed axes
-    are simply absent: nothing constrains them.
+    `signs` maps state_id -> Alice's sign on each axis, in axis order: a
+    tuple of the ints +1 and -1.  Bob's outcome on an axis is always the
+    negation of Alice's, so it is not stored.  Every state has a finite
+    weight.  Settings outside the listed axes are simply absent: nothing
+    constrains them.
     """
 
     axes: tuple[Axis, ...]
-    assignments: dict[str, dict[Axis, tuple[int, int]]]
+    signs: dict[str, tuple[int, ...]]
     weights: dict[str, Prob]
 
     def __post_init__(self) -> None:
-        if len(set(axis_pairs(self.axes))) != len(self.axes):
+        if len(set(axis_pairs(self.axes, InstructionSetError))) != len(self.axes):
             raise InstructionSetError("duplicate axes in instruction set")
-        if set(self.assignments) != set(self.weights):
-            raise InstructionSetError("assignments and weights must cover the same states")
-        for state_id, per_axis in self.assignments.items():
+        if not (isinstance(self.signs, dict) and isinstance(self.weights, dict)
+                and self.signs.keys() == self.weights.keys()):
+            raise InstructionSetError("signs and weights must be dicts that cover the same states")
+        for state_id, row in self.signs.items():
             if isinstance(weight := self.weights[state_id], bool) or not abs(weight) < float("inf"):
                 raise InstructionSetError(f"state {state_id!r}: weight {weight!r} is not a finite number")
-            if set(per_axis) != set(self.axes):
-                raise InstructionSetError(
-                    f"state {state_id!r} must assign every axis exactly once"
-                )
-            for axis, (a_val, b_val) in per_axis.items():
-                where = f"state {state_id!r}, axis {axis}"
-                if not all(type(v) is int and v in (1, -1) for v in (a_val, b_val)):
-                    raise InstructionSetError(f"{where}: outcomes must be the ints +1 or -1")
-                if b_val != -a_val:
-                    raise InstructionSetError(
-                        f"{where}: anti-correlation requires bob = -alice, got ({a_val}, {b_val})")
-
-    def state_ids(self) -> tuple[str, ...]:
-        return tuple(self.assignments)
-
-    def pattern(self, state_id: str, axes: tuple[Axis, ...] | None = None) -> tuple[int, ...]:
-        """Alice's sign per axis, in axis order."""
-        use = self.axes if axes is None else axes
-        per_axis = self.assignments[state_id]
-        return tuple(per_axis[axis][0] for axis in use)
+            if not (isinstance(row, tuple) and len(row) == len(self.axes)
+                    and all(type(v) is int and v in (1, -1) for v in row)):
+                raise InstructionSetError(f"state {state_id!r}: signs must be a tuple of ints +1 or -1 per axis")
 
     def to_dict(self) -> dict:
         return {
@@ -101,11 +86,9 @@ class InstructionSet(Record):
             "states": {
                 state_id: {
                     "weight": format_probability(self.weights[state_id]),
-                    "outcomes": {
-                        f"{axis[0]}|{axis[1]}": list(vals) for axis, vals in per_axis.items()
-                    },
+                    "outcomes": {f"{a}|{b}": [s, -s] for (a, b), s in zip(self.axes, row)},
                 }
-                for state_id, per_axis in self.assignments.items()
+                for state_id, row in self.signs.items()
             },
         }
 
@@ -213,9 +196,8 @@ def derive_instruction_sets(
         side, reason = _BREACHES[check]
         return DerivationFailure(entries[s].state_id, axes[i], side, kt.unscaled(marginals[check][s], s), reason)
     _check_rebuild(kt, alice, bob, signs, t)
-    assignments = {e.state_id: {axis: (a, -a) for axis, a in zip(axes, row)}
-                   for e, row in zip(entries, zip(*signs))}
-    return InstructionSet(tuple(axes), assignments, {e.state_id: e.weight for e in entries})
+    ids = [e.state_id for e in entries]
+    return InstructionSet(tuple(axes), dict(zip(ids, zip(*signs))), dict(zip(ids, kt.w)))
 
 
 class PatternClass(NamedTuple):
@@ -267,28 +249,23 @@ class ClassPartition(NamedTuple):
         }
 
 
-def classify_states(
-    instructions: InstructionSet, axes: tuple[Axis, ...] | None = None
-) -> ClassPartition:
-    """Group states by Alice's sign pattern over `axes` (default: all axes);
-    past 16 axes, raise EnumerationLimitError."""
-    use = instructions.axes if axes is None else tuple(axis_pairs(axes))
-    for axis in use:
-        if axis not in instructions.axes:
-            raise InstructionSetError(f"axis {axis} is not part of the instruction set")
-    if len(use) > _MAX_AXES:
+def classify_states(instructions: InstructionSet) -> ClassPartition:
+    """Group states by Alice's sign pattern over the axes; past 16 axes,
+    raise EnumerationLimitError."""
+    axes = instructions.axes
+    if len(axes) > _MAX_AXES:
         raise EnumerationLimitError(
-            f"refusing to enumerate 2^{len(use)} classes (limit 2^{_MAX_AXES})"
+            f"refusing to enumerate 2^{len(axes)} classes (limit 2^{_MAX_AXES})"
         )
     by_pattern: dict[tuple[int, ...], list[str]] = {}
-    for state_id in instructions.state_ids():
-        by_pattern.setdefault(instructions.pattern(state_id, use), []).append(state_id)
+    for state_id, row in instructions.signs.items():
+        by_pattern.setdefault(row, []).append(state_id)
     classes = []
-    for pattern in product((+1, -1), repeat=len(use)):
+    for pattern in product((+1, -1), repeat=len(axes)):
         members = tuple(by_pattern.get(pattern, ()))
         weight = sum((instructions.weights[m] for m in members), Fraction(0))
         classes.append(PatternClass(pattern=pattern, members=members, weight=weight))
-    return ClassPartition(axes=use, classes=tuple(classes))
+    return ClassPartition(axes=axes, classes=tuple(classes))
 
 
 def realize_model(
@@ -302,25 +279,23 @@ def realize_model(
     each kernel cell then puts probability 1 on the instructed outcome
     pair, exactly.  The model must pass `validate_theory` (InvalidModelError).
     """
-    alice_axis: dict[str, Axis] = {}
-    bob_axis: dict[str, Axis] = {}
-    for axis in instructions.axes:
-        a_id, b_id = axis
+    alice_axis: dict[str, int] = {}
+    bob_axis: dict[str, int] = {}
+    for i, (a_id, b_id) in enumerate(instructions.axes):
         if a_id in alice_axis:
             raise InstructionSetError(f"Alice setting {a_id!r} appears in two axes")
         if b_id in bob_axis:
             raise InstructionSetError(f"Bob setting {b_id!r} appears in two axes")
-        alice_axis[a_id] = bob_axis[b_id] = axis
+        alice_axis[a_id] = bob_axis[b_id] = i
     for side, ids, covered in (("Alice", scenario.alice_ids(), alice_axis),
                                ("Bob", scenario.bob_ids(), bob_axis)):
         missing = [i for i in ids if i not in covered]
         if missing:
             raise InstructionSetError(f"no instruction covers {side} setting {missing[0]!r}")
 
-    states, plays = instructions.state_ids(), instructions.assignments
-    cells = {(s, a, b): OutcomeDistribution.point(plays[s][alice_axis[a]][0], plays[s][bob_axis[b]][1])
-             for s in states for a in scenario.alice_ids() for b in scenario.bob_ids()}
-    ensemble = HiddenStateEnsemble(tuple(EnsembleEntry(s, instructions.weights[s]) for s in states))
+    cells = {(s, a, b): OutcomeDistribution.point(row[alice_axis[a]], -row[bob_axis[b]])
+             for s, row in instructions.signs.items() for a in scenario.alice_ids() for b in scenario.bob_ids()}
+    ensemble = HiddenStateEnsemble(tuple(EnsembleEntry(s, instructions.weights[s]) for s in instructions.signs))
     model = TheoryModel(name, scenario, ensemble, ResponseKernel(cells))
     require_valid(model)
     return model

@@ -262,20 +262,23 @@ def auto_equal_axes(scenario: Scenario) -> list[Axis]:
                 all(abs(x - y) <= _AXIS_MATCH_TOL for x, y in zip(a.direction, b.direction)))]
 
 
-def axis_pairs(axes: list[Axis]) -> list[Axis]:
+def axis_pairs(axes: list[Axis], error: type[BellLabError] = BellLabError) -> list[Axis]:
     """`axes` if it is a list or tuple of (alice_id, bob_id) tuples of two
-    str ids, else BellLabError."""
+    str ids, else `error`, a BellLabError."""
     if not isinstance(axes, (list, tuple)) or not all(
             isinstance(p, tuple) and len(p) == 2 and all(isinstance(i, str) for i in p) for p in axes):
-        raise BellLabError(f"setting pairs must be a list or tuple of (a_id, b_id), got {axes!r}")
+        raise error(f"setting pairs must be a list or tuple of (a_id, b_id), got {axes!r}")
     return axes
 
 
 def equal_axes(scenario: Scenario, axes: list[Axis] | None, message: str) -> list[Axis]:
     """`axes`, checked by `axis_pairs`, or when None the auto-detected ones;
-    EqualAxisError with the caller's `message` when that leaves none."""
+    EqualAxisError with the caller's `message` when that leaves none, and
+    BellLabError for an axis given twice."""
     if not (axes := auto_equal_axes(scenario) if axes is None else axis_pairs(axes)):
         raise EqualAxisError(message)
+    if len(set(axes)) != len(axes):
+        raise BellLabError(f"an axis is given twice in {axes!r}")
     return axes
 
 
@@ -688,17 +691,19 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
 
     Exact quantities are held to exact equalities; decimal ones to `tol`
     (default 1e-9).  NaN and infinite numbers, exact values beyond the
-    float range, setting ids containing '|' (the separator of kernel keys)
-    and a name or id holding a lone surrogate are violations too, so a
-    model built through the library is held to what the spec parser
-    accepts.
+    float range, setting ids containing '|' (the separator of kernel keys),
+    a name that is not a str and a name or id holding a lone surrogate are
+    violations too, so a model built through the library is held to what
+    the spec parser accepts.
     Every violation is reported, not just the first.
     """
     out: list[Violation] = []
     t = resolve_tolerance(model, tol)
     scen = model.scenario
 
-    if not is_text(model.name):
+    if not isinstance(model.name, str):
+        out.append(Violation("name", f"name must be a str, got {type(model.name).__name__}"))
+    elif not is_text(model.name):
         out.append(Violation("name", f"{model.name!r} holds a lone surrogate"))
     if not scen.alice_settings:
         out.append(Violation("scenario.alice_settings", "at least one setting required"))

@@ -45,14 +45,13 @@ def random_anticorr_instructions(
     rng: np.random.Generator, n_axes: int, n_states: int
 ) -> InstructionSet:
     axes = axes_for(n_axes)
-    assignments = {}
+    signs = {}
     weights = {}
     for i, w in enumerate(fraction_simplex(rng, n_states)):
         sid = f"s{i + 1}"
-        pattern = [int(rng.choice((1, -1))) for _ in range(n_axes)]
-        assignments[sid] = {axis: (s, -s) for axis, s in zip(axes, pattern)}
+        signs[sid] = tuple(int(rng.choice((1, -1))) for _ in range(n_axes))
         weights[sid] = w
-    return InstructionSet(axes=axes, assignments=assignments, weights=weights)
+    return InstructionSet(axes=axes, signs=signs, weights=weights)
 
 
 def random_anticorr_mixture(
@@ -143,16 +142,15 @@ def anticorr_instruction_sets(draw, min_axes: int = 1, max_axes: int = 3) -> Ins
     n_states = draw(st.integers(1, 6))
     axes = axes_for(n_axes)
     weights_list = draw(exact_simplex(n_states))
-    assignments = {}
+    signs = {}
     weights = {}
     for i, w in enumerate(weights_list):
         sid = f"s{i + 1}"
-        pattern = draw(
+        signs[sid] = tuple(draw(
             st.lists(st.sampled_from((1, -1)), min_size=n_axes, max_size=n_axes)
-        )
-        assignments[sid] = {axis: (s, -s) for axis, s in zip(axes, pattern)}
+        ))
         weights[sid] = w
-    return InstructionSet(axes=axes, assignments=assignments, weights=weights)
+    return InstructionSet(axes=axes, signs=signs, weights=weights)
 
 
 @st.composite

@@ -31,6 +31,7 @@ from bell_lab.instructions import (Axis, ClassPartition, DerivationFailure, Inst
 from bell_lab.model import (
     OUTCOMES,
     BehaviorTable,
+    BellLabError,
     EqualAxisError,
     OutcomeDistribution,
     Prob,
@@ -257,6 +258,8 @@ def check_anticorrelation(
         raise EqualAxisError(
             "no equal-axis pairs: declare them explicitly or give both wings matching vectors"
         )
+    if len(set(equal_axis_pairs)) != len(equal_axis_pairs):
+        raise BellLabError(f"an axis is given twice in {equal_axis_pairs!r}")
     for a_id, b_id in equal_axis_pairs:
         model.scenario.alice_setting(a_id)
         model.scenario.bob_setting(b_id)
@@ -300,15 +303,17 @@ def derive_instruction_sets(
         raise EqualAxisError(
             "no axes to derive on: declare equal-axis pairs or give settings matching vectors"
         )
+    if len(set(axes)) != len(axes):
+        raise BellLabError(f"an axis is given twice in {axes!r}")
     for a_id, b_id in axes:
         model.scenario.alice_setting(a_id)
         model.scenario.bob_setting(b_id)
 
-    assignments: dict[str, dict[Axis, tuple[int, int]]] = {}
+    signs: dict[str, tuple[int, ...]] = {}
     weights: dict[str, Prob] = {}
     for entry in model.ensemble.entries:
         state = entry.state_id
-        per_axis: dict[Axis, tuple[int, int]] = {}
+        row: list[int] = []
         for axis in axes:
             a_id, b_id = axis
             alice_margs = [
@@ -348,10 +353,10 @@ def derive_instruction_sets(
                     state, axis, "bob", bob_marg,
                     "anti-correlation fails: both wings fixed to the same sign",
                 )
-            per_axis[axis] = (a_val, b_val)
-        assignments[state] = per_axis
+            row.append(a_val)  # Bob's is -a_val, checked above
+        signs[state] = tuple(row)
         weights[state] = entry.weight
-    return InstructionSet(axes=tuple(axes), assignments=assignments, weights=weights)
+    return InstructionSet(axes=tuple(axes), signs=signs, weights=weights)
 
 
 def sampler_tables(model: TheoryModel) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,9 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     t = resolve_tolerance(model, tol)
     scen = model.scenario
 
-    if not is_text(model.name):
+    if not isinstance(model.name, str):
+        out.append(Violation("name", f"name must be a str, got {type(model.name).__name__}"))
+    elif not is_text(model.name):
         out.append(Violation("name", f"{model.name!r} holds a lone surrogate"))
     if not scen.alice_settings:
         out.append(Violation("scenario.alice_settings", "at least one setting required"))

@@ -111,7 +111,7 @@ def test_criterion_03_derivation_dichotomy():
         total += 1
         if (
             isinstance(derived, InstructionSet)
-            and derived.assignments == instr.assignments
+            and derived.signs == instr.signs
             and derived.weights == instr.weights
             and realize_model(derived, scenario).kernel.cells == model.kernel.cells
         ):

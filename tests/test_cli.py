@@ -189,6 +189,19 @@ class TestChecks:
         assert "equal-axis" in err
 
 
+class TestRepeatedAxes:
+    """An axis named twice in --axes is bad input: every command that
+    takes the flag exits 2 with one message, before the check runs."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("spec", ["eight_pattern.json", "golden/exact_local_3x3.json"])
+    @pytest.mark.parametrize("command", ["check-anticorrelation", "derive-instructions", "report"])
+    def test_exits_2(self, capsys, fixtures_dir, command, spec, fmt):
+        code, out, err = run_cli(capsys, command, str(fixtures_dir / spec), "--axes", "n1,n1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "an axis is given twice in [('n1', 'n1'), ('n1', 'n1')]" in err
+
+
 class TestDeriveInstructions:
     def test_derivation_succeeds_on_fixture(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -248,8 +261,7 @@ def seventeen_axes_spec(tmp_path) -> Path:
     """One deterministic state on 17 shared axes, all Alice outcomes +1."""
     ids = [f"n{k}" for k in range(1, 18)]
     axes = tuple((i, i) for i in ids)
-    instr = InstructionSet(axes=axes, assignments={"s": {axis: (1, -1) for axis in axes}},
-                           weights={"s": Fraction(1)})
+    instr = InstructionSet(axes=axes, signs={"s": (1,) * len(axes)}, weights={"s": Fraction(1)})
     settings_ = tuple(Setting(i) for i in ids)
     path = tmp_path / "seventeen.json"
     dump_theory(realize_model(instr, Scenario(settings_, settings_)), path)
@@ -716,8 +728,7 @@ def shared_axes_spec(path, ids: list[str]):
     axes = tuple((i, i) for i in ids)
     instr = InstructionSet(
         axes=axes,
-        assignments={f"s{k}": {axis: (s, -s) for axis, s in zip(axes, signs)}
-                     for k, signs in enumerate(itertools.product((1, -1), repeat=len(ids)))},
+        signs={f"s{k}": signs for k, signs in enumerate(itertools.product((1, -1), repeat=len(ids)))},
         weights={f"s{k}": Fraction(1, 2 ** len(ids)) for k in range(2 ** len(ids))},
     )
     settings_ = tuple(Setting(i) for i in ids)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import inspect
+import json
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import genmodels
 import reference_audit as ref
@@ -42,36 +44,53 @@ def two_axis_instructions() -> InstructionSet:
     axes = (("n1", "n1"), ("n2", "n2"))
     return InstructionSet(
         axes=axes,
-        assignments={
-            "s1": {axes[0]: (+1, -1), axes[1]: (+1, -1)},
-            "s2": {axes[0]: (-1, +1), axes[1]: (+1, -1)},
-        },
+        signs={"s1": (+1, +1), "s2": (-1, +1)},
         weights={"s1": Fraction(1, 4), "s2": Fraction(3, 4)},
     )
 
 
+_JUNK_SIGN = st.sampled_from([1, -1, 0, 2, True, False, 1.0, -1.0, np.int64(1), np.int64(-1), None, "+"])
+_JUNK_ROW = st.one_of(st.lists(_JUNK_SIGN, max_size=3).map(tuple), st.lists(_JUNK_SIGN, max_size=3), _JUNK_SIGN)
+_JUNK_WEIGHT = st.one_of(st.fractions(), st.integers(), st.booleans(), st.floats())
+_STATES = st.sampled_from(["s1", "s2"])
+_PAIRS = st.tuples(st.sampled_from(["n1", "n2"]), st.sampled_from(["n1", "n2"]))
+_JUNK = {
+    "axes": st.one_of(st.lists(_PAIRS, max_size=3), st.none(), st.integers(), st.text(max_size=3),
+                      st.lists(st.lists(st.text(max_size=2), max_size=3))),
+    "signs": st.one_of(st.dictionaries(_STATES, _JUNK_ROW, max_size=2), st.lists(st.tuples(_STATES, _JUNK_ROW)),
+                       st.none(), st.integers()),
+    "weights": st.one_of(st.dictionaries(_STATES, _JUNK_WEIGHT, max_size=2), st.lists(_STATES), st.none()),
+}
+
+
+@st.composite
+def junk_fields(draw) -> tuple:
+    """Well-formed (axes, signs, weights), then one field, or one state's
+    row, sign or weight, drawn as junk, or nothing changed."""
+    axes = tuple(draw(st.lists(_PAIRS, max_size=3, unique=True)))
+    states = draw(st.lists(_STATES, max_size=2, unique=True))
+    signs = {s: tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=len(axes), max_size=len(axes))))
+             for s in states}
+    fields = {"axes": axes, "signs": signs, "weights": {s: draw(st.fractions(0, 1)) for s in states}}
+    which = draw(st.sampled_from([None, *_JUNK, "row", "sign", "weight"]))
+    if which in _JUNK:
+        fields[which] = draw(_JUNK[which])
+    elif which == "row" and states:
+        signs[states[0]] = draw(_JUNK_ROW)
+    elif which == "sign" and states and axes:
+        signs[states[0]] = (draw(_JUNK_SIGN), *signs[states[0]][1:])
+    elif which == "weight" and states:
+        fields["weights"][states[0]] = draw(_JUNK_WEIGHT)
+    return fields["axes"], fields["signs"], fields["weights"]
+
+
 class TestInstructionSet:
-    def test_pattern_reads_alice_signs(self):
-        instr = two_axis_instructions()
-        assert instr.pattern("s1") == (+1, +1)
-        assert instr.pattern("s2") == (-1, +1)
-        assert instr.pattern("s2", (("n2", "n2"),)) == (+1,)
-
-    def test_rejects_correlated_assignment(self):
-        axes = (("n1", "n1"),)
-        with pytest.raises(InstructionSetError, match="anti-correlation"):
-            InstructionSet(
-                axes=axes,
-                assignments={"s1": {axes[0]: (+1, +1)}},
-                weights={"s1": Fraction(1)},
-            )
-
     def test_rejects_missing_axis(self):
         axes = (("n1", "n1"), ("n2", "n2"))
-        with pytest.raises(InstructionSetError, match="every axis"):
+        with pytest.raises(InstructionSetError, match="per axis"):
             InstructionSet(
                 axes=axes,
-                assignments={"s1": {axes[0]: (+1, -1)}},
+                signs={"s1": (+1,)},
                 weights={"s1": Fraction(1)},
             )
 
@@ -80,7 +99,7 @@ class TestInstructionSet:
         with pytest.raises(InstructionSetError, match="same states"):
             InstructionSet(
                 axes=axes,
-                assignments={"s1": {axes[0]: (+1, -1)}},
+                signs={"s1": (+1,)},
                 weights={"s1": Fraction(1, 2), "s2": Fraction(1, 2)},
             )
 
@@ -89,25 +108,53 @@ class TestInstructionSet:
         with pytest.raises(InstructionSetError, match=r"\+1 or -1"):
             InstructionSet(
                 axes=axes,
-                assignments={"s1": {axes[0]: (2, -2)}},
+                signs={"s1": (2,)},
                 weights={"s1": Fraction(1)},
             )
 
-    @pytest.mark.parametrize("outcomes, weight", [
-        ((True, -1), Fraction(1)),  # json writes [true, -1]
-        ((1.0, -1.0), Fraction(1)),  # json writes [1.0, -1.0]
-        ((np.int64(1), np.int64(-1)), Fraction(1)),  # json cannot write it
-        ((1, -1), float("nan")),  # json writes NaN
-        ((1, -1), float("inf")),
-        ((1, -1), True),
-    ], ids=["bool-sign", "float-sign", "int64-sign", "nan-weight", "inf-weight", "bool-weight"])
-    def test_rejects_what_json_would_not_read_back(self, outcomes, weight):
-        """Signs are the ints +1 and -1 and weights finite numbers, so
-        `to_dict` writes only values the spec parser reads."""
-        axes = (("n1", "n1"),)
-        with pytest.raises(InstructionSetError, match=r"ints \+1 or -1|not a finite number"):
-            InstructionSet(axes=axes, assignments={"s1": {axes[0]: outcomes}},
-                           weights={"s1": weight})
+    @pytest.mark.parametrize("signs, weight", [
+        ({"s1": (True,)}, Fraction(1)),  # json writes [true, -1]
+        ({"s1": (1.0,)}, Fraction(1)),  # json writes [1.0, -1.0]
+        ({"s1": (np.int64(1),)}, Fraction(1)),  # json cannot write it
+        ({"s1": (1,)}, float("nan")),  # json writes NaN
+        ({"s1": (1,)}, float("inf")),
+        ({"s1": (1,)}, True),
+        ({"s1": [1]}, Fraction(1)),  # a list row cannot key its class
+        ({"s1": 1}, Fraction(1)),
+        ({"s1": ()}, Fraction(1)),  # no sign for the axis
+        ({"s1": (1, -1)}, Fraction(1)),  # a sign for an axis that is not there
+        ([("s1", (1,))], Fraction(1)),  # not a dict of states
+    ], ids=["bool-sign", "float-sign", "int64-sign", "nan-weight", "inf-weight", "bool-weight",
+            "list-row", "int-row", "short-row", "long-row", "list-signs"])
+    def test_rejects_what_json_would_not_read_back(self, signs, weight):
+        """Signs are tuples of the ints +1 and -1, one per axis, in a dict
+        over the states, and weights finite numbers, so `to_dict` writes
+        only values the spec parser reads, one outcome pair per axis."""
+        with pytest.raises(InstructionSetError, match=r"ints \+1 or -1|not a finite number|same states"):
+            InstructionSet(axes=(("n1", "n1"),), signs=signs, weights={"s1": weight})
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=junk_fields())
+    @example(fields=((("n1", "n1"),), {"s1": (np.int64(1),)}, {"s1": Fraction(1)}))
+    @example(fields=((("n1", "n1"),), {"s1": (1,)}, {"s1": float("nan")}))
+    @example(fields=((("n1", "n1"), ("n1", "n1")), {}, {}))
+    @example(fields=(5, {}, {}))
+    @example(fields=((), None, {}))
+    def test_junk_raises_only_instruction_set_error(self, fields):
+        """Whatever the fields, the set is built or InstructionSetError is
+        raised; a built set holds one sign per axis and state, and writes
+        Bob's outcome as the negation of Alice's."""
+        axes, signs, weights = fields
+        try:
+            instr = InstructionSet(axes, signs, weights)
+        except InstructionSetError:
+            return
+        doc = json.loads(json.dumps(instr.to_dict(), allow_nan=False))
+        for state_id, row in signs.items():
+            assert len(row) == len(axes) and {*row} <= {1, -1}
+            outcomes = doc["states"][state_id]["outcomes"]
+            assert list(outcomes.values()) == [[s, -s] for s in row]
+            assert state_id in class_for(classify_states(instr), row).members
 
     def test_to_dict_shape(self):
         doc = two_axis_instructions().to_dict()
@@ -123,7 +170,7 @@ class TestDerivation:
         derived = derive_instruction_sets(model)
         assert isinstance(derived, InstructionSet)
         assert derived.axes == instr.axes
-        assert derived.assignments == instr.assignments
+        assert derived.signs == instr.signs
         assert derived.weights == instr.weights
 
     def test_singlet_is_blocked_by_a_half_marginal(self, singlet_equal_axes):
@@ -293,7 +340,7 @@ class TestRebuildCheck:
         model = one_state_model({**cross, ("n1", "n2"): (2, 96, 0, 2)})
         derived = derive_instruction_sets(model, tol=0.01)
         assert isinstance(derived, InstructionSet)
-        assert derived.pattern("s1") == (+1, +1)
+        assert derived.signs == {"s1": (+1, +1)}
 
     def test_decimal_cells_may_sit_5t_from_the_point(self):
         """At t = 2/128 a decimal cell may hold -1/128 and sum to 127/128:
@@ -304,7 +351,7 @@ class TestRebuildCheck:
                  ("n2", "n1"): (128, 0, 0, 0), ("n2", "n2"): (2, 126, 0, 0)}
         derived = derive_instruction_sets(one_state_model(cells, 1 / 128), tol=2 / 128)
         assert isinstance(derived, InstructionSet)
-        assert derived.pattern("s1") == (-1, +1)
+        assert derived.signs == {"s1": (-1, +1)}
 
     def test_a_slip_in_the_index_work_raises(self):
         """Bob's outcome follows Alice's setting, + at n1 and - at n2,
@@ -345,15 +392,6 @@ class TestPartition:
         part = classify_states(two_axis_instructions())
         assert {c.label() for c in part.classes} == {"++", "+-", "-+", "--"}
 
-    def test_subset_axes_partition(self):
-        part = classify_states(two_axis_instructions(), axes=(("n2", "n2"),))
-        assert len(part.classes) == 2
-        assert class_for(part, (+1,)).weight == Fraction(1)
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(InstructionSetError):
-            classify_states(two_axis_instructions(), axes=(("zz", "zz"),))
-
     def test_partition_weight_conservation_random(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
@@ -367,10 +405,9 @@ class TestPartition:
     def test_every_state_lands_in_exactly_one_class(self, instr):
         part = classify_states(instr)
         homes = [c for c in part.classes for _ in c.members]
-        assert len(homes) == len(instr.state_ids())
-        for state_id in instr.state_ids():
-            cls = class_for(part, instr.pattern(state_id))
-            assert state_id in cls.members
+        assert len(homes) == len(instr.signs)
+        for state_id, signs in instr.signs.items():
+            assert state_id in class_for(part, signs).members
 
 
 class TestRealize:
@@ -395,7 +432,7 @@ class TestRealize:
         axes = (("n1", "n1"), ("n1", "n2"))
         instr = InstructionSet(
             axes=axes,
-            assignments={"s1": {axes[0]: (+1, -1), axes[1]: (+1, -1)}},
+            signs={"s1": (+1, +1)},
             weights={"s1": Fraction(1)},
         )
         with pytest.raises(InstructionSetError, match="two axes"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bell_lab.audit import check_anticorrelation, check_bell_locality, check_signal_locality
 from bell_lab.cli import main
 from bell_lab.harness import bell1964
-from bell_lab.instructions import InstructionSet, classify_states, derive_instruction_sets, realize_model
+from bell_lab.instructions import InstructionSet, derive_instruction_sets, realize_model
 from bell_lab.model import (
     DEFAULT_TOL,
     BellLabError,
@@ -29,6 +29,7 @@ from bell_lab.model import (
     Setting,
     TheoryModel,
     UnknownIdError,
+    Violation,
     behavior,
     format_probability,
     is_text,
@@ -222,6 +223,16 @@ class TestValidation:
         found = validate_theory(tiny_model(scenario=scen, kernel=kernel))
         assert [v.location for v in found] == ["scenario.alice_settings[a|x]"]
 
+    @pytest.mark.parametrize("name", [5, None, b"name", ("n",)], ids=["int", "none", "bytes", "tuple"])
+    def test_a_name_that_is_not_a_str_is_a_violation(self, name):
+        """Not an AttributeError from the surrogate check: a violation,
+        so `make_planar_singlet` raises InvalidModelError."""
+        message = f"name must be a str, got {type(name).__name__}"
+        assert validate_theory(tiny_model(name=name)) == [Violation("name", message)]
+        with pytest.raises(InvalidModelError) as info:
+            make_planar_singlet("a=0", "b=0", name=name)
+        assert info.value.violations == (Violation("name", message),)
+
     @settings(max_examples=60, deadline=None)
     @given(place=st.sampled_from(["name", "setting", "state"]),
            text=st.text(st.one_of(st.characters(), st.sampled_from("\ud800\udbff\udc00\udfff")),
@@ -348,12 +359,10 @@ class TestOneRule:
     @example(axes=[("n", "n")], states={"s": Fraction(1, 2)}, signs=[1] * 9)
     @example(axes=[("a|1", "b")], states={"s": Fraction(1)}, signs=[1] * 9)
     def test_realize_model_returns_only_valid_models(self, axes, states, signs):
-        assignments = {state: {axis: (signs[3 * i + j], -signs[3 * i + j])
-                               for j, axis in enumerate(axes)}
-                       for i, state in enumerate(states)}
+        rows = {state: tuple(signs[3 * i:3 * i + len(axes)]) for i, state in enumerate(states)}
         scenario = Scenario(tuple(Setting(a) for a, _ in axes), tuple(Setting(b) for _, b in axes))
         try:
-            model = realize_model(InstructionSet(tuple(axes), assignments, states), scenario)
+            model = realize_model(InstructionSet(tuple(axes), rows, states), scenario)
         except BellLabError:
             return
         assert validate_theory(model) == []
@@ -388,8 +397,6 @@ class TestAxisPairs:
     #: the other takers of setting pairs, given the same values
     TAKERS = {
         "FixedSequencePolicy": lambda m, axes: FixedSequencePolicy(pairs=axes),
-        "classify_states": lambda m, axes: classify_states(
-            InstructionSet((("n1", "n1"),), {"s": {("n1", "n1"): (1, -1)}}, {"s": Fraction(1)}), axes),
         "InstructionSet": lambda m, axes: InstructionSet(axes, {}, {}),
     }
     MALFORMED = [5, "n1=n1", [("n1",)], ["n1n1", "n2n2", "n3n3"], [("n1", "n1", "n1")], [("n1", 1)],
@@ -414,6 +421,16 @@ class TestAxisPairs:
         with pytest.raises(BellLabError) as info:
             {**self.CALLS, **self.TAKERS}[call](singlet_three_axes, axes)
         assert str(info.value) == f"setting pairs must be a list or tuple of (a_id, b_id), got {axes!r}"
+
+    @pytest.mark.parametrize("call", ["check_anticorrelation", "derive_instruction_sets"])
+    def test_a_repeated_axis_is_refused_before_the_check_runs(self, singlet_three_axes, call):
+        """`equal_axes` refuses it for both engines: the audit would list
+        the axis twice, and the derivation fail on its first half marginal."""
+        axes = [("n1", "n1"), ("n2", "n2"), ("n1", "n1")]
+        with pytest.raises(BellLabError) as info:
+            self.CALLS[call](singlet_three_axes, axes)
+        assert type(info.value) is BellLabError
+        assert str(info.value) == f"an axis is given twice in {axes!r}"
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_well_formed_axes_pass_the_check(self, singlet_three_axes, call):

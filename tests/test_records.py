@@ -220,10 +220,9 @@ RECORD_CLASSES = [
      "LocalityReport(ids=(('s1',), ('a1',), ('b1',)), failing=([0], [0], [0], [12]), "
      "values=([Fraction(0, 1)], [Fraction(1, 4)], [Fraction(1, 4)]), worst_residual=Fraction(1, 4), "
      "tolerance=0.0)"),
-    (InstructionSet(axes=(("a1", "b1"),), assignments={"s1": {("a1", "b1"): (1, -1)}}, weights={"s1": HALF}),
-     lambda: InstructionSet((("a1", "b1"),), {"s1": {("a1", "b1"): (1, -1)}}, {"s1": HALF}),
-     "InstructionSet(axes=(('a1', 'b1'),), assignments={'s1': {('a1', 'b1'): (1, -1)}}, "
-     "weights={'s1': Fraction(1, 2)})"),
+    (InstructionSet(axes=(("a1", "b1"),), signs={"s1": (1,)}, weights={"s1": HALF}),
+     lambda: InstructionSet((("a1", "b1"),), {"s1": (1,)}, {"s1": HALF}),
+     "InstructionSet(axes=(('a1', 'b1'),), signs={'s1': (1,)}, weights={'s1': Fraction(1, 2)})"),
     (UniformSettingPolicy(), UniformSettingPolicy, "UniformSettingPolicy()"),
     (FixedSequencePolicy(pairs=(("a1", "b1"),)), lambda: FixedSequencePolicy([("a1", "b1")]),
      "FixedSequencePolicy(pairs=(('a1', 'b1'),))"),
@@ -234,7 +233,7 @@ CHANGED = {
     TheoryModel: lambda m: TheoryModel("another name", m.scenario, m.ensemble, m.kernel),
     LocalityReport: lambda r: LocalityReport((("s2",), *r.ids[1:]), r.failing, r.values, r.worst_residual,
                                              r.tolerance),
-    InstructionSet: lambda s: InstructionSet((("a1", "b1"),), s.assignments, {"s1": Fraction(1)}),
+    InstructionSet: lambda s: InstructionSet((("a1", "b1"),), s.signs, {"s1": Fraction(1)}),
     FixedSequencePolicy: lambda p: FixedSequencePolicy((("a1", "b1"), ("a1", "b1"))),
 }
 
@@ -309,8 +308,10 @@ def test_record_arguments_are_checked(built):
 def test_records_check_their_fields_when_built():
     with pytest.raises(InstructionSetError, match="duplicate axes"):
         InstructionSet((("a1", "b1"), ("a1", "b1")), {}, {})
-    with pytest.raises(InstructionSetError, match="bob = -alice"):
-        InstructionSet((("a1", "b1"),), {"s1": {("a1", "b1"): (1, 1)}}, {"s1": HALF})
+    with pytest.raises(InstructionSetError, match="per axis"):
+        InstructionSet((("a1", "b1"),), {"s1": (1, -1)}, {"s1": HALF})
+    with pytest.raises(TypeError, match=r"^InstructionSet\(\) takes the fields \(axes, signs, weights\), each once"):
+        InstructionSet(axes=(("a1", "b1"),), assignments={"s1": {("a1", "b1"): (1, -1)}}, weights={"s1": HALF})
     with pytest.raises(BellLabError, match="at least one pair"):
         FixedSequencePolicy(pairs=[])
     with pytest.raises(BellLabError, match=r"^setting pairs must be a list or tuple of \(a_id, b_id\)"):
