@@ -10,11 +10,16 @@ invalid model, bad flags).
 The six check subcommands (`validate` to `bell-test`) are the rows of one
 table, `CHECKS`, which `build_parser` registers; `cmd_check` serves them
 all: load the spec, run the row's check, emit JSON or text, and return 0
-if the check passed, else 1.  `make-singlet` compares and renders
+if the check passed, else 1.  A row also names the `report` section it
+writes, and `report` runs those rows in table order, each section the
+JSON document of its check: a check that finds no equal axes gives
+{"skipped": why}, and an invalid model ends the report after its
+validation section.  `make-singlet` compares and renders
 nothing, so it takes no `--tol` or `--format`.  Each engine loads where
 it is called: a check loads its own of `audit`, `harness` and
-`instructions`, `report` all three once its spec parses, `simulate` and `report
---simulate-trials` `montecarlo`, and `make-singlet` `singlet`.
+`instructions`, `report` each as its first section needs it (none for a
+model that fails validation), `simulate` and `report --simulate-trials`
+`montecarlo`, and `make-singlet` `singlet`.
 
 JSON output is canonical: keys sorted, two-space indent, one trailing
 newline.  Parsing a JSON report and re-rendering it reproduces the bytes.
@@ -334,11 +339,7 @@ def render_stats(stats, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON sections shared by a subcommand and `report`
-
-
-def validation_json(violations) -> dict:
-    return {"valid": not violations, "violations": [v._asdict() for v in violations]}
+# the check subcommands: one row each, one handler
 
 
 def _or_skipped(section, error: type[BellLabError]) -> dict:
@@ -349,23 +350,10 @@ def _or_skipped(section, error: type[BellLabError]) -> dict:
         return {"skipped": str(exc)}
 
 
-def derivation_json(result) -> dict:
-    from .instructions import DerivationFailure, classify_states
-
-    if isinstance(result, DerivationFailure):
-        return {"derived": False, "failure": result.to_dict()}
-    partition = _or_skipped(lambda: classify_states(result).to_dict(), EnumerationLimitError)  # past 16 axes
-    return {"derived": True, "instructions": result.to_dict(), "partition": partition}
-
-
-# ---------------------------------------------------------------------------
-# the check subcommands: one row each, one handler
-
-
 def _validate(model: TheoryModel, args):
     violations = validate_theory(model, args.tol)
-    to_json = partial(validation_json, violations)
-    return to_json, partial(render_validation, violations), not violations
+    doc = {"valid": not violations, "violations": [v._asdict() for v in violations]}
+    return lambda: doc, partial(render_validation, violations), not violations
 
 
 def _locality(model: TheoryModel, args):
@@ -390,10 +378,14 @@ def _anticorrelation(model: TheoryModel, args):
 
 
 def _derivation(model: TheoryModel, args):
-    from .instructions import derive_instruction_sets
+    from .instructions import DerivationFailure, classify_states, derive_instruction_sets
 
     result = derive_instruction_sets(model, _parse_axes_arg(model, args.axes), args.tol)
-    doc = derivation_json(result)
+    if isinstance(result, DerivationFailure):
+        doc = {"derived": False, "failure": result.to_dict()}
+    else:
+        partition = _or_skipped(lambda: classify_states(result).to_dict(), EnumerationLimitError)  # past 16 axes
+        doc = {"derived": True, "instructions": result.to_dict(), "partition": partition}
     return lambda: doc, partial(render_instructions, result, doc.get("partition")), doc["derived"]
 
 
@@ -411,19 +403,21 @@ def _bell_tests(model: TheoryModel, args):
     return result.to_dict, partial(render_bell_tests, result), True
 
 
-#: One row per check subcommand, in `--help` order: name, help, the check
-#: and the flags beyond the spec, `--tol` and `--format`.  A check returns
-#: a builder of its JSON document (called only for `--format json`), a
-#: text renderer taking the output stream, and whether the check passed.
+#: One row per check subcommand, in `--help` order: name, the `report`
+#: section it writes (None: not run by `report`), help, the check and the
+#: flags beyond the spec, `--tol` and `--format`.  A check returns a
+#: builder of its JSON document (called only for `--format json`, and by
+#: `report` for its section), a text renderer taking the output stream,
+#: and whether the check passed.
 CHECKS = (
-    ("validate", "check model invariants", _validate, {}),
-    ("check-locality", "audit Bell locality", _locality, {}),
-    ("check-signal", "audit signal locality", _signal, {}),
-    ("check-anticorrelation", "audit perfect anti-correlation on equal axes", _anticorrelation,
-     {"--axes": dict(help="comma-separated axes: 'a1=b1,a2=b2' or bare shared ids")}),
-    ("derive-instructions", "derive per-state instruction sets and the class partition",
+    ("validate", "validation", "check model invariants", _validate, {}),
+    ("check-locality", "bell_locality", "audit Bell locality", _locality, {}),
+    ("check-signal", "signal_locality", "audit signal locality", _signal, {}),
+    ("check-anticorrelation", "anticorrelation", "audit perfect anti-correlation on equal axes",
+     _anticorrelation, {"--axes": dict(help="comma-separated axes: 'a1=b1,a2=b2' or bare shared ids")}),
+    ("derive-instructions", "instructions", "derive per-state instruction sets and the class partition",
      _derivation, {"--axes": dict(help="comma-separated axes (default: auto-detect by vector)")}),
-    ("bell-test", "CHSH, three-axis inequality, membership", _bell_tests, {
+    ("bell-test", None, "CHSH, three-axis inequality, membership", _bell_tests, {
         "--chsh": dict(metavar="A,A2:B,B2", help="CHSH roles (a, a_prime : b, b_prime)"),
         "--bell1964": dict(metavar="AX1,AX2,AX3", help="three axes for the 1964 inequality"),
         "--membership": dict(action="store_true", help="decide local-polytope membership"),
@@ -533,16 +527,13 @@ def cmd_make_singlet(args) -> int:
 
 def run_pipeline(spec_path: str, args) -> dict:
     """The report on one spec file: the tool, the input and its digest,
-    the model's name and one section per stage of the pipeline."""
+    the model's name and one section per stage of the pipeline, the first
+    ones those the `CHECKS` rows name."""
     import hashlib  # only `report` digests its input
 
     if args.simulate_trials < 0:
         raise BellLabError(f"--simulate-trials must be >= 0, got {args.simulate_trials}")
     model, raw = _load(spec_path)
-    from .audit import check_anticorrelation, check_bell_locality, signal_deltas
-    from .harness import all_correlators, bell1964, chsh, local_polytope_membership
-    from .instructions import derive_instruction_sets
-
     sections: dict[str, Any] = {}
     report = {
         "tool": {"name": PROG, "version": __version__},
@@ -552,23 +543,18 @@ def run_pipeline(spec_path: str, args) -> dict:
     }
     del raw  # hashed: the spec's bytes are not held through the pipeline
 
-    violations = validate_theory(model, args.tol)
-    sections["validation"] = validation_json(violations)
-    if violations:
-        return report
+    # the rows in table order: an invalid model ends the report after validation,
+    # and a valid one remembers it, so no later row validates again
+    for _, section, _, check, _ in CHECKS:
+        if section:
+            sections[section] = _or_skipped(lambda: check(model, args)[0](), EqualAxisError)
+            if not sections["validation"]["valid"]:
+                return report
 
-    # the model remembers that it is valid at t: no check below validates again
+    from .harness import all_correlators, bell1964, chsh, local_polytope_membership
+
     t = resolve_tolerance(model, args.tol)
     table = behavior(model, t)
-    sections["bell_locality"] = check_bell_locality(model, t).to_dict(as_columns=True)
-    sections["signal_locality"] = signal_deltas(table, t).to_dict()
-
-    axes = _parse_axes_arg(model, args.axes)
-    sections["anticorrelation"] = _or_skipped(
-        lambda: check_anticorrelation(model, axes, t).to_dict(), EqualAxisError)
-    sections["instructions"] = _or_skipped(
-        lambda: derivation_json(derive_instruction_sets(model, axes, t)), EqualAxisError)
-
     bell: dict[str, Any] = {
         "correlators": {
             f"{a}|{b}": format_probability(v) for (a, b), v in all_correlators(table).items()
@@ -632,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, check, flags in CHECKS:
+    for name, _, help_text, check, flags in CHECKS:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("spec")
         for flag, options in flags.items():

@@ -44,6 +44,7 @@ from .model import (
     equal_axes,
     format_probability,
     require_valid,
+    value_fault,
 )
 
 _MAX_AXES = 16
@@ -58,9 +59,9 @@ class InstructionSet(Record):
 
     `signs` maps state_id -> Alice's sign on each axis, in axis order: a
     tuple of the ints +1 and -1.  Bob's outcome on an axis is always the
-    negation of Alice's, so it is not stored.  Every state has a finite
-    weight.  Settings outside the listed axes are simply absent: nothing
-    constrains them.
+    negation of Alice's, so it is not stored.  Every state's weight keeps
+    `model.value_fault`'s rule, as a model's weights do.  Settings outside
+    the listed axes are simply absent: nothing constrains them.
     """
 
     axes: tuple[Axis, ...]
@@ -74,7 +75,7 @@ class InstructionSet(Record):
                 and self.signs.keys() == self.weights.keys()):
             raise InstructionSetError("signs and weights must be dicts that cover the same states")
         for state_id, row in self.signs.items():
-            if isinstance(weight := self.weights[state_id], bool) or not abs(weight) < float("inf"):
+            if value_fault(weight := self.weights[state_id]):
                 raise InstructionSetError(f"state {state_id!r}: weight {weight!r} is not a finite number")
             if not (isinstance(row, tuple) and len(row) == len(self.axes)
                     and all(type(v) is int and v in (1, -1) for v in row)):

@@ -104,26 +104,26 @@ class InvalidModelError(BellLabError):
         super().__init__(f"invalid theory model: {lines}{more}")
 
 
+def value_fault(value: object) -> str | None:
+    """Why `value` is no weight or kernel entry, or None: the one rule for
+    both, by which `parse_probability` also reads a spec's numbers.  A
+    value is an int that is not a bool, a float (numpy's float64 is one)
+    or a Fraction; it is finite and no larger than the largest float, as
+    a decimal model sums its exact and float values as floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        return f"must be an int, a float or a Fraction, got {type(value).__name__}"
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"must be finite, got {value!r}"
+    return "too large for a float" if abs(value) > _FLOAT_MAX else None
+
+
 def parse_probability(value: object, where: str = "probability") -> Prob:
     """Convert a JSON-ish value into a probability.
 
-    Ints and "p/q" strings become exact Fractions; other numbers become
-    floats.  Denominators must be positive, values must be finite, and an
-    exact value must not exceed the largest float (a decimal model sums
-    its exact and float cells as floats).
+    Ints and "p/q" strings become exact Fractions; a float or a Fraction
+    is returned as it is.  Denominators must be positive, and every other
+    value is held to `value_fault`'s rule.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"{where}: expected a number or 'p/q' string, got a bool")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        if abs(value) > _FLOAT_MAX:
-            raise ValueError(f"{where}: too large for a float")
-        return Fraction(value)
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError(f"{where}: must be finite, got {value!r}")
-        return value
     if isinstance(value, str):
         parts = value.split("/")
         if len(parts) != 2:
@@ -137,7 +137,12 @@ def parse_probability(value: object, where: str = "probability") -> Prob:
         if abs(num) > den * _FLOAT_MAX:
             raise ValueError(f"{where}: too large for a float")
         return Fraction(num, den)
-    raise ValueError(f"{where}: expected a number or 'p/q' string, got {type(value).__name__}")
+    if (fault := value_fault(value)) is None:
+        return value if isinstance(value, (float, Fraction)) else Fraction(value)
+    if fault.startswith("must be an int"):  # a spec's words for a value that is no number
+        kind = "a bool" if isinstance(value, bool) else type(value).__name__
+        fault = f"expected a number or 'p/q' string, got {kind}"
+    raise ValueError(f"{where}: {fault}")
 
 
 def format_probability(value: Prob) -> object:
@@ -609,9 +614,20 @@ def resolve_tolerance(subject: TheoryModel | BehaviorTable | bool, tol: float | 
 
 
 def direction_fault(direction) -> str | None:
-    """Why `direction` is not a unit vector, or None: one rule for models and singlets."""
+    """Why `direction` is no direction, or None: three components, each an
+    int that is not a bool or a float, with a unit norm.  One rule for
+    models and singlets, and the spec parser reads only such vectors."""
     try:
-        norm = math.sqrt(sum(c * c for c in direction))
+        # a float subclass as the plain float: numpy's float64 warns where a square overflows
+        components = [float(c) if isinstance(c, float) else c for c in direction]
+    except TypeError:
+        components = []
+    if len(components) != 3:
+        return "direction must have three components"
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in components):
+        return f"direction components must be ints or floats, got {direction!r}"
+    try:
+        norm = math.sqrt(sum(c * c for c in components))
     except OverflowError:
         norm = math.inf
     if abs(norm - 1.0) <= _UNIT_NORM_TOL:
@@ -640,12 +656,6 @@ def _check_id(id_: str, seen: set[str], where: str, kind: str, out: list[Violati
         out.append(Violation(_loc(where, id_), f"{kind} id holds a lone surrogate"))
 
 
-def _beyond_float(value: Prob) -> bool:
-    """An exact value that a decimal sum cannot convert to a float, as
-    `parse_probability` refuses it."""
-    return isinstance(value, Fraction) and abs(value) > _FLOAT_MAX
-
-
 _CELL, _ENTRY = "kernel[{},{},{}]", "kernel[{},{},{}].{}"
 
 
@@ -653,14 +663,12 @@ def _cell_faults(key: tuple[str, str, str], values: tuple, t: float) -> list[Vio
     """One declared cell's violations: its entries in order, then its sum."""
     out, summable = [], True
     for label, p in zip(CELL_KEYS, values):
-        if isinstance(p, Fraction):
+        if fault := value_fault(p):
+            summable = summable and isinstance(p, float)  # a NaN or infinite entry still sums
+            out.append(Violation(_loc(_ENTRY, *key, label), f"probability {fault}"))
+        elif isinstance(p, Fraction):
             if p < 0 or p > 1:
-                huge = _beyond_float(p)
-                summable = summable and not huge
-                out.append(Violation(_loc(_ENTRY, *key, label), "probability too large for a float"
-                                     if huge else f"probability out of [0,1]: {p}"))
-        elif not math.isfinite(p):
-            out.append(Violation(_loc(_ENTRY, *key, label), f"probability must be finite, got {p!r}"))
+                out.append(Violation(_loc(_ENTRY, *key, label), f"probability out of [0,1]: {p}"))
         elif p < -t or p > 1 + t:
             out.append(Violation(_loc(_ENTRY, *key, label), f"probability out of [0,1]: {p!r}"))
     if summable and (fault := _sum_fault(OutcomeDistribution(*values).total(), t, "cell")):
@@ -690,11 +698,11 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     """Check every structural invariant; an empty list means the model is valid.
 
     Exact quantities are held to exact equalities; decimal ones to `tol`
-    (default 1e-9).  NaN and infinite numbers, exact values beyond the
-    float range, setting ids containing '|' (the separator of kernel keys),
-    a name that is not a str and a name or id holding a lone surrogate are
-    violations too, so a model built through the library is held to what
-    the spec parser accepts.
+    (default 1e-9).  A weight or kernel entry that `value_fault` refuses,
+    a direction that `direction_fault` refuses, setting ids containing
+    '|' (the separator of kernel keys), a name that is not a str and a
+    name or id holding a lone surrogate are violations too, so a model
+    built through the library is held to what the spec parser accepts.
     Every violation is reported, not just the first.
     """
     out: list[Violation] = []
@@ -728,14 +736,12 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     for e in model.ensemble.entries:
         _check_id(e.state_id, seen, "ensemble[{}]", "hidden-state", out)
         w = e.weight
-        if _beyond_float(w):
-            out.append(Violation(_loc(weight_at, e.state_id), "weight too large for a float"))
-            continue
-        if not isinstance(w, Fraction) and not math.isfinite(w):
-            out.append(Violation(_loc(weight_at, e.state_id), f"weight must be finite, got {w!r}"))
+        if fault := value_fault(w):
+            out.append(Violation(_loc(weight_at, e.state_id), f"weight {fault}"))
         elif w <= 0:
             out.append(Violation(_loc(weight_at, e.state_id), f"weight must be > 0, got {w}"))
-        weight_sum = weight_sum + w
+        if not fault or isinstance(w, float):  # a NaN or infinite weight still sums
+            weight_sum = weight_sum + w
     if model.ensemble.entries and (fault := _sum_fault(weight_sum, t, "weights")):
         out.append(Violation("ensemble", fault))
 

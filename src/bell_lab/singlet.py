@@ -49,13 +49,9 @@ class DirectionError(BellLabError):
 
 
 def _check_direction(direction: Direction, label: str) -> np.ndarray:
-    vec = np.asarray(direction, dtype=float)
-    if vec.shape != (3,):
-        raise DirectionError(f"{label}: direction must have three components")
-    # Python floats: their products overflow to inf without a numpy warning
-    if fault := direction_fault(vec.tolist()):
+    if fault := direction_fault(direction):
         raise DirectionError(f"{label}: {fault}")
-    return vec
+    return np.asarray(direction, dtype=float)
 
 
 def spin_projector(direction: Direction, outcome: int) -> np.ndarray:

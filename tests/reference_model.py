@@ -55,8 +55,12 @@ def _check_id(id_: str, seen: set[str], where: str, kind: str, out: list[Violati
         out.append(Violation(_loc(where, id_), f"{kind} id holds a lone surrogate"))
 
 
-def _beyond_float(value: Prob) -> bool:
-    return isinstance(value, Fraction) and abs(value) > _FLOAT_MAX
+def _value_fault(value: object) -> str | None:
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        return f"must be an int, a float or a Fraction, got {type(value).__name__}"
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"must be finite, got {value!r}"
+    return "too large for a float" if abs(value) > _FLOAT_MAX else None
 
 
 def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violation]:
@@ -90,11 +94,11 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
     for e in model.ensemble.entries:
         _check_id(e.state_id, seen, "ensemble[{}]", "hidden-state", out)
         w = e.weight
-        if _beyond_float(w):
-            out.append(Violation(_loc(weight_at, e.state_id), "weight too large for a float"))
-            continue
-        if not isinstance(w, Fraction) and not math.isfinite(w):
-            out.append(Violation(_loc(weight_at, e.state_id), f"weight must be finite, got {w!r}"))
+        fault = _value_fault(w)
+        if fault:
+            out.append(Violation(_loc(weight_at, e.state_id), f"weight {fault}"))
+            if not isinstance(w, float):
+                continue
         elif w <= 0:
             out.append(Violation(_loc(weight_at, e.state_id), f"weight must be > 0, got {w}"))
         weight_sum = weight_sum + w
@@ -115,14 +119,14 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
             continue
         summable = True
         for label, p in as_dict(dist).items():
-            if isinstance(p, Fraction):
+            fault = _value_fault(p)
+            if fault:
+                if not isinstance(p, float):
+                    summable = False
+                out.append(Violation(_loc(entry, *key, label), f"probability {fault}"))
+            elif isinstance(p, Fraction):
                 if p < 0 or p > 1:
-                    huge = _beyond_float(p)
-                    summable = summable and not huge
-                    out.append(Violation(_loc(entry, *key, label), "probability too large for a float"
-                                         if huge else f"probability out of [0,1]: {p}"))
-            elif not math.isfinite(p):
-                out.append(Violation(_loc(entry, *key, label), f"probability must be finite, got {p!r}"))
+                    out.append(Violation(_loc(entry, *key, label), f"probability out of [0,1]: {p}"))
             elif p < -t or p > 1 + t:
                 out.append(Violation(_loc(entry, *key, label), f"probability out of [0,1]: {p!r}"))
         if summable and (fault := _sum_fault(dist.total(), t, "cell")):

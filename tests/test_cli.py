@@ -590,6 +590,42 @@ class TestReport:
         assert "== bell_tests ==" in out
 
 
+FIXTURE_SPECS = sorted((Path(__file__).parent / "fixtures").rglob("*.json"))
+
+
+class TestReportSections:
+    """`report` writes, for each check row that names a section, the JSON
+    document that check writes, or {"skipped": why} where the check exits
+    2 with an EqualAxisError."""
+
+    @pytest.mark.parametrize("command, section", [(row[0], row[1]) for row in cli.CHECKS if row[1]])
+    @pytest.mark.parametrize("spec", FIXTURE_SPECS, ids=lambda p: p.stem)
+    def test_a_section_is_the_json_of_its_check(self, capsys, spec, command, section):
+        report_code, out, report_err = run_cli(capsys, "report", str(spec), "--format", "json")
+        code, check_out, err = run_cli(capsys, command, str(spec), "--format", "json")
+        if report_code == 2:  # not a spec: both refuse it alike
+            assert (code, check_out, err) == (2, "", report_err)
+            return
+        sections = json.loads(out)["sections"]
+        if section not in sections:  # the report ended at an invalid model
+            assert sections["validation"]["valid"] is False
+            assert (code, check_out) == (2, "") and err.startswith("bell-lab: error: invalid theory model: ")
+        elif "skipped" in sections[section]:
+            why = sections[section]["skipped"]
+            assert (code, check_out, err) == (2, "", f"bell-lab: error: {why}\n")
+            args = argparse.Namespace(tol=None, axes=None)
+            check = {row[0]: row[3] for row in cli.CHECKS}[command]
+            with pytest.raises(EqualAxisError, match=re.escape(why)):
+                check(load_theory(spec), args)
+        else:
+            assert code in (0, 1) and err == ""
+            assert json.loads(check_out) == sections[section]
+
+    def test_the_report_runs_the_five_shared_rows_in_order(self):
+        rows = [row[1] for row in cli.CHECKS if row[1]]
+        assert rows == ["validation", "bell_locality", "signal_locality", "anticorrelation", "instructions"]
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

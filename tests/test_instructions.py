@@ -51,7 +51,8 @@ def two_axis_instructions() -> InstructionSet:
 
 _JUNK_SIGN = st.sampled_from([1, -1, 0, 2, True, False, 1.0, -1.0, np.int64(1), np.int64(-1), None, "+"])
 _JUNK_ROW = st.one_of(st.lists(_JUNK_SIGN, max_size=3).map(tuple), st.lists(_JUNK_SIGN, max_size=3), _JUNK_SIGN)
-_JUNK_WEIGHT = st.one_of(st.fractions(), st.integers(), st.booleans(), st.floats())
+_JUNK_WEIGHT = st.one_of(st.fractions(), st.integers(), st.booleans(), st.floats(),
+                         st.sampled_from(["x", None, np.int64(1), 10**400]))
 _STATES = st.sampled_from(["s1", "s2"])
 _PAIRS = st.tuples(st.sampled_from(["n1", "n2"]), st.sampled_from(["n1", "n2"]))
 _JUNK = {
@@ -119,13 +120,18 @@ class TestInstructionSet:
         ({"s1": (1,)}, float("nan")),  # json writes NaN
         ({"s1": (1,)}, float("inf")),
         ({"s1": (1,)}, True),
+        ({"s1": (1,)}, "x"),  # not a number at all
+        ({"s1": (1,)}, None),
+        ({"s1": (1,)}, np.int64(1)),  # json cannot write it
+        ({"s1": (1,)}, 10**400),  # the spec parser refuses it
         ({"s1": [1]}, Fraction(1)),  # a list row cannot key its class
         ({"s1": 1}, Fraction(1)),
         ({"s1": ()}, Fraction(1)),  # no sign for the axis
         ({"s1": (1, -1)}, Fraction(1)),  # a sign for an axis that is not there
         ([("s1", (1,))], Fraction(1)),  # not a dict of states
     ], ids=["bool-sign", "float-sign", "int64-sign", "nan-weight", "inf-weight", "bool-weight",
-            "list-row", "int-row", "short-row", "long-row", "list-signs"])
+            "str-weight", "none-weight", "int64-weight", "huge-int-weight", "list-row", "int-row",
+            "short-row", "long-row", "list-signs"])
     def test_rejects_what_json_would_not_read_back(self, signs, weight):
         """Signs are tuples of the ints +1 and -1, one per axis, in a dict
         over the states, and weights finite numbers, so `to_dict` writes
@@ -137,6 +143,7 @@ class TestInstructionSet:
     @given(fields=junk_fields())
     @example(fields=((("n1", "n1"),), {"s1": (np.int64(1),)}, {"s1": Fraction(1)}))
     @example(fields=((("n1", "n1"),), {"s1": (1,)}, {"s1": float("nan")}))
+    @example(fields=((("n1", "n1"),), {"s1": (1,)}, {"s1": np.int64(1)}))
     @example(fields=((("n1", "n1"), ("n1", "n1")), {}, {}))
     @example(fields=(5, {}, {}))
     @example(fields=((), None, {}))

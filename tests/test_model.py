@@ -8,6 +8,7 @@ import pickle
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,7 @@ from bell_lab.model import (
 )
 from bell_lab.montecarlo import FixedSequencePolicy, simulate
 from bell_lab.singlet import (
+    DirectionError,
     SingletSpec,
     make_planar_singlet,
     make_quantum_theory,
@@ -50,6 +52,7 @@ from bell_lab.singlet import (
 from bell_lab.specio import dump_theory, parse_theory, theory_to_dict
 
 import genmodels
+import reference_model
 from genmodels import random_anticorr_mixture, random_product_model
 from reference_audit import conditional_marginal
 from reference_model import as_dict, from_mapping
@@ -320,6 +323,148 @@ class TestValidation:
         for _ in range(25):
             assert validate_theory(random_product_model(rng, 2, 2, 3)) == []
             assert validate_theory(random_anticorr_mixture(rng, 2, 4)) == []
+
+
+_NOT_A_NUMBER = "must be an int, a float or a Fraction, got {}"
+
+#: Weights and kernel entries outside the one value rule, with the reason
+#: `validate_theory` gives; a value the spec parser refuses is no model's.
+OUTSIDE_THE_RULE = [
+    ("x", _NOT_A_NUMBER.format("str")),
+    (None, _NOT_A_NUMBER.format("NoneType")),
+    (10**400, "too large for a float"),
+    (True, _NOT_A_NUMBER.format("bool")),
+    (np.int64(1), _NOT_A_NUMBER.format("int64")),
+]
+_OUTSIDE_IDS = ["str", "none", "huge-int", "bool", "int64"]
+
+
+def one_state_model(weight=Fraction(1), entry=Fraction(0), direction=None) -> TheoryModel:
+    """tiny_model with the given weight, ++ entry (the rest of the cell
+    making it sum to 1 when the entry is 0) and Alice direction."""
+    return tiny_model(
+        scenario=Scenario((Setting("a1", direction),), (Setting("b1"),)),
+        ensemble=HiddenStateEnsemble((EnsembleEntry("s1", weight),)),
+        kernel=ResponseKernel({("s1", "a1", "b1"): OutcomeDistribution(entry, Fraction(1), Fraction(0),
+                                                                      Fraction(0))}))
+
+
+def assert_round_trips(model: TheoryModel) -> None:
+    """A valid model writes a spec that parses back to a valid model."""
+    back = parse_theory(json.dumps(theory_to_dict(model)))
+    assert validate_theory(back) == []
+    assert theory_to_dict(back) == theory_to_dict(model)
+
+
+class TestValueRule:
+    """One rule for weights and kernel entries (`model.value_fault`): an
+    int that is not a bool, a float or a Fraction, finite and within the
+    float range.  `validate_theory`, `parse_probability` and
+    `InstructionSet` keep it, and the reference oracle agrees."""
+
+    @pytest.mark.parametrize("value, reason", OUTSIDE_THE_RULE, ids=_OUTSIDE_IDS)
+    def test_a_weight_outside_the_rule_is_a_violation(self, value, reason):
+        model = one_state_model(weight=value)
+        found = validate_theory(model)
+        assert found == [Violation("ensemble[s1].weight", f"weight {reason}"),
+                         Violation("ensemble", "weights must sum to 1 exactly, got 0")]
+        assert reference_model.validate_theory(model) == found
+
+    @pytest.mark.parametrize("value, reason", OUTSIDE_THE_RULE, ids=_OUTSIDE_IDS)
+    def test_a_kernel_entry_outside_the_rule_is_a_violation(self, value, reason):
+        model = one_state_model(entry=value)
+        found = validate_theory(model)
+        assert found == [Violation("kernel[s1,a1,b1].++", f"probability {reason}")]
+        assert reference_model.validate_theory(model) == found
+
+    @pytest.mark.parametrize("weight, entry, want", [
+        (float("nan"), Fraction(0), [Violation("ensemble[s1].weight", "weight must be finite, got nan")]),
+        (Fraction(10**400), Fraction(0), [Violation("ensemble[s1].weight", "weight too large for a float"),
+                                          Violation("ensemble", "weights must sum to 1 exactly, got 0")]),
+        (float("inf"), Fraction(0), [Violation("ensemble[s1].weight", "weight must be finite, got inf"),
+                                     Violation("ensemble", "weights must sum to 1 within 1e-09, got inf")]),
+        (Fraction(1), float("nan"), [Violation("kernel[s1,a1,b1].++", "probability must be finite, got nan")]),
+        (Fraction(1), float("inf"), [Violation("kernel[s1,a1,b1].++", "probability must be finite, got inf"),
+                                     Violation("kernel[s1,a1,b1]", "cell must sum to 1 within 1e-09, got inf")]),
+        (Fraction(1), Fraction(10**400), [Violation("kernel[s1,a1,b1].++", "probability too large for a float")]),
+        (Fraction(1), Fraction(3, 2), [Violation("kernel[s1,a1,b1].++", "probability out of [0,1]: 3/2"),
+                                       Violation("kernel[s1,a1,b1]", "cell must sum to 1 exactly, got 5/2")]),
+    ], ids=["nan-weight", "huge-weight", "inf-weight", "nan-entry", "inf-entry", "huge-entry", "entry-above-one"])
+    def test_the_older_reasons_keep_their_words(self, weight, entry, want):
+        """A non-finite weight or entry still joins its sum, so an infinite
+        one also gets the sum's violation."""
+        model = one_state_model(weight=weight, entry=entry)
+        assert validate_theory(model) == want
+        assert reference_model.validate_theory(model) == want
+
+    @pytest.mark.parametrize("value, message", [
+        (Fraction(10**400), "probability: too large for a float"),
+        (10**400, "probability: too large for a float"),
+        (True, "probability: expected a number or 'p/q' string, got a bool"),
+        (np.int64(1), "probability: expected a number or 'p/q' string, got int64"),
+        (None, "probability: expected a number or 'p/q' string, got NoneType"),
+        (float("-inf"), "probability: must be finite, got -inf"),
+    ], ids=["huge-fraction", "huge-int", "bool", "int64", "none", "inf"])
+    def test_parse_probability_keeps_the_rule_in_the_spec_parsers_words(self, value, message):
+        with pytest.raises(ValueError) as info:
+            parse_probability(value)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.one_of(st.fractions(), st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+                           st.sampled_from([10**400, -(10**400), Fraction(10**400), np.int64(0), np.float64(0.0)])),
+           where=st.sampled_from(["weight", "entry"]))
+    @example(value=np.int64(1), where="weight")
+    @example(value=np.float64(1.0), where="weight")
+    def test_validate_raises_nothing_and_a_valid_model_round_trips(self, value, where):
+        model = one_state_model(**{where: value})
+        found = validate_theory(model)
+        assert reference_model.validate_theory(model) == found
+        if not found:
+            assert_round_trips(model)
+
+
+class TestDirectionRule:
+    """One rule for directions (`model.direction_fault`): three components,
+    each an int that is not a bool or a float, with a unit norm."""
+
+    @pytest.mark.parametrize("direction, message", [
+        ((1.0, 0.0), "direction must have three components"),
+        ((1.0, 0.0, 0.0, 0.0), "direction must have three components"),
+        (5, "direction must have three components"),
+        ((True, False, False), "direction components must be ints or floats, got (True, False, False)"),
+        (("x", 0, 0), "direction components must be ints or floats, got ('x', 0, 0)"),
+        ((np.int64(1), 0, 0), "direction components must be ints or floats, got (np.int64(1), 0, 0)"),
+        ((0.0, 0.0, 2.0), "direction must be a unit vector, norm is 2.0"),
+    ], ids=["two", "four", "int", "bools", "str", "int64", "not-unit"])
+    def test_a_direction_outside_the_rule_is_refused(self, direction, message):
+        model = one_state_model(direction=direction)
+        assert validate_theory(model) == [Violation("scenario.alice_settings[a1].direction", message)]
+        with pytest.raises(DirectionError) as info:
+            spin_projector(direction, +1)
+        assert str(info.value) == f"spin_projector: {message}"
+
+    @pytest.mark.parametrize("direction", [
+        (0, 0, 1), [1, 0, 0], (0.6, 0, 0.8), (np.float64(0.0), np.float64(1.0), 0.0), np.array([0.0, 0.0, -1.0]),
+    ], ids=["ints", "list", "mixed", "float64", "array"])
+    def test_a_valid_direction_round_trips(self, direction):
+        model = one_state_model(direction=direction)
+        assert validate_theory(model) == []
+        assert_round_trips(model)
+        assert spin_projector(direction, +1).shape == (2, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(direction=st.one_of(
+        st.lists(st.one_of(st.integers(-2, 2), st.floats(), st.booleans(), st.none(), st.fractions(0, 1)),
+                 max_size=4).map(tuple),
+        st.floats(-360, 360).map(planar_direction), st.integers(), st.none()))
+    @example(direction=(1, 0, 0))
+    def test_validate_raises_nothing_and_a_valid_direction_round_trips(self, direction):
+        model = one_state_model(direction=direction)
+        found = validate_theory(model)
+        assert reference_model.validate_theory(model) == found
+        if not found:
+            assert_round_trips(model)
 
 
 #: Ids from a small alphabet, so duplicates, '|' and lone surrogates all
