@@ -137,12 +137,12 @@ def parse_probability(value: object, where: str = "probability") -> Prob:
         if abs(num) > den * _FLOAT_MAX:
             raise ValueError(f"{where}: too large for a float")
         return Fraction(num, den)
-    if (fault := value_fault(value)) is None:
-        return value if isinstance(value, (float, Fraction)) else Fraction(value)
-    if fault.startswith("must be an int"):  # a spec's words for a value that is no number
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         kind = "a bool" if isinstance(value, bool) else type(value).__name__
-        fault = f"expected a number or 'p/q' string, got {kind}"
-    raise ValueError(f"{where}: {fault}")
+        raise ValueError(f"{where}: expected a number or 'p/q' string, got {kind}")
+    if fault := value_fault(value):
+        raise ValueError(f"{where}: {fault}")
+    return value if isinstance(value, (float, Fraction)) else Fraction(value)
 
 
 def format_probability(value: Prob) -> object:

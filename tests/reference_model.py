@@ -21,7 +21,6 @@ from bell_lab.model import (
     Prob,
     TheoryModel,
     Violation,
-    direction_fault,
     is_text,
     resolve_tolerance,
 )
@@ -63,6 +62,27 @@ def _value_fault(value: object) -> str | None:
     return "too large for a float" if abs(value) > _FLOAT_MAX else None
 
 
+def _direction_fault(direction) -> str | None:
+    try:
+        components = list(direction)
+    except TypeError:
+        return "direction must have three components"
+    if len(components) != 3:
+        return "direction must have three components"
+    for c in components:
+        if type(c) is bool or not isinstance(c, (int, float)):
+            return f"direction components must be ints or floats, got {direction!r}"
+    squares = 0
+    for c in components:
+        c = float(c) if isinstance(c, float) else c
+        squares += c * c
+    try:
+        norm = math.sqrt(squares)
+    except OverflowError:
+        norm = math.inf
+    return None if abs(norm - 1.0) <= 1e-9 else f"direction must be a unit vector, norm is {norm!r}"
+
+
 def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violation]:
     out: list[Violation] = []
     t = resolve_tolerance(model, tol)
@@ -83,7 +103,7 @@ def validate_theory(model: TheoryModel, tol: float | None = None) -> list[Violat
             _check_id(s.id, seen, where, "setting", out)
             if "|" in s.id:
                 out.append(Violation(_loc(where, s.id), "setting id must not contain '|'"))
-            if s.direction is not None and (fault := direction_fault(s.direction)):
+            if s.direction is not None and (fault := _direction_fault(s.direction)):
                 out.append(Violation(_loc(where + ".direction", s.id), fault))
 
     if not model.ensemble.entries:
