@@ -7,7 +7,7 @@ Conventions, stated once and printed in reports:
 * CHSH: `model.CHSH_CONVENTION`, S = E(a,b) + E(a,b') + E(a',b) -
   E(a',b'), for named roles (a, a', b, b'), evaluated by `model`'s one
   signed form (`CHSH_SIGNS`), which the Monte Carlo estimate shares.  Its
-  local bound is computed from the form's coefficients, never assumed.
+  local bound is `_local_max` of the form's coefficients, never assumed.
 * Tolerance: `model.resolve_tolerance`, the rule models follow too: an
   explicit `tol`, else 0 for an exact table and 1e-9 for a decimal one.
 * Three-axis inequality over axes (1, 2, 3), each a `model.Axis`, an
@@ -33,7 +33,6 @@ computes every local bound here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -123,15 +122,6 @@ def _chsh_coefficients(signs: tuple[int, int, int, int], pairs: list[Axis]) -> d
     return {(a, b, A, B): A * B * s for (a, b), s in totals.items() for A, B in JOINT_OUTCOMES}
 
 
-@functools.cache
-def _chsh_bound(signs: tuple[int, int, int, int], same_a: bool, same_b: bool) -> Fraction:
-    """`_local_max` of a signed CHSH form, cached by what it depends on:
-    its signs and which roles coincide (a = a', b = b'), not the ids."""
-    a2, b2 = "a" if same_a else "a'", "b" if same_b else "b'"
-    pairs = [("a", "b"), ("a", b2), (a2, "b"), (a2, b2)]
-    return Fraction(_local_max(_chsh_coefficients(signs, pairs)))
-
-
 #: The bound of |E(1,2) - E(1,3)| - E(2,3): its max over the 8
 #: anti-correlated sign patterns, E(i, j) = -s_i s_j, brute-forced once at
 #: import (Bell 1964)
@@ -169,14 +159,14 @@ def chsh(
     """Evaluate S for the given roles and compare against the local bound.
 
     The bound is S's maximum over the deterministic strategies, from
-    `_local_max` through `_chsh_bound`'s cache; flipping Alice's signs
-    negates S, so it bounds |S|.
+    `_local_max` on S's coefficients over these roles; flipping Alice's
+    signs negates S, so it bounds |S|.
     """
     t = resolve_tolerance(table, tol)
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     corr = {pair: correlator(table, *pair) for pair in pairs}
     value = _chsh_form(CHSH_SIGNS, lambda x, y: corr[(x, y)], a, a_prime, b, b_prime)
-    bound = _chsh_bound(CHSH_SIGNS, a == a_prime, b == b_prime)
+    bound = Fraction(_local_max(_chsh_coefficients(CHSH_SIGNS, pairs)))
     return CHSHResult(
         roles=(a, a_prime, b, b_prime),
         correlators=corr,
@@ -388,8 +378,8 @@ def _eliminate(row: list[int], prow: list[int], factor: int, pivot: int, det: in
 
 def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctional | None:
     """Search the eight CHSH sign variants of a 2x2 scenario for one the
-    behavior exceeds, bounded by `_chsh_bound`, and recompute that one's
-    value exactly from its coefficients and the cells before returning it."""
+    behavior exceeds, each bounded by `_local_max` on its coefficients, and
+    check that one's value exactly from those coefficients and the cells."""
     roles = table.scenario.default_chsh_roles()
     if roles is None:
         return None
@@ -400,9 +390,9 @@ def _chsh_facet_certificate(table: BehaviorTable, t: float) -> SeparatingFunctio
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
         value = _chsh_form(signs, lambda x, y: corrs[(x, y)], a, a2, b, b2)
-        bound = _chsh_bound(signs, a == a2, b == b2)
+        coeffs = _chsh_coefficients(signs, pairs)
+        bound = Fraction(_local_max(coeffs))
         if value > bound + t:
-            coeffs = _chsh_coefficients(signs, pairs)
             if not sum(c * Fraction(table.cell(x, y).prob(A, B)) for (x, y, A, B), c in coeffs.items()) - bound > t:
                 raise BellLabError("facet certificate failed verification; facet search bug")
             terms = " ".join(f"{'+' if s > 0 else '-'}E({p[0]},{p[1]})" for s, p in zip(signs, pairs))

@@ -2,9 +2,10 @@
 and the exhaustive CHSH maximum over the 16 strategies of a 2x2 scenario.
 
 These were public in `bell_lab.harness` while only tests and the
-acceptance gate called them; they are kept here unchanged, as is
+acceptance gate called them; they are kept here, as is
 `SeparatingFunctional.evaluate` (here a function).  Nothing in the
-package calls them.
+package calls them.  The CHSH sum is written out here, not read from
+`model`'s signed form, so the two check each other.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from bell_lab.harness import (
     SeparatingFunctional,
     enumerate_strategies,
 )
-from bell_lab.model import (CHSH_CONVENTION, CHSH_SIGNS, BehaviorTable, OutcomeDistribution, Prob, Scenario,
-                            _chsh_form, format_probability)
+from bell_lab.model import CHSH_CONVENTION, BehaviorTable, OutcomeDistribution, Prob, Scenario, format_probability
 
 
 def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> BehaviorTable:
@@ -29,6 +29,11 @@ def strategy_behavior(strategy: DeterministicStrategy, scenario: Scenario) -> Be
         for b in scenario.bob_settings
     }
     return BehaviorTable(scenario=scenario, cells=cells)
+
+
+def chsh_sum(e, a: str, a2: str, b: str, b2: str) -> Prob:
+    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') for a correlator `e`."""
+    return e(a, b) + e(a, b2) + e(a2, b) - e(a2, b2)
 
 
 def evaluate(functional: SeparatingFunctional, table: BehaviorTable) -> Prob:
@@ -75,7 +80,7 @@ def max_local_chsh(scenario: Scenario) -> LocalBoundResult:
     values: dict[DeterministicStrategy, Prob] = {}
     for strat in enumerate_strategies(scenario):
         am, bm = strat.alice_map, strat.bob_map
-        values[strat] = _chsh_form(CHSH_SIGNS, lambda x, y: am[x] * bm[y], a, a2, b, b2)
+        values[strat] = chsh_sum(lambda x, y: am[x] * bm[y], a, a2, b, b2)
     bound = Fraction(max(abs(v) for v in values.values()))
     achievers = tuple(s for s, v in values.items() if abs(v) == bound)
     return LocalBoundResult(bound=bound, achievers=achievers, values=values, roles=(a, a2, b, b2))

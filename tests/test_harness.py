@@ -25,11 +25,11 @@ from bell_lab.harness import (
     enumerate_strategies,
     local_polytope_membership,
 )
-from bell_lab.model import (CHSH_CONVENTION, BehaviorTable, BellLabError, OutcomeDistribution, Scenario, Setting,
-                            UnknownIdError, _chsh_form, behavior, resolve_axes)
+from bell_lab.model import (CHSH_CONVENTION, JOINT_OUTCOMES, BehaviorTable, BellLabError, OutcomeDistribution,
+                            Scenario, Setting, UnknownIdError, _chsh_form, behavior, resolve_axes)
 from bell_lab.singlet import make_planar_singlet
 from bell_lab.specio import load_theory, parse_theory
-from reference_harness import evaluate, max_local_chsh, strategy_behavior
+from reference_harness import chsh_sum, evaluate, max_local_chsh, strategy_behavior
 import reference_simplex
 from reference_simplex import _integer_phase1_simplex as integer_phase1
 from reference_simplex import _phase1_simplex as reference_phase1
@@ -130,13 +130,27 @@ class TestLocalBound:
             odd = signs[0] * signs[1] * signs[2] * signs[3] == -1
             assert harness._local_max(harness._chsh_coefficients(signs, pairs)) == (2 if odd else 4)
 
-    def test_cached_chsh_bound_is_the_oracle_bound_for_every_sign_and_repeat_pattern(self):
-        for signs in itertools.product((+1, -1), repeat=4):
-            for a2, b2 in (("a2", "b2"), ("a1", "b2"), ("a2", "b1"), ("a1", "b1")):
-                pairs = [("a1", "b1"), ("a1", b2), (a2, "b1"), (a2, b2)]
-                bound = harness._chsh_bound(signs, a2 == "a1", b2 == "b1")
-                assert bound == harness._local_max(harness._chsh_coefficients(signs, pairs))
-                assert isinstance(bound, Fraction)
+    @pytest.mark.parametrize("a2, b2", [("a2", "b2"), ("a1", "b2"), ("a2", "b1"), ("a1", "b1")])
+    def test_chsh_bound_is_the_strategy_maximum_for_every_repeat_pattern(self, singlet_chsh, a2, b2):
+        # a = a' or b = b' folds two terms into one cell; S's maximum over
+        # the strategies, from the written-out sum, is still 2
+        result = chsh(behavior(singlet_chsh), "a1", a2, "b1", b2)
+        brute = max(chsh_sum(lambda x, y: s.alice_map[x] * s.bob_map[y], "a1", a2, "b1", b2)
+                    for s in enumerate_strategies(singlet_chsh.scenario))
+        assert result.local_bound == brute == 2
+        assert type(result.local_bound) is Fraction
+
+    @pytest.mark.parametrize("signs", [s for s in itertools.product((+1, -1), repeat=4) if math.prod(s) == -1])
+    def test_facet_search_bounds_every_odd_variant_by_two(self, signs):
+        # E = 3/4 times the variant's sign on each pair, no marginal bias:
+        # this variant reads 3, every other odd variant 0 or -3
+        pairs = [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")]
+        scenario = Scenario(tuple(map(Setting, ("a1", "a2"))), tuple(map(Setting, ("b1", "b2"))))
+        cells = {pair: OutcomeDistribution(*((1 + A * B * Fraction(3, 4) * s) / 4 for A, B in JOINT_OUTCOMES))
+                 for pair, s in zip(pairs, signs)}
+        f = local_polytope_membership(BehaviorTable(scenario, cells)).functional
+        assert f.kind == "chsh" and (f.bound, f.value) == (2, 3) and type(f.bound) is Fraction
+        assert f.coefficients == {(x, y, A, B): A * B * s for (x, y), s in zip(pairs, signs) for A, B in JOINT_OUTCOMES}
 
     @settings(max_examples=150, deadline=None)
     @given(genmodels.int_functionals())
