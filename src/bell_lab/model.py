@@ -354,7 +354,7 @@ class OutcomeDistribution(NamedTuple):
     def prob(self, outcome_a: int, outcome_b: int) -> Prob:
         try:
             return getattr(self, _FIELDS[(outcome_a, outcome_b)])
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"outcomes must be +1 or -1, got ({outcome_a}, {outcome_b})") from None
 
     def marginal_a(self, outcome_a: int) -> Prob:
@@ -371,10 +371,11 @@ class OutcomeDistribution(NamedTuple):
 
     @staticmethod
     def point(outcome_a: int, outcome_b: int) -> OutcomeDistribution:
-        """Deterministic cell: all mass on one joint outcome, exact."""
-        return OutcomeDistribution(
-            *(Fraction(int(ab == (outcome_a, outcome_b))) for ab in JOINT_OUTCOMES)
-        )
+        """Deterministic cell: all mass on one joint outcome, exact; the
+        ValueError of `prob` for an outcome other than +1 or -1."""
+        dist = OutcomeDistribution(*(Fraction(int(ab == (outcome_a, outcome_b))) for ab in JOINT_OUTCOMES))
+        dist.prob(outcome_a, outcome_b)
+        return dist
 
 
 class ResponseKernel:
@@ -420,7 +421,7 @@ class ResponseKernel:
         """The row of cell `key`; UnknownIdError if there is none."""
         try:
             return self._positions[key]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no cell either
             raise UnknownIdError("kernel has no cell for (state={!r}, a={!r}, b={!r})".format(*key)) from None
 
     def cell(self, state_id: str, a_id: str, b_id: str) -> OutcomeDistribution:
@@ -580,7 +581,7 @@ class BehaviorTable(NamedTuple):
     def cell(self, a_id: str, b_id: str) -> OutcomeDistribution:
         try:
             return self.cells[(a_id, b_id)]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no cell either
             raise UnknownIdError(f"behavior has no cell for (a={a_id!r}, b={b_id!r})") from None
 
     @property

@@ -38,6 +38,7 @@ import io
 import itertools
 import math
 import operator
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -278,9 +279,10 @@ def simulate(
     the hidden-state column `lambda`.  The model must be valid at `tol`
     (default: exact for rational models, 1e-9 otherwise).  `trials` and
     `seed` are ints (a numpy integer is taken, a bool refused), `policy`
-    is None or one of the two policies, and `chsh_roles` names four
-    settings; a bad argument raises BellLabError before the CSV is
-    opened.  Only one chunk of trials is alive at a time.
+    is None or one of the two policies, `chsh_roles` names four settings,
+    and `csv_path` is a str, bytes or os.PathLike path; a bad argument
+    raises BellLabError before the CSV is opened.  Only one chunk of
+    trials is alive at a time.
     """
     if (trials := _integer(trials, "trial count")) <= 0:
         raise BellLabError(f"trial count must be positive, got {trials}")
@@ -302,8 +304,11 @@ def simulate(
     tails = np.array([_csv_cells(a, b, *ab) for a, b, ab in keys], dtype=object)
     lambdas = np.array([_csv_cells(s) + "\r\n" for s in model.ensemble.state_ids()], dtype=object)
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
-    with (open(csv_path, "w", newline="", encoding="utf-8") if csv_path is not None
-          else contextlib.nullcontext()) as sink:
+    try:  # os.fspath refuses an int, which open() would take as a file descriptor
+        sink = None if csv_path is None else open(os.fspath(csv_path), "w", newline="", encoding="utf-8")
+    except (TypeError, ValueError) as exc:  # not a path, a NUL byte, or text the file system cannot encode
+        raise BellLabError(f"csv_path must be a path, got {csv_path!r}: {exc}") from exc
+    with contextlib.nullcontext() if sink is None else sink:
         if sink is not None:
             sink.write("trial,a,b,A,B,lambda\r\n" if reveal_hidden else "trial,a,b,A,B\r\n")
         for start in range(0, trials, _CHUNK):

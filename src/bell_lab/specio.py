@@ -218,7 +218,7 @@ def load_theory(path: str | Path) -> TheoryModel:
     try:
         p = Path(path)
         raw = p.read_bytes()
-    except (OSError, TypeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     return parse_theory(raw, source=str(p))
 
@@ -246,4 +246,10 @@ def theory_to_dict(model: TheoryModel) -> dict[str, Any]:
 
 
 def dump_theory(model: TheoryModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(theory_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    """Write `model` to `path` as a spec; SpecFormatError, before anything is
+    opened, for a `path` that is not one (an OSError if it cannot be written)."""
+    text = json.dumps(theory_to_dict(model), indent=2) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (TypeError, ValueError) as exc:  # not a str or os.PathLike, or a NUL byte
+        raise SpecFormatError(f"cannot write {path!r}: {exc}") from exc
